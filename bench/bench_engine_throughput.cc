@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/kernel_isa.hh"
 #include "common/parallel.hh"
 #include "common/stats.hh"
 #include "data/synth_digits.hh"
@@ -145,6 +146,7 @@ main()
 
     JsonWriter w;
     w.field("workload", "synth_digits");
+    w.field("kernel_isa", kernelIsa());
     w.field("samples", std::uint64_t{samples_n});
     w.field("t_steps", t_steps);
     w.field("mesh", chip_cfg.n);

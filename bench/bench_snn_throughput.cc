@@ -19,9 +19,12 @@
  *   SUSHI_FULL=1    more repetitions (slower, steadier numbers)
  *
  * Exit status is nonzero when any kernel disagrees or the packed
- * kernel's speedup over the scalar oracle regresses below the 10x
+ * kernel's speedup over the scalar oracle regresses below the 100x
  * acceptance floor (single-threaded, so the floor is a property of
- * the kernel, not of the runner's core count).
+ * the kernel, not of the runner's core count). The popcount wrapper
+ * is picked by CPU at run time and recorded as "kernel_isa"; with
+ * POPCNT the kernel measured 263-353x on a 4-core x86-64 host, and
+ * the portable fallback ~155x.
  */
 
 #include <chrono>
@@ -32,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/kernel_isa.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "snn/packed.hh"
@@ -53,7 +57,7 @@ constexpr std::size_t kBatch = 256;
 
 /** The packed kernel must beat the scalar oracle by at least this
  *  factor on the workload above (enforced via exit status). */
-constexpr double kSpeedupFloor = 10.0;
+constexpr double kSpeedupFloor = 100.0;
 
 double
 seconds(std::chrono::steady_clock::time_point t0,
@@ -177,8 +181,11 @@ main()
                 correct ? "bit-exact" : "MISMATCH", speedup,
                 kSpeedupFloor, speedup_vs_float);
 
+    std::printf("kernel ISA    : %s\n", kernelIsa());
+
     JsonWriter w;
     w.field("workload", "binarized_fc_forward");
+    w.field("kernel_isa", kernelIsa());
     w.field("in_dim", static_cast<std::uint64_t>(kInDim));
     w.field("out_dim", static_cast<std::uint64_t>(kOutDim));
     w.field("batch", static_cast<std::uint64_t>(kBatch));

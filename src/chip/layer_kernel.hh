@@ -1,0 +1,96 @@
+/**
+ * @file
+ * Private to chip/sushi_chip and its tests: the batch-major layer
+ * kernel behind SushiChip::stepLayerBatch.
+ *
+ * A batch of B activation vectors is packed once per layer step into
+ * a word-major bitset over the layer's scheduled input order (word w
+ * of vector b at bits[w * B + b]), so one neuron's mask word meets
+ * all B vectors' words in one contiguous run. The kernel then walks
+ * neurons; per neuron it loads each inhibitory mask word once and
+ * streams it over the batch, running B closed-form NPE counters side
+ * by side. The body is compiled once per KernelIsa (see
+ * common/kernel_isa.hh); layerKernel() returns the wrapper this CPU
+ * runs, and tests call each supported wrapper directly.
+ */
+
+#ifndef SUSHI_CHIP_LAYER_KERNEL_HH
+#define SUSHI_CHIP_LAYER_KERNEL_HH
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "chip/sushi_chip.hh"
+
+namespace sushi::chip::detail {
+
+/** Pulses beyond the first at one scheduled position of a vector
+ *  (upstream wrap artefacts; rare). */
+struct ExtraPulses
+{
+    std::uint32_t bucket; ///< index into schedule.buckets
+    std::uint32_t pos;    ///< scheduled position
+    std::uint64_t extra;  ///< pulses beyond the first
+};
+
+/** A batch of activation vectors packed for one layer's schedule. */
+struct LayerBatchPack
+{
+    std::size_t batch = 0;
+    std::size_t words = 0;
+    /** Active-input bits, word-major: [words x batch]. */
+    std::vector<std::uint64_t> bits;
+    /** Total pulses per (bucket, vector): [buckets x batch]. */
+    std::vector<std::uint64_t> bucket_pulses;
+    /** Total pulses per vector over every bucket. */
+    std::vector<std::uint64_t> pulses;
+    /** Inputs with at least one pulse, per vector. */
+    std::vector<std::uint64_t> active;
+    /** Multi-pulse entries, grouped by vector in bucket order;
+     *  vector b owns [extra_begin[b], extra_begin[b + 1]). */
+    std::vector<ExtraPulses> extras;
+    std::vector<std::size_t> extra_begin;
+};
+
+/** Pack @p in for @p layer's schedule (in.width == in_dim). */
+void packLayerBatch(const compiler::CompiledLayer &layer,
+                    const PulseBatch &in, LayerBatchPack &pack);
+
+/** Everything a kernel call reads and writes besides its tallies. */
+struct LayerKernelArgs
+{
+    const compiler::CompiledLayer *layer = nullptr;
+    const LayerBatchPack *pack = nullptr;
+    unsigned state_bits = 0; ///< K: the counter has 2^K states
+    /** Failed output-NPE slots (size slots), or nullptr when the
+     *  chip runs healthy. */
+    const std::uint8_t *failed_slots = nullptr;
+    std::size_t slots = 1;
+    std::uint16_t *out = nullptr; ///< [batch x out_dim], vector-major
+    std::size_t out_dim = 0;
+};
+
+/**
+ * Evaluate neurons [o0, o1) for every vector of the pack: writes
+ * their outputs and adds their tallies into @p tally (one per
+ * vector; active_inputs is left to the caller). Outputs of disabled
+ * neurons are left untouched (callers zero @p out).
+ */
+using LayerKernelFn = void (*)(const LayerKernelArgs &args,
+                               std::size_t o0, std::size_t o1,
+                               LayerStepStats *tally);
+
+void layerKernelPortable(const LayerKernelArgs &args, std::size_t o0,
+                         std::size_t o1, LayerStepStats *tally);
+#if defined(__x86_64__)
+void layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
+                       std::size_t o1, LayerStepStats *tally);
+#endif
+
+/** The wrapper selectedKernelIsa() names. */
+LayerKernelFn layerKernel();
+
+} // namespace sushi::chip::detail
+
+#endif // SUSHI_CHIP_LAYER_KERNEL_HH

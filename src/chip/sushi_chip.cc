@@ -1,72 +1,279 @@
 #include "chip/sushi_chip.hh"
 
 #include <algorithm>
-#include <bit>
 #include <mutex>
-#include <utility>
+#include <stdexcept>
+#include <string>
 
+#include "chip/layer_kernel.hh"
+#include "common/kernel_isa.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "compiler/driver.hh"
 #include "fabric/resource_model.hh"
 #include "fabric/timing_model.hh"
 #include "sfq/cell_params.hh"
 
 namespace sushi::chip {
 
+namespace detail {
+
+void
+packLayerBatch(const compiler::CompiledLayer &layer,
+               const PulseBatch &in, LayerBatchPack &pack)
+{
+    const std::size_t batch = in.batch;
+    const auto &buckets = layer.schedule.buckets;
+    pack.batch = batch;
+    pack.words = (in.width + 63) / 64;
+    pack.bits.assign(pack.words * batch, 0);
+    pack.bucket_pulses.assign(buckets.size() * batch, 0);
+    pack.pulses.assign(batch, 0);
+    pack.active.assign(batch, 0);
+    pack.extras.clear();
+    pack.extra_begin.assign(batch + 1, 0);
+    const int *order = layer.schedule.order.data();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const std::uint16_t *act = in.row(b).data();
+        pack.extra_begin[b] = pack.extras.size();
+        // Buckets partition the scheduled positions, so one walk over
+        // them visits every input once. Branch-free per input: the
+        // word being filled stays in a register until it is flushed.
+        std::uint64_t active = 0;
+        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+            const auto end = static_cast<std::size_t>(buckets[bk].end);
+            std::uint64_t sum = 0;
+            for (auto k = static_cast<std::size_t>(buckets[bk].begin);
+                 k < end;) {
+                const std::size_t w = k / 64;
+                const std::size_t stop = std::min(end, w * 64 + 64);
+                std::uint64_t word = 0;
+                for (; k < stop; ++k) {
+                    const std::uint16_t a =
+                        act[static_cast<std::size_t>(order[k])];
+                    const std::uint64_t on = a != 0 ? 1 : 0;
+                    word |= on << (k % 64);
+                    active += on;
+                    sum += a;
+                    if (a > 1)
+                        pack.extras.push_back(
+                            {static_cast<std::uint32_t>(bk),
+                             static_cast<std::uint32_t>(k),
+                             std::uint64_t{a} - 1});
+                }
+                pack.bits[w * batch + b] |= word;
+            }
+            pack.bucket_pulses[bk * batch + b] = sum;
+            pack.pulses[b] += sum;
+        }
+        pack.active[b] = active;
+    }
+    pack.extra_begin[batch] = pack.extras.size();
+}
+
 namespace {
 
-/** Popcount of (act & mask) over scheduled positions [begin, end). */
-std::uint64_t
-popcountRange(const std::vector<std::uint64_t> &act,
-              const std::vector<std::uint64_t> &mask, int begin,
-              int end)
+/** Vectors one neuron evaluates side by side (stack-resident). */
+constexpr std::size_t kTile = 64;
+
+/** Vectors whose popcount accumulators share registers. */
+constexpr std::size_t kLanes = 8;
+
+/** count[j] += popcount(row[j] & m) for the N vectors of a word. */
+template <class Pop, std::size_t N>
+[[gnu::always_inline]] inline void
+addWord(std::uint64_t *count, const std::uint64_t *row, std::uint64_t m)
 {
-    std::uint64_t count = 0;
-    const int w0 = begin / 64;
-    const int w1 = (end + 63) / 64;
-    for (int w = w0; w < w1; ++w) {
-        std::uint64_t bits =
-            act[static_cast<std::size_t>(w)] &
-            mask[static_cast<std::size_t>(w)];
-        if (w == w0 && begin % 64)
-            bits &= ~std::uint64_t{0} << (begin % 64);
-        if (w == w1 - 1 && end % 64)
-            bits &= ~std::uint64_t{0} >> (64 - end % 64);
-        count += static_cast<std::uint64_t>(std::popcount(bits));
-    }
-    return count;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j)
+        count[j] += Pop::count(row[j] & m);
 }
 
 /**
- * Closed-form NPE counter: the exact recurrence Npe::addPulses
- * implements (carry per wrap past 2^K counting up, borrow per wrap
- * below zero counting down) without the per-SC bit materialisation.
- * Any divergence from the Npe object is a bug the packed-vs-oracle
- * fuzzer catches.
+ * Inhibitory input pulses of scheduled positions [begin, end) for
+ * the @p N vectors whose words start at @p bits (stride @p batch per
+ * word): the neuron's mask word is loaded once per word and streamed
+ * over the N vectors, whose counts stay in registers.
  */
-struct FastCounter
+template <class Pop, std::size_t N>
+[[gnu::always_inline]] inline void
+negCounts(const std::uint64_t *bits, std::size_t batch,
+          const std::uint64_t *nm, std::size_t begin, std::size_t end,
+          std::uint64_t *neg)
 {
-    std::uint64_t v;      ///< counter value
-    std::uint64_t states; ///< 2^K
-
-    std::uint64_t addUp(std::uint64_t count)
-    {
-        const std::uint64_t spikes = (v + count) / states;
-        v = (v + count) % states;
-        return spikes;
-    }
-
-    std::uint64_t addDown(std::uint64_t count)
-    {
-        if (count <= v) {
-            v -= count;
-            return 0;
+    std::uint64_t count[N] = {};
+    if (begin < end) {
+        const std::size_t w0 = begin / 64;
+        const std::size_t wl = (end - 1) / 64;
+        const std::uint64_t head = ~std::uint64_t{0} << (begin % 64);
+        const std::uint64_t tail =
+            ~std::uint64_t{0} >> (63 - (end - 1) % 64);
+        if (w0 == wl) {
+            addWord<Pop, N>(count, bits + w0 * batch,
+                            nm[w0] & head & tail);
+        } else {
+            addWord<Pop, N>(count, bits + w0 * batch, nm[w0] & head);
+            for (std::size_t w = w0 + 1; w < wl; ++w)
+                addWord<Pop, N>(count, bits + w * batch, nm[w]);
+            addWord<Pop, N>(count, bits + wl * batch, nm[wl] & tail);
         }
-        const std::uint64_t borrows = (count - v + states - 1) / states;
-        v = (v + borrows * states - count) % states;
-        return borrows;
     }
-};
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j)
+        neg[j] = count[j];
+}
+
+/**
+ * The one layer-kernel body every wrapper compiles. Per neuron and
+ * tile of vectors it runs the closed-form NPE counter — the exact
+ * recurrence Npe::addPulses implements, carry per wrap past 2^K
+ * counting up, borrow per wrap below zero counting down — in shifts
+ * and masks. Any divergence from the Npe object is a bug the
+ * packed-vs-oracle fuzzer catches.
+ */
+template <class Pop>
+[[gnu::always_inline]] inline void
+layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
+                std::size_t o1, LayerStepStats *tally)
+{
+    const compiler::CompiledLayer &layer = *args.layer;
+    const LayerBatchPack &pack = *args.pack;
+    const std::size_t batch = pack.batch;
+    const unsigned k = args.state_bits;
+    const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
+    const auto &buckets = layer.schedule.buckets;
+
+    std::uint64_t value[kTile];
+    std::uint64_t spikes[kTile];
+    std::uint64_t underflow[kTile];
+    std::uint64_t neg[kTile];
+    std::size_t cursor[kTile];
+    for (std::size_t o = o0; o < o1; ++o) {
+        if (layer.disabled[o])
+            continue;
+        // Degraded mode: the neuron's home slot is o mod N; if that
+        // NPE failed, a healthy host NPE serves it in an extra pass.
+        // The counter arithmetic is slot-independent, so results
+        // stay bit-identical — only time/reload accounting changes.
+        const std::uint64_t remapped =
+            args.failed_slots != nullptr &&
+                    args.failed_slots[o % args.slots]
+                ? 1
+                : 0;
+        const std::uint64_t *nm = layer.neg_masks[o].data();
+        // Bias pulses count up from the preload before any input.
+        const std::uint64_t start =
+            layer.preload[o] +
+            static_cast<std::uint64_t>(layer.bias_pulses[o]);
+        for (std::size_t t0 = 0; t0 < batch; t0 += kTile) {
+            const std::size_t nt = std::min(kTile, batch - t0);
+            const bool extras =
+                pack.extra_begin[t0] != pack.extra_begin[t0 + nt];
+            for (std::size_t b = 0; b < nt; ++b) {
+                value[b] = start & mask;
+                spikes[b] = start >> k;
+                underflow[b] = 0;
+                cursor[b] = pack.extra_begin[t0 + b];
+            }
+            for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+                const auto begin =
+                    static_cast<std::size_t>(buckets[bk].begin);
+                const auto end =
+                    static_cast<std::size_t>(buckets[bk].end);
+                const std::uint64_t *bits = pack.bits.data() + t0;
+                std::size_t b = 0;
+                for (; b + kLanes <= nt; b += kLanes)
+                    negCounts<Pop, kLanes>(bits + b, batch, nm, begin,
+                                           end, neg + b);
+                for (; b < nt; ++b)
+                    negCounts<Pop, 1>(bits + b, batch, nm, begin, end,
+                                      neg + b);
+                if (extras) {
+                    for (b = 0; b < nt; ++b) {
+                        const std::size_t stop =
+                            pack.extra_begin[t0 + b + 1];
+                        for (std::size_t &c = cursor[b];
+                             c < stop && pack.extras[c].bucket == bk;
+                             ++c) {
+                            const std::uint32_t pos =
+                                pack.extras[c].pos;
+                            if (nm[pos / 64] >> (pos % 64) & 1)
+                                neg[b] += pack.extras[c].extra;
+                        }
+                    }
+                }
+                // Inhibitory pass first within every bucket
+                // (Sec. 5.1), then the excitatory pass. The masks
+                // partition the inputs, so the excitatory pulses are
+                // the bucket's total minus the inhibitory ones.
+                const std::uint64_t *total =
+                    pack.bucket_pulses.data() + bk * batch + t0;
+                for (b = 0; b < nt; ++b) {
+                    const std::uint64_t n = neg[b];
+                    const std::uint64_t borrows =
+                        (n + mask - value[b]) >> k;
+                    const std::uint64_t up =
+                        ((value[b] - n) & mask) + (total[b] - n);
+                    spikes[b] += borrows + (up >> k);
+                    underflow[b] += borrows;
+                    value[b] = up & mask;
+                }
+            }
+            for (std::size_t b = 0; b < nt; ++b) {
+                LayerStepStats &t = tally[t0 + b];
+                args.out[(t0 + b) * args.out_dim + o] =
+                    static_cast<std::uint16_t>(spikes[b]);
+                t.underflow_spikes += underflow[b];
+                t.multi_fires += spikes[b] > 1 ? 1 : 0;
+                t.synaptic_ops += pack.pulses[t0 + b];
+                t.remapped_neurons += remapped;
+            }
+        }
+    }
+}
+
+} // namespace
+
+void
+layerKernelPortable(const LayerKernelArgs &args, std::size_t o0,
+                    std::size_t o1, LayerStepStats *tally)
+{
+    layerKernelBody<PortablePopcount>(args, o0, o1, tally);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("popcnt"))) void
+layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
+                  std::size_t o1, LayerStepStats *tally)
+{
+    layerKernelBody<HardwarePopcount>(args, o0, o1, tally);
+}
+#endif
+
+LayerKernelFn
+layerKernel()
+{
+#if defined(__x86_64__)
+    static const LayerKernelFn fn =
+        selectedKernelIsa() == KernelIsa::Popcnt ? layerKernelPopcnt
+                                                 : layerKernelPortable;
+    return fn;
+#else
+    return layerKernelPortable;
+#endif
+}
+
+} // namespace detail
+
+namespace {
+
+/** Validate before any member is sized from the geometry. */
+const compiler::ChipConfig &
+validated(const compiler::ChipConfig &cfg)
+{
+    compiler::validateChipConfig(cfg);
+    return cfg;
+}
 
 /** Element-wise sum of per-cut flit counters (ragged-safe). */
 void
@@ -166,13 +373,33 @@ dynamicEnergyJ(std::uint64_t synaptic_ops)
     return static_cast<double>(synaptic_ops) * 30.0 * 2.0e-19;
 }
 
-SushiChip::SushiChip(const compiler::ChipConfig &cfg)
-    : cfg_(cfg),
-      failed_npes_(static_cast<std::size_t>(cfg.n), 0),
-      remap_(compiler::planNpeRemap(cfg.n, failed_npes_))
+void
+PulseBatch::reset(std::size_t vectors, std::size_t row_width)
 {
-    sushi_assert(cfg.n >= 1);
+    batch = vectors;
+    width = row_width;
+    pulses.assign(vectors * row_width, 0);
 }
+
+void
+PulseBatch::setRow(std::size_t v, std::span<const std::uint8_t> frame)
+{
+    if (frame.size() != width)
+        throw std::invalid_argument(
+            "activation width " + std::to_string(frame.size()) +
+            " != layer input width " + std::to_string(width));
+    std::copy(frame.begin(), frame.end(), row(v).begin());
+}
+
+SushiChip::SushiChip(const compiler::ChipConfig &cfg)
+    : cfg_(validated(cfg)),
+      pulse_ps_(fabric::pulseTimePs(fabric::scalingMeshConfig(cfg.n))),
+      failed_npes_(static_cast<std::size_t>(cfg.n), 0),
+      remap_(compiler::planNpeRemap(cfg.n, failed_npes_)),
+      pack_(std::make_unique<detail::LayerBatchPack>())
+{}
+
+SushiChip::~SushiChip() = default;
 
 void
 SushiChip::markNpeFailed(int slot)
@@ -206,109 +433,87 @@ SushiChip::reset()
     stats_.reset();
 }
 
-PulseVector
-SushiChip::stepLayer(const compiler::CompiledLayer &layer,
-                     const snn::BinaryLayer &blayer,
-                     const PulseVector &act)
+void
+SushiChip::stepLayerBatch(const compiler::CompiledLayer &layer,
+                          const snn::BinaryLayer &blayer,
+                          const PulseBatch &in, PulseBatch &out,
+                          LayerStepStats *tallies)
 {
     const std::size_t in_dim = blayer.inDim();
     const std::size_t out_dim = blayer.outDim();
-    sushi_assert(act.size() == in_dim);
+    if (in.width != in_dim || in.pulses.size() != in.batch * in.width)
+        throw std::invalid_argument(
+            "activation width " + std::to_string(in.width) +
+            " != layer input width " + std::to_string(in_dim));
+    sushi_assert(&in != &out);
+    out.reset(in.batch, out_dim);
+    std::fill(tallies, tallies + in.batch, LayerStepStats{});
 
-    // Activation bitset over scheduled positions, plus the (rare)
-    // multi-pulse entries from upstream wrap artefacts.
-    const std::size_t words = (in_dim + 63) / 64;
-    std::vector<std::uint64_t> act_bits(words, 0);
-    std::vector<std::pair<std::size_t, int>> extras; // (pos, extra)
-    std::uint64_t active_inputs = 0;
-    for (std::size_t k = 0; k < in_dim; ++k) {
-        const auto idx = static_cast<std::size_t>(
-            layer.schedule.order[k]);
-        if (act[idx] > 0) {
-            act_bits[k / 64] |= std::uint64_t{1} << (k % 64);
-            ++active_inputs;
-            if (act[idx] > 1)
-                extras.emplace_back(k, act[idx] - 1);
-        }
+    if (!packedKernels()) {
+        for (std::size_t b = 0; b < in.batch; ++b)
+            oracleStep(layer, in.row(b), out.row(b), tallies[b]);
+        return;
     }
 
-    PulseVector out(out_dim, 0);
+    detail::packLayerBatch(layer, in, *pack_);
+    for (std::size_t b = 0; b < in.batch; ++b)
+        tallies[b].active_inputs = pack_->active[b];
+    detail::LayerKernelArgs args;
+    args.layer = &layer;
+    args.pack = pack_.get();
+    args.state_bits = static_cast<unsigned>(cfg_.sc_per_npe);
+    args.failed_slots =
+        remap_.failed > 0 ? failed_npes_.data() : nullptr;
+    args.slots = static_cast<std::size_t>(cfg_.n);
+    args.out = out.pulses.data();
+    args.out_dim = out_dim;
+    const detail::LayerKernelFn kernel = detail::layerKernel();
+
+    // Neurons are independent and the tallies are integer sums
+    // (exact, order-free), so evaluating neurons across worker
+    // threads yields the same outputs and tallies, bit for bit.
+    if (sim_threads_ > 1 && out_dim > 1) {
+        std::mutex mu;
+        ParallelOptions popts;
+        popts.grain = 16;
+        popts.max_workers = static_cast<unsigned>(sim_threads_);
+        parallelFor(
+            out_dim,
+            [&](std::size_t begin, std::size_t end) {
+                std::vector<LayerStepStats> local(in.batch);
+                kernel(args, begin, end, local.data());
+                std::lock_guard<std::mutex> lock(mu);
+                for (std::size_t b = 0; b < in.batch; ++b) {
+                    LayerStepStats &t = tallies[b];
+                    t.synaptic_ops += local[b].synaptic_ops;
+                    t.underflow_spikes += local[b].underflow_spikes;
+                    t.multi_fires += local[b].multi_fires;
+                    t.remapped_neurons += local[b].remapped_neurons;
+                }
+            },
+            popts);
+    } else {
+        kernel(args, 0, out_dim, tallies);
+    }
+}
+
+void
+SushiChip::oracleStep(const compiler::CompiledLayer &layer,
+                      std::span<const std::uint16_t> act,
+                      std::span<std::uint16_t> out,
+                      LayerStepStats &tally) const
+{
+    const auto &order = layer.schedule.order;
+    for (const int idx : order)
+        if (act[static_cast<std::size_t>(idx)] > 0)
+            ++tally.active_inputs;
     const bool degraded = remap_.failed > 0;
-
-    // Counters spilled from the neuron loop. Neurons are independent
-    // and these are integer sums (exact, order-free), so evaluating
-    // neurons across worker threads yields the same out[] and the
-    // same InferenceStats as the sequential loop, bit for bit.
-    struct NeuronTally
-    {
-        std::uint64_t remapped = 0;
-        std::uint64_t underflow = 0;
-        std::uint64_t syn_ops = 0; // also counts input_pulses
-        std::uint64_t multi = 0;
-    };
-
-    // Pulse traffic of one (neuron, bucket) pair: scheduled-range
-    // popcounts plus the rare multi-pulse extras. Shared by both
-    // kernels so they can only differ in counter arithmetic.
-    auto bucketCounts = [&](std::size_t o,
-                            const compiler::Block &bucket) {
-        std::uint64_t neg = popcountRange(
-            act_bits, layer.neg_masks[o], bucket.begin, bucket.end);
-        std::uint64_t pos = popcountRange(
-            act_bits, layer.pos_masks[o], bucket.begin, bucket.end);
-        for (const auto &[k, extra] : extras) {
-            if (static_cast<int>(k) >= bucket.begin &&
-                static_cast<int>(k) < bucket.end) {
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (k % 64);
-                if (layer.neg_masks[o][k / 64] & bit)
-                    neg += static_cast<std::uint64_t>(extra);
-                else
-                    pos += static_cast<std::uint64_t>(extra);
-            }
-        }
-        return std::pair<std::uint64_t, std::uint64_t>{neg, pos};
-    };
-
-    const bool fast_kernel = packedKernels();
-
-    auto evalNeuron = [&](std::size_t o, NeuronTally &tl) {
+    for (std::size_t o = 0; o < out.size(); ++o) {
         if (layer.disabled[o])
-            return;
-        // Degraded mode: the neuron's home slot is o mod N; if that
-        // NPE failed, a healthy host NPE serves it in an extra pass.
-        // The counter arithmetic is slot-independent, so results stay
-        // bit-identical — only time/reload accounting changes.
+            continue;
         if (degraded &&
             failed_npes_[o % static_cast<std::size_t>(cfg_.n)])
-            ++tl.remapped;
-
-        if (fast_kernel) {
-            // Closed-form counter, no Npe object per neuron-step.
-            FastCounter npe{layer.preload[o],
-                            std::uint64_t{1}
-                                << static_cast<unsigned>(
-                                       cfg_.sc_per_npe)};
-            std::uint64_t spikes = npe.addUp(
-                static_cast<std::uint64_t>(layer.bias_pulses[o]));
-            for (const compiler::Block &bucket :
-                 layer.schedule.buckets) {
-                const auto [neg, pos] = bucketCounts(o, bucket);
-                if (neg) {
-                    const std::uint64_t borrows = npe.addDown(neg);
-                    tl.underflow += borrows;
-                    spikes += borrows;
-                }
-                if (pos)
-                    spikes += npe.addUp(pos);
-                tl.syn_ops += neg + pos;
-            }
-            if (spikes > 1)
-                ++tl.multi;
-            out[o] = static_cast<std::uint16_t>(spikes);
-            return;
-        }
-
+            ++tally.remapped_neurons;
         // A fresh counter per neuron-step is behaviourally identical
         // to the time-multiplexed physical NPE (rst + write).
         npe::Npe npe(cfg_.sc_per_npe);
@@ -319,63 +524,56 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
             static_cast<std::uint64_t>(layer.bias_pulses[o]));
 
         for (const compiler::Block &bucket : layer.schedule.buckets) {
+            // Input by input: each one's pulses go to its synapse's
+            // polarity.
+            std::uint64_t neg = 0;
+            std::uint64_t pos = 0;
+            for (int k = bucket.begin; k < bucket.end; ++k) {
+                const std::uint64_t a =
+                    act[static_cast<std::size_t>(order[k])];
+                const auto w = static_cast<std::size_t>(k) / 64;
+                const unsigned bit = static_cast<unsigned>(k % 64);
+                if (layer.neg_masks[o][w] >> bit & 1)
+                    neg += a;
+                else if (layer.pos_masks[o][w] >> bit & 1)
+                    pos += a;
+            }
             // Inhibitory pass first within every bucket (Sec. 5.1).
-            const auto [neg, pos] = bucketCounts(o, bucket);
             if (neg) {
                 npe.setPolarity(npe::Polarity::Inhibitory);
                 const std::uint64_t borrows = npe.addPulses(neg);
-                tl.underflow += borrows;
+                tally.underflow_spikes += borrows;
                 spikes += borrows;
             }
             if (pos) {
                 npe.setPolarity(npe::Polarity::Excitatory);
                 spikes += npe.addPulses(pos);
             }
-            tl.syn_ops += neg + pos;
+            tally.synaptic_ops += neg + pos;
         }
         if (spikes > 1)
-            ++tl.multi;
+            ++tally.multi_fires;
         out[o] = static_cast<std::uint16_t>(spikes);
-    };
-
-    NeuronTally tally;
-    if (sim_threads_ > 1 && out_dim > 1) {
-        std::mutex mu;
-        ParallelOptions popts;
-        popts.grain = 16;
-        popts.max_workers = sim_threads_;
-        parallelFor(
-            out_dim,
-            [&](std::size_t begin, std::size_t end) {
-                NeuronTally local;
-                for (std::size_t o = begin; o < end; ++o)
-                    evalNeuron(o, local);
-                std::lock_guard<std::mutex> lock(mu);
-                tally.remapped += local.remapped;
-                tally.underflow += local.underflow;
-                tally.syn_ops += local.syn_ops;
-                tally.multi += local.multi;
-            },
-            popts);
-    } else {
-        for (std::size_t o = 0; o < out_dim; ++o)
-            evalNeuron(o, tally);
     }
-    stats_.remapped_neurons += tally.remapped;
-    stats_.underflow_spikes += tally.underflow;
-    stats_.synaptic_ops += tally.syn_ops;
-    stats_.input_pulses += tally.syn_ops;
-    stats_.multi_fires += tally.multi;
+}
+
+void
+SushiChip::chargeLayer(const compiler::CompiledLayer &layer,
+                       const LayerStepStats &tally)
+{
+    stats_.remapped_neurons += tally.remapped_neurons;
+    stats_.underflow_spikes += tally.underflow_spikes;
+    stats_.synaptic_ops += tally.synaptic_ops;
+    stats_.input_pulses += tally.synaptic_ops;
+    stats_.multi_fires += tally.multi_fires;
 
     // Reload + timing accounting for this layer-step.
     stats_.reload_events +=
         static_cast<std::uint64_t>(layer.switch_reloads);
-    fabric::MeshConfig mesh = fabric::scalingMeshConfig(cfg_.n);
-    const double pulse_ps = fabric::pulseTimePs(mesh);
     // Synapses process in parallel across the mesh: the serialised
     // work per step is the per-output-group pulse traffic.
     const double serial_pulses =
-        static_cast<double>(active_inputs) *
+        static_cast<double>(tally.active_inputs) *
         static_cast<double>(layer.slices.numOutBlocks());
     // Weight reloading is parallel per synapse (Sec. 4.2.2): the
     // serialised cost is one configuration batch per block
@@ -388,7 +586,7 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
                  (blocks * static_cast<double>(cfg_.n) * cfg_.n));
     double reload_ps = blocks * change_fraction * 250.0;
     double degraded_pulses = 0.0;
-    if (degraded) {
+    if (remap_.failed > 0) {
         // Each output group runs extra_passes more times to serve the
         // remapped neurons: the input slice is re-streamed and the
         // crosspoints are reconfigured to the remapped weights (and
@@ -400,7 +598,7 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
         stats_.failed_npes =
             static_cast<std::uint64_t>(remap_.failed);
         degraded_pulses =
-            static_cast<double>(active_inputs) *
+            static_cast<double>(tally.active_inputs) *
             static_cast<double>(extra_group_passes);
         reload_ps += blocks *
                      static_cast<double>(remap_.extra_passes) * 250.0;
@@ -408,16 +606,47 @@ SushiChip::stepLayer(const compiler::CompiledLayer &layer,
     }
     stats_.reload_time_ps += reload_ps;
     stats_.est_time_ps +=
-        (serial_pulses + degraded_pulses) * pulse_ps + reload_ps;
-    return out;
+        (serial_pulses + degraded_pulses) * pulse_ps_ + reload_ps;
 }
 
 PulseVector
-SushiChip::stepNetwork(const compiler::CompiledNetwork &net,
-                       const PulseVector &input)
+SushiChip::stepLayer(const compiler::CompiledLayer &layer,
+                     const snn::BinaryLayer &blayer,
+                     const PulseVector &act)
+{
+    single_in_.batch = 1;
+    single_in_.width = act.size();
+    single_in_.pulses.assign(act.begin(), act.end());
+    LayerStepStats tally;
+    stepLayerBatch(layer, blayer, single_in_, single_run_.out, &tally);
+    chargeLayer(layer, tally);
+    return single_run_.out.pulses;
+}
+
+void
+SushiChip::stepNetworkBatch(const compiler::CompiledNetwork &net,
+                            const PulseBatch &in, NetworkBatch &out)
 {
     sushi_assert(net.net != nullptr);
     sushi_assert(net.layers.size() == net.net->layers().size());
+    sushi_assert(!net.layers.empty());
+    const std::size_t layers = net.layers.size();
+    out.steps.resize(layers * in.batch);
+    // Hidden activations ping-pong through chip buffers; the last
+    // layer writes the caller's batch.
+    const PulseBatch *src = &in;
+    for (std::size_t l = 0; l < layers; ++l) {
+        PulseBatch &dst = l + 1 == layers ? out.out : hidden_[l % 2];
+        stepLayerBatch(net.layers[l], net.net->layers()[l], *src, dst,
+                       out.steps.data() + l * in.batch);
+        src = &dst;
+    }
+}
+
+void
+SushiChip::chargeStep(const compiler::CompiledNetwork &net,
+                      const NetworkBatch &run, std::size_t v)
+{
     ++stats_.time_steps;
     // Refresh the compile-plan gauges from the compiler's cached
     // diagnostics (O(1): computed once at compile time).
@@ -431,14 +660,24 @@ SushiChip::stepNetwork(const compiler::CompiledNetwork &net,
                                      net.budget.jjUtilisation());
     stats_.area_utilisation = std::max(
         stats_.area_utilisation, net.budget.areaUtilisation());
-    PulseVector act = input;
     for (std::size_t l = 0; l < net.layers.size(); ++l)
-        act = stepLayer(net.layers[l], net.net->layers()[l], act);
-    return act;
+        chargeLayer(net.layers[l], run.steps[l * run.out.batch + v]);
+}
+
+PulseVector
+SushiChip::stepNetwork(const compiler::CompiledNetwork &net,
+                       const PulseVector &input)
+{
+    single_in_.batch = 1;
+    single_in_.width = input.size();
+    single_in_.pulses.assign(input.begin(), input.end());
+    stepNetworkBatch(net, single_in_, single_run_);
+    chargeStep(net, single_run_, 0);
+    return single_run_.out.pulses;
 }
 
 void
-SushiChip::countOutputSpikes(const PulseVector &act)
+SushiChip::countOutputSpikes(std::span<const std::uint16_t> act)
 {
     for (const auto pulses : act)
         stats_.output_spikes += static_cast<std::uint64_t>(pulses);
@@ -457,12 +696,20 @@ SushiChip::inferCounts(
 {
     sushi_assert(net.net != nullptr);
     sushi_assert(net.layers.size() == net.net->layers().size());
-    const std::size_t out_dim = net.net->layers().back().outDim();
+    const auto &layers = net.net->layers();
+    const std::size_t out_dim = layers.back().outDim();
+    // All T frames run as one batch: the counter is fresh per
+    // neuron-step, so time steps are independent vectors.
+    single_in_.reset(frames.size(), layers.front().inDim());
+    for (std::size_t t = 0; t < frames.size(); ++t)
+        single_in_.setRow(t, frames[t]);
+    stepNetworkBatch(net, single_in_, single_run_);
+
     std::vector<int> counts(out_dim, 0);
     beginFrame();
-    for (const auto &frame : frames) {
-        const PulseVector act =
-            stepNetwork(net, PulseVector(frame.begin(), frame.end()));
+    for (std::size_t t = 0; t < frames.size(); ++t) {
+        chargeStep(net, single_run_, t);
+        const auto act = single_run_.out.row(t);
         for (std::size_t o = 0; o < out_dim; ++o)
             counts[o] += act[o];
         countOutputSpikes(act);

@@ -16,6 +16,8 @@
 #define SUSHI_CHIP_SUSHI_CHIP_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "compiler/compile.hh"
@@ -120,11 +122,70 @@ double dynamicEnergyJ(std::uint64_t synaptic_ops);
 /** Per-step activation pulses flowing between layers. */
 using PulseVector = std::vector<std::uint16_t>;
 
+/**
+ * Pulse counts of a batch of independent activation vectors (one per
+ * (sample, time step)), vector-major: entry i of vector v sits at
+ * pulses[v * width + i].
+ */
+struct PulseBatch
+{
+    std::size_t batch = 0;
+    std::size_t width = 0;
+    std::vector<std::uint16_t> pulses;
+
+    /** Resize to @p vectors rows of @p row_width (zeroed). */
+    void reset(std::size_t vectors, std::size_t row_width);
+
+    std::span<const std::uint16_t> row(std::size_t v) const
+    {
+        return {pulses.data() + v * width, width};
+    }
+    std::span<std::uint16_t> row(std::size_t v)
+    {
+        return {pulses.data() + v * width, width};
+    }
+
+    /** Copy a binary frame into vector @p v; throws
+     *  std::invalid_argument unless frame.size() == width. */
+    void setRow(std::size_t v, std::span<const std::uint8_t> frame);
+};
+
+/**
+ * Tallies of one vector's layer step (SushiChip::stepLayerBatch).
+ * Integer sums, so they are exact at any batch size and thread
+ * count; the modelled time is a pure function of active_inputs and
+ * is charged when the step is folded into InferenceStats.
+ */
+struct LayerStepStats
+{
+    std::uint64_t synaptic_ops = 0;     ///< also counts input_pulses
+    std::uint64_t underflow_spikes = 0; ///< spurious borrow pulses
+    std::uint64_t multi_fires = 0;      ///< neurons with >1 spike
+    std::uint64_t remapped_neurons = 0; ///< served by a remap host
+    std::uint64_t active_inputs = 0;    ///< inputs with >= 1 pulse
+};
+
+/** A batch run through every layer of a network (stepNetworkBatch). */
+struct NetworkBatch
+{
+    PulseBatch out; ///< final-layer pulses per vector
+    /** Per-layer, per-vector tallies: layer l of vector v at
+     *  steps[l * out.batch + v]. */
+    std::vector<LayerStepStats> steps;
+};
+
+namespace detail {
+struct LayerBatchPack;
+}
+
 /** The behavioural chip. */
 class SushiChip
 {
   public:
+    /** Throws compiler::CompileError{BadChipConfig} on an invalid
+     *  geometry (compiler::validateChipConfig). */
     explicit SushiChip(const compiler::ChipConfig &cfg);
+    ~SushiChip();
 
     const compiler::ChipConfig &config() const { return cfg_; }
 
@@ -135,18 +196,36 @@ class SushiChip
      * @param act      input pulse counts (original index space)
      * @return output pulse counts per neuron (0, 1, or more — extra
      *         pulses are physical wrap artefacts, counted in stats)
+     * The batch-of-one stepLayerBatch, charged to stats(). Throws
+     * std::invalid_argument unless act.size() == in_dim.
      */
     PulseVector stepLayer(const compiler::CompiledLayer &layer,
                           const snn::BinaryLayer &blayer,
                           const PulseVector &act);
 
     /**
+     * Execute one layer for a batch of independent activation
+     * vectors. The chip counter is fresh per neuron-step, so every
+     * vector's result equals its own stepLayer; each neuron's masks
+     * are loaded once and streamed over the whole batch. Leaves
+     * stats() alone: per-vector tallies go to @p tallies (size
+     * in.batch) for the caller to charge in its own order.
+     * Throws std::invalid_argument unless in.width == in_dim.
+     */
+    void stepLayerBatch(const compiler::CompiledLayer &layer,
+                        const snn::BinaryLayer &blayer,
+                        const PulseBatch &in, PulseBatch &out,
+                        LayerStepStats *tallies);
+
+    /**
      * Full rate-coded inference of a compiled network over binary
-     * input frames (one per time step). Composed from beginFrame /
-     * stepNetwork / countOutputSpikes / finishRun below, so a
+     * input frames (one per time step). The T frames run as one
+     * stepNetworkBatch; beginFrame / chargeStep / countOutputSpikes /
+     * finishRun below then account them in frame order, so a
      * multi-chip engine can chain several chips per time step with
      * the same arithmetic.
      * @return output pulse counts summed over time steps
+     * Throws std::invalid_argument on a frame of the wrong width.
      */
     std::vector<int>
     inferCounts(const compiler::CompiledNetwork &net,
@@ -155,8 +234,9 @@ class SushiChip
     /// @name Staged execution (multi-chip plans).
     /// One sample = beginFrame once, then per time step a stepNetwork
     /// per stage chip (chained through the activation vector), then
-    /// finishRun on every chip. inferCounts is exactly this sequence
-    /// on a single chip.
+    /// finishRun on every chip. Batched callers run stepNetworkBatch
+    /// per stage instead and charge each step with chargeStep in the
+    /// same order; inferCounts is exactly this on a single chip.
     /// @{
 
     /** Account the start of one input sample. */
@@ -170,8 +250,24 @@ class SushiChip
     PulseVector stepNetwork(const compiler::CompiledNetwork &net,
                             const PulseVector &act);
 
+    /**
+     * Run every layer of @p net over a batch of vectors (see
+     * stepLayerBatch). Leaves stats() alone; chargeStep folds one
+     * vector's step in afterwards.
+     */
+    void stepNetworkBatch(const compiler::CompiledNetwork &net,
+                          const PulseBatch &in, NetworkBatch &out);
+
+    /**
+     * Charge vector @p v of a stepNetworkBatch run to stats(),
+     * with exactly the arithmetic (and floating-point order) of the
+     * stepNetwork call that would have computed it.
+     */
+    void chargeStep(const compiler::CompiledNetwork &net,
+                    const NetworkBatch &run, std::size_t v);
+
     /** Account final-layer output pulses. */
-    void countOutputSpikes(const PulseVector &act);
+    void countOutputSpikes(std::span<const std::uint16_t> act);
 
     /** Recompute the cumulative dynamic energy from synaptic_ops. */
     void finishRun();
@@ -256,12 +352,31 @@ class SushiChip
     /// @}
 
   private:
+    /** Fold one vector's layer step into stats(). */
+    void chargeLayer(const compiler::CompiledLayer &layer,
+                     const LayerStepStats &tally);
+
+    /** The Npe-object oracle for one vector (packedKernels() off). */
+    void oracleStep(const compiler::CompiledLayer &layer,
+                    std::span<const std::uint16_t> act,
+                    std::span<std::uint16_t> out,
+                    LayerStepStats &tally) const;
+
     compiler::ChipConfig cfg_;
+    double pulse_ps_ = 0.0; ///< modelled time of one serial pulse
     InferenceStats stats_;
     std::vector<std::uint8_t> failed_npes_;
     compiler::NpeRemap remap_;
     int sim_threads_ = 0;
     int packed_kernels_ = -1; ///< -1 follow global, else 0/1
+
+    /// @name Buffers reused across calls (a chip is not reentrant).
+    /// @{
+    std::unique_ptr<detail::LayerBatchPack> pack_;
+    PulseBatch single_in_;    ///< stepLayer/stepNetwork/inferCounts in
+    PulseBatch hidden_[2];    ///< inter-layer activations
+    NetworkBatch single_run_; ///< their outputs and tallies
+    /// @}
 };
 
 } // namespace sushi::chip

@@ -1,0 +1,43 @@
+#include "common/kernel_isa.hh"
+
+namespace sushi {
+
+bool
+cpuSupports(KernelIsa isa)
+{
+    switch (isa) {
+    case KernelIsa::Portable:
+        return true;
+    case KernelIsa::Popcnt:
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("popcnt");
+#else
+        return false;
+#endif
+    }
+    return false;
+}
+
+KernelIsa
+selectedKernelIsa()
+{
+    static const KernelIsa isa = cpuSupports(KernelIsa::Popcnt)
+                                     ? KernelIsa::Popcnt
+                                     : KernelIsa::Portable;
+    return isa;
+}
+
+const char *
+kernelIsaName(KernelIsa isa)
+{
+    switch (isa) {
+    case KernelIsa::Portable:
+        return "portable";
+    case KernelIsa::Popcnt:
+        return "popcnt";
+    }
+    return "unknown";
+}
+
+} // namespace sushi

@@ -196,62 +196,76 @@ InferenceEngine::runOnReplica(int replica,
     out.results.resize(count);
     out.per_sample.resize(count);
 
-    if (stages_ == 1) {
-        // Single-chip plan: the historical path, bit for bit.
-        chip::SushiChip &chip = chipAt(replica, 0);
-        const compiler::CompiledNetwork &net = model_->stageNet(0);
-        for (std::size_t i = 0; i < count; ++i) {
-            chip.resetStats();
-            SampleResult &res = out.results[i];
-            res.counts = chip.inferCounts(net, *samples[i]);
-            res.prediction = static_cast<int>(
-                std::max_element(res.counts.begin(),
-                                 res.counts.end()) -
-                res.counts.begin());
-            out.per_sample[i] = chip.stats();
-        }
-        return out;
+    // Every (sample, time step) frame of the batch is an independent
+    // vector (the chip counter is fresh per neuron-step), so each
+    // stage chip runs the whole batch at once, stage after stage.
+    std::vector<std::size_t> first(count + 1, 0);
+    for (std::size_t i = 0; i < count; ++i)
+        first[i + 1] = first[i] + samples[i]->size();
+    const auto &layers = model_->network().layers();
+    chip::PulseBatch frames;
+    frames.reset(first[count], layers.front().inDim());
+    for (std::size_t i = 0; i < count; ++i)
+        for (std::size_t t = 0; t < samples[i]->size(); ++t)
+            frames.setRow(first[i] + t, (*samples[i])[t]);
+    std::vector<chip::NetworkBatch> stage_out(
+        static_cast<std::size_t>(stages_));
+    const chip::PulseBatch *stage_in = &frames;
+    for (int s = 0; s < stages_; ++s) {
+        auto &run = stage_out[static_cast<std::size_t>(s)];
+        chipAt(replica, s).stepNetworkBatch(model_->stageNet(s),
+                                            *stage_in, run);
+        stage_in = &run.out;
     }
+    const chip::PulseBatch &final_out = stage_out.back().out;
 
-    // Multi-chip plan: the stage chips run the sample in lockstep,
-    // chained per time step through the inter-chip activation cut.
-    // The stats delta merges the stage chips' records per sample
-    // (frames/time_steps max, worst-chip utilisation, energy
-    // recomputed from the summed synaptic work).
-    const std::size_t out_dim =
-        model_->network().layers().back().outDim();
+    // Charge the stage chips sample by sample in the serial order —
+    // (time step, stage, layer) — so the floating-point totals of
+    // every per-sample delta come out byte-identical. The delta
+    // merges the stage chips' records (frames/time_steps max,
+    // worst-chip utilisation, energy recomputed from the summed
+    // synaptic work); a 1-stage plan is the identity merge.
+    const std::size_t out_dim = layers.back().outDim();
     // NoC transport of this replica group (nullptr = ideal
-    // transport). It never touches `act`, so spike results are
-    // bit-identical either way; it only charges modelled fabric time
-    // and congestion counters into the per-sample stats delta.
+    // transport). It never touches the activations, so spike results
+    // are bit-identical either way; it only charges modelled fabric
+    // time and congestion counters into the per-sample stats delta.
     noc::NocTransport *nt =
         noc_.empty() ? nullptr
                      : noc_[static_cast<std::size_t>(replica)].get();
+    chip::PulseVector wire; // reused transport payload
+    const auto send = [&wire](std::span<const std::uint16_t> act)
+        -> const chip::PulseVector & {
+        wire.assign(act.begin(), act.end());
+        return wire;
+    };
     for (std::size_t i = 0; i < count; ++i) {
-        for (int s = 0; s < stages_; ++s)
+        for (int s = 0; s < stages_; ++s) {
             chipAt(replica, s).resetStats();
-        for (int s = 0; s < stages_; ++s)
             chipAt(replica, s).beginFrame();
+        }
         if (nt != nullptr)
             nt->beginSample();
         std::vector<int> counts(out_dim, 0);
-        for (const auto &frame : *samples[i]) {
-            chip::PulseVector act(frame.begin(), frame.end());
+        for (std::size_t v = first[i]; v < first[i + 1]; ++v) {
             if (nt != nullptr) {
                 nt->beginStep();
-                nt->hostIngress(act);
+                nt->hostIngress(send(frames.row(v)));
             }
             for (int s = 0; s < stages_; ++s) {
-                act = chipAt(replica, s)
-                          .stepNetwork(model_->stageNet(s), act);
+                const chip::NetworkBatch &run =
+                    stage_out[static_cast<std::size_t>(s)];
+                chipAt(replica, s).chargeStep(model_->stageNet(s), run,
+                                              v);
                 if (nt != nullptr && s < stages_ - 1)
-                    nt->transferCut(s, act);
+                    nt->transferCut(s, send(run.out.row(v)));
             }
+            const auto act = final_out.row(v);
             for (std::size_t o = 0; o < out_dim; ++o)
                 counts[o] += act[o];
             chipAt(replica, stages_ - 1).countOutputSpikes(act);
             if (nt != nullptr) {
-                nt->hostEgress(act);
+                nt->hostEgress(send(act));
                 nt->endStep();
             }
         }

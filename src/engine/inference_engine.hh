@@ -160,9 +160,8 @@ struct EngineRun
  *
  * Each *replica* is a group of stageCount() chips: one chip per
  * stage of the model's (multi-chip) plan, chained per time step
- * through the inter-chip activation cut. Legacy single-chip models
- * keep exactly one chip per replica and the historical execution
- * path, bit for bit.
+ * through the inter-chip activation cut. A single-chip model is the
+ * one-stage case of the same pipeline.
  */
 class InferenceEngine
 {
@@ -230,13 +229,17 @@ class InferenceEngine
     EngineRun run(const std::vector<Sample> &samples);
 
     /**
-     * Run @p count samples back to back on replica @p replica — the
-     * batch-of-one / partial-batch entry point the serving layer's
-     * dynamic batcher schedules through (run() shards onto it too).
-     * Stats are captured per sample from a reset chip, so every
-     * result and stats delta is bit-identical to running that sample
-     * alone through a fresh SushiChip. Thread-safe for concurrent
-     * calls on *distinct* replicas; a replica is not reentrant.
+     * Run @p count samples on replica @p replica — the batch-of-one /
+     * partial-batch entry point the serving layer's dynamic batcher
+     * schedules through (run() shards onto it too). Every (sample,
+     * time step) frame of the batch goes through each stage chip in
+     * one SushiChip::stepNetworkBatch; stats are then charged per
+     * sample from a reset chip in the serial (time step, stage,
+     * layer) order, so every result and stats delta is bit-identical
+     * to running that sample alone through a fresh SushiChip.
+     * Throws std::invalid_argument on a frame of the wrong width.
+     * Thread-safe for concurrent calls on *distinct* replicas; a
+     * replica is not reentrant.
      */
     ReplicaRun runOnReplica(int replica, const Sample *const *samples,
                             std::size_t count);

@@ -460,10 +460,16 @@ Server::takeBatchLocked(int replica, std::int64_t t, FlushCause cause)
                 dup = true;
                 break;
             }
-        if (dup)
+        if (dup) {
             stash.push_back(std::move(req));
-        else
+        } else {
+            // A real-clock worker reads its clock before taking the
+            // shard locks, so a request enqueued in between is newer
+            // than t: dispatch no earlier than it was queued.
+            batch.dispatch_ns =
+                std::max(batch.dispatch_ns, req.queued_ns);
             batch.reqs.push_back(std::move(req));
+        }
     }
     // Skipped duplicates stay queued: re-enqueue keeps their old ids
     // (sorted insert restores their lane position exactly).

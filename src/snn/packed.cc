@@ -1,12 +1,13 @@
 #include "snn/packed.hh"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 
+#include "common/kernel_isa.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "snn/packed_kernel.hh"
 
 namespace sushi::snn::packed {
 
@@ -160,15 +161,60 @@ PackedLayer::fromEffective(const Tensor &w,
     return layer;
 }
 
+namespace detail {
+
+namespace {
+
+/** The one body every andPopcount wrapper compiles. */
+template <class Pop>
+[[gnu::always_inline]] inline std::int32_t
+andPopcountBody(const std::uint64_t *a, const std::uint64_t *b,
+                std::size_t words)
+{
+    std::uint64_t count = 0;
+    for (std::size_t w = 0; w < words; ++w)
+        count += Pop::count(a[w] & b[w]);
+    return static_cast<std::int32_t>(count);
+}
+
+} // namespace
+
+std::int32_t
+andPopcountPortable(const std::uint64_t *a, const std::uint64_t *b,
+                    std::size_t words)
+{
+    return andPopcountBody<PortablePopcount>(a, b, words);
+}
+
+#if defined(__x86_64__)
+__attribute__((target("popcnt"))) std::int32_t
+andPopcountPopcnt(const std::uint64_t *a, const std::uint64_t *b,
+                  std::size_t words)
+{
+    return andPopcountBody<HardwarePopcount>(a, b, words);
+}
+#endif
+
+AndPopcountFn
+andPopcount()
+{
+#if defined(__x86_64__)
+    static const AndPopcountFn fn =
+        selectedKernelIsa() == KernelIsa::Popcnt ? andPopcountPopcnt
+                                                 : andPopcountPortable;
+    return fn;
+#else
+    return andPopcountPortable;
+#endif
+}
+
+} // namespace detail
+
 int
 PackedLayer::dot(std::size_t o, const std::uint64_t *x,
                  std::int32_t active) const
 {
-    const std::uint64_t *s = signRow(o);
-    int pos = 0;
-    for (std::size_t w = 0; w < words_; ++w)
-        pos += std::popcount(x[w] & s[w]);
-    return 2 * pos - active;
+    return 2 * detail::andPopcount()(x, signRow(o), words_) - active;
 }
 
 namespace {

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "chip/gate_sim.hh"
 #include "chip/sampler.hh"
 #include "chip/sushi_chip.hh"
 #include "common/rng.hh"
+#include "compiler/budget.hh"
 #include "snn/encoder.hh"
 
 namespace sushi::chip {
@@ -271,6 +274,64 @@ TEST(BehaviouralChip, FailedNpeGaugeTracksRemapState)
     chip.reset();
     EXPECT_EQ(chip.stats().failed_npes, 0u);
     EXPECT_EQ(chip.stats().frames, 0u);
+}
+
+TEST(BehaviouralChip, RejectsInvalidConfig)
+{
+    // Typed compile errors instead of an abort or, for K >= 64, an
+    // undefined shift in the counter arithmetic.
+    const auto bad = [](int n, int sc) {
+        compiler::ChipConfig cfg;
+        cfg.n = n;
+        cfg.sc_per_npe = sc;
+        return cfg;
+    };
+    for (const auto &cfg : {bad(0, 10), bad(-3, 10), bad(4, 0),
+                            bad(4, 31), bad(4, 64)}) {
+        try {
+            SushiChip chip(cfg);
+            ADD_FAILURE() << "n " << cfg.n << " sc " << cfg.sc_per_npe;
+        } catch (const compiler::CompileError &e) {
+            EXPECT_EQ(e.kind(),
+                      compiler::CompileError::Kind::BadChipConfig);
+        }
+    }
+    compiler::ChipConfig zero_bucket;
+    zero_bucket.bucketing.bucket_size = 0;
+    EXPECT_THROW(SushiChip{zero_bucket}, compiler::CompileError);
+    EXPECT_NO_THROW(SushiChip{bad(1, 30)});
+}
+
+TEST(BehaviouralChip, RejectsWrongActivationWidth)
+{
+    const auto net = tinyNet(12, 6, 3, 2, 5);
+    compiler::ChipConfig cfg;
+    cfg.n = 4;
+    const auto compiled = compiler::compileNetwork(net, cfg);
+    SushiChip chip(cfg);
+    const auto &layer = net.layers()[0];
+    EXPECT_THROW(chip.stepLayer(compiled.layers[0], layer,
+                                PulseVector(3, 1)),
+                 std::invalid_argument);
+    EXPECT_THROW(chip.stepNetwork(compiled, PulseVector(13, 0)),
+                 std::invalid_argument);
+    auto frames = randomFrames(12, 2, 0.5, 3);
+    frames[1].pop_back();
+    EXPECT_THROW(chip.inferCounts(compiled, frames),
+                 std::invalid_argument);
+    PulseBatch in;
+    in.reset(2, 11);
+    PulseBatch out;
+    std::vector<LayerStepStats> tallies(2);
+    EXPECT_THROW(chip.stepLayerBatch(compiled.layers[0], layer, in, out,
+                                     tallies.data()),
+                 std::invalid_argument);
+    // Nothing was charged, and the chip still serves valid input.
+    EXPECT_EQ(chip.stats().frames, 0u);
+    EXPECT_EQ(chip.stats().synaptic_ops, 0u);
+    EXPECT_EQ(chip.inferCounts(compiled, randomFrames(12, 2, 0.5, 4))
+                  .size(),
+              3u);
 }
 
 TEST(Sampler, SpikesPerStepWindows)

@@ -13,6 +13,14 @@
  *  - SushiChip closed-form counter vs the Npe-object oracle,
  *    including wrap-around borrows (tiny counters), multi-pulse
  *    extras, degraded-mode remaps, and threaded evaluation;
+ *  - every CPU-dispatched wrapper this CPU supports (KernelIsa),
+ *    called directly: the batch-major layer kernel over batch sizes
+ *    {1, 2, 5, 8, 40, 70}, ragged in_dim and every bucket shape,
+ *    against the oracle and the per-vector stepLayer composition;
+ *    the XNOR dot's popcount loop against a bit-by-bit count;
+ *  - InferenceEngine::runOnReplica (whole batch per stage) vs the
+ *    serial per-sample, per-step stage loop, NoC on, stats JSON
+ *    byte-identical;
  *  - InferenceEngine / Server virtual-clock replay with packed
  *    kernels forced on vs off — byte-identical stats/metrics JSON;
  *  - binarize deterministic-rounding fixes (sign of zero, NaN,
@@ -21,20 +29,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "chip/layer_kernel.hh"
 #include "chip/sushi_chip.hh"
+#include "common/kernel_isa.hh"
 #include "common/rng.hh"
 #include "compiler/compile.hh"
+#include "compiler/cost_model.hh"
+#include "compiler/driver.hh"
 #include "engine/inference_engine.hh"
 #include "serve/server.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 #include "snn/packed.hh"
+#include "snn/packed_kernel.hh"
 #include "snn/train.hh"
 
 namespace sushi {
@@ -542,6 +559,517 @@ TEST(ServeParity, VirtualReplayByteIdentical)
     const auto [json_off, preds_off] = replay(0);
     EXPECT_EQ(preds_on, preds_off);
     EXPECT_EQ(json_on, json_off);
+}
+
+// ---------------------------------------------------------------
+// CPU-dispatched wrappers and the batch-major chip kernel.
+// ---------------------------------------------------------------
+
+/** Every KernelIsa whose wrappers this CPU can run. */
+std::vector<KernelIsa>
+supportedIsas()
+{
+    std::vector<KernelIsa> isas = {KernelIsa::Portable};
+    if (cpuSupports(KernelIsa::Popcnt))
+        isas.push_back(KernelIsa::Popcnt);
+    return isas;
+}
+
+snn::packed::detail::AndPopcountFn
+andPopcountWrapper(KernelIsa isa)
+{
+#if defined(__x86_64__)
+    if (isa == KernelIsa::Popcnt)
+        return snn::packed::detail::andPopcountPopcnt;
+#endif
+    (void)isa;
+    return snn::packed::detail::andPopcountPortable;
+}
+
+chip::detail::LayerKernelFn
+layerKernelWrapper(KernelIsa isa)
+{
+#if defined(__x86_64__)
+    if (isa == KernelIsa::Popcnt)
+        return chip::detail::layerKernelPopcnt;
+#endif
+    (void)isa;
+    return chip::detail::layerKernelPortable;
+}
+
+TEST(KernelDispatch, SelectedIsaIsTheBestSupported)
+{
+    const KernelIsa best = cpuSupports(KernelIsa::Popcnt)
+                               ? KernelIsa::Popcnt
+                               : KernelIsa::Portable;
+    EXPECT_EQ(selectedKernelIsa(), best);
+    EXPECT_STREQ(kernelIsa(), kernelIsaName(best));
+    EXPECT_TRUE(cpuSupports(KernelIsa::Portable));
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    EXPECT_EQ(cpuSupports(KernelIsa::Popcnt),
+              __builtin_cpu_supports("popcnt") != 0);
+#endif
+}
+
+TEST(KernelDispatch, AndPopcountWrappersMatchBitCount)
+{
+    for (const KernelIsa isa : supportedIsas()) {
+        const auto fn = andPopcountWrapper(isa);
+        for (int c = 0; c < 200; ++c) {
+            Rng rng(900 + static_cast<std::uint64_t>(c));
+            const std::size_t words = rng.below(20);
+            std::vector<std::uint64_t> a(words), b(words);
+            std::int32_t want = 0;
+            for (std::size_t w = 0; w < words; ++w) {
+                a[w] = rng.next();
+                b[w] = c % 3 == 0 ? ~std::uint64_t{0} : rng.next();
+                for (int i = 0; i < 64; ++i)
+                    want += (a[w] & b[w]) >> i & 1 ? 1 : 0;
+            }
+            ASSERT_EQ(fn(a.data(), b.data(), words), want)
+                << kernelIsaName(isa) << " case " << c;
+        }
+    }
+}
+
+/** Replace @p layer's buckets with a fresh in-order partition of
+ *  [0, in_dim): 0 = one bucket, 1 = word-aligned single words,
+ *  2 = short unaligned buckets (mostly inside one word), 3 = long
+ *  unaligned multi-word buckets. */
+void
+rebucket(compiler::CompiledLayer &layer, int in_dim, int shape,
+         Rng &rng)
+{
+    auto &buckets = layer.schedule.buckets;
+    buckets.clear();
+    for (int begin = 0; begin < in_dim;) {
+        int size = in_dim;
+        if (shape == 1)
+            size = 64;
+        else if (shape == 2)
+            size = 1 + static_cast<int>(rng.below(20));
+        else if (shape == 3)
+            size = 65 + static_cast<int>(rng.below(136));
+        const int end = std::min(in_dim, begin + size);
+        buckets.push_back(compiler::Block{begin, end});
+        begin = end;
+    }
+}
+
+chip::PulseBatch
+randomBatch(std::size_t batch, std::size_t width, Rng &rng)
+{
+    chip::PulseBatch in;
+    in.reset(batch, width);
+    for (std::size_t v = 0; v < batch; ++v) {
+        // Half the vectors carry multi-pulse entries (wrap
+        // artefacts from upstream), the rest are binary frames.
+        const bool multi = rng.chance(0.5);
+        const double density = rng.uniform();
+        for (auto &p : in.row(v))
+            p = static_cast<std::uint16_t>(
+                multi ? rng.below(4) : (rng.chance(density) ? 1 : 0));
+    }
+    return in;
+}
+
+void
+expectTalliesEq(const std::vector<chip::LayerStepStats> &a,
+                const std::vector<chip::LayerStepStats> &b,
+                const std::string &what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t v = 0; v < a.size(); ++v) {
+        EXPECT_EQ(a[v].synaptic_ops, b[v].synaptic_ops) << what << v;
+        EXPECT_EQ(a[v].underflow_spikes, b[v].underflow_spikes)
+            << what << v;
+        EXPECT_EQ(a[v].multi_fires, b[v].multi_fires) << what << v;
+        EXPECT_EQ(a[v].remapped_neurons, b[v].remapped_neurons)
+            << what << v;
+        EXPECT_EQ(a[v].active_inputs, b[v].active_inputs) << what << v;
+    }
+}
+
+TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
+{
+    // 70 spans two kernel tiles of 64 vectors.
+    const std::size_t kBatches[] = {1, 2, 5, 8, 40, 70};
+    const int kThreads[] = {0, 2, 8};
+    for (int c = 0; c < 72; ++c) {
+        Rng rng(31000 + static_cast<std::uint64_t>(c));
+        // Every (batch, in_dim tail class, bucket shape) triple once.
+        const std::size_t batch = kBatches[c % 6];
+        const std::size_t in_dim = sampleInDim((c / 6) % 3, rng);
+        const int shape = c / 18;
+        const auto net = tinyNet(in_dim, 4 + rng.below(30), 2, 1,
+                                 32000 + static_cast<std::uint64_t>(c));
+        compiler::ChipConfig ccfg;
+        ccfg.n = rng.chance(0.5) ? 4 : 8;
+        // Tiny counters force wrap-around carries and borrows.
+        ccfg.sc_per_npe = rng.chance(0.25)
+                              ? 10
+                              : 3 + static_cast<int>(rng.below(3));
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        compiler::CompiledLayer layer = compiled.layers[0];
+        const snn::BinaryLayer &blayer = net.layers()[0];
+        rebucket(layer, static_cast<int>(in_dim), shape, rng);
+        for (auto &d : layer.disabled)
+            if (rng.chance(0.15))
+                d = 1;
+        const chip::PulseBatch in = randomBatch(batch, in_dim, rng);
+        const std::string what = "case " + std::to_string(c) + " v ";
+
+        chip::SushiChip oracle(ccfg), fast(ccfg), single(ccfg),
+            single_oracle(ccfg);
+        oracle.setPackedKernels(false);
+        single_oracle.setPackedKernels(false);
+        fast.setPackedKernels(true);
+        single.setPackedKernels(true);
+        fast.setSimThreads(kThreads[rng.below(3)]);
+        if (rng.chance(0.4)) {
+            const int slot = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(ccfg.n)));
+            for (auto *chip : {&oracle, &fast, &single, &single_oracle})
+                chip->markNpeFailed(slot);
+        }
+
+        chip::PulseBatch want, got;
+        std::vector<chip::LayerStepStats> want_t(batch), got_t(batch);
+        oracle.stepLayerBatch(layer, blayer, in, want, want_t.data());
+        fast.stepLayerBatch(layer, blayer, in, got, got_t.data());
+        ASSERT_EQ(got.pulses, want.pulses) << what;
+        expectTalliesEq(got_t, want_t, what);
+
+        // Every wrapper this CPU runs, called directly.
+        for (const KernelIsa isa : supportedIsas()) {
+            chip::detail::LayerBatchPack pack;
+            chip::detail::packLayerBatch(layer, in, pack);
+            std::vector<std::uint16_t> out(batch * blayer.outDim(), 0);
+            std::vector<chip::LayerStepStats> t(batch);
+            chip::detail::LayerKernelArgs args;
+            args.layer = &layer;
+            args.pack = &pack;
+            args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
+            args.failed_slots = oracle.remapPlan().failed > 0
+                                    ? oracle.failedNpes().data()
+                                    : nullptr;
+            args.slots = static_cast<std::size_t>(ccfg.n);
+            args.out = out.data();
+            args.out_dim = blayer.outDim();
+            layerKernelWrapper(isa)(args, 0, blayer.outDim(), t.data());
+            for (std::size_t v = 0; v < batch; ++v)
+                t[v].active_inputs = pack.active[v];
+            ASSERT_EQ(out, want.pulses) << kernelIsaName(isa) << what;
+            expectTalliesEq(t, want_t, kernelIsaName(isa) + what);
+        }
+
+        // The per-vector composition: B stepLayer calls give the same
+        // rows, and charge what the batch's tallies say.
+        for (std::size_t v = 0; v < batch; ++v) {
+            const chip::PulseVector act(in.row(v).begin(),
+                                        in.row(v).end());
+            const auto row = single.stepLayer(layer, blayer, act);
+            ASSERT_EQ(row, single_oracle.stepLayer(layer, blayer, act))
+                << what << v;
+            ASSERT_TRUE(std::equal(row.begin(), row.end(),
+                                   want.row(v).begin()))
+                << what << v;
+        }
+        expectStatsEq(single.stats(), single_oracle.stats(), c);
+        chip::LayerStepStats sum;
+        for (const auto &t : want_t) {
+            sum.synaptic_ops += t.synaptic_ops;
+            sum.underflow_spikes += t.underflow_spikes;
+            sum.multi_fires += t.multi_fires;
+            sum.remapped_neurons += t.remapped_neurons;
+        }
+        EXPECT_EQ(single.stats().synaptic_ops, sum.synaptic_ops) << c;
+        EXPECT_EQ(single.stats().underflow_spikes,
+                  sum.underflow_spikes)
+            << c;
+        EXPECT_EQ(single.stats().multi_fires, sum.multi_fires) << c;
+        EXPECT_EQ(single.stats().remapped_neurons,
+                  sum.remapped_neurons)
+            << c;
+    }
+}
+
+TEST(ChipBatchKernel, InferCountsEqualsPerFrameStepNetwork)
+{
+    // inferCounts runs its T frames as one batch; the stats must
+    // still be the serial per-frame accounting, float order included.
+    for (int c = 0; c < 12; ++c) {
+        Rng rng(33000 + static_cast<std::uint64_t>(c));
+        const int t_steps = 1 + static_cast<int>(rng.below(8));
+        const auto net = tinyNet(10 + rng.below(90), 6 + rng.below(20),
+                                 3, t_steps,
+                                 34000 + static_cast<std::uint64_t>(c));
+        compiler::ChipConfig ccfg;
+        ccfg.n = 4;
+        ccfg.sc_per_npe = 3 + static_cast<int>(rng.below(8));
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        const auto frames = randomFrames(net.layers()[0].inDim(),
+                                         t_steps, rng.uniform(),
+                                         35000 + c);
+        chip::SushiChip batched(ccfg), serial(ccfg);
+        if (c % 2 == 1) {
+            batched.markNpeFailed(1);
+            serial.markNpeFailed(1);
+        }
+        const auto counts = batched.inferCounts(compiled, frames);
+
+        std::vector<int> want(counts.size(), 0);
+        serial.beginFrame();
+        for (const auto &frame : frames) {
+            const chip::PulseVector in(frame.begin(), frame.end());
+            const auto act = serial.stepNetwork(compiled, in);
+            for (std::size_t o = 0; o < want.size(); ++o)
+                want[o] += act[o];
+            serial.countOutputSpikes(act);
+        }
+        serial.finishRun();
+        EXPECT_EQ(counts, want) << c;
+        EXPECT_EQ(engine::statsJson(batched.stats()),
+                  engine::statsJson(serial.stats()))
+            << c;
+    }
+}
+
+/** Budget that fits each layer alone but never two together, so the
+ *  driver splits one stage per layer (test_multichip idiom). */
+compiler::DriverOptions
+splittingOptions(const snn::BinarySnn &net,
+                 const compiler::ChipConfig &chip)
+{
+    compiler::CostModel model(chip.n, chip.sc_per_npe);
+    long biggest = 0;
+    for (const auto &layer : net.layers())
+        biggest = std::max(biggest, model.layerCost(layer).totalJjs());
+    compiler::DriverOptions opts;
+    opts.enforce_budget = true;
+    opts.allow_multichip = true;
+    opts.score_schedules = false;
+    opts.budget.sc_per_npe = chip.sc_per_npe;
+    opts.budget.jj_cap = model.fabricJjs() + biggest;
+    opts.budget.area_cap_mm2 = 1e9;
+    return opts;
+}
+
+/** The serial replica loop: one sample at a time, one time step at a
+ *  time, stage chips chained through stepNetwork. */
+std::vector<chip::InferenceStats>
+serialReplica(const engine::CompiledModel &model,
+              const noc::NocConfig &noc_cfg,
+              const std::vector<engine::Sample> &samples,
+              std::vector<std::vector<int>> &counts)
+{
+    const int stages = model.stageCount();
+    std::vector<std::unique_ptr<chip::SushiChip>> chips;
+    for (int s = 0; s < stages; ++s)
+        chips.push_back(
+            std::make_unique<chip::SushiChip>(model.chip()));
+    std::unique_ptr<noc::NocTransport> nt;
+    if (noc_cfg.enabled && stages > 1)
+        nt = std::make_unique<noc::NocTransport>(*model.plan(),
+                                                 noc_cfg);
+    const std::size_t out_dim =
+        model.network().layers().back().outDim();
+    std::vector<chip::InferenceStats> per_sample;
+    for (const auto &sample : samples) {
+        for (auto &c : chips) {
+            c->resetStats();
+            c->beginFrame();
+        }
+        if (nt)
+            nt->beginSample();
+        std::vector<int> cnt(out_dim, 0);
+        for (const auto &frame : sample) {
+            chip::PulseVector act(frame.begin(), frame.end());
+            if (nt) {
+                nt->beginStep();
+                nt->hostIngress(act);
+            }
+            for (int s = 0; s < stages; ++s) {
+                act = chips[static_cast<std::size_t>(s)]->stepNetwork(
+                    model.stageNet(s), act);
+                if (nt && s < stages - 1)
+                    nt->transferCut(s, act);
+            }
+            for (std::size_t o = 0; o < out_dim; ++o)
+                cnt[o] += act[o];
+            chips.back()->countOutputSpikes(act);
+            if (nt) {
+                nt->hostEgress(act);
+                nt->endStep();
+            }
+        }
+        for (auto &c : chips)
+            c->finishRun();
+        chip::InferenceStats delta = chips[0]->stats();
+        for (int s = 1; s < stages; ++s)
+            delta.accumulatePipeline(
+                chips[static_cast<std::size_t>(s)]->stats());
+        if (nt) {
+            const noc::NocSampleStats ns = nt->finishSample();
+            delta.noc_packets += ns.packets;
+            delta.noc_flits += ns.flits;
+            delta.noc_flit_hops += ns.flit_hops;
+            delta.noc_hol_stall_cycles += ns.hol_stall_cycles;
+            delta.noc_backpressure_stalls += ns.backpressure_stalls;
+            delta.noc_latency_cycles += ns.latency_cycles;
+            delta.noc_max_step_link_flits = std::max(
+                delta.noc_max_step_link_flits, ns.max_step_link_flits);
+            delta.noc_latency_ps += ns.latency_ps;
+            delta.noc_max_link_utilisation =
+                std::max(delta.noc_max_link_utilisation,
+                         ns.max_link_utilisation);
+            delta.noc_cut_flits = ns.cut_flits;
+            delta.est_time_ps += ns.latency_ps;
+        }
+        delta.dynamic_energy_j =
+            chip::dynamicEnergyJ(delta.synaptic_ops);
+        per_sample.push_back(delta);
+        counts.push_back(std::move(cnt));
+    }
+    return per_sample;
+}
+
+/** The same net compiled as a 1-chip and as a 2-chip plan, and a
+ *  ragged batch for it (samples of different lengths). */
+struct BatchingCase
+{
+    std::shared_ptr<const engine::CompiledModel> one, two;
+    std::vector<engine::Sample> samples;
+};
+
+BatchingCase
+batchingCase()
+{
+    compiler::ChipConfig ccfg;
+    ccfg.n = 4;
+    ccfg.sc_per_npe = 4; // wraps: underflows and multi-fires occur
+    const auto net = tinyNet(24, 16, 12, 4, 9);
+    BatchingCase bc;
+    bc.one = engine::CompiledModel::compile(net, ccfg);
+    bc.two = engine::CompiledModel::compile(
+        net, ccfg, splittingOptions(net, ccfg));
+    bc.samples = randomSamples(9, 24, 4, 77);
+    bc.samples[3].resize(1);
+    bc.samples[5].clear();
+    return bc;
+}
+
+TEST(EngineBatching, RunOnReplicaMatchesSerialPerSample)
+{
+    const BatchingCase bc = batchingCase();
+    const auto &samples = bc.samples;
+    ASSERT_EQ(bc.one->stageCount(), 1);
+    ASSERT_EQ(bc.two->stageCount(), 2);
+
+    for (const auto &model : {bc.one, bc.two}) {
+        engine::EngineConfig cfg;
+        cfg.replicas = 1;
+        cfg.noc.enabled = true;
+        cfg.noc.link_bandwidth_flits = 2;
+        engine::InferenceEngine eng(model, cfg);
+        const auto run = eng.runOnReplica(0, samples);
+
+        std::vector<std::vector<int>> counts;
+        const auto want =
+            serialReplica(*model, cfg.noc, samples, counts);
+        ASSERT_EQ(run.per_sample.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(run.results[i].counts, counts[i]) << i;
+            EXPECT_EQ(engine::statsJson(run.per_sample[i]),
+                      engine::statsJson(want[i]))
+                << "stages " << model->stageCount() << " sample " << i;
+        }
+        if (model->stageCount() == 2) {
+            EXPECT_GT(run.per_sample[0].noc_flits, 0u);
+        }
+
+        // A frame of the wrong width is a typed error, not an abort.
+        auto bad = samples;
+        bad[2][1].push_back(0);
+        EXPECT_THROW(eng.runOnReplica(0, bad), std::invalid_argument);
+    }
+}
+
+TEST(EngineBatching, MergedStatsMatchRecordedSerialRun)
+{
+    // Recorded from the serial engine loop (one sample, one time
+    // step, one stage chip at a time) that the batch path replaced:
+    // the float totals must come out byte for byte, so the charge
+    // order (time step, stage, layer) cannot drift.
+    const char *const kWant[] = {
+        R"({"frames": 9, "time_steps": 29, "input_pulses": 4948, )"
+        R"("synaptic_ops": 4948, "output_spikes": 3, )"
+        R"("underflow_spikes": 2, "multi_fires": 2, )"
+        R"("reload_events": 8816, "failed_npes": 0, )"
+        R"("remapped_neurons": 0, "degraded_passes": 0, )"
+        R"("disabled_neurons": 0, "plan_reloads": 304, )"
+        R"("est_time_ps": 426456.42999999999, )"
+        R"("reload_time_ps": 137750, )"
+        R"("dynamic_energy_j": 2.9687999999999998e-14, )"
+        R"("jj_utilisation": 0.1052068674359696, )"
+        R"("area_utilisation": 0.29728637340612818, "noc_packets": 0, )"
+        R"("noc_flits": 0, "noc_flit_hops": 0, )"
+        R"("noc_hol_stall_cycles": 0, "noc_backpressure_stalls": 0, )"
+        R"("noc_latency_cycles": 0, "noc_max_step_link_flits": 0, )"
+        R"("noc_latency_ps": 0, "noc_max_link_utilisation": 0, )"
+        R"("noc_cut_flits": []})",
+        R"({"frames": 9, "time_steps": 29, "input_pulses": 4948, )"
+        R"("synaptic_ops": 4948, "output_spikes": 3, )"
+        R"("underflow_spikes": 2, "multi_fires": 2, )"
+        R"("reload_events": 8816, "failed_npes": 0, )"
+        R"("remapped_neurons": 0, "degraded_passes": 0, )"
+        R"("disabled_neurons": 0, "plan_reloads": 304, )"
+        R"("est_time_ps": 427756.42999999999, )"
+        R"("reload_time_ps": 137750, )"
+        R"("dynamic_energy_j": 2.9687999999999998e-14, )"
+        R"("jj_utilisation": 1, )"
+        R"("area_utilisation": 4.5637619040000002e-08, )"
+        R"("noc_packets": 87, "noc_flits": 267, "noc_flit_hops": 96, )"
+        R"("noc_hol_stall_cycles": 0, "noc_backpressure_stalls": 0, )"
+        R"("noc_latency_cycles": 65, "noc_max_step_link_flits": 3, )"
+        R"("noc_latency_ps": 1300, )"
+        R"("noc_max_link_utilisation": 0.66666666666666663, )"
+        R"("noc_cut_flits": [64]})",
+        R"({"frames": 9, "time_steps": 29, "input_pulses": 4948, )"
+        R"("synaptic_ops": 4948, "output_spikes": 3, )"
+        R"("underflow_spikes": 2, "multi_fires": 2, )"
+        R"("reload_events": 9019, "failed_npes": 1, )"
+        R"("remapped_neurons": 203, "degraded_passes": 203, )"
+        R"("disabled_neurons": 0, "plan_reloads": 304, )"
+        R"("est_time_ps": 976162.85999999999, )"
+        R"("reload_time_ps": 398750, )"
+        R"("dynamic_energy_j": 2.9687999999999998e-14, )"
+        R"("jj_utilisation": 0.1052068674359696, )"
+        R"("area_utilisation": 0.29728637340612818, "noc_packets": 0, )"
+        R"("noc_flits": 0, "noc_flit_hops": 0, )"
+        R"("noc_hol_stall_cycles": 0, "noc_backpressure_stalls": 0, )"
+        R"("noc_latency_cycles": 0, "noc_max_step_link_flits": 0, )"
+        R"("noc_latency_ps": 0, "noc_max_link_utilisation": 0, )"
+        R"("noc_cut_flits": []})",
+    };
+    const BatchingCase bc = batchingCase();
+    // 1-chip plan, 2-chip plan over the NoC, degraded 1-chip plan.
+    for (int plan = 0; plan < 3; ++plan) {
+        engine::EngineConfig cfg;
+        cfg.replicas = 2;
+        cfg.drain_degraded = false;
+        cfg.noc.enabled = true;
+        cfg.noc.link_bandwidth_flits = 2;
+        engine::InferenceEngine eng(plan == 1 ? bc.two : bc.one, cfg);
+        if (plan == 2) {
+            eng.markReplicaDegraded(0, 1);
+            eng.markReplicaDegraded(1, 2);
+        }
+        EXPECT_EQ(engine::statsJson(eng.run(bc.samples).merged),
+                  kWant[plan])
+            << "plan " << plan;
+    }
 }
 
 TEST(BinarizeFuzz, SignOfZeroAndNaN)
