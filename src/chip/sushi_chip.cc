@@ -275,10 +275,11 @@ validated(const compiler::ChipConfig &cfg)
     return cfg;
 }
 
-/** Element-wise sum of per-cut flit counters (ragged-safe). */
+} // namespace
+
 void
-mergeCutFlits(std::vector<std::uint64_t> &into,
-              const std::vector<std::uint64_t> &from)
+merge::AddEach::operator()(std::vector<std::uint64_t> &into,
+                           const std::vector<std::uint64_t> &from) const
 {
     if (into.size() < from.size())
         into.resize(from.size(), 0);
@@ -286,85 +287,22 @@ mergeCutFlits(std::vector<std::uint64_t> &into,
         into[c] += from[c];
 }
 
-} // namespace
-
 void
 InferenceStats::accumulate(const InferenceStats &other)
 {
-    frames += other.frames;
-    time_steps += other.time_steps;
-    input_pulses += other.input_pulses;
-    synaptic_ops += other.synaptic_ops;
-    output_spikes += other.output_spikes;
-    underflow_spikes += other.underflow_spikes;
-    multi_fires += other.multi_fires;
-    reload_events += other.reload_events;
-    failed_npes = std::max(failed_npes, other.failed_npes);
-    remapped_neurons += other.remapped_neurons;
-    degraded_passes += other.degraded_passes;
-    disabled_neurons = std::max(disabled_neurons,
-                                other.disabled_neurons);
-    plan_reloads = std::max(plan_reloads, other.plan_reloads);
-    jj_utilisation = std::max(jj_utilisation, other.jj_utilisation);
-    area_utilisation =
-        std::max(area_utilisation, other.area_utilisation);
-    noc_packets += other.noc_packets;
-    noc_flits += other.noc_flits;
-    noc_flit_hops += other.noc_flit_hops;
-    noc_hol_stall_cycles += other.noc_hol_stall_cycles;
-    noc_backpressure_stalls += other.noc_backpressure_stalls;
-    noc_latency_cycles += other.noc_latency_cycles;
-    noc_max_step_link_flits = std::max(noc_max_step_link_flits,
-                                       other.noc_max_step_link_flits);
-    noc_latency_ps += other.noc_latency_ps;
-    noc_max_link_utilisation = std::max(
-        noc_max_link_utilisation, other.noc_max_link_utilisation);
-    mergeCutFlits(noc_cut_flits, other.noc_cut_flits);
-    est_time_ps += other.est_time_ps;
-    reload_time_ps += other.reload_time_ps;
-    dynamic_energy_j += other.dynamic_energy_j;
+#define SUSHI_STAT_MERGE(type, name, kind, ...)                         \
+    merge::kind::sample(name, other.name);
+    SUSHI_INFERENCE_STATS(SUSHI_STAT_MERGE)
+#undef SUSHI_STAT_MERGE
 }
 
 void
-InferenceStats::accumulatePipeline(const InferenceStats &stage)
+InferenceStats::accumulatePipeline(const InferenceStats &other)
 {
-    frames = std::max(frames, stage.frames);
-    time_steps = std::max(time_steps, stage.time_steps);
-    input_pulses += stage.input_pulses;
-    synaptic_ops += stage.synaptic_ops;
-    output_spikes += stage.output_spikes;
-    underflow_spikes += stage.underflow_spikes;
-    multi_fires += stage.multi_fires;
-    reload_events += stage.reload_events;
-    failed_npes = std::max(failed_npes, stage.failed_npes);
-    remapped_neurons += stage.remapped_neurons;
-    degraded_passes += stage.degraded_passes;
-    // Per-chip plan diagnostics add up across the plan's stages;
-    // utilisation reports the worst chip of the plan.
-    disabled_neurons += stage.disabled_neurons;
-    plan_reloads += stage.plan_reloads;
-    jj_utilisation = std::max(jj_utilisation, stage.jj_utilisation);
-    area_utilisation =
-        std::max(area_utilisation, stage.area_utilisation);
-    // Transport is accounted once per replica group (the engine
-    // folds it in after this merge), but stray per-stage records
-    // still merge with counter/gauge semantics.
-    noc_packets += stage.noc_packets;
-    noc_flits += stage.noc_flits;
-    noc_flit_hops += stage.noc_flit_hops;
-    noc_hol_stall_cycles += stage.noc_hol_stall_cycles;
-    noc_backpressure_stalls += stage.noc_backpressure_stalls;
-    noc_latency_cycles += stage.noc_latency_cycles;
-    noc_max_step_link_flits = std::max(noc_max_step_link_flits,
-                                       stage.noc_max_step_link_flits);
-    noc_latency_ps += stage.noc_latency_ps;
-    noc_max_link_utilisation = std::max(
-        noc_max_link_utilisation, stage.noc_max_link_utilisation);
-    mergeCutFlits(noc_cut_flits, stage.noc_cut_flits);
-    // Stages run sequentially within a time step: latency adds.
-    est_time_ps += stage.est_time_ps;
-    reload_time_ps += stage.reload_time_ps;
-    dynamic_energy_j += stage.dynamic_energy_j;
+#define SUSHI_STAT_MERGE(type, name, kind, ...)                         \
+    merge::kind::stage(name, other.name);
+    SUSHI_INFERENCE_STATS(SUSHI_STAT_MERGE)
+#undef SUSHI_STAT_MERGE
 }
 
 double

@@ -15,6 +15,7 @@
 #ifndef SUSHI_CHIP_SUSHI_CHIP_HH
 #define SUSHI_CHIP_SUSHI_CHIP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -26,86 +27,122 @@
 
 namespace sushi::chip {
 
-/** Aggregate statistics of one inference run. */
+/**
+ * Every InferenceStats field, declared once, in engine::statsJson key
+ * order: X(type, name, kind[, noc]). @p kind names the merge rule in
+ * chip::merge; @p noc, on transport fields only, names the
+ * noc::NocSampleStats member the engine folds into the field once
+ * per sample (chip code never sets those). The members, accumulate(),
+ * accumulatePipeline(), statsJson and the engine's transport fold are
+ * all expanded from this list, so adding a statistic is one line.
+ */
+#define SUSHI_INFERENCE_STATS(X)                                        \
+    X(std::uint64_t, frames, Frames)           /* images processed */   \
+    X(std::uint64_t, time_steps, Frames)       /* SNN steps executed */ \
+    X(std::uint64_t, input_pulses, Counter)    /* pulses fed to NPEs */ \
+    X(std::uint64_t, synaptic_ops, Counter)    /* through synapses */   \
+    X(std::uint64_t, output_spikes, Counter)   /* final-layer pulses */ \
+    X(std::uint64_t, underflow_spikes, Counter) /* borrow pulses */     \
+    X(std::uint64_t, multi_fires, Counter)     /* >1 spike per step */  \
+    X(std::uint64_t, reload_events, Counter)   /* cross-structure */    \
+    /* Degraded mode: failed output slots, neuron-steps served by a  */ \
+    /* remap host NPE, extra group passes run.                       */ \
+    X(std::uint64_t, failed_npes, Gauge)                                \
+    X(std::uint64_t, remapped_neurons, Counter)                         \
+    X(std::uint64_t, degraded_passes, Counter)                          \
+    /* Compile-plan diagnostics of the executed plan, set by the     */ \
+    /* chip from CompiledNetwork::budget each network step: disabled */ \
+    /* neurons and compiled reloads per step of each chip, and the   */ \
+    /* worst chip's JJ / area cap fractions (Table 2 headroom).      */ \
+    X(std::uint64_t, disabled_neurons, PlanSum)                         \
+    X(std::uint64_t, plan_reloads, PlanSum)                             \
+    X(double, est_time_ps, Counter)            /* modelled wall time */ \
+    X(double, reload_time_ps, Counter)         /* serialised reloads */ \
+    X(double, dynamic_energy_j, Counter)       /* switching energy */   \
+    X(double, jj_utilisation, Gauge)                                    \
+    X(double, area_utilisation, Gauge)                                  \
+    /* NoC transport (EngineConfig::noc multi-chip runs only; all    */ \
+    /* zero under the ideal transport). Cut flits index = plan cut.  */ \
+    X(std::uint64_t, noc_packets, Counter, packets)                     \
+    X(std::uint64_t, noc_flits, Counter, flits)                         \
+    X(std::uint64_t, noc_flit_hops, Counter, flit_hops)                 \
+    X(std::uint64_t, noc_hol_stall_cycles, Counter, hol_stall_cycles)   \
+    X(std::uint64_t, noc_backpressure_stalls, Counter,                  \
+      backpressure_stalls)                                              \
+    X(std::uint64_t, noc_latency_cycles, Counter, latency_cycles)       \
+    X(std::uint64_t, noc_max_step_link_flits, Gauge,                    \
+      max_step_link_flits)                                              \
+    X(double, noc_latency_ps, Counter, latency_ps)                      \
+    X(double, noc_max_link_utilisation, Gauge, max_link_utilisation)    \
+    X(std::vector<std::uint64_t>, noc_cut_flits, Cuts, cut_flits)
+
+/** Merge kinds of the InferenceStats fields. */
+namespace merge {
+
+struct Add
+{
+    template <typename T>
+    void operator()(T &into, const T &from) const { into += from; }
+};
+
+struct Max
+{
+    template <typename T>
+    void operator()(T &into, const T &from) const
+    {
+        into = std::max(into, from);
+    }
+};
+
+/** Element-wise Add, ragged-safe (per-cut counters). */
+struct AddEach
+{
+    void operator()(std::vector<std::uint64_t> &into,
+                    const std::vector<std::uint64_t> &from) const;
+};
+
+/** A kind: how a field folds another sample's record (accumulate)
+ *  and another pipeline stage of the same sample
+ *  (accumulatePipeline). */
+template <typename OnSample, typename OnStage>
+struct Kind
+{
+    static constexpr OnSample sample{};
+    static constexpr OnStage stage{};
+};
+
+using Counter = Kind<Add, Add>; ///< work done
+using Frames = Kind<Add, Max>;  ///< every stage saw the same frames
+using Gauge = Kind<Max, Max>;   ///< current state: worst value
+using PlanSum = Kind<Max, Add>; ///< per-chip plan shape
+using Cuts = Kind<AddEach, AddEach>;
+
+} // namespace merge
+
+/** Aggregate statistics of one inference run (fields: see
+ *  SUSHI_INFERENCE_STATS). */
 struct InferenceStats
 {
-    std::uint64_t frames = 0;        ///< images processed
-    std::uint64_t time_steps = 0;    ///< SNN steps executed
-    std::uint64_t input_pulses = 0;  ///< pulses fed to NPEs
-    std::uint64_t synaptic_ops = 0;  ///< pulses through synapses
-    std::uint64_t output_spikes = 0; ///< final-layer output pulses
-    std::uint64_t underflow_spikes = 0; ///< spurious borrow pulses
-    std::uint64_t multi_fires = 0;   ///< neuron-steps with >1 spike
-    std::uint64_t reload_events = 0; ///< cross-structure reloads
-
-    /// @name Degraded-mode (failed-NPE) reporting.
-    /// @{
-    std::uint64_t failed_npes = 0;       ///< failed output slots
-    std::uint64_t remapped_neurons = 0;  ///< neuron-steps served by a
-                                         ///< remap host NPE
-    std::uint64_t degraded_passes = 0;   ///< extra group passes run
-    /// @}
-
-    /// @name Compile-plan gauges (realizability headroom).
-    /// Snapshot of the executed plan's compiler diagnostics, set by
-    /// the chip from `CompiledNetwork::budget` each network step so
-    /// serving metrics expose how close the resident model sits to
-    /// the chip's Table 2 caps. Gauges, not counters: accumulate()
-    /// keeps the maximum; stage merges sum the per-chip neuron /
-    /// reload counts and keep the worst utilisation.
-    /// @{
-    std::uint64_t disabled_neurons = 0; ///< compile-disabled neurons
-    std::uint64_t plan_reloads = 0;  ///< compiled reloads per step
-    double jj_utilisation = 0.0;     ///< worst chip JJ cap fraction
-    double area_utilisation = 0.0;   ///< worst chip area cap fraction
-    /// @}
-
-    /// @name NoC transport (modelled mesh fabric; EngineConfig::noc
-    /// multi-chip runs only — all zero under the ideal transport).
-    /// The engine folds one NocSampleStats per sample into these
-    /// after the stage-pipeline merge; chip code never sets them.
-    /// accumulate() sums the counters and keeps the utilisation /
-    /// step-load gauges' maxima; noc_cut_flits merges element-wise
-    /// (index = plan cut index).
-    /// @{
-    std::uint64_t noc_packets = 0; ///< spike packets injected
-    std::uint64_t noc_flits = 0;   ///< flits injected
-    std::uint64_t noc_flit_hops = 0; ///< flits x links traversed
-    std::uint64_t noc_hol_stall_cycles = 0; ///< head-of-line waits
-    std::uint64_t noc_backpressure_stalls = 0; ///< NIC credit waits
-    std::uint64_t noc_latency_cycles = 0; ///< added fabric cycles
-    std::uint64_t noc_max_step_link_flits = 0; ///< worst step link
-                                               ///< load (gauge)
-    double noc_latency_ps = 0.0; ///< added transport latency
-    double noc_max_link_utilisation = 0.0; ///< worst link busy
-                                           ///< fraction (gauge)
-    std::vector<std::uint64_t> noc_cut_flits; ///< flits per plan cut
-    /// @}
-
-    double est_time_ps = 0.0;        ///< modelled wall time
-    double reload_time_ps = 0.0;     ///< serialised reload time
-    double dynamic_energy_j = 0.0;   ///< switching energy
+#define SUSHI_STAT_MEMBER(type, name, ...) type name{};
+    SUSHI_INFERENCE_STATS(SUSHI_STAT_MEMBER)
+#undef SUSHI_STAT_MEMBER
 
     void reset() { *this = InferenceStats{}; }
 
     /**
-     * Fold another stats record into this one. Counters and time /
-     * energy totals add; failed_npes and the compile-plan fields are
-     * gauges (current failed slots / plan shape), so the maximum is
-     * kept. Addition order matters for the floating-point fields:
-     * merging per-sample records in sample order gives byte-identical
-     * totals regardless of how the samples were sharded across
-     * replicas or threads.
+     * Fold another sample's record into this one (each field's
+     * merge::kind::sample). Addition order matters for the
+     * floating-point fields: merging per-sample records in sample
+     * order gives byte-identical totals regardless of how the
+     * samples were sharded across replicas or threads.
      */
     void accumulate(const InferenceStats &other);
 
     /**
      * Fold the stats of another *pipeline stage of the same sample*
-     * into this one (multi-chip plans: one record per stage chip).
-     * Unlike accumulate, frames and time_steps take the maximum —
-     * every stage saw the same frames — while the per-chip plan
-     * diagnostics (disabled_neurons, plan_reloads) add up across the
-     * plan's chips and utilisation keeps the worst chip. Energy is
+     * into this one (multi-chip plans: one record per stage chip;
+     * each field's merge::kind::stage). Stages run sequentially
+     * within a time step, so modelled time adds. Energy is
      * recomputed from the merged synaptic_ops by the caller's
      * dynamicEnergyJ so stage merge order cannot perturb it.
      */

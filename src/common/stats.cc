@@ -1,129 +1,8 @@
 #include "common/stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <iomanip>
 
 namespace sushi {
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = v;
-        max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-    sum_sq_ += v * v;
-}
-
-void
-Distribution::merge(const Distribution &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-    sum_sq_ += other.sum_sq_;
-}
-
-double
-Distribution::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-Distribution::stddev() const
-{
-    if (count_ == 0)
-        return 0.0;
-    const double m = mean();
-    const double var =
-        sum_sq_ / static_cast<double>(count_) - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-StatSet::inc(const std::string &name, std::uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-void
-StatSet::set(const std::string &name, double value)
-{
-    scalars_[name] = value;
-}
-
-void
-StatSet::sample(const std::string &name, double value)
-{
-    dists_[name].sample(value);
-}
-
-std::uint64_t
-StatSet::counter(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-}
-
-double
-StatSet::scalar(const std::string &name) const
-{
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0.0 : it->second;
-}
-
-const Distribution &
-StatSet::dist(const std::string &name) const
-{
-    static const Distribution empty;
-    auto it = dists_.find(name);
-    return it == dists_.end() ? empty : it->second;
-}
-
-bool
-StatSet::has(const std::string &name) const
-{
-    return counters_.count(name) || scalars_.count(name) ||
-           dists_.count(name);
-}
-
-void
-StatSet::clear()
-{
-    counters_.clear();
-    scalars_.clear();
-    dists_.clear();
-}
-
-void
-StatSet::dump(std::ostream &os) const
-{
-    for (const auto &[name, v] : counters_)
-        os << std::left << std::setw(40) << name << v << "\n";
-    for (const auto &[name, v] : scalars_)
-        os << std::left << std::setw(40) << name << v << "\n";
-    for (const auto &[name, d] : dists_) {
-        os << std::left << std::setw(40) << name
-           << "n=" << d.count() << " mean=" << d.mean()
-           << " sd=" << d.stddev() << " min=" << d.min()
-           << " max=" << d.max() << "\n";
-    }
-}
 
 namespace {
 

@@ -1,85 +1,17 @@
 /**
  * @file
- * Lightweight named-statistics registry.
- *
- * Components register scalar counters and distributions under
- * hierarchical dotted names (e.g. "chip.npe0.flips"); a StatSet can be
- * dumped as aligned text for benches and inspected from tests.
+ * Byte-deterministic JSON emitter shared by the bench and report
+ * writers.
  */
 
 #ifndef SUSHI_COMMON_STATS_HH
 #define SUSHI_COMMON_STATS_HH
 
 #include <cstdint>
-#include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
 namespace sushi {
-
-/** Running summary of a sampled quantity. */
-class Distribution
-{
-  public:
-    /** Record one sample. */
-    void sample(double v);
-
-    /** Merge another distribution into this one. */
-    void merge(const Distribution &other);
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    double mean() const;
-    /** Population standard deviation. */
-    double stddev() const;
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sum_sq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
-/** A flat registry of counters and distributions keyed by name. */
-class StatSet
-{
-  public:
-    /** Add delta to the named counter (created at zero on first use). */
-    void inc(const std::string &name, std::uint64_t delta = 1);
-
-    /** Set the named scalar to an explicit value. */
-    void set(const std::string &name, double value);
-
-    /** Record a sample into the named distribution. */
-    void sample(const std::string &name, double value);
-
-    /** Counter value (0 if never touched). */
-    std::uint64_t counter(const std::string &name) const;
-
-    /** Scalar value (0.0 if never set). */
-    double scalar(const std::string &name) const;
-
-    /** Distribution by name (empty distribution if absent). */
-    const Distribution &dist(const std::string &name) const;
-
-    /** True if the given counter/scalar/distribution exists. */
-    bool has(const std::string &name) const;
-
-    /** Remove everything. */
-    void clear();
-
-    /** Dump all stats as aligned "name value" lines. */
-    void dump(std::ostream &os) const;
-
-  private:
-    std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, double> scalars_;
-    std::map<std::string, Distribution> dists_;
-};
 
 /**
  * Byte-deterministic JSON emitter for bench/report files.

@@ -23,11 +23,41 @@ mix64(std::uint64_t x)
 }
 
 void
-appendJsonDouble(std::string &out, double v)
+appendJsonValue(std::string &out, std::uint64_t v)
+{
+    out += std::to_string(v);
+}
+
+void
+appendJsonValue(std::string &out, double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", v);
     out += buf;
+}
+
+void
+appendJsonValue(std::string &out, const std::vector<std::uint64_t> &v)
+{
+    out += "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        if (i != 0)
+            out += ", ";
+        appendJsonValue(out, v[i]);
+    }
+    out += "]";
+}
+
+/** Fold one sample's transport account into its stats delta (the
+ *  transport fields of SUSHI_INFERENCE_STATS, sample merge). */
+void
+foldTransport(chip::InferenceStats &delta,
+              const noc::NocSampleStats &ns)
+{
+#define SUSHI_STAT_FOLD(type, name, kind, ...)                          \
+    __VA_OPT__(chip::merge::kind::sample(delta.name, ns.__VA_ARGS__);)
+    SUSHI_INFERENCE_STATS(SUSHI_STAT_FOLD)
+#undef SUSHI_STAT_FOLD
 }
 
 } // namespace
@@ -285,19 +315,7 @@ InferenceEngine::runOnReplica(int replica,
             // fabric serialises the pipeline's cut traffic, so its
             // cycles extend the modelled makespan.
             const noc::NocSampleStats ns = nt->finishSample();
-            delta.noc_packets += ns.packets;
-            delta.noc_flits += ns.flits;
-            delta.noc_flit_hops += ns.flit_hops;
-            delta.noc_hol_stall_cycles += ns.hol_stall_cycles;
-            delta.noc_backpressure_stalls += ns.backpressure_stalls;
-            delta.noc_latency_cycles += ns.latency_cycles;
-            delta.noc_max_step_link_flits = std::max(
-                delta.noc_max_step_link_flits, ns.max_step_link_flits);
-            delta.noc_latency_ps += ns.latency_ps;
-            delta.noc_max_link_utilisation =
-                std::max(delta.noc_max_link_utilisation,
-                         ns.max_link_utilisation);
-            delta.noc_cut_flits = ns.cut_flits;
+            foldTransport(delta, ns);
             delta.est_time_ps += ns.latency_ps;
         }
         delta.dynamic_energy_j =
@@ -437,61 +455,13 @@ encodeSamples(const snn::Tensor &images, int t_steps,
 std::string
 statsJson(const chip::InferenceStats &stats)
 {
-    std::string out = "{";
-    const auto field = [&out](const char *name, std::uint64_t v,
-                              bool first = false) {
-        if (!first)
-            out += ", ";
-        out += "\"";
-        out += name;
-        out += "\": ";
-        out += std::to_string(v);
-    };
-    field("frames", stats.frames, true);
-    field("time_steps", stats.time_steps);
-    field("input_pulses", stats.input_pulses);
-    field("synaptic_ops", stats.synaptic_ops);
-    field("output_spikes", stats.output_spikes);
-    field("underflow_spikes", stats.underflow_spikes);
-    field("multi_fires", stats.multi_fires);
-    field("reload_events", stats.reload_events);
-    field("failed_npes", stats.failed_npes);
-    field("remapped_neurons", stats.remapped_neurons);
-    field("degraded_passes", stats.degraded_passes);
-    // Compile-plan gauges: realizability headroom of the plan the
-    // traffic actually ran on (ISSUE 8 serving diagnostics).
-    field("disabled_neurons", stats.disabled_neurons);
-    field("plan_reloads", stats.plan_reloads);
-    out += ", \"est_time_ps\": ";
-    appendJsonDouble(out, stats.est_time_ps);
-    out += ", \"reload_time_ps\": ";
-    appendJsonDouble(out, stats.reload_time_ps);
-    out += ", \"dynamic_energy_j\": ";
-    appendJsonDouble(out, stats.dynamic_energy_j);
-    out += ", \"jj_utilisation\": ";
-    appendJsonDouble(out, stats.jj_utilisation);
-    out += ", \"area_utilisation\": ";
-    appendJsonDouble(out, stats.area_utilisation);
-    // NoC transport block (all zero / empty under the ideal
-    // transport — kept unconditional so the schema is stable).
-    field("noc_packets", stats.noc_packets);
-    field("noc_flits", stats.noc_flits);
-    field("noc_flit_hops", stats.noc_flit_hops);
-    field("noc_hol_stall_cycles", stats.noc_hol_stall_cycles);
-    field("noc_backpressure_stalls", stats.noc_backpressure_stalls);
-    field("noc_latency_cycles", stats.noc_latency_cycles);
-    field("noc_max_step_link_flits", stats.noc_max_step_link_flits);
-    out += ", \"noc_latency_ps\": ";
-    appendJsonDouble(out, stats.noc_latency_ps);
-    out += ", \"noc_max_link_utilisation\": ";
-    appendJsonDouble(out, stats.noc_max_link_utilisation);
-    out += ", \"noc_cut_flits\": [";
-    for (std::size_t c = 0; c < stats.noc_cut_flits.size(); ++c) {
-        if (c != 0)
-            out += ", ";
-        out += std::to_string(stats.noc_cut_flits[c]);
-    }
-    out += "]}";
+    std::string out;
+#define SUSHI_STAT_JSON(type, name, kind, ...)                          \
+    out += out.empty() ? "{\"" #name "\": " : ", \"" #name "\": ";     \
+    appendJsonValue(out, stats.name);
+    SUSHI_INFERENCE_STATS(SUSHI_STAT_JSON)
+#undef SUSHI_STAT_JSON
+    out += "}";
     return out;
 }
 

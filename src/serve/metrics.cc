@@ -50,34 +50,22 @@ ServerMetrics::degradedReplicas() const
 bool
 MetricsDelta::empty() const
 {
-    return submitted == 0 && accepted == 0 &&
-           rejected_queue_full == 0 && rejected_deadline == 0 &&
-           rejected_shutdown == 0 && rejected_breaker == 0 &&
-           rejected_replica_failure == 0 && hedges_launched == 0 &&
-           hedges_cancelled == 0 && retries == 0 && completed == 0 &&
-           deadline_missed == 0 && hedges_won == 0 &&
-           hedges_lost == 0 && first_submit_ns < 0 &&
-           last_event_ns == 0 && queue_ns.count() == 0 &&
-           service_ns.count() == 0 && total_ns.count() == 0;
+#define SUSHI_DELTA_ZERO(name) name == 0 &&
+    return SUSHI_METRICS_DELTA_COUNTERS(SUSHI_DELTA_ZERO)
+#undef SUSHI_DELTA_ZERO
+           first_submit_ns < 0 && last_event_ns == 0 &&
+           queue_ns.count() == 0 && service_ns.count() == 0 &&
+           total_ns.count() == 0;
 }
 
 void
 MetricsDelta::foldInto(ServerMetrics &into)
 {
-    into.submitted += submitted;
-    into.accepted += accepted;
-    into.rejected_queue_full += rejected_queue_full;
-    into.rejected_deadline += rejected_deadline;
-    into.rejected_shutdown += rejected_shutdown;
-    into.rejected_breaker += rejected_breaker;
-    into.rejected_replica_failure += rejected_replica_failure;
-    into.hedges_launched += hedges_launched;
-    into.hedges_cancelled += hedges_cancelled;
-    into.retries += retries;
-    into.completed += completed;
-    into.deadline_missed += deadline_missed;
-    into.hedges_won += hedges_won;
-    into.hedges_lost += hedges_lost;
+#define SUSHI_DELTA_FOLD(name)                                           \
+    into.name += name;                                                  \
+    name = 0;
+    SUSHI_METRICS_DELTA_COUNTERS(SUSHI_DELTA_FOLD)
+#undef SUSHI_DELTA_FOLD
     if (first_submit_ns >= 0 &&
         (into.first_submit_ns < 0 ||
          first_submit_ns < into.first_submit_ns))
@@ -86,12 +74,6 @@ MetricsDelta::foldInto(ServerMetrics &into)
     into.queue_ns.merge(queue_ns);
     into.service_ns.merge(service_ns);
     into.total_ns.merge(total_ns);
-    submitted = accepted = 0;
-    rejected_queue_full = rejected_deadline = 0;
-    rejected_shutdown = rejected_breaker = 0;
-    rejected_replica_failure = 0;
-    hedges_launched = hedges_cancelled = retries = 0;
-    completed = deadline_missed = hedges_won = hedges_lost = 0;
     first_submit_ns = -1;
     last_event_ns = 0;
     queue_ns.reset();
@@ -111,6 +93,7 @@ ServerMetrics::toJson() const
     w.field("rejected_shutdown", rejected_shutdown);
     w.field("rejected_breaker", rejected_breaker);
     w.field("rejected_replica_failure", rejected_replica_failure);
+    w.field("rejected_invalid", rejected_invalid);
     w.field("deadline_missed", deadline_missed);
     w.field("batches", batches);
     w.field("flush_size", flush_size);

@@ -67,6 +67,7 @@ struct ServerMetrics
     std::uint64_t rejected_shutdown = 0;
     std::uint64_t rejected_breaker = 0;  ///< breaker fast-fails
     std::uint64_t rejected_replica_failure = 0; ///< retries exhausted
+    std::uint64_t rejected_invalid = 0;  ///< malformed input shape
     std::uint64_t deadline_missed = 0; ///< completed after deadline
     /// @}
 
@@ -161,6 +162,29 @@ struct ServerMetrics
 };
 
 /**
+ * The shard-delta counters, declared once: X(name) for each
+ * ServerMetrics counter of the same name that MetricsDelta adds into
+ * it. Admission-side counters first, then completion-side (per-batch)
+ * ones. The members, empty() and foldInto() expand from this list.
+ */
+#define SUSHI_METRICS_DELTA_COUNTERS(X)                                 \
+    X(submitted)                                                        \
+    X(accepted)                                                         \
+    X(rejected_queue_full)                                              \
+    X(rejected_deadline)                                                \
+    X(rejected_shutdown)                                                \
+    X(rejected_breaker)                                                 \
+    X(rejected_replica_failure)                                         \
+    X(rejected_invalid)                                                 \
+    X(hedges_launched)                                                  \
+    X(hedges_cancelled)                                                 \
+    X(retries)                                                          \
+    X(completed)                                                        \
+    X(deadline_missed)                                                  \
+    X(hedges_won)                                                       \
+    X(hedges_lost)
+
+/**
  * Shard-local metrics accumulator of the sharded front-end (PR 10).
  *
  * Admission-path events (submissions, acceptances, typed rejections)
@@ -175,27 +199,9 @@ struct ServerMetrics
  */
 struct MetricsDelta
 {
-    /// @name Admission-side counters (shard deltas).
-    /// @{
-    std::uint64_t submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t rejected_shutdown = 0;
-    std::uint64_t rejected_breaker = 0;
-    std::uint64_t rejected_replica_failure = 0;
-    std::uint64_t hedges_launched = 0;
-    std::uint64_t hedges_cancelled = 0;
-    std::uint64_t retries = 0;
-    /// @}
-
-    /// @name Completion-side counters (per-batch deltas).
-    /// @{
-    std::uint64_t completed = 0;
-    std::uint64_t deadline_missed = 0;
-    std::uint64_t hedges_won = 0;
-    std::uint64_t hedges_lost = 0;
-    /// @}
+#define SUSHI_DELTA_MEMBER(name) std::uint64_t name = 0;
+    SUSHI_METRICS_DELTA_COUNTERS(SUSHI_DELTA_MEMBER)
+#undef SUSHI_DELTA_MEMBER
 
     /// @name Watermarks (min / max merge).
     /// @{

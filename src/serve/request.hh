@@ -33,6 +33,7 @@ enum class Reject : std::uint8_t {
     ShuttingDown,     ///< submitted after drain()/shutdown()
     BreakerOpen,      ///< circuit breaker fast-fail
     ReplicaFailure,   ///< dispatch failed and retry budget exhausted
+    InvalidRequest,   ///< a frame's width is not the model's input
 };
 
 /** Stable lowercase name for a rejection cause. */

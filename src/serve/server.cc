@@ -47,6 +47,7 @@ rejectName(Reject r)
       case Reject::ShuttingDown: return "shutting_down";
       case Reject::BreakerOpen: return "breaker_open";
       case Reject::ReplicaFailure: return "replica_failure";
+      case Reject::InvalidRequest: return "invalid_request";
     }
     return "?";
 }
@@ -173,6 +174,10 @@ Server::submit(engine::Sample sample, const RequestOptions &opts)
         fulfillRejectLocked(sh, req, Reject::ShuttingDown, t);
         return fut;
     }
+    if (!validShape(*req.sample)) {
+        fulfillRejectLocked(sh, req, Reject::InvalidRequest, t);
+        return fut;
+    }
     if (req.deadline_ns <= t) {
         fulfillRejectLocked(sh, req, Reject::DeadlineExceeded, t);
         return fut;
@@ -227,6 +232,17 @@ Server::submitAtLocked(std::int64_t arrival_ns,
 }
 
 bool
+Server::validShape(const engine::Sample &sample) const
+{
+    const std::size_t width =
+        model_->network().layers().front().inDim();
+    return std::all_of(sample.begin(), sample.end(),
+                       [width](const auto &frame) {
+                           return frame.size() == width;
+                       });
+}
+
+bool
 Server::tryReserveQueueSlot()
 {
     // fetch_add-then-check keeps the bound exact under concurrent
@@ -276,6 +292,9 @@ Server::fulfillRejectLocked(Shard &sh, PendingReq &req, Reject reason,
         break;
       case Reject::ReplicaFailure:
         ++sh.delta.rejected_replica_failure;
+        break;
+      case Reject::InvalidRequest:
+        ++sh.delta.rejected_invalid;
         break;
       case Reject::None:
         break;
@@ -1299,7 +1318,10 @@ Server::runVirtualLocked(std::unique_lock<std::mutex> &lock)
             req.queued_ns = at;
             Shard &sh = shardOf(req.request_id);
             std::lock_guard<std::mutex> slock(sh.mu);
-            if (req.deadline_ns <= at) {
+            if (!validShape(*req.sample)) {
+                fulfillRejectLocked(sh, req, Reject::InvalidRequest,
+                                    at);
+            } else if (req.deadline_ns <= at) {
                 fulfillRejectLocked(sh, req,
                                     Reject::DeadlineExceeded, at);
             } else if (cfg_.breaker.enabled() &&

@@ -358,6 +358,8 @@ class Server
     PendingReq makeRequest(engine::Sample &&sample,
                            const RequestOptions &opts,
                            std::int64_t t);
+    /** Every frame is as wide as the model's input layer. */
+    bool validShape(const engine::Sample &sample) const;
     /** Claim one queue slot against max_queue (exact global bound;
      *  no lock needed — the depth counter is atomic). */
     bool tryReserveQueueSlot();

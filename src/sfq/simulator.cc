@@ -82,29 +82,6 @@ Simulator::reset()
     last_v_port_ = -1;
     core_.restoreState();
     faults_.resetCounters();
-    stats_.clear();
-}
-
-void
-Simulator::setPulseDropRate(double rate, std::uint64_t seed)
-{
-    sushi_assert(rate >= 0.0 && rate <= 1.0);
-    faults_.clearFaults();
-    faults_.reseed(seed);
-    if (rate > 0.0) {
-        FaultSpec drop;
-        drop.kind = FaultKind::PulseDrop;
-        drop.rate = rate;
-        faults_.addFault(std::move(drop));
-    }
-}
-
-bool
-Simulator::pulseDropped()
-{
-    if (!faults_.anyDeliveryFaults())
-        return false;
-    return faults_.onDeliver(std::string{}, now_).dropped;
 }
 
 bool
@@ -137,7 +114,6 @@ Simulator::reportViolationEvt(const std::string &cell,
     {
         std::lock_guard<std::mutex> lk(violation_mu_);
         ++violations_;
-        stats_.inc("sim.constraint_violations");
         if (!cell.empty())
             ++violations_by_cell_[cell];
         where = cell.empty() ? what : cell + ": " + what;
@@ -156,10 +132,8 @@ Simulator::reportViolationEvt(const std::string &cell,
             last_v_cell_ = ev_cell;
             last_v_port_ = ev_port;
         }
-        if (policy_ == ViolationPolicy::Recover) {
+        if (policy_ == ViolationPolicy::Recover)
             ++recovered_;
-            stats_.inc("sim.recovered_pulses");
-        }
     }
     switch (policy_) {
       case ViolationPolicy::Ignore:

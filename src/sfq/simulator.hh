@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/time.hh"
 #include "sfq/compiled_netlist.hh"
 #include "sfq/event_queue.hh"
@@ -155,13 +154,13 @@ class Simulator
 
     /**
      * Rewind the simulator for reuse: drops all pending events and
-     * clears time, energy, pulse, violation, and fault counters plus
-     * the stats registry; the compiled core's storage bits, arrival
-     * history, and probe traces rewind to their post-compile snapshot
-     * by flat copies (CompiledNetlist::restoreState()) — no per-cell
-     * walk. The fault *configuration* is kept (reseed via
-     * faults().reseed()); registered components are untouched —
-     * campaign iterations reuse one simulator without realloc churn.
+     * clears time, energy, pulse, violation, and fault counters; the
+     * compiled core's storage bits, arrival history, and probe
+     * traces rewind to their post-compile snapshot by flat copies
+     * (CompiledNetlist::restoreState()) — no per-cell walk. The
+     * fault *configuration* is kept (reseed via faults().reseed());
+     * registered components are untouched — campaign iterations
+     * reuse one simulator without realloc churn.
      */
     void reset();
 
@@ -253,17 +252,6 @@ class Simulator
     FaultModel &faults() { return faults_; }
     const FaultModel &faults() const { return faults_; }
 
-    /**
-     * Shim over faults(): clear the configuration, reseed, and (for
-     * @p rate > 0) install a single untargeted PulseDrop fault.
-     * Prefer faults().addFault() for anything richer.
-     */
-    void setPulseDropRate(double rate, std::uint64_t seed = 1);
-
-    /** True if fault injection says this delivery is lost (shim —
-     *  components consult faults().onDeliver() directly). */
-    bool pulseDropped();
-
     /** Pulses lost to injected faults so far. */
     std::uint64_t droppedPulses() const
     {
@@ -279,10 +267,6 @@ class Simulator
     {
         return queue_.executed() + extra_events_;
     }
-
-    /** Mutable stats registry shared by all components. */
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
 
   private:
     EventQueue queue_;
@@ -306,8 +290,6 @@ class Simulator
     std::int32_t last_v_cell_ = -1;
     std::int32_t last_v_port_ = -1;
     std::mutex violation_mu_;
-
-    StatSet stats_;
 
     // Pooled callback storage: the queue carries only the slot index
     // (EventQueue::kCallbackCell events), so callbacks never allocate

@@ -9,7 +9,6 @@
 
 #include "common/histogram.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/time.hh"
 
 namespace sushi {
@@ -123,63 +122,6 @@ TEST(Rng, ForkIndependent)
     Rng child = a.fork();
     // Child stream differs from the parent's continuation.
     EXPECT_NE(child.next(), a.next());
-}
-
-TEST(Stats, Counters)
-{
-    StatSet s;
-    EXPECT_EQ(s.counter("x"), 0u);
-    s.inc("x");
-    s.inc("x", 4);
-    EXPECT_EQ(s.counter("x"), 5u);
-    EXPECT_TRUE(s.has("x"));
-    EXPECT_FALSE(s.has("y"));
-}
-
-TEST(Stats, Scalars)
-{
-    StatSet s;
-    s.set("p", 3.25);
-    EXPECT_DOUBLE_EQ(s.scalar("p"), 3.25);
-    s.set("p", -1.0);
-    EXPECT_DOUBLE_EQ(s.scalar("p"), -1.0);
-}
-
-TEST(Stats, DistributionMoments)
-{
-    StatSet s;
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        s.sample("d", v);
-    const Distribution &d = s.dist("d");
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.stddev(), 1.11803, 1e-4);
-}
-
-TEST(Stats, DistributionMerge)
-{
-    Distribution a, b;
-    a.sample(1.0);
-    a.sample(2.0);
-    b.sample(10.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-}
-
-TEST(Stats, Clear)
-{
-    StatSet s;
-    s.inc("a");
-    s.set("b", 1);
-    s.sample("c", 1);
-    s.clear();
-    EXPECT_FALSE(s.has("a"));
-    EXPECT_FALSE(s.has("b"));
-    EXPECT_FALSE(s.has("c"));
 }
 
 TEST(Histogram, BucketAssignmentAndAggregates)

@@ -280,7 +280,12 @@ TEST(Violation, RecoverDropsOffendingPulseAndAttributes)
 TEST(Simulator, ResetClearsStateForReuse)
 {
     Chain c(3);
-    c.sim.setPulseDropRate(0.5, 9);
+    c.sim.faults().clearFaults();
+    c.sim.faults().reseed(9);
+    FaultSpec drop;
+    drop.kind = FaultKind::PulseDrop;
+    drop.rate = 0.5;
+    c.sim.faults().addFault(std::move(drop));
     const Tick gap = sfq::safePulseSpacing();
     for (int i = 1; i <= 20; ++i)
         c.src->pulseAt(i * gap);
@@ -301,7 +306,7 @@ TEST(Simulator, ResetClearsStateForReuse)
     EXPECT_TRUE(c.sim.violationsByCell().empty());
 
     // The circuit is reusable: a clean run after disabling faults.
-    c.sim.setPulseDropRate(0.0);
+    c.sim.faults().clearFaults();
     c.sink->clear();
     for (int i = 1; i <= 5; ++i)
         c.src->pulseAt(i * gap);

@@ -382,6 +382,150 @@ TEST(InferenceStatsMerge, DegradedMultiStageEngineKeepsGaugeSemantics)
     EXPECT_EQ(run.merged.frames, samples.size());
 }
 
+/** Every field distinct and non-zero; the two records differ in
+ *  which side holds the larger gauge and in noc_cut_flits length. */
+void
+distinctStats(chip::InferenceStats &a, chip::InferenceStats &b)
+{
+    a.frames = 3;
+    a.time_steps = 12;
+    a.input_pulses = 101;
+    a.synaptic_ops = 202;
+    a.output_spikes = 7;
+    a.underflow_spikes = 5;
+    a.multi_fires = 4;
+    a.reload_events = 9;
+    a.failed_npes = 2;
+    a.remapped_neurons = 13;
+    a.degraded_passes = 6;
+    a.disabled_neurons = 8;
+    a.plan_reloads = 11;
+    a.est_time_ps = 1500.5;
+    a.reload_time_ps = 250.25;
+    a.dynamic_energy_j = 0.125;
+    a.jj_utilisation = 0.75;
+    a.area_utilisation = 0.375;
+    a.noc_packets = 21;
+    a.noc_flits = 42;
+    a.noc_flit_hops = 84;
+    a.noc_hol_stall_cycles = 17;
+    a.noc_backpressure_stalls = 19;
+    a.noc_latency_cycles = 23;
+    a.noc_max_step_link_flits = 31;
+    a.noc_latency_ps = 460.5;
+    a.noc_max_link_utilisation = 0.625;
+    a.noc_cut_flits = {40, 2};
+
+    b.frames = 2;
+    b.time_steps = 8;
+    b.input_pulses = 303;
+    b.synaptic_ops = 404;
+    b.output_spikes = 15;
+    b.underflow_spikes = 14;
+    b.multi_fires = 16;
+    b.reload_events = 18;
+    b.failed_npes = 3;
+    b.remapped_neurons = 20;
+    b.degraded_passes = 22;
+    b.disabled_neurons = 24;
+    b.plan_reloads = 10;
+    b.est_time_ps = 700.75;
+    b.reload_time_ps = 125.5;
+    b.dynamic_energy_j = 0.0625;
+    b.jj_utilisation = 0.5;
+    b.area_utilisation = 0.875;
+    b.noc_packets = 26;
+    b.noc_flits = 28;
+    b.noc_flit_hops = 29;
+    b.noc_hol_stall_cycles = 30;
+    b.noc_backpressure_stalls = 32;
+    b.noc_latency_cycles = 33;
+    b.noc_max_step_link_flits = 27;
+    b.noc_latency_ps = 90.25;
+    b.noc_max_link_utilisation = 0.9375;
+    b.noc_cut_flits = {1, 3, 5};
+}
+
+TEST(InferenceStatsMerge, EveryFieldMergesAsRecorded)
+{
+    // Pins each field's merge kind through all three merges: the
+    // sample merge, the stage merge and the engine's NoC fold.
+    // Recorded before the field list generated the merges.
+    const char *const kWant[] = {
+        R"({"frames": 5, "time_steps": 20, "input_pulses": 404, )"
+        R"("synaptic_ops": 606, "output_spikes": 22, )"
+        R"("underflow_spikes": 19, "multi_fires": 20, )"
+        R"("reload_events": 27, "failed_npes": 3, )"
+        R"("remapped_neurons": 33, "degraded_passes": 28, )"
+        R"("disabled_neurons": 24, "plan_reloads": 11, )"
+        R"("est_time_ps": 2201.25, "reload_time_ps": 375.75, )"
+        R"("dynamic_energy_j": 0.1875, "jj_utilisation": 0.75, )"
+        R"("area_utilisation": 0.875, "noc_packets": 47, )"
+        R"("noc_flits": 70, "noc_flit_hops": 113, )"
+        R"("noc_hol_stall_cycles": 47, "noc_backpressure_stalls": 51, )"
+        R"("noc_latency_cycles": 56, "noc_max_step_link_flits": 31, )"
+        R"("noc_latency_ps": 550.75, )"
+        R"("noc_max_link_utilisation": 0.9375, "noc_cut_flits": [41, )"
+        R"(5, 5]})",
+        R"({"frames": 3, "time_steps": 12, "input_pulses": 404, )"
+        R"("synaptic_ops": 606, "output_spikes": 22, )"
+        R"("underflow_spikes": 19, "multi_fires": 20, )"
+        R"("reload_events": 27, "failed_npes": 3, )"
+        R"("remapped_neurons": 33, "degraded_passes": 28, )"
+        R"("disabled_neurons": 32, "plan_reloads": 21, )"
+        R"("est_time_ps": 2201.25, "reload_time_ps": 375.75, )"
+        R"("dynamic_energy_j": 0.1875, "jj_utilisation": 0.75, )"
+        R"("area_utilisation": 0.875, "noc_packets": 47, )"
+        R"("noc_flits": 70, "noc_flit_hops": 113, )"
+        R"("noc_hol_stall_cycles": 47, "noc_backpressure_stalls": 51, )"
+        R"("noc_latency_cycles": 56, "noc_max_step_link_flits": 31, )"
+        R"("noc_latency_ps": 550.75, )"
+        R"("noc_max_link_utilisation": 0.9375, "noc_cut_flits": [41, )"
+        R"(5, 5]})",
+        R"({"frames": 1, "time_steps": 3, "input_pulses": 524, )"
+        R"("synaptic_ops": 524, "output_spikes": 1, )"
+        R"("underflow_spikes": 0, "multi_fires": 0, )"
+        R"("reload_events": 912, "failed_npes": 0, )"
+        R"("remapped_neurons": 0, "degraded_passes": 0, )"
+        R"("disabled_neurons": 0, "plan_reloads": 304, )"
+        R"("est_time_ps": 45233.429999999993, "reload_time_ps": 14250, )"
+        R"("dynamic_energy_j": 3.1439999999999998e-15, )"
+        R"("jj_utilisation": 1, )"
+        R"("area_utilisation": 4.5779027040000001e-08, )"
+        R"("noc_packets": 9, "noc_flits": 29, "noc_flit_hops": 11, )"
+        R"("noc_hol_stall_cycles": 0, "noc_backpressure_stalls": 13, )"
+        R"("noc_latency_cycles": 13, "noc_max_step_link_flits": 3, )"
+        R"("noc_latency_ps": 260, )"
+        R"("noc_max_link_utilisation": 0.53846153846153844, )"
+        R"("noc_cut_flits": [7]})",
+    };
+    chip::InferenceStats a, b;
+    distinctStats(a, b);
+
+    chip::InferenceStats samples = a;
+    samples.accumulate(b);
+    EXPECT_EQ(statsJson(samples), kWant[0]);
+
+    chip::InferenceStats stages = a;
+    stages.accumulatePipeline(b);
+    EXPECT_EQ(statsJson(stages), kWant[1]);
+
+    auto net = tinyNet(24, 16, 12, 3, 9);
+    const auto chip = smallChip();
+    auto model = CompiledModel::compile(net, chip,
+                                        splittingOptions(net, chip));
+    ASSERT_EQ(model->stageCount(), 2);
+    EngineConfig cfg;
+    cfg.replicas = 1;
+    cfg.noc.enabled = true;
+    cfg.noc.link_bandwidth_flits = 1;
+    cfg.noc.nic_queue_flits = 2; // congestion counters go non-zero
+    InferenceEngine eng(model, cfg);
+    const ReplicaRun run =
+        eng.runOnReplica(0, randomSamples(1, 24, 3, 41));
+    EXPECT_EQ(statsJson(run.per_sample[0]), kWant[2]);
+}
+
 TEST(MultiChipPlan, DegradedReplicaKeepsResults)
 {
     auto net = tinyNet(24, 16, 12, 3, 9);

@@ -252,6 +252,18 @@ TEST(Property, DesignPointsInternallyConsistent)
 }
 
 
+/** Reseeded fault model with one untargeted PulseDrop at @p rate. */
+void
+dropPulses(sfq::Simulator &sim, double rate, std::uint64_t seed)
+{
+    sim.faults().clearFaults();
+    sim.faults().reseed(seed);
+    sfq::FaultSpec drop;
+    drop.kind = sfq::FaultKind::PulseDrop;
+    drop.rate = rate;
+    sim.faults().addFault(std::move(drop));
+}
+
 TEST(Property, FaultInjectionDropsPulsesDeterministically)
 {
     // Same seed, same faults; higher rates lose more pulses; the
@@ -260,7 +272,7 @@ TEST(Property, FaultInjectionDropsPulsesDeterministically)
     auto run = [](double rate, std::uint64_t seed) {
         sfq::Simulator sim;
         sim.setViolationPolicy(sfq::ViolationPolicy::Ignore);
-        sim.setPulseDropRate(rate, seed);
+        dropPulses(sim, rate, seed);
         sfq::Netlist net(sim);
         npe::NpeGate npe(net, "npe", 4);
         const Tick gap = sfq::safePulseSpacing();
@@ -347,7 +359,7 @@ TEST(Property, FaultInjectionBreaksCosimEquivalence)
     // performs on fabricated parts.
     sfq::Simulator sim;
     sim.setViolationPolicy(sfq::ViolationPolicy::Ignore);
-    sim.setPulseDropRate(0.3, 3);
+    dropPulses(sim, 0.3, 3);
     sfq::Netlist net(sim);
     npe::NpeGate gate(net, "npe", 5);
     npe::Npe ref(5);

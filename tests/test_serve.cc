@@ -219,6 +219,64 @@ TEST(ServeAdmission, QueueFullSheds)
     EXPECT_EQ(m.submitted, 6u);
 }
 
+/** submitted == completed + every typed rejection. */
+void
+expectEveryRequestAccounted(const ServerMetrics &m)
+{
+    EXPECT_EQ(m.submitted,
+              m.completed + m.rejected_queue_full +
+                  m.rejected_deadline + m.rejected_shutdown +
+                  m.rejected_breaker + m.rejected_replica_failure +
+                  m.rejected_invalid);
+}
+
+TEST(ServeAdmission, MalformedRequestFailsAloneNotItsBatch)
+{
+    // Three well-formed requests and one 3-wide one share a batch
+    // window: the bad one is rejected at admission, its batch-mates
+    // are served, and the healthy replica records no failure.
+    auto samples = randomSamples(3, 16, 3, 21);
+    samples.insert(samples.begin() + 1, randomSamples(1, 3, 3, 22)[0]);
+    Server server(smallModel(),
+                  virtualConfig(1, 4, /*max_delay=*/1'000'000));
+    std::vector<std::future<Response>> futs;
+    for (const auto &s : samples)
+        futs.push_back(server.submitAt(10, s));
+    server.runVirtual();
+
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+        const Response r = futs[i].get();
+        if (i == 1) {
+            EXPECT_EQ(r.rejected, Reject::InvalidRequest);
+            EXPECT_STREQ(rejectName(r.rejected), "invalid_request");
+        } else {
+            EXPECT_TRUE(r.ok()) << "request " << i;
+        }
+    }
+    const ServerMetrics m = server.metrics();
+    EXPECT_EQ(m.completed, 3u);
+    EXPECT_EQ(m.rejected_invalid, 1u);
+    EXPECT_EQ(m.rejected_replica_failure, 0u);
+    EXPECT_EQ(m.batch_failures, 0u);
+    ASSERT_EQ(m.replicas.size(), 1u);
+    EXPECT_EQ(m.replicas[0].failures, 0u);
+    expectEveryRequestAccounted(m);
+
+    // The real-clock submit path checks the same shape.
+    ServerConfig cfg;
+    cfg.engine.replicas = 1;
+    cfg.clock = ClockMode::Real;
+    Server real(smallModel(), cfg);
+    EXPECT_EQ(real.submit(samples[1]).get().rejected,
+              Reject::InvalidRequest);
+    EXPECT_TRUE(real.submit(samples[0]).get().ok());
+    real.drain();
+    const ServerMetrics rm = real.metrics();
+    EXPECT_EQ(rm.rejected_invalid, 1u);
+    EXPECT_EQ(rm.completed, 1u);
+    expectEveryRequestAccounted(rm);
+}
+
 TEST(ServePriority, HigherPriorityDispatchesFirst)
 {
     const auto samples = randomSamples(4, 16, 3, 6);
