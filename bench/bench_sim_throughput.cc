@@ -5,9 +5,10 @@
  * Measures events/sec of the compiled simulation core on the same
  * workload the fault campaign uses — 20k input pulses through a
  * 10-SC gate-level NPE counter — plus a queue-only microbench of the
- * calendar event queue. Correctness is asserted pulse-exactly against
- * the behavioural counter before any number is reported, so a fast
- * but wrong kernel fails instead of "winning".
+ * calendar event queue, plus the time to build (lower and compile) a
+ * 16x16 gate-level GateChip mesh. Correctness is asserted pulse-exactly
+ * against the behavioural counter before any number is reported, so a
+ * fast but wrong kernel fails instead of "winning".
  *
  * Environment:
  *   SUSHI_JSON_OUT  output path (default BENCH_sim.json)
@@ -26,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "chip/gate_sim.hh"
 #include "common/stats.hh"
 #include "npe/npe.hh"
 #include "sfq/constraints.hh"
@@ -159,6 +161,30 @@ queueEventsPerSec(int rounds)
     return static_cast<double>(ops) / (s > 0 ? s : 1e-9);
 }
 
+/** Best-of-@p reps wall time, in microseconds, to build a fresh
+ *  16x16 GateChip (the gate_cosim mesh) into a new simulator. */
+double
+meshBuildUs(int reps, std::size_t &cells)
+{
+    compiler::ChipConfig cfg;
+    cfg.n = 16;
+    cfg.sc_per_npe = 5;
+    double best = 0.0;
+    for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        sfq::Simulator sim;
+        sfq::Netlist net(sim);
+        chip::GateChip chip(net, cfg);
+        const auto t1 = std::chrono::steady_clock::now();
+        const double us =
+            std::chrono::duration<double, std::micro>(t1 - t0).count();
+        if (r == 0 || us < best)
+            best = us;
+        cells = net.numComponents();
+    }
+    return best;
+}
+
 } // namespace
 
 int
@@ -196,6 +222,8 @@ main()
         static_cast<double>(best.events) / best.seconds;
     const double speedup = eps / kSeedEventsPerSec;
     const double queue_eps = queueEventsPerSec(reps * 20);
+    std::size_t mesh_cells = 0;
+    const double mesh_us = meshBuildUs(reps * 4, mesh_cells);
 
     std::printf("workload checksum: %llu (want %llu) %s\n",
                 static_cast<unsigned long long>(best.checksum),
@@ -205,6 +233,8 @@ main()
                 "(%.3g ev/s)\n",
                 eps, speedup, kSeedEventsPerSec);
     std::printf("queue-only: %.3g events/sec\n", queue_eps);
+    std::printf("16x16 mesh build: %.0f us (%zu cells)\n", mesh_us,
+                mesh_cells);
 
     // Thread sweep on the partitioned simulator: 8 independent NPE
     // counters in one netlist. The 2x floor at 8 threads is only
@@ -266,6 +296,8 @@ main()
     w.field("seed_events_per_sec", kSeedEventsPerSec);
     w.field("speedup_vs_seed", speedup);
     w.field("queue_events_per_sec", queue_eps);
+    w.field("mesh_build_us", mesh_us);
+    w.field("mesh_cells", static_cast<std::uint64_t>(mesh_cells));
     w.field("sweep_gates", kFleetGates);
     w.field("sweep_reps", sweep_reps);
     w.field("hardware_concurrency", static_cast<std::uint64_t>(hw));

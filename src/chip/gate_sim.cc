@@ -1,9 +1,22 @@
 #include "chip/gate_sim.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/logging.hh"
 #include "sfq/constraints.hh"
 
 namespace sushi::chip {
+
+namespace {
+
+[[noreturn]] void
+reject(const std::string &what)
+{
+    throw std::invalid_argument("GateChip: " + what);
+}
+
+} // namespace
 
 GateChip::GateChip(sfq::Netlist &net, const compiler::ChipConfig &cfg)
     : net_(net), cfg_(cfg)
@@ -37,6 +50,21 @@ GateChip::runSim()
     return psim_ != nullptr ? psim_->run() : net_.sim().run();
 }
 
+void
+GateChip::checkLayer(const compiler::CompiledNetwork &cnet) const
+{
+    if (cnet.net == nullptr || cnet.layers.size() != 1 ||
+        cnet.net->layers().empty())
+        reject("needs a compiled single-layer network");
+    const auto &blayer = cnet.net->layers()[0];
+    if (static_cast<int>(blayer.inDim()) > cfg_.n ||
+        static_cast<int>(blayer.outDim()) > cfg_.n)
+        reject("layer " + std::to_string(blayer.inDim()) + "x" +
+               std::to_string(blayer.outDim()) +
+               " does not fit an n=" + std::to_string(cfg_.n) +
+               " mesh");
+}
+
 Tick
 GateChip::rearmInputNpe(int i, Tick t)
 {
@@ -58,13 +86,28 @@ std::vector<std::vector<int>>
 GateChip::run(const compiler::CompiledNetwork &cnet,
               const std::vector<std::vector<std::uint8_t>> &frames)
 {
-    sushi_assert(cnet.net != nullptr);
-    sushi_assert(cnet.layers.size() == 1);
+    checkLayer(cnet);
     const auto &layer = cnet.layers[0];
     const auto &blayer = cnet.net->layers()[0];
     const int in_dim = static_cast<int>(blayer.inDim());
     const int out_dim = static_cast<int>(blayer.outDim());
-    sushi_assert(in_dim <= cfg_.n && out_dim <= cfg_.n);
+    // Every check precedes the first scheduled pulse, so a rejected
+    // call leaves the chip as it was.
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        if (static_cast<int>(frames[f].size()) != in_dim)
+            reject("frame " + std::to_string(f) + " has " +
+                   std::to_string(frames[f].size()) +
+                   " inputs, the layer takes " +
+                   std::to_string(in_dim));
+    }
+    for (int j = 0; j < out_dim; ++j) {
+        // Bias pulses (thresholds <= 0) would be fed excitatory
+        // through the diagonal synapse before the passes; the
+        // gate-level protocol does not model that.
+        if (layer.bias_pulses[static_cast<std::size_t>(j)] > 0)
+            reject("gate-level bias pulses are not supported; use "
+                   "thresholds >= 1");
+    }
 
     sfq::Simulator &sim = net_.sim();
     std::vector<std::vector<int>> result;
@@ -72,16 +115,7 @@ GateChip::run(const compiler::CompiledNetwork &cnet,
 
     Tick t = sim.now() + gap_;
     for (const auto &frame : frames) {
-        sushi_assert(static_cast<int>(frame.size()) == in_dim);
         bounds_.push_back(t);
-        const std::size_t spikes_before_step =
-            [&] {
-                std::size_t total = 0;
-                for (int j = 0; j < out_dim; ++j)
-                    total += mesh_->outputDriver(j).pulseCount();
-                return total;
-            }();
-        (void)spikes_before_step;
 
         // Step start: reset and pre-load the output NPEs.
         for (int j = 0; j < out_dim; ++j) {
@@ -100,22 +134,6 @@ GateChip::run(const compiler::CompiledNetwork &cnet,
         t += gap_ * (cfg_.sc_per_npe + 2);
         runSim();
         t = std::max(t, sim.now() + gap_);
-
-        // Bias pulses (thresholds <= 0) are delivered excitatory
-        // before the passes.
-        bool any_bias = false;
-        for (int j = 0; j < out_dim; ++j)
-            any_bias |= layer.bias_pulses[
-                            static_cast<std::size_t>(j)] > 0;
-        if (any_bias) {
-            for (int j = 0; j < out_dim; ++j)
-                mesh_->outputNpe(j).injectSet1(t);
-            t += gap_;
-            // Feed biases through the diagonal synapse with all
-            // others switched off.
-            sushi_panic("gate-level bias pulses not supported; "
-                        "use thresholds >= 1 in gate tests");
-        }
 
         // Two polarity passes per bucket (tiny nets: one bucket).
         for (int pass = 0; pass < 2; ++pass) {
@@ -185,13 +203,39 @@ std::vector<std::vector<int>>
 GateChip::runProgram(const compiler::CompiledNetwork &cnet,
                      const compiler::PulseProgram &prog)
 {
-    sushi_assert(cnet.net != nullptr);
-    sushi_assert(cnet.layers.size() == 1);
+    checkLayer(cnet);
     const int out_dim =
         static_cast<int>(cnet.net->layers()[0].outDim());
-    sushi_assert(out_dim <= cfg_.n);
 
     using compiler::Channel;
+    // Validate the whole program before injecting any of it, so a
+    // rejected program leaves the chip as it was.
+    const Tick now = net_.sim().now();
+    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
+        const auto &op = prog.ops[i];
+        const bool syn = op.channel == Channel::SynRst ||
+                         op.channel == Channel::SynStrength;
+        const bool write = op.channel == Channel::InWrite ||
+                           op.channel == Channel::OutWrite;
+        const int b_end = syn ? cfg_.n : cfg_.sc_per_npe;
+        std::string bad;
+        if (op.at < now)
+            bad = "is scheduled before now";
+        else if (op.a < 0 || op.a >= cfg_.n)
+            bad = "operand a=" + std::to_string(op.a) +
+                  " is out of range";
+        else if ((syn || write) && (op.b < 0 || op.b >= b_end))
+            bad = "operand b=" + std::to_string(op.b) +
+                  " is out of range";
+        else if (op.channel == Channel::SynStrength && op.c != 1)
+            // w_max is 1 at gate scale: the strength operand arms
+            // the series switch only.
+            bad = "strength " + std::to_string(op.c) +
+                  " needs w_max 1";
+        if (!bad.empty())
+            reject("program op " + std::to_string(i) + " (" +
+                   compiler::channelName(op.channel) + ") " + bad);
+    }
     for (const auto &op : prog.ops) {
         switch (op.channel) {
           case Channel::Input:
@@ -225,9 +269,6 @@ GateChip::runProgram(const compiler::CompiledNetwork &cnet,
             mesh_->synapse(op.a, op.b).injectSwitchClear(op.at);
             break;
           case Channel::SynStrength:
-            // w_max is 1 at gate scale: the strength operand arms
-            // the series switch only.
-            sushi_assert(op.c == 1);
             mesh_->synapse(op.a, op.b).injectSwitchArm(op.at);
             break;
         }

@@ -43,6 +43,10 @@ class GateChip
     /**
      * Execute binary input frames (one per time step).
      * @return per-step output pulse counts [step][neuron]
+     * @throws std::invalid_argument, before scheduling anything, if
+     *         @p cnet is not one layer that fits the mesh, a frame's
+     *         width differs from the layer's, or a neuron needs bias
+     *         pulses (threshold <= 0).
      */
     std::vector<std::vector<int>>
     run(const compiler::CompiledNetwork &cnet,
@@ -55,6 +59,10 @@ class GateChip
      * compiled for this chip configuration (w_max is 1 at gate
      * scale).
      * @return per-step output pulse counts [step][neuron]
+     * @throws std::invalid_argument, before injecting anything, if
+     *         @p cnet is not one layer that fits the mesh, or an op
+     *         is dated before now(), addresses an NPE, SC or synapse
+     *         outside the mesh, or sets a strength other than 1.
      */
     std::vector<std::vector<int>>
     runProgram(const compiler::CompiledNetwork &cnet,
@@ -87,6 +95,10 @@ class GateChip
     int simThreads() const { return sim_threads_; }
 
   private:
+    /** Throw std::invalid_argument unless @p cnet is one layer that
+     *  fits the mesh. */
+    void checkLayer(const compiler::CompiledNetwork &cnet) const;
+
     /** Re-arm input NPE @p i as a fire-per-pulse relay. */
     Tick rearmInputNpe(int i, Tick t);
 

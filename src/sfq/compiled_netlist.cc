@@ -29,6 +29,9 @@ CompiledNetlist::CompiledNetlist(Simulator &sim) : sim_(sim)
         // Table-1 rules skip the per-arrival rule scan entirely.
         kind_has_rules_[k] =
             !constraintRules(static_cast<CellKind>(k)).empty();
+        for (int c = 0; c < kMaxChannels; ++c)
+            kind_rules_[k * kMaxChannels + c] =
+                incomingRules(static_cast<CellKind>(k), c);
     }
     kind_delay_[kKindSource] = 0;
     kind_energy_[kKindSource] = 0.0;
@@ -95,7 +98,6 @@ CompiledNetlist::addCell(std::string name, std::uint8_t kind,
         st.trace_slot.push_back(-1);
     }
     st.names.push_back(std::move(name));
-    st.by_name.emplace(st.names.back(), id); // duplicates: first wins
     return id;
 }
 
@@ -125,8 +127,11 @@ CompiledNetlist::connect(std::int32_t src, int out_port,
 std::int32_t
 CompiledNetlist::cellId(const std::string &name) const
 {
-    auto it = struct_->by_name.find(name);
-    return it == struct_->by_name.end() ? -1 : it->second;
+    const auto &names = struct_->names;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        if (names[i] == name)
+            return static_cast<std::int32_t>(i); // first wins
+    return -1;
 }
 
 std::shared_ptr<const NetStructure>
@@ -212,10 +217,10 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
     const NetStructure &st = *struct_;
     const Tick now = cx.now;
     sushi_assert(port >= 0 && port < static_cast<int>(st.n_in[i]));
-    FaultModel &fm = sim_.faults();
     // A dead cell (shorted/open junction) eats the pulse before any
     // junction switches: no energy, no constraint bookkeeping.
-    if (fm.anyCellFaults()) {
+    if (cx.cell_faults) {
+        FaultModel &fm = sim_.faults();
         const bool dead =
             masksCurrent()
                 ? fm.suppressArrivalKeyed(fault_mask_[i], now,
@@ -228,10 +233,11 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
     if (st.has_rules[i] != 0) {
         // Table-1 constraint check: first violated rule wins, in the
         // constraintRules() order, exactly as ConstraintChecker does.
-        const auto ck = static_cast<CellKind>(kind);
+        sushi_assert(port < kMaxChannels);
         const IncomingRule *hit = nullptr;
         Tick hit_prev = kTickNever;
-        for (const IncomingRule &r : incomingRules(ck, port)) {
+        for (const IncomingRule &r :
+             kind_rules_[kind * kMaxChannels + port]) {
             const Tick prev =
                 last[static_cast<std::size_t>(r.chan_a)];
             if (prev == kTickNever)
@@ -249,7 +255,8 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
         if (hit != nullptr &&
             sim_.reportViolationEvt(
                 st.names[i],
-                violationMessage(ck, hit->label, hit->min_interval,
+                violationMessage(static_cast<CellKind>(kind),
+                                 hit->label, hit->min_interval,
                                  hit_prev, now),
                 hit->label, hit_prev, now, now, id, port)) {
             // Recover policy: the marginal arrival is attributed to
@@ -290,8 +297,8 @@ CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
                  static_cast<std::size_t>(out_port)];
     if (c.dst < 0)
         return; // dangling output is legal (unused readout)
-    FaultModel &fm = sim_.faults();
-    if (fm.anyDeliveryFaults()) {
+    if (cx.delivery_faults) {
+        FaultModel &fm = sim_.faults();
         const Tick now = cx.now;
         const FaultModel::Delivery fate =
             masksCurrent()
@@ -379,8 +386,8 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
         // holds its forced value and writes in the opposing
         // direction are lost.
         bool s_set = false, s_rst = false;
-        FaultModel &fm = sim_.faults();
-        if (fm.anyCellFaults()) {
+        if (cx.cell_faults) {
+            FaultModel &fm = sim_.faults();
             const Tick now = cx.now;
             if (masksCurrent()) {
                 s_set = fm.stuckSetMasked(fault_mask_[i], now);

@@ -10,7 +10,7 @@
  *    the SoA kind/input-count bytes, the CSR fan-out table (RSFQ
  *    fan-out is one, paper Sec. 2.1.2, so each output port owns
  *    exactly one {dst, port, wire_delay} slot), the per-cell
- *    constraint-presence flags, and the interned name table. One
+ *    constraint-presence flags, and the name table. One
  *    NetStructure can be shared (shared_ptr) by many simulators:
  *    replica fleets — fault-campaign workers, engine replicas —
  *    clone only the mutable state below instead of re-lowering the
@@ -43,12 +43,12 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/time.hh"
 #include "sfq/cell_params.hh"
+#include "sfq/constraints.hh"
 
 namespace sushi::sfq {
 
@@ -79,7 +79,6 @@ struct NetStructure
     std::vector<std::int32_t> in_off;   ///< offsets into last-arrival
     std::vector<std::int32_t> trace_slot;
     std::deque<std::string> names;      ///< stable refs for name()
-    std::unordered_map<std::string, std::int32_t> by_name;
     std::size_t live_conns = 0;
     std::size_t num_traces = 0;
     std::size_t num_inputs = 0;         ///< total input channels
@@ -108,6 +107,12 @@ struct ExecCtx
     std::uint64_t *pulses = nullptr;    ///< delivered-pulse tally
     std::uint64_t *switch_count = nullptr; ///< per-kind switch tally
     FaultCounters *faults = nullptr;    ///< injected-fault tally
+
+    /// Fault presence (FaultModel::anyCellFaults/anyDeliveryFaults),
+    /// copied in by the runner at run start and again after anything
+    /// that may reconfigure faults (a host callback).
+    bool cell_faults = false;
+    bool delivery_faults = false;
 
     /// Partition routing: null lane_of means everything is local.
     const std::int32_t *lane_of = nullptr; ///< cell id -> partition
@@ -180,7 +185,7 @@ class CompiledNetlist
     }
 
     /// @}
-    /// @name Interned name table
+    /// @name Name table
     /// @{
 
     std::size_t numCells() const { return struct_->kind.size(); }
@@ -196,7 +201,9 @@ class CompiledNetlist
     }
 
     /** Dense id for an instance name; -1 if unknown. Duplicate names
-     *  (legal, discouraged) resolve to the first registration. */
+     *  (legal, discouraged) resolve to the first registration. A
+     *  linear scan: lookups are set-up work, so lowering keeps no
+     *  name index. */
     std::int32_t cellId(const std::string &name) const;
 
     /** Execution kind byte (CellKind value, or kKindSource/Sink). */
@@ -366,10 +373,14 @@ class CompiledNetlist
     std::vector<std::size_t> snap_trace_size_;
     bool snapped_ = false;
 
-    // Per-kind parameter cache (delay, switch energy).
+    // Per-kind parameter cache (delay, switch energy, Table-1 rules
+    // per destination channel).
     Tick kind_delay_[kNumExecKinds];
     double kind_energy_[kNumExecKinds];
     bool kind_has_rules_[kNumExecKinds];
+    IncomingRuleSpan kind_rules_[static_cast<std::size_t>(
+                                     CellKind::kNumKinds) *
+                                 kMaxChannels];
 
     // Fault lowering: bit s of fault_mask_[i] says fault spec s
     // targets cell i. Rebuilt by freeze() when the configuration

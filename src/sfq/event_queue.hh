@@ -2,24 +2,38 @@
  * @file
  * Calendar event queue for the RSFQ simulator.
  *
- * Events are POD records ({tick, seq, cell_id, port} — 24 bytes, no
- * per-event allocation) kept in a calendar of day-wide buckets:
+ * Events are POD records ({tick, seq, cell_id, port}, no per-event
+ * allocation) ordered by (when, key, seq), where key packs
+ * (cell + 1) << 32 | port into one word and is 0 for callbacks. That
+ * is the intrinsic (when, cell, port, seq) order: the pop order of
+ * equal-tick events depends only on what the events are, never on
+ * the order they were pushed. It is what lets the partitioned
+ * parallel simulator reproduce the sequential order exactly — each
+ * partition pops its own events in the same relative order the single
+ * queue would have, regardless of when boundary pulses were merged in
+ * (callbacks sort first at a tick, in schedule order). Storage is a
+ * calendar of day-wide buckets:
  *
- *  - the *draining day* is a small binary min-heap (`cur_`) ordered
- *    by (when, cell, port, seq) — an *intrinsic* tie-break: the pop
- *    order of equal-tick events depends only on what the events are,
- *    never on the order they were pushed. That is what lets the
- *    partitioned parallel simulator reproduce the sequential order
- *    exactly — each partition pops its own events in the same
- *    relative order the single queue would have, regardless of when
- *    boundary pulses were merged in (callbacks sort first at a tick,
- *    in schedule order);
+ *  - the *draining day* (`cur_`) is a run sorted earliest-first and
+ *    popped by advancing a head index. A push that runs no earlier
+ *    than the run's last event (the usual case: a cell's output runs
+ *    after what is already pending) just extends it; other pushes
+ *    wait in an unsorted tail that is ordered on the next read —
+ *    by insertion when it is short, by one sort when it is long, so
+ *    a burst of pushes costs one sort. A long run that keeps
+ *    receiving a few out-of-order pushes becomes a binary min-heap
+ *    for the rest of the day (a sorted run already is one), so no
+ *    day costs more than O(log n) per event;
  *  - days within the ring horizon land in unsorted per-day buckets
- *    and are only heapified when their day starts draining;
- *  - events past the horizon go to an overflow min-heap and migrate
- *    into the calendar as the draining day advances (including a
- *    direct jump when the ring runs dry, so sparse far-future
- *    schedules cost no empty-day scans).
+ *    and are only ordered when their day starts draining;
+ *  - events past the horizon wait in a far-future *lane*: a FIFO
+ *    while they arrive in non-decreasing tick order (a pre-sorted
+ *    stimulus program), and a min-heap for the ones that do not.
+ *    Both migrate into the calendar as the draining day advances
+ *    (including a direct jump when the ring runs dry, so sparse
+ *    far-future schedules cost no empty-day scans); each day is
+ *    ordered by the full key once gathered, so which lane an event
+ *    waited in never changes when it runs.
  *
  * All storage is pooled vectors: clear() keeps capacity, so campaign
  * loops re-use the same allocations run after run.
@@ -58,15 +72,21 @@ class EventQueue
     };
 
     /** Width of one calendar day: 2^15 ticks = 32.768 ps, a couple of
-     *  cell-cascade depths, so a day's heap stays small. */
+     *  cell-cascade depths, so a day holds few events. */
     static constexpr int kDayBits = 15;
     static constexpr Tick kDayTicks = Tick{1} << kDayBits;
 
     /** Ring size in days (power of two for cheap masking). */
     static constexpr Tick kNumDays = 256;
 
-    /** Pushes this far past the draining day overflow to the heap. */
+    /** Pushes this far past the draining day go to the far lane. */
     static constexpr Tick kHorizonTicks = kDayTicks * kNumDays;
+
+    /** The draining day stays a sorted run up to this length
+     *  whatever arrives; a longer run becomes a heap once
+     *  out-of-order pushes are under an eighth of it. Gate-level
+     *  meshes drain a handful of events per day. */
+    static constexpr std::size_t kSortedMax = 16;
 
     EventQueue() : days_(static_cast<std::size_t>(kNumDays)) {}
 
@@ -79,13 +99,15 @@ class EventQueue
         const Tick d = when >> kDayBits;
         if (d <= cur_day_) {
             // The draining day (or, without a simulator enforcing
-            // monotonic time, an earlier one): joins the live heap.
-            cur_.push_back(ev);
-            std::push_heap(cur_.begin(), cur_.end(), Later{});
+            // monotonic time, an earlier one).
+            pushCur(ev);
         } else if (d - cur_day_ < kNumDays) {
             days_[static_cast<std::size_t>(d & (kNumDays - 1))]
                 .push_back(ev);
             ++ring_count_;
+        } else if (far_.size() == far_head_ ||
+                   when >= far_.back().when) {
+            far_.push_back(ev);
         } else {
             overflow_.push_back(ev);
             std::push_heap(overflow_.begin(), overflow_.end(),
@@ -106,9 +128,8 @@ class EventQueue
     {
         if (size_ == 0)
             return kTickNever;
-        if (cur_.empty())
-            refill();
-        return cur_.front().when;
+        settle();
+        return cur_[head_].when;
     }
 
     /**
@@ -121,26 +142,12 @@ class EventQueue
     {
         if (size_ == 0)
             return false;
-        if (cur_.empty())
-            refill();
-        if (cur_.front().when > until)
+        settle();
+        if (cur_[head_].when > until)
             return false;
-        out = cur_.front();
-        std::pop_heap(cur_.begin(), cur_.end(), Later{});
-        cur_.pop_back();
-        --size_;
+        out = popTop();
         ++executed_;
         return true;
-    }
-
-    /** Pop the earliest event unconditionally (must not be empty). */
-    Event
-    pop()
-    {
-        Event ev{};
-        const bool ok = popNext(kTickNever, ev);
-        sushi_assert(ok);
-        return ev;
     }
 
     /**
@@ -156,12 +163,8 @@ class EventQueue
     {
         if (size_ == 0)
             return false;
-        if (cur_.empty())
-            refill();
-        out = cur_.front();
-        std::pop_heap(cur_.begin(), cur_.end(), Later{});
-        cur_.pop_back();
-        --size_;
+        settle();
+        out = popTop();
         return true;
     }
 
@@ -173,10 +176,19 @@ class EventQueue
     void clear();
 
   private:
-    /** Min-heap order on (when, cell, port, seq). Callback events
-     *  (cell == kCallbackCell == -1) sort before every pulse at the
-     *  same tick and among themselves by seq alone: callback slots
-     *  are pool-recycled, so their port is not a stable identity. */
+    /** The tie-break word of (when, key, seq): (cell + 1) << 32 |
+     *  port for pulses, 0 for callbacks (pool slots are recycled, so
+     *  their port is not a stable identity; they order by seq). */
+    static std::uint64_t
+    keyOf(const Event &e)
+    {
+        const auto c = static_cast<std::uint32_t>(e.cell + 1);
+        const auto p = c != 0 ? static_cast<std::uint32_t>(e.port)
+                              : std::uint32_t{0};
+        return std::uint64_t{c} << 32 | p;
+    }
+
+    /** Strict "a runs after b" in (when, key, seq) order. */
     struct Later
     {
         bool
@@ -184,21 +196,81 @@ class EventQueue
         {
             if (a.when != b.when)
                 return a.when > b.when;
-            if (a.cell != b.cell)
-                return a.cell > b.cell;
-            if (a.cell != kCallbackCell && a.port != b.port)
-                return a.port > b.port;
+            const std::uint64_t ka = keyOf(a), kb = keyOf(b);
+            if (ka != kb)
+                return ka > kb;
             return a.seq > b.seq;
         }
     };
 
-    /** Advance the calendar until the draining-day heap is non-empty.
+    /** Ascending order, for sorting the run. */
+    static bool
+    earlier(const Event &a, const Event &b)
+    {
+        return Later{}(b, a);
+    }
+
+    /** Make cur_[head_] the earliest pending event (size_ > 0). */
+    void
+    settle()
+    {
+        if (cur_.empty())
+            refill();
+        else if (sorted_ != cur_.size())
+            order();
+    }
+
+    /** Remove and return the earliest event (after settle()). */
+    Event
+    popTop()
+    {
+        const Event ev = cur_[head_];
+        if (cur_heap_) {
+            std::pop_heap(cur_.begin(), cur_.end(), Later{});
+            cur_.pop_back();
+            sorted_ = cur_.size();
+            cur_heap_ = sorted_ != 0;
+        } else if (++head_ == cur_.size()) {
+            cur_.clear();
+            head_ = 0;
+            sorted_ = 0;
+        }
+        --size_;
+        return ev;
+    }
+
+    /** Add @p ev to the draining day. */
+    void
+    pushCur(const Event &ev)
+    {
+        if (cur_heap_) {
+            cur_.push_back(ev);
+            std::push_heap(cur_.begin(), cur_.end(), Later{});
+            sorted_ = cur_.size();
+            return;
+        }
+        // Extend the run when @p ev runs no earlier than its end.
+        if (sorted_ == cur_.size() &&
+            (sorted_ == head_ || !Later{}(cur_.back(), ev)))
+            ++sorted_;
+        cur_.push_back(ev);
+    }
+
+    /** Merge the unsorted tail into the run (or switch to a heap). */
+    void order();
+
+    /** Advance the calendar until the draining day is non-empty.
      *  Precondition: cur_ empty, size_ > 0. */
     void refill();
 
     std::vector<std::vector<Event>> days_; ///< ring of day buckets
-    std::vector<Event> cur_;               ///< draining-day min-heap
-    std::vector<Event> overflow_;          ///< beyond-horizon min-heap
+    std::vector<Event> cur_;      ///< draining day
+    std::size_t head_ = 0;        ///< first live entry of the run
+    std::size_t sorted_ = 0;      ///< end of the run; tail follows
+    bool cur_heap_ = false;       ///< cur_ is a min-heap for the day
+    std::vector<Event> far_;      ///< beyond horizon, tick-sorted FIFO
+    std::size_t far_head_ = 0;    ///< first live entry of far_
+    std::vector<Event> overflow_; ///< beyond horizon, out of order
     Tick cur_day_ = 0;
     std::size_t ring_count_ = 0;
     std::size_t size_ = 0;

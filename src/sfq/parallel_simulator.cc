@@ -163,6 +163,7 @@ ParallelSimulator::runParallel(Tick until)
     std::atomic<bool> stop{false};
     const Tick first_cap = windowCap(first, lookahead, until);
     CompiledNetlist &core = sim_.core_;
+    const FaultModel &fm = sim_.faults();
 
     auto laneMain = [&](int me) {
         Lane &ln = lanes[static_cast<std::size_t>(me)];
@@ -171,6 +172,8 @@ ParallelSimulator::runParallel(Tick until)
         cx.pulses = &ln.pulses;
         cx.switch_count = ln.switch_count;
         cx.faults = &ln.faults;
+        cx.cell_faults = fm.anyCellFaults();
+        cx.delivery_faults = fm.anyDeliveryFaults();
         cx.lane_of = lane_of;
         cx.lane = me;
         cx.outbox = ln.outbox.data();

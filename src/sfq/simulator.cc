@@ -1,6 +1,8 @@
 #include "sfq/simulator.hh"
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/logging.hh"
@@ -8,13 +10,18 @@
 namespace sushi::sfq {
 
 void
+Simulator::throwPast(Tick when) const
+{
+    throw std::invalid_argument(
+        "scheduling into the past: t=" + std::to_string(when) +
+        " now=" + std::to_string(now_));
+}
+
+void
 Simulator::schedule(Tick when, Callback cb)
 {
-    if (when < now_) {
-        sushi_panic("scheduling into the past: t=%lld now=%lld",
-                    static_cast<long long>(when),
-                    static_cast<long long>(now_));
-    }
+    if (when < now_)
+        throwPast(when);
     std::int32_t slot;
     if (!cb_free_.empty()) {
         slot = cb_free_.back();
@@ -42,6 +49,8 @@ Simulator::run(Tick until)
     cx.pulses = &pulses_;
     cx.switch_count = switch_count_;
     cx.faults = &faults_.countersMut();
+    cx.cell_faults = faults_.anyCellFaults();
+    cx.delivery_faults = faults_.anyDeliveryFaults();
     EventQueue::Event ev;
     while (queue_.popNext(until, ev)) {
         // Advance time *before* executing so that deliveries observe
@@ -58,6 +67,9 @@ Simulator::run(Tick until)
             cb_pool_[slot] = nullptr;
             cb_free_.push_back(ev.port);
             cb();
+            // The callback may have reconfigured the fault model.
+            cx.cell_faults = faults_.anyCellFaults();
+            cx.delivery_faults = faults_.anyDeliveryFaults();
         }
     }
     return now_;

@@ -121,21 +121,21 @@ class Simulator
 
     /**
      * Schedule a pulse into input @p port of compiled cell @p cell at
-     * absolute tick @p when (>= now). The hot path: one POD queue
-     * push, no allocation.
+     * absolute tick @p when. The hot path: one POD queue push, no
+     * allocation.
+     * @throws std::invalid_argument if @p when is before now(); the
+     *         simulator is left unchanged.
      */
     void
     schedulePulse(Tick when, std::int32_t cell, std::int32_t port)
     {
-        if (when < now_) {
-            sushi_panic("scheduling into the past: t=%lld now=%lld",
-                        static_cast<long long>(when),
-                        static_cast<long long>(now_));
-        }
+        if (when < now_)
+            throwPast(when);
         queue_.push(when, cell, port);
     }
 
-    /** Schedule @p cb at absolute tick @p when (>= now). */
+    /** Schedule @p cb at absolute tick @p when.
+     *  @throws std::invalid_argument if @p when is before now(). */
     void schedule(Tick when, Callback cb);
 
     /** Schedule @p cb at now() + @p delta. */
@@ -269,6 +269,9 @@ class Simulator
     }
 
   private:
+    /** Reject a schedule request dated before now(). */
+    [[noreturn]] void throwPast(Tick when) const;
+
     EventQueue queue_;
     CompiledNetlist core_;
     Tick now_ = 0;
