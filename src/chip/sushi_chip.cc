@@ -14,59 +14,112 @@
 #include "fabric/timing_model.hh"
 #include "sfq/cell_params.hh"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace sushi::chip {
 
 namespace detail {
+
+namespace {
+
+/** Bit j set iff x[j] != 0, for the n <= 64 values at @p x. */
+std::uint64_t
+nonZeroBits(const std::uint16_t *x, std::size_t n)
+{
+    std::uint64_t bits = 0;
+    std::size_t j = 0;
+#if defined(__x86_64__)
+    // SSE2, 16 values per step: two compares against zero, narrowed
+    // to one byte per value, then one movemask.
+    const __m128i zero = _mm_setzero_si128();
+    for (; j + 16 <= n; j += 16) {
+        const __m128i lo = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(x + j));
+        const __m128i hi = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(x + j + 8));
+        const __m128i is_zero = _mm_packs_epi16(
+            _mm_cmpeq_epi16(lo, zero), _mm_cmpeq_epi16(hi, zero));
+        const auto zeros =
+            static_cast<unsigned>(_mm_movemask_epi8(is_zero));
+        bits |= std::uint64_t{~zeros & 0xffffu} << j;
+    }
+#endif
+    for (; j < n; ++j)
+        bits |= std::uint64_t{x[j] != 0} << j;
+    return bits;
+}
+
+} // namespace
 
 void
 packLayerBatch(const compiler::CompiledLayer &layer,
                const PulseBatch &in, LayerBatchPack &pack)
 {
     const std::size_t batch = in.batch;
+    const std::size_t width = in.width;
     const auto &buckets = layer.schedule.buckets;
+    const auto &order = layer.schedule.order;
     pack.batch = batch;
-    pack.words = (in.width + 63) / 64;
+    pack.words = (width + 63) / 64;
     pack.bits.assign(pack.words * batch, 0);
     pack.bucket_pulses.assign(buckets.size() * batch, 0);
     pack.pulses.assign(batch, 0);
     pack.active.assign(batch, 0);
     pack.extras.clear();
     pack.extra_begin.assign(batch + 1, 0);
-    const int *order = layer.schedule.order.data();
+
+    // Invert the schedule: each input's position and bucket. An input
+    // no bucket covers is never placed.
+    pack.place.assign(width, InputPlace{kUnplaced, 0});
+    for (std::size_t bk = 0; bk < buckets.size(); ++bk)
+        for (int k = buckets[bk].begin; k < buckets[bk].end; ++k) {
+            const auto i = static_cast<std::size_t>(
+                order[static_cast<std::size_t>(k)]);
+            if (i < width)
+                pack.place[i] = {static_cast<std::uint32_t>(k),
+                                 static_cast<std::uint32_t>(bk)};
+        }
+
+    // Inputs are sparse (~12 % of a Poisson frame), so scan each row
+    // 64 values at a time and place only the non-zero ones.
     for (std::size_t b = 0; b < batch; ++b) {
         const std::uint16_t *act = in.row(b).data();
-        pack.extra_begin[b] = pack.extras.size();
-        // Buckets partition the scheduled positions, so one walk over
-        // them visits every input once. Branch-free per input: the
-        // word being filled stays in a register until it is flushed.
+        const std::size_t first_extra = pack.extras.size();
+        pack.extra_begin[b] = first_extra;
         std::uint64_t active = 0;
-        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
-            const auto end = static_cast<std::size_t>(buckets[bk].end);
-            std::uint64_t sum = 0;
-            for (auto k = static_cast<std::size_t>(buckets[bk].begin);
-                 k < end;) {
-                const std::size_t w = k / 64;
-                const std::size_t stop = std::min(end, w * 64 + 64);
-                std::uint64_t word = 0;
-                for (; k < stop; ++k) {
-                    const std::uint16_t a =
-                        act[static_cast<std::size_t>(order[k])];
-                    const std::uint64_t on = a != 0 ? 1 : 0;
-                    word |= on << (k % 64);
-                    active += on;
-                    sum += a;
-                    if (a > 1)
-                        pack.extras.push_back(
-                            {static_cast<std::uint32_t>(bk),
-                             static_cast<std::uint32_t>(k),
-                             std::uint64_t{a} - 1});
-                }
-                pack.bits[w * batch + b] |= word;
+        std::uint64_t pulses = 0;
+        for (std::size_t i0 = 0; i0 < width; i0 += 64) {
+            const std::size_t n = std::min<std::size_t>(64, width - i0);
+            for (std::uint64_t nz = nonZeroBits(act + i0, n); nz != 0;
+                 nz &= nz - 1) {
+                const std::size_t i =
+                    i0 + static_cast<std::size_t>(__builtin_ctzll(nz));
+                const InputPlace p = pack.place[i];
+                if (p.pos == kUnplaced)
+                    continue;
+                const std::uint16_t a = act[i];
+                pack.bits[p.pos / 64 * batch + b] |= std::uint64_t{1}
+                                                     << (p.pos % 64);
+                pack.bucket_pulses[p.bucket * batch + b] += a;
+                ++active;
+                pulses += a;
+                if (a > 1)
+                    pack.extras.push_back(
+                        {p.bucket, p.pos, std::uint64_t{a} - 1});
             }
-            pack.bucket_pulses[bk * batch + b] = sum;
-            pack.pulses[b] += sum;
         }
+        pack.pulses[b] = pulses;
         pack.active[b] = active;
+        // The kernel walks a vector's extras in bucket order.
+        std::sort(pack.extras.begin() +
+                      static_cast<std::ptrdiff_t>(first_extra),
+                  pack.extras.end(),
+                  [](const ExtraPulses &x, const ExtraPulses &y) {
+                      return x.bucket != y.bucket ? x.bucket < y.bucket
+                                                  : x.pos < y.pos;
+                  });
     }
     pack.extra_begin[batch] = pack.extras.size();
 }
@@ -124,8 +177,92 @@ negCounts(const std::uint64_t *bits, std::size_t batch,
 }
 
 /**
- * The one layer-kernel body every wrapper compiles. Per neuron and
- * tile of vectors it runs the closed-form NPE counter — the exact
+ * negCounts for the first @p lanes (at most kLanes) vectors at
+ * @p bits: a full group shares registers, a partial one (the tail of
+ * a tile) runs vector by vector.
+ */
+template <class Pop>
+[[gnu::always_inline]] inline void
+negLanes(const std::uint64_t *bits, std::size_t batch,
+         const std::uint64_t *nm, std::size_t begin, std::size_t end,
+         std::uint64_t *neg, std::size_t lanes)
+{
+    if (lanes == kLanes) {
+        negCounts<Pop, kLanes>(bits, batch, nm, begin, end, neg);
+        return;
+    }
+    for (std::size_t j = 0; j < lanes; ++j)
+        negCounts<Pop, 1>(bits + j, batch, nm, begin, end, neg + j);
+}
+
+#if defined(__x86_64__)
+/** count += popcount(row[0..8) & m), eight lanes in one vpopcntq.
+ *  A partial group (Full false) loads only the lanes set in @p on;
+ *  the others count 0 and are never read. */
+template <bool Full>
+__attribute__((target("avx512f,avx512vpopcntdq"))) inline __m512i
+addWord8(__m512i count, __mmask8 on, const std::uint64_t *row,
+         std::uint64_t m)
+{
+    const __m512i words = Full ? _mm512_loadu_si512(row)
+                               : _mm512_maskz_loadu_epi64(on, row);
+    return _mm512_add_epi64(
+        count, _mm512_popcnt_epi64(_mm512_and_si512(
+                   words, _mm512_set1_epi64(static_cast<long long>(m)))));
+}
+
+/** negCounts over the @p on lanes of eight vectors. */
+template <bool Full>
+__attribute__((target("avx512f,avx512vpopcntdq"))) inline void
+negCounts8(const std::uint64_t *bits, std::size_t batch,
+           const std::uint64_t *nm, std::size_t begin, std::size_t end,
+           std::uint64_t *neg, __mmask8 on)
+{
+    __m512i count = _mm512_setzero_si512();
+    if (begin < end) {
+        const std::size_t w0 = begin / 64;
+        const std::size_t wl = (end - 1) / 64;
+        const std::uint64_t head = ~std::uint64_t{0} << (begin % 64);
+        const std::uint64_t tail =
+            ~std::uint64_t{0} >> (63 - (end - 1) % 64);
+        if (w0 == wl) {
+            count = addWord8<Full>(count, on, bits + w0 * batch,
+                                   nm[w0] & head & tail);
+        } else {
+            count = addWord8<Full>(count, on, bits + w0 * batch,
+                                   nm[w0] & head);
+            for (std::size_t w = w0 + 1; w < wl; ++w)
+                count =
+                    addWord8<Full>(count, on, bits + w * batch, nm[w]);
+            count = addWord8<Full>(count, on, bits + wl * batch,
+                                   nm[wl] & tail);
+        }
+    }
+    _mm512_storeu_si512(neg, count);
+}
+
+/** negLanes on AVX-512 VPOPCNTDQ: a partial group runs as one masked
+ *  group, so neg must have room for kLanes values. Plain inline (not
+ *  always_inline): a target-specific specialisation is inlined by the
+ *  wrapper's `flatten`. */
+template <>
+__attribute__((target("avx512f,avx512vpopcntdq"))) inline void
+negLanes<Avx512Popcount>(const std::uint64_t *bits, std::size_t batch,
+                         const std::uint64_t *nm, std::size_t begin,
+                         std::size_t end, std::uint64_t *neg,
+                         std::size_t lanes)
+{
+    if (lanes == kLanes)
+        negCounts8<true>(bits, batch, nm, begin, end, neg, 0xff);
+    else
+        negCounts8<false>(bits, batch, nm, begin, end, neg,
+                          static_cast<__mmask8>((1u << lanes) - 1));
+}
+#endif
+
+/**
+ * The one layer-kernel body every wrapper compiles. Per tile of
+ * vectors and neuron it runs the closed-form NPE counter — the exact
  * recurrence Npe::addPulses implements, carry per wrap past 2^K
  * counting up, borrow per wrap below zero counting down — in shifts
  * and masks. Any divergence from the Npe object is a bug the
@@ -143,53 +280,61 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
     const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
     const auto &buckets = layer.schedule.buckets;
 
-    std::uint64_t value[kTile];
-    std::uint64_t spikes[kTile];
-    std::uint64_t underflow[kTile];
-    std::uint64_t neg[kTile];
-    std::size_t cursor[kTile];
+    // Every enabled neuron sees all of a vector's pulses, and its
+    // remap status does not depend on the vector.
+    std::uint64_t enabled = 0;
+    std::uint64_t remapped = 0;
     for (std::size_t o = o0; o < o1; ++o) {
         if (layer.disabled[o])
             continue;
+        ++enabled;
         // Degraded mode: the neuron's home slot is o mod N; if that
         // NPE failed, a healthy host NPE serves it in an extra pass.
         // The counter arithmetic is slot-independent, so results
         // stay bit-identical — only time/reload accounting changes.
-        const std::uint64_t remapped =
-            args.failed_slots != nullptr &&
-                    args.failed_slots[o % args.slots]
-                ? 1
-                : 0;
-        const std::uint64_t *nm = layer.neg_masks[o].data();
-        // Bias pulses count up from the preload before any input.
-        const std::uint64_t start =
-            layer.preload[o] +
-            static_cast<std::uint64_t>(layer.bias_pulses[o]);
-        for (std::size_t t0 = 0; t0 < batch; t0 += kTile) {
-            const std::size_t nt = std::min(kTile, batch - t0);
-            const bool extras =
-                pack.extra_begin[t0] != pack.extra_begin[t0 + nt];
+        if (args.failed_slots != nullptr &&
+            args.failed_slots[o % args.slots])
+            ++remapped;
+    }
+
+    std::uint64_t value[kTile];
+    std::uint64_t spikes[kTile];
+    std::uint64_t neg[kTile];
+    std::size_t cursor[kTile];
+    // The tile's tallies, summed over neurons in registers/stack.
+    std::uint64_t underflow[kTile];
+    std::uint64_t multi_fires[kTile];
+    for (std::size_t t0 = 0; t0 < batch; t0 += kTile) {
+        const std::size_t nt = std::min(kTile, batch - t0);
+        const bool extras =
+            pack.extra_begin[t0] != pack.extra_begin[t0 + nt];
+        const std::uint64_t *bits = pack.bits.data() + t0;
+        std::fill(underflow, underflow + nt, 0);
+        std::fill(multi_fires, multi_fires + nt, 0);
+        for (std::size_t o = o0; o < o1; ++o) {
+            if (layer.disabled[o])
+                continue;
+            const std::uint64_t *nm = layer.neg_masks[o].data();
+            // Bias pulses count up from the preload before any input.
+            const std::uint64_t start =
+                layer.preload[o] +
+                static_cast<std::uint64_t>(layer.bias_pulses[o]);
             for (std::size_t b = 0; b < nt; ++b) {
                 value[b] = start & mask;
                 spikes[b] = start >> k;
-                underflow[b] = 0;
-                cursor[b] = pack.extra_begin[t0 + b];
             }
+            if (extras)
+                std::copy_n(pack.extra_begin.data() + t0, nt, cursor);
             for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
                 const auto begin =
                     static_cast<std::size_t>(buckets[bk].begin);
                 const auto end =
                     static_cast<std::size_t>(buckets[bk].end);
-                const std::uint64_t *bits = pack.bits.data() + t0;
-                std::size_t b = 0;
-                for (; b + kLanes <= nt; b += kLanes)
-                    negCounts<Pop, kLanes>(bits + b, batch, nm, begin,
-                                           end, neg + b);
-                for (; b < nt; ++b)
-                    negCounts<Pop, 1>(bits + b, batch, nm, begin, end,
-                                      neg + b);
+                for (std::size_t b = 0; b < nt; b += kLanes)
+                    negLanes<Pop>(bits + b, batch, nm, begin, end,
+                                  neg + b, std::min(kLanes, nt - b));
                 if (extras) {
-                    for (b = 0; b < nt; ++b) {
+                    for (std::size_t b = 0; b < nt; ++b) {
                         const std::size_t stop =
                             pack.extra_begin[t0 + b + 1];
                         for (std::size_t &c = cursor[b];
@@ -208,7 +353,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
                 // the bucket's total minus the inhibitory ones.
                 const std::uint64_t *total =
                     pack.bucket_pulses.data() + bk * batch + t0;
-                for (b = 0; b < nt; ++b) {
+                for (std::size_t b = 0; b < nt; ++b) {
                     const std::uint64_t n = neg[b];
                     const std::uint64_t borrows =
                         (n + mask - value[b]) >> k;
@@ -219,15 +364,20 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
                     value[b] = up & mask;
                 }
             }
-            for (std::size_t b = 0; b < nt; ++b) {
-                LayerStepStats &t = tally[t0 + b];
+            // Two loops: the tally vectorises, the strided output
+            // stores do not.
+            for (std::size_t b = 0; b < nt; ++b)
+                multi_fires[b] += spikes[b] > 1 ? 1 : 0;
+            for (std::size_t b = 0; b < nt; ++b)
                 args.out[(t0 + b) * args.out_dim + o] =
                     static_cast<std::uint16_t>(spikes[b]);
-                t.underflow_spikes += underflow[b];
-                t.multi_fires += spikes[b] > 1 ? 1 : 0;
-                t.synaptic_ops += pack.pulses[t0 + b];
-                t.remapped_neurons += remapped;
-            }
+        }
+        for (std::size_t b = 0; b < nt; ++b) {
+            LayerStepStats &t = tally[t0 + b];
+            t.underflow_spikes += underflow[b];
+            t.multi_fires += multi_fires[b];
+            t.synaptic_ops += pack.pulses[t0 + b] * enabled;
+            t.remapped_neurons += remapped;
         }
     }
 }
@@ -248,15 +398,29 @@ layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
 {
     layerKernelBody<HardwarePopcount>(args, o0, o1, tally);
 }
+
+__attribute__((target("popcnt,avx512f,avx512vpopcntdq"), flatten)) void
+layerKernelAvx512(const LayerKernelArgs &args, std::size_t o0,
+                  std::size_t o1, LayerStepStats *tally)
+{
+    layerKernelBody<Avx512Popcount>(args, o0, o1, tally);
+}
 #endif
 
 LayerKernelFn
 layerKernel()
 {
 #if defined(__x86_64__)
-    static const LayerKernelFn fn =
-        selectedKernelIsa() == KernelIsa::Popcnt ? layerKernelPopcnt
-                                                 : layerKernelPortable;
+    static const LayerKernelFn fn = [] {
+        switch (selectedKernelIsa()) {
+        case KernelIsa::Avx512Vpopcnt:
+            return layerKernelAvx512;
+        case KernelIsa::Popcnt:
+            return layerKernelPopcnt;
+        default:
+            return layerKernelPortable;
+        }
+    }();
     return fn;
 #else
     return layerKernelPortable;

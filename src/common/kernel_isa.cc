@@ -15,6 +15,15 @@ cpuSupports(KernelIsa isa)
 #else
         return false;
 #endif
+    case KernelIsa::Avx512Vpopcnt:
+#if defined(__x86_64__)
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("popcnt") &&
+               __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512vpopcntdq");
+#else
+        return false;
+#endif
     }
     return false;
 }
@@ -22,9 +31,10 @@ cpuSupports(KernelIsa isa)
 KernelIsa
 selectedKernelIsa()
 {
-    static const KernelIsa isa = cpuSupports(KernelIsa::Popcnt)
-                                     ? KernelIsa::Popcnt
-                                     : KernelIsa::Portable;
+    static const KernelIsa isa =
+        cpuSupports(KernelIsa::Avx512Vpopcnt) ? KernelIsa::Avx512Vpopcnt
+        : cpuSupports(KernelIsa::Popcnt)      ? KernelIsa::Popcnt
+                                              : KernelIsa::Portable;
     return isa;
 }
 
@@ -36,6 +46,8 @@ kernelIsaName(KernelIsa isa)
         return "portable";
     case KernelIsa::Popcnt:
         return "popcnt";
+    case KernelIsa::Avx512Vpopcnt:
+        return "avx512vpopcntdq";
     }
     return "unknown";
 }

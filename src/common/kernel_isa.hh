@@ -6,11 +6,12 @@
  * Each kernel has one always-inlined body, compiled as thin wrappers
  * that differ only in the instruction set the compiler may use:
  * `portable` (baseline x86-64 or any other target, popcount in plain
- * shifts and adds) and `popcnt` (x86-64 `target("popcnt")`, one
- * instruction per 64-bit word). The build passes no ISA flag, so the
- * wrapper is picked at run time: once per process, from
- * `__builtin_cpu_supports`. Every wrapper computes bit-identical
- * results; only speed differs.
+ * shifts and adds), `popcnt` (x86-64 `target("popcnt")`, one
+ * instruction per 64-bit word) and `avx512vpopcntdq` (x86-64
+ * AVX-512F + VPOPCNTDQ, eight 64-bit words per `vpopcntq`). The build
+ * passes no ISA flag, so the wrapper is picked at run time: once per
+ * process, from `__builtin_cpu_supports`, the widest the CPU runs.
+ * Every wrapper computes bit-identical results; only speed differs.
  */
 
 #ifndef SUSHI_COMMON_KERNEL_ISA_HH
@@ -23,8 +24,9 @@ namespace sushi {
 /** Popcount code paths the kernels are compiled for. */
 enum class KernelIsa
 {
-    Portable, ///< shift-and-add popcount, runs anywhere
-    Popcnt,   ///< x86-64 POPCNT instruction
+    Portable,      ///< shift-and-add popcount, runs anywhere
+    Popcnt,        ///< x86-64 POPCNT instruction
+    Avx512Vpopcnt, ///< x86-64 AVX-512F + VPOPCNTDQ (`vpopcntq`)
 };
 
 /** True if this CPU can run @p isa's wrappers. */
@@ -33,7 +35,8 @@ bool cpuSupports(KernelIsa isa);
 /** The best path this CPU supports; resolved once per process. */
 KernelIsa selectedKernelIsa();
 
-/** Stable name of @p isa: "portable" or "popcnt". */
+/** Stable name of @p isa: "portable", "popcnt" or
+ *  "avx512vpopcntdq". */
 const char *kernelIsaName(KernelIsa isa);
 
 /** Name of the selected path (recorded in the BENCH_*.json files). */
@@ -72,6 +75,11 @@ struct HardwarePopcount
         return static_cast<std::uint64_t>(__builtin_popcountll(x));
     }
 };
+
+/** Tag of the AVX-512 wrappers: their bodies specialise the vector
+ *  lanes on `vpopcntq`; scalar words still use the builtin. */
+struct Avx512Popcount : HardwarePopcount
+{};
 
 /// @}
 

@@ -33,7 +33,7 @@ enum class Reject : std::uint8_t {
     ShuttingDown,     ///< submitted after drain()/shutdown()
     BreakerOpen,      ///< circuit breaker fast-fail
     ReplicaFailure,   ///< dispatch failed and retry budget exhausted
-    InvalidRequest,   ///< a frame's width is not the model's input
+    InvalidRequest,   ///< wrong frame count or width, or a non-0/1 value
 };
 
 /** Stable lowercase name for a rejection cause. */

@@ -234,12 +234,22 @@ Server::submitAtLocked(std::int64_t arrival_ns,
 bool
 Server::validShape(const engine::Sample &sample) const
 {
-    const std::size_t width =
-        model_->network().layers().front().inDim();
-    return std::all_of(sample.begin(), sample.end(),
-                       [width](const auto &frame) {
-                           return frame.size() == width;
-                       });
+    const snn::BinarySnn &net = model_->network();
+    const std::size_t width = net.layers().front().inDim();
+    if (sample.size() != static_cast<std::size_t>(net.tSteps()))
+        return false;
+    for (const auto &frame : sample) {
+        if (frame.size() != width)
+            return false;
+        // OR-reduce rather than test each value: it vectorises, and
+        // every request passes through here.
+        std::uint8_t bits = 0;
+        for (const std::uint8_t v : frame)
+            bits |= v;
+        if (bits > 1)
+            return false;
+    }
+    return true;
 }
 
 bool

@@ -358,7 +358,8 @@ class Server
     PendingReq makeRequest(engine::Sample &&sample,
                            const RequestOptions &opts,
                            std::int64_t t);
-    /** Every frame is as wide as the model's input layer. */
+    /** The sample has the model's tSteps() frames, each as wide as
+     *  its input layer and holding only 0/1 spikes. */
     bool validShape(const engine::Sample &sample) const;
     /** Claim one queue slot against max_queue (exact global bound;
      *  no lock needed — the depth counter is atomic). */

@@ -26,6 +26,9 @@ std::int32_t andPopcountPortable(const std::uint64_t *a,
 std::int32_t andPopcountPopcnt(const std::uint64_t *a,
                                const std::uint64_t *b,
                                std::size_t words);
+std::int32_t andPopcountAvx512(const std::uint64_t *a,
+                               const std::uint64_t *b,
+                               std::size_t words);
 #endif
 
 /** The wrapper selectedKernelIsa() names. */

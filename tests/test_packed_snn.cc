@@ -18,6 +18,9 @@
  *    {1, 2, 5, 8, 40, 70}, ragged in_dim and every bucket shape,
  *    against the oracle and the per-vector stepLayer composition;
  *    the XNOR dot's popcount loop against a bit-by-bit count;
+ *  - the sparse-scan batch pack vs the dense gather it replaced,
+ *    field by field, over batch 1..70, ragged widths, every bucket
+ *    shape, permuted schedules and all-zero/all-one/multi-pulse rows;
  *  - InferenceEngine::runOnReplica (whole batch per stage) vs the
  *    serial per-sample, per-step stage loop, NoC on, stats JSON
  *    byte-identical;
@@ -570,8 +573,10 @@ std::vector<KernelIsa>
 supportedIsas()
 {
     std::vector<KernelIsa> isas = {KernelIsa::Portable};
-    if (cpuSupports(KernelIsa::Popcnt))
-        isas.push_back(KernelIsa::Popcnt);
+    for (const KernelIsa isa :
+         {KernelIsa::Popcnt, KernelIsa::Avx512Vpopcnt})
+        if (cpuSupports(isa))
+            isas.push_back(isa);
     return isas;
 }
 
@@ -581,6 +586,8 @@ andPopcountWrapper(KernelIsa isa)
 #if defined(__x86_64__)
     if (isa == KernelIsa::Popcnt)
         return snn::packed::detail::andPopcountPopcnt;
+    if (isa == KernelIsa::Avx512Vpopcnt)
+        return snn::packed::detail::andPopcountAvx512;
 #endif
     (void)isa;
     return snn::packed::detail::andPopcountPortable;
@@ -592,6 +599,8 @@ layerKernelWrapper(KernelIsa isa)
 #if defined(__x86_64__)
     if (isa == KernelIsa::Popcnt)
         return chip::detail::layerKernelPopcnt;
+    if (isa == KernelIsa::Avx512Vpopcnt)
+        return chip::detail::layerKernelAvx512;
 #endif
     (void)isa;
     return chip::detail::layerKernelPortable;
@@ -599,9 +608,10 @@ layerKernelWrapper(KernelIsa isa)
 
 TEST(KernelDispatch, SelectedIsaIsTheBestSupported)
 {
-    const KernelIsa best = cpuSupports(KernelIsa::Popcnt)
-                               ? KernelIsa::Popcnt
-                               : KernelIsa::Portable;
+    const KernelIsa best =
+        cpuSupports(KernelIsa::Avx512Vpopcnt) ? KernelIsa::Avx512Vpopcnt
+        : cpuSupports(KernelIsa::Popcnt)      ? KernelIsa::Popcnt
+                                              : KernelIsa::Portable;
     EXPECT_EQ(selectedKernelIsa(), best);
     EXPECT_STREQ(kernelIsa(), kernelIsaName(best));
     EXPECT_TRUE(cpuSupports(KernelIsa::Portable));
@@ -609,6 +619,12 @@ TEST(KernelDispatch, SelectedIsaIsTheBestSupported)
     __builtin_cpu_init();
     EXPECT_EQ(cpuSupports(KernelIsa::Popcnt),
               __builtin_cpu_supports("popcnt") != 0);
+    EXPECT_EQ(cpuSupports(KernelIsa::Avx512Vpopcnt),
+              __builtin_cpu_supports("popcnt") &&
+                  __builtin_cpu_supports("avx512f") &&
+                  __builtin_cpu_supports("avx512vpopcntdq"));
+#else
+    EXPECT_FALSE(cpuSupports(KernelIsa::Avx512Vpopcnt));
 #endif
 }
 
@@ -792,6 +808,109 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
         EXPECT_EQ(single.stats().remapped_neurons,
                   sum.remapped_neurons)
             << c;
+    }
+}
+
+/** The dense pack the sparse packLayerBatch replaced: every input
+ *  gathered through schedule.order, bucket by bucket. The oracle of
+ *  SparsePackMatchesDensePack. */
+void
+densePack(const compiler::CompiledLayer &layer, const chip::PulseBatch &in,
+          chip::detail::LayerBatchPack &pack)
+{
+    const std::size_t batch = in.batch;
+    const auto &buckets = layer.schedule.buckets;
+    pack.batch = batch;
+    pack.words = (in.width + 63) / 64;
+    pack.bits.assign(pack.words * batch, 0);
+    pack.bucket_pulses.assign(buckets.size() * batch, 0);
+    pack.pulses.assign(batch, 0);
+    pack.active.assign(batch, 0);
+    pack.extras.clear();
+    pack.extra_begin.assign(batch + 1, 0);
+    const int *order = layer.schedule.order.data();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const std::uint16_t *act = in.row(b).data();
+        pack.extra_begin[b] = pack.extras.size();
+        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+            std::uint64_t sum = 0;
+            for (int k = buckets[bk].begin; k < buckets[bk].end; ++k) {
+                const std::uint16_t a =
+                    act[static_cast<std::size_t>(order[k])];
+                if (a != 0) {
+                    pack.bits[static_cast<std::size_t>(k) / 64 * batch +
+                              b] |= std::uint64_t{1} << (k % 64);
+                    ++pack.active[b];
+                }
+                sum += a;
+                if (a > 1)
+                    pack.extras.push_back(
+                        {static_cast<std::uint32_t>(bk),
+                         static_cast<std::uint32_t>(k),
+                         std::uint64_t{a} - 1});
+            }
+            pack.bucket_pulses[bk * batch + b] = sum;
+            pack.pulses[b] += sum;
+        }
+    }
+    pack.extra_begin[batch] = pack.extras.size();
+}
+
+TEST(ChipBatchKernel, SparsePackMatchesDensePack)
+{
+    // One pack reused across cases, as a chip reuses its own.
+    chip::detail::LayerBatchPack got;
+    for (int c = 0; c < 280; ++c) {
+        Rng rng(36000 + static_cast<std::uint64_t>(c));
+        const std::size_t batch = 1 + static_cast<std::size_t>(c % 70);
+        const std::size_t in_dim = sampleInDim(c / 70, rng);
+        const auto net = tinyNet(in_dim, 4, 2, 1,
+                                 37000 + static_cast<std::uint64_t>(c));
+        compiler::ChipConfig ccfg;
+        ccfg.n = 4;
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        compiler::CompiledLayer layer = compiled.layers[0];
+        rebucket(layer, static_cast<int>(in_dim), c % 4, rng);
+        if (rng.chance(0.5)) {
+            // Any permutation is a schedule the pack must invert.
+            auto &order = layer.schedule.order;
+            for (std::size_t i = order.size(); i > 1; --i)
+                std::swap(order[i - 1], order[rng.below(i)]);
+        }
+        chip::PulseBatch in;
+        in.reset(batch, in_dim);
+        for (std::size_t v = 0; v < batch; ++v) {
+            // All-zero, all-one, sparse binary and multi-pulse rows.
+            const int kind = static_cast<int>(rng.below(4));
+            const double density = rng.uniform() * 0.3;
+            for (auto &p : in.row(v))
+                p = static_cast<std::uint16_t>(
+                    kind == 0   ? 0
+                    : kind == 1 ? 1
+                    : kind == 2 ? (rng.chance(density) ? 1 : 0)
+                    : rng.chance(0.02) ? 65535
+                                       : rng.below(4));
+        }
+        chip::detail::LayerBatchPack want;
+        densePack(layer, in, want);
+        chip::detail::packLayerBatch(layer, in, got);
+        const std::string what = "case " + std::to_string(c);
+        ASSERT_EQ(got.batch, want.batch) << what;
+        ASSERT_EQ(got.words, want.words) << what;
+        ASSERT_EQ(got.bits, want.bits) << what;
+        ASSERT_EQ(got.bucket_pulses, want.bucket_pulses) << what;
+        ASSERT_EQ(got.pulses, want.pulses) << what;
+        ASSERT_EQ(got.active, want.active) << what;
+        ASSERT_EQ(got.extra_begin, want.extra_begin) << what;
+        ASSERT_EQ(got.extras.size(), want.extras.size()) << what;
+        for (std::size_t e = 0; e < want.extras.size(); ++e) {
+            EXPECT_EQ(got.extras[e].bucket, want.extras[e].bucket)
+                << what << " extra " << e;
+            EXPECT_EQ(got.extras[e].pos, want.extras[e].pos)
+                << what << " extra " << e;
+            EXPECT_EQ(got.extras[e].extra, want.extras[e].extra)
+                << what << " extra " << e;
+        }
     }
 }
 

@@ -277,6 +277,61 @@ TEST(ServeAdmission, MalformedRequestFailsAloneNotItsBatch)
     expectEveryRequestAccounted(rm);
 }
 
+TEST(ServeAdmission, RejectsWrongFrameCountAndNonBinaryValues)
+{
+    // smallModel runs T = 3 frames of 16 spikes. Each malformed
+    // sample is rejected alone as InvalidRequest, on either clock.
+    const auto good = randomSamples(2, 16, 3, 23);
+    std::vector<engine::Sample> bad = {
+        {},                                // no frames
+        randomSamples(1, 16, 2, 24)[0],    // T - 1 frames
+        randomSamples(1, 16, 4, 25)[0],    // T + 1 frames
+        good[0],                           // a 2-pulse input
+        good[1],                           // a 255-valued input
+    };
+    bad[3][1][5] = 2;
+    bad[4][2][15] = 255;
+    std::vector<engine::Sample> samples = {good[0]};
+    samples.insert(samples.end(), bad.begin(), bad.end());
+    samples.push_back(good[1]);
+    const auto check = [&](Server &server,
+                           std::vector<std::future<Response>> &futs) {
+        for (std::size_t i = 0; i < futs.size(); ++i) {
+            const Response r = futs[i].get();
+            if (i == 0 || i + 1 == futs.size())
+                EXPECT_TRUE(r.ok()) << "request " << i;
+            else
+                EXPECT_EQ(r.rejected, Reject::InvalidRequest)
+                    << "request " << i;
+        }
+        const ServerMetrics m = server.metrics();
+        EXPECT_EQ(m.completed, 2u);
+        EXPECT_EQ(m.rejected_invalid, bad.size());
+        EXPECT_EQ(m.rejected_replica_failure, 0u);
+        expectEveryRequestAccounted(m);
+    };
+
+    Server virt(smallModel(),
+                virtualConfig(1, 4, /*max_delay=*/1'000'000));
+    std::vector<std::future<Response>> futs;
+    for (const auto &s : samples)
+        futs.push_back(virt.submitAt(10, s));
+    virt.runVirtual();
+    check(virt, futs);
+
+    ServerConfig cfg;
+    cfg.engine.replicas = 1;
+    cfg.clock = ClockMode::Real;
+    Server real(smallModel(), cfg);
+    futs.clear();
+    for (const auto &s : samples)
+        futs.push_back(real.submit(s));
+    for (auto &f : futs)
+        f.wait();
+    real.drain();
+    check(real, futs);
+}
+
 TEST(ServePriority, HigherPriorityDispatchesFirst)
 {
     const auto samples = randomSamples(4, 16, 3, 6);
