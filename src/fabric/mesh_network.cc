@@ -1,6 +1,7 @@
 #include "fabric/mesh_network.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "common/logging.hh"
 
@@ -29,13 +30,12 @@ MeshGate::MeshGate(sfq::Netlist &net, const MeshConfig &cfg) : cfg_(cfg)
     out_opts.external_in = true; // in is fed by the column merge
     out_opts.external_out = true; // out drives the SFQ/DC pad
 
+    sfq::CellNamer name; // every instance name, in one buffer
     for (int i = 0; i < n; ++i) {
         in_npes_.push_back(std::make_unique<npe::NpeGate>(
-            net, "in_npe" + std::to_string(i), cfg.sc_per_npe,
-            in_opts));
+            net, name("in_npe", i), cfg.sc_per_npe, in_opts));
         out_npes_.push_back(std::make_unique<npe::NpeGate>(
-            net, "out_npe" + std::to_string(i), cfg.sc_per_npe,
-            out_opts));
+            net, name("out_npe", i), cfg.sc_per_npe, out_opts));
     }
 
     // Crosspoint weight structures.
@@ -44,62 +44,54 @@ MeshGate::MeshGate(sfq::Netlist &net, const MeshConfig &cfg) : cfg_(cfg)
         for (int j = 0; j < n; ++j) {
             synapses_[static_cast<std::size_t>(i)].push_back(
                 std::make_unique<WeightStructureGate>(
-                    net,
-                    "syn" + std::to_string(i) + "_" +
-                        std::to_string(j),
-                    w_max));
+                    net, name("syn", i, "_", j), w_max));
         }
     }
 
     // Row distribution: input NPE i's spike fans out to every
     // crosspoint on row i. Row hops get longer further from the NPE;
     // row_stages is the per-hop cost.
+    std::vector<sfq::PortRef> ends;
     for (int i = 0; i < n; ++i) {
-        std::vector<std::pair<sfq::Component *, int>> dsts;
+        ends.clear();
         for (int j = 0; j < n; ++j) {
             auto &syn = synapse(i, j);
-            dsts.emplace_back(&syn.inPort(), syn.inChan());
+            ends.emplace_back(&syn.inPort(), syn.inChan());
         }
         if (n == 1) {
-            inputNpe(i).connectOut(*dsts[0].first, dsts[0].second,
+            inputNpe(i).connectOut(*ends[0].first, ends[0].second,
                                    cfg.row_stages);
         } else {
             // Fan out through an SPL tree rooted at the NPE output.
-            sfq::Spl &root = net.makeSpl("row" + std::to_string(i) +
-                                         ".root");
+            sfq::Spl &root = net.makeSpl(name("row", i, ".root"));
             inputNpe(i).connectOut(root, 0, cfg.row_stages);
+            const std::span<const sfq::PortRef> dsts(ends);
             const std::size_t mid = dsts.size() / 2;
-            std::vector<std::pair<sfq::Component *, int>> lo(
-                dsts.begin(), dsts.begin() + mid);
-            std::vector<std::pair<sfq::Component *, int>> hi(
-                dsts.begin() + mid, dsts.end());
-            net.fanout("row" + std::to_string(i) + ".l", root, 0, lo,
+            net.fanout(name("row", i, ".l"), root, 0, dsts.first(mid),
                        cfg.row_stages);
-            net.fanout("row" + std::to_string(i) + ".r", root, 1, hi,
-                       cfg.row_stages);
+            net.fanout(name("row", i, ".r"), root, 1,
+                       dsts.subspan(mid), cfg.row_stages);
         }
     }
 
     // Column merge: crosspoint outputs on column j merge into output
     // NPE j's chain input.
     for (int j = 0; j < n; ++j) {
-        std::vector<std::pair<sfq::Component *, int>> srcs;
+        ends.clear();
         for (int i = 0; i < n; ++i) {
             // Park each crosspoint output on a JTL so the merge tree
             // can treat all sources uniformly.
-            sfq::Jtl &pad = net.makeJtl("col" + std::to_string(j) +
-                                        ".pad" + std::to_string(i));
+            sfq::Jtl &pad = net.makeJtl(name("col", j, ".pad", i));
             synapse(i, j).connectOut(pad, 0, cfg.col_stages);
-            srcs.emplace_back(&pad, 0);
+            ends.emplace_back(&pad, 0);
         }
-        net.mergeTree("col" + std::to_string(j), srcs,
-                      outputNpe(j).inPort(), outputNpe(j).inChan(),
-                      cfg.col_stages);
+        net.mergeTree(name("col", j), ends, outputNpe(j).inPort(),
+                      outputNpe(j).inChan(), cfg.col_stages);
     }
 
     // Output drivers: SFQ/DC converters, the oscilloscope interface.
     for (int j = 0; j < n; ++j) {
-        sfq::SfqDc &drv = net.makeSfqDc("drv" + std::to_string(j));
+        sfq::SfqDc &drv = net.makeSfqDc(name("drv", j));
         outputNpe(j).connectOut(drv, 0, cfg.col_stages);
         drivers_.push_back(&drv);
     }

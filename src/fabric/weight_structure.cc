@@ -80,12 +80,13 @@ WeightStructure::configure(int strength)
 }
 
 WeightStructureGate::WeightStructureGate(sfq::Netlist &net,
-                                         const std::string &name,
+                                         std::string_view name,
                                          int w_max)
     : w_max_(w_max)
 {
     sushi_assert(w_max >= 1);
-    switch_ndro_ = &net.makeNdro(name + ".sw");
+    sfq::CellNamer n(name);
+    switch_ndro_ = &net.makeNdro(n(".sw"));
     // Weight-configuration addressing cells (polarity pair + the
     // routing that delivers the per-synapse control stream of
     // Fig. 12(e)); carried as accounted logic, driven directly in
@@ -104,7 +105,7 @@ WeightStructureGate::WeightStructureGate(sfq::Netlist &net,
     int main_port = 0;
     for (int i = 1; i < w_max; ++i) {
         sfq::Spl &spl =
-            net.makeSpl(name + ".spl" + std::to_string(i));
+            net.makeSpl(n(".spl", i));
         net.connectWire(*main_src, main_port, spl, 0);
         tap_spls_.push_back(&spl);
         main_src = &spl;
@@ -119,7 +120,7 @@ WeightStructureGate::WeightStructureGate(sfq::Netlist &net,
     int merge_port = 0;
     for (int i = w_max - 1; i >= 1; --i) {
         sfq::Ndro &tap =
-            net.makeNdro(name + ".tap" + std::to_string(i));
+            net.makeNdro(n(".tap", i));
         net.connectWire(*tap_spls_[static_cast<std::size_t>(i - 1)], 1,
                         tap, kNdroClk);
         tap_ndros_.push_back(&tap);
@@ -130,7 +131,7 @@ WeightStructureGate::WeightStructureGate(sfq::Netlist &net,
             // Its stagger is realised on the chain entry below.
             continue;
         }
-        sfq::Cb &cb = net.makeCb(name + ".cb" + std::to_string(i));
+        sfq::Cb &cb = net.makeCb(n(".cb", i));
         net.connectWire(*merge_src, merge_port, cb, 0,
                         merge_src == tap_ndros_.front()
                             ? tapDelayStages(w_max, w_max - 1)
@@ -141,7 +142,7 @@ WeightStructureGate::WeightStructureGate(sfq::Netlist &net,
         merge_port = 0;
     }
     // Final CB: the always-on main branch joins the tap chain.
-    sfq::Cb &cb_main = net.makeCb(name + ".cb0");
+    sfq::Cb &cb_main = net.makeCb(n(".cb0"));
     if (merge_src == tap_ndros_.front() && w_max == 2) {
         // Single tap: delay applied directly on its link.
         net.connectWire(*merge_src, merge_port, cb_main, 0,

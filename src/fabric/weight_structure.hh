@@ -24,7 +24,7 @@
 #ifndef SUSHI_FABRIC_WEIGHT_STRUCTURE_HH
 #define SUSHI_FABRIC_WEIGHT_STRUCTURE_HH
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sfq/netlist.hh"
@@ -82,7 +82,7 @@ class WeightStructure
 class WeightStructureGate
 {
   public:
-    WeightStructureGate(sfq::Netlist &net, const std::string &name,
+    WeightStructureGate(sfq::Netlist &net, std::string_view name,
                         int w_max);
 
     int wMax() const { return w_max_; }

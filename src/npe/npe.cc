@@ -115,15 +115,14 @@ Npe::states() const
     return s;
 }
 
-NpeGate::NpeGate(sfq::Netlist &net, const std::string &name, int num_sc,
+NpeGate::NpeGate(sfq::Netlist &net, std::string_view name, int num_sc,
                  Options opts)
 {
     sushi_assert(num_sc >= 1);
     const int link_stages = opts.link_stages;
-    for (int i = 0; i < num_sc; ++i) {
-        scs_.push_back(std::make_unique<ScGate>(
-            net, name + ".sc" + std::to_string(i)));
-    }
+    sfq::CellNamer n(name);
+    for (int i = 0; i < num_sc; ++i)
+        scs_.push_back(std::make_unique<ScGate>(net, n(".sc", i)));
 
     // Serial links: SC_i out -> SC_{i+1} in.
     for (int i = 0; i + 1 < num_sc; ++i) {
@@ -136,39 +135,37 @@ NpeGate::NpeGate(sfq::Netlist &net, const std::string &name, int num_sc,
     in_src_ = nullptr;
     out_sink_ = nullptr;
     if (!opts.external_in) {
-        in_src_ = &net.makeSource(name + ".in");
+        in_src_ = &net.makeSource(n(".in"));
         net.connectWire(*in_src_, 0, scs_[0]->inPort(),
                         ScGate::kInChan, link_stages);
     }
-    rst_src_ = &net.makeSource(name + ".rst");
-    set0_src_ = &net.makeSource(name + ".set0");
-    set1_src_ = &net.makeSource(name + ".set1");
+    rst_src_ = &net.makeSource(n(".rst"));
+    set0_src_ = &net.makeSource(n(".set0"));
+    set1_src_ = &net.makeSource(n(".set1"));
     if (!opts.external_out) {
-        out_sink_ = &net.makeSink(name + ".out");
+        out_sink_ = &net.makeSink(n(".out"));
         scs_.back()->connectOut(*out_sink_, 0, link_stages);
     }
 
     // Bound control channels distributed over splitter trees.
-    std::vector<std::pair<sfq::Component *, int>> rst_dsts, s0_dsts,
-        s1_dsts;
+    std::vector<sfq::PortRef> rst_dsts, s0_dsts, s1_dsts;
     for (auto &sc : scs_) {
         rst_dsts.emplace_back(&sc->rstPort(), 0);
         s0_dsts.emplace_back(&sc->set0Port(), 0);
         s1_dsts.emplace_back(&sc->set1Port(), 0);
     }
-    net.fanout(name + ".rst_tree", *rst_src_, 0, rst_dsts, 1);
-    net.fanout(name + ".set0_tree", *set0_src_, 0, s0_dsts, 1);
-    net.fanout(name + ".set1_tree", *set1_src_, 0, s1_dsts, 1);
+    net.fanout(n(".rst_tree"), *rst_src_, 0, rst_dsts, 1);
+    net.fanout(n(".set0_tree"), *set0_src_, 0, s0_dsts, 1);
+    net.fanout(n(".set1_tree"), *set1_src_, 0, s1_dsts, 1);
 
     // Individual write channels and read sinks (Sec. 4.1.3: "read and
     // write must be set up individually").
     for (int i = 0; i < num_sc; ++i) {
         auto &sc = scs_[static_cast<std::size_t>(i)];
-        auto &wsrc = net.makeSource(name + ".write" +
-                                    std::to_string(i));
+        auto &wsrc = net.makeSource(n(".write", i));
         net.connectWire(wsrc, 0, sc->inPort(), ScGate::kWriteChan, 1);
         write_srcs_.push_back(&wsrc);
-        auto &rsink = net.makeSink(name + ".read" + std::to_string(i));
+        auto &rsink = net.makeSink(n(".read", i));
         sc->connectRead(rsink, 0, 1);
         read_sinks_.push_back(&rsink);
     }

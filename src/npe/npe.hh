@@ -24,7 +24,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "npe/state_controller.hh"
@@ -136,7 +136,7 @@ class NpeGate
      * @param num_sc  chain length
      * @param opts    wiring options
      */
-    NpeGate(sfq::Netlist &net, const std::string &name, int num_sc,
+    NpeGate(sfq::Netlist &net, std::string_view name, int num_sc,
             Options opts = {});
 
     int numSc() const { return static_cast<int>(scs_.size()); }

@@ -36,27 +36,27 @@ StateController::write()
     state_ = true;
 }
 
-ScGate::ScGate(sfq::Netlist &net, const std::string &name)
+ScGate::ScGate(sfq::Netlist &net, std::string_view name)
 {
-    auto n = [&name](const char *suffix) { return name + "." + suffix; };
+    sfq::CellNamer n(name);
 
-    cb_in_ = &net.makeCb3(n("cb_in"));
-    spl_in_ = &net.makeSpl(n("spl_in"));
-    tffl_ = &net.makeTffl(n("tffl"));
-    tffr_ = &net.makeTffr(n("tffr"));
-    spl_l_ = &net.makeSpl(n("spl_l"));
-    spl_r_ = &net.makeSpl(n("spl_r"));
-    ndro0_ = &net.makeNdro(n("ndro0"));
-    ndro1_ = &net.makeNdro(n("ndro1"));
-    ndro2_ = &net.makeNdro(n("ndro2"));
-    cb_out_ = &net.makeCb(n("cb_out"));
-    spl_s0_ = &net.makeSpl(n("spl_s0"));
-    spl_s1_ = &net.makeSpl(n("spl_s1"));
-    spl_rst_ = &net.makeSpl3(n("spl_rst"));
-    spl_read_ = &net.makeSpl3(n("spl_read"));
-    cb_r0_ = &net.makeCb(n("cb_r0"));
-    cb_r1_ = &net.makeCb(n("cb_r1"));
-    cb_n2rst_ = &net.makeCb(n("cb_n2rst"));
+    cb_in_ = &net.makeCb3(n(".cb_in"));
+    spl_in_ = &net.makeSpl(n(".spl_in"));
+    tffl_ = &net.makeTffl(n(".tffl"));
+    tffr_ = &net.makeTffr(n(".tffr"));
+    spl_l_ = &net.makeSpl(n(".spl_l"));
+    spl_r_ = &net.makeSpl(n(".spl_r"));
+    ndro0_ = &net.makeNdro(n(".ndro0"));
+    ndro1_ = &net.makeNdro(n(".ndro1"));
+    ndro2_ = &net.makeNdro(n(".ndro2"));
+    cb_out_ = &net.makeCb(n(".cb_out"));
+    spl_s0_ = &net.makeSpl(n(".spl_s0"));
+    spl_s1_ = &net.makeSpl(n(".spl_s1"));
+    spl_rst_ = &net.makeSpl3(n(".spl_rst"));
+    spl_read_ = &net.makeSpl3(n(".spl_read"));
+    cb_r0_ = &net.makeCb(n(".cb_r0"));
+    cb_r1_ = &net.makeCb(n(".cb_r1"));
+    cb_n2rst_ = &net.makeCb(n(".cb_n2rst"));
 
     // Input merge (in / write / toggle-back) feeding both TFFs.
     net.connectWire(*cb_in_, 0, *spl_in_, 0);
@@ -128,7 +128,9 @@ ScArm
 ScGate::arm() const
 {
     if (ndro0_->state() && ndro1_->state())
-        sushi_panic("SC %s: both NDROs armed", tffl_->name().c_str());
+        sushi_panic("SC %.*s: both NDROs armed",
+                    static_cast<int>(tffl_->name().size()),
+                    tffl_->name().data());
     if (ndro0_->state())
         return ScArm::Rise;
     if (ndro1_->state())

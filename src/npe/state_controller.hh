@@ -25,7 +25,7 @@
 #ifndef SUSHI_NPE_STATE_CONTROLLER_HH
 #define SUSHI_NPE_STATE_CONTROLLER_HH
 
-#include <string>
+#include <string_view>
 
 #include "sfq/netlist.hh"
 
@@ -87,7 +87,7 @@ class StateController
 class ScGate
 {
   public:
-    ScGate(sfq::Netlist &net, const std::string &name);
+    ScGate(sfq::Netlist &net, std::string_view name);
 
     /// @name Drive a channel at absolute time @p when.
     /// @{

@@ -16,7 +16,7 @@
 #ifndef SUSHI_SFQ_CELLS_HH
 #define SUSHI_SFQ_CELLS_HH
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sfq/cell_params.hh"
@@ -29,7 +29,7 @@ namespace sushi::sfq {
 class Cell : public Component
 {
   public:
-    Cell(Simulator &sim, std::string name, CellKind kind,
+    Cell(Simulator &sim, std::string_view name, CellKind kind,
          int num_inputs, int num_outputs);
 
     /** The library cell type. */
@@ -46,35 +46,35 @@ class Cell : public Component
 class Jtl : public Cell
 {
   public:
-    Jtl(Simulator &sim, std::string name);
+    Jtl(Simulator &sim, std::string_view name);
 };
 
 /** 1-to-2 splitter. Ports: in 0 -> out 0 (A), out 1 (B). */
 class Spl : public Cell
 {
   public:
-    Spl(Simulator &sim, std::string name);
+    Spl(Simulator &sim, std::string_view name);
 };
 
 /** 1-to-3 splitter. */
 class Spl3 : public Cell
 {
   public:
-    Spl3(Simulator &sim, std::string name);
+    Spl3(Simulator &sim, std::string_view name);
 };
 
 /** 2-to-1 confluence buffer. Inputs 0 (dinA), 1 (dinB) -> out 0. */
 class Cb : public Cell
 {
   public:
-    Cb(Simulator &sim, std::string name);
+    Cb(Simulator &sim, std::string_view name);
 };
 
 /** 3-to-1 confluence buffer. */
 class Cb3 : public Cell
 {
   public:
-    Cb3(Simulator &sim, std::string name);
+    Cb3(Simulator &sim, std::string_view name);
 };
 
 /**
@@ -86,7 +86,7 @@ class Cb3 : public Cell
 class Dff : public Cell
 {
   public:
-    Dff(Simulator &sim, std::string name);
+    Dff(Simulator &sim, std::string_view name);
 
     /** True if a flux quantum is currently stored. */
     bool stored() const { return sim_.core().stateBit(id_); }
@@ -102,7 +102,7 @@ class Dff : public Cell
 class Ndro : public Cell
 {
   public:
-    Ndro(Simulator &sim, std::string name);
+    Ndro(Simulator &sim, std::string_view name);
 
     /** Current stored state. */
     bool state() const { return sim_.core().stateBit(id_); }
@@ -115,7 +115,7 @@ class Ndro : public Cell
 class Tffl : public Cell
 {
   public:
-    Tffl(Simulator &sim, std::string name);
+    Tffl(Simulator &sim, std::string_view name);
 
     bool state() const { return sim_.core().stateBit(id_); }
 
@@ -127,7 +127,7 @@ class Tffl : public Cell
 class Tffr : public Cell
 {
   public:
-    Tffr(Simulator &sim, std::string name);
+    Tffr(Simulator &sim, std::string_view name);
 
     bool state() const { return sim_.core().stateBit(id_); }
     void setState(bool s) { sim_.core().setStateBit(id_, s); }
@@ -141,7 +141,7 @@ class Tffr : public Cell
 class DcSfq : public Cell
 {
   public:
-    DcSfq(Simulator &sim, std::string name);
+    DcSfq(Simulator &sim, std::string_view name);
 
     /** Drive a level edge at absolute time @p when. */
     void edge(Tick when) { inject(0, when); }
@@ -155,7 +155,7 @@ class DcSfq : public Cell
 class SfqDc : public Cell
 {
   public:
-    SfqDc(Simulator &sim, std::string name);
+    SfqDc(Simulator &sim, std::string_view name);
 
     /** Current output level. */
     bool level() const { return sim_.core().stateBit(id_); }

@@ -1,5 +1,6 @@
 #include "sfq/compiled_netlist.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sfq/constraints.hh"
@@ -69,7 +70,7 @@ CompiledNetlist::mut()
 }
 
 std::int32_t
-CompiledNetlist::addCell(std::string name, std::uint8_t kind,
+CompiledNetlist::addCell(std::string_view name, std::uint8_t kind,
                          int num_inputs, int num_outputs)
 {
     sushi_assert(kind < kNumExecKinds);
@@ -83,12 +84,12 @@ CompiledNetlist::addCell(std::string name, std::uint8_t kind,
     st.n_in.push_back(static_cast<std::uint8_t>(num_inputs));
     st.has_rules.push_back(kind_has_rules_[kind] ? 1 : 0);
     st.in_off.push_back(static_cast<std::int32_t>(last_.size()));
-    last_.insert(last_.end(), static_cast<std::size_t>(num_inputs),
+    last_.resize(last_.size() + static_cast<std::size_t>(num_inputs),
                  kTickNever);
     st.num_inputs = last_.size();
     st.out_off.push_back(static_cast<std::int32_t>(st.conns.size()));
-    st.conns.insert(st.conns.end(),
-                    static_cast<std::size_t>(num_outputs), OutConn{});
+    st.conns.resize(st.conns.size() +
+                    static_cast<std::size_t>(num_outputs));
     if (kind == u8(CellKind::SFQDC) || kind == kKindSink) {
         st.trace_slot.push_back(
             static_cast<std::int32_t>(traces_.size()));
@@ -97,7 +98,9 @@ CompiledNetlist::addCell(std::string name, std::uint8_t kind,
     } else {
         st.trace_slot.push_back(-1);
     }
-    st.names.push_back(std::move(name));
+    st.names.append(name);
+    sushi_assert(st.names.size() <= UINT32_MAX);
+    st.name_end.push_back(static_cast<std::uint32_t>(st.names.size()));
     return id;
 }
 
@@ -125,12 +128,12 @@ CompiledNetlist::connect(std::int32_t src, int out_port,
 }
 
 std::int32_t
-CompiledNetlist::cellId(const std::string &name) const
+CompiledNetlist::cellId(std::string_view name) const
 {
-    const auto &names = struct_->names;
-    for (std::size_t i = 0; i < names.size(); ++i)
-        if (names[i] == name)
-            return static_cast<std::int32_t>(i); // first wins
+    const auto n = static_cast<std::int32_t>(numCells());
+    for (std::int32_t i = 0; i < n; ++i)
+        if (cellName(i) == name)
+            return i; // first wins
     return -1;
 }
 
@@ -176,7 +179,8 @@ CompiledNetlist::freeze()
         for (std::size_t i = 0; i < st.kind.size(); ++i) {
             std::uint64_t m = 0;
             for (std::size_t s = 0; s < fm.numFaults(); ++s)
-                if (fm.targetMatches(s, st.names[i]))
+                if (fm.targetMatches(
+                        s, cellName(static_cast<std::int32_t>(i))))
                     m |= std::uint64_t{1} << s;
             fault_mask_[i] = m;
         }
@@ -209,7 +213,7 @@ CompiledNetlist::switchEnergyOf(const std::uint64_t counts[]) const
     return e;
 }
 
-bool
+inline bool
 CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
                             int port, ExecCtx &cx)
 {
@@ -225,7 +229,7 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
             masksCurrent()
                 ? fm.suppressArrivalKeyed(fault_mask_[i], now,
                                           *cx.faults)
-                : fm.suppressArrival(st.names[i], now);
+                : fm.suppressArrival(cellName(id), now);
         if (dead)
             return false;
     }
@@ -254,7 +258,7 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
         last[static_cast<std::size_t>(port)] = now;
         if (hit != nullptr &&
             sim_.reportViolationEvt(
-                st.names[i],
+                cellName(id),
                 violationMessage(static_cast<CellKind>(kind),
                                  hit->label, hit->min_interval,
                                  hit_prev, now),
@@ -270,7 +274,7 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
     return true;
 }
 
-void
+inline void
 CompiledNetlist::pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
                          std::int32_t port)
 {
@@ -286,7 +290,7 @@ CompiledNetlist::pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
     }
 }
 
-void
+inline void
 CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
                       ExecCtx &cx)
 {
@@ -297,6 +301,8 @@ CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
                  static_cast<std::size_t>(out_port)];
     if (c.dst < 0)
         return; // dangling output is legal (unused readout)
+    Tick when = cx.now + delay + c.wire_delay;
+    int copies = 1;
     if (cx.delivery_faults) {
         FaultModel &fm = sim_.faults();
         const Tick now = cx.now;
@@ -306,19 +312,17 @@ CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
                       fault_mask_[i], now,
                       static_cast<std::uint64_t>(id), rng_ctr_[i],
                       *cx.faults)
-                : fm.onDeliver(st.names[i], now);
+                : fm.onDeliver(cellName(id), now);
         if (fate.dropped)
             return; // injected fault: the pulse is lost in flight
-        Tick total = delay + c.wire_delay + fate.jitter;
-        if (total < 0)
-            total = 0; // jitter cannot deliver into the past
-        pushOut(cx, now + total, c.dst, c.port);
+        // Jitter cannot deliver into the past.
+        when = now + std::max<Tick>(0, delay + c.wire_delay +
+                                           fate.jitter);
         // Spurious pulses (punch-through) trail the real delivery.
-        for (int s = 1; s <= fate.inserted; ++s)
-            pushOut(cx, now + total + s, c.dst, c.port);
-        return;
+        copies += fate.inserted;
     }
-    pushOut(cx, cx.now + delay + c.wire_delay, c.dst, c.port);
+    for (int s = 0; s < copies; ++s)
+        pushOut(cx, when + s, c.dst, c.port);
 }
 
 void
@@ -327,60 +331,53 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
 {
     const std::size_t i = checkId(id);
     const std::uint8_t kind = struct_->kind[i];
-    const Tick delay = kind_delay_[kind];
+    if (kind == kKindSink) {
+        sushi_assert(port == 0);
+        traces_[static_cast<std::size_t>(struct_->trace_slot[i])]
+            .push_back(cx.now);
+        return;
+    }
+    // Every other kind ends in "emit outputs [0, fire)", so
+    // arriveCell() and emit() each have one call site here.
+    if (kind != kKindSource && !arriveCell(id, kind, port, cx))
+        return;
+    int fire = 1;
     switch (kind) {
+      case kKindSource:
+        // A source "delivery" is its scheduled firing: emit through
+        // output 0 with zero cell delay (kind_delay_ is 0 for
+        // sources), as PulseSource::pulseAt did.
       case u8(CellKind::JTL):
       case u8(CellKind::DCSFQ):
-        if (!arriveCell(id, kind, port, cx))
-            return;
-        emit(id, 0, delay, cx);
-        break;
-      case u8(CellKind::SPL):
-        if (!arriveCell(id, kind, port, cx))
-            return;
-        emit(id, 0, delay, cx);
-        emit(id, 1, delay, cx);
-        break;
-      case u8(CellKind::SPL3):
-        if (!arriveCell(id, kind, port, cx))
-            return;
-        emit(id, 0, delay, cx);
-        emit(id, 1, delay, cx);
-        emit(id, 2, delay, cx);
-        break;
       case u8(CellKind::CB):
       case u8(CellKind::CB3):
-        if (!arriveCell(id, kind, port, cx))
-            return;
-        emit(id, 0, delay, cx);
+        break;
+      case u8(CellKind::SPL):
+        fire = 2;
+        break;
+      case u8(CellKind::SPL3):
+        fire = 3;
         break;
       case u8(CellKind::DFF):
-        if (!arriveCell(id, kind, port, cx))
-            return;
         if (port == chan::kDffDin) {
-            if (state_[i] != 0) {
-                // A second din before a clk would push a second flux
-                // quantum into the storage loop — a design error.
-                // Under Recover the surplus din is simply discarded.
-                if (sim_.reportViolationEvt(
-                        struct_->names[i],
-                        "din while already storing", "", kTickNever,
-                        kTickNever, cx.now, id, port))
-                    return;
-            }
+            // A second din before a clk would push a second flux
+            // quantum into the storage loop — a design error.
+            // Under Recover the surplus din is simply discarded.
+            if (state_[i] != 0 &&
+                sim_.reportViolationEvt(
+                    cellName(id), "din while already storing", "",
+                    kTickNever, kTickNever, cx.now, id, port))
+                return;
             state_[i] = 1;
+            fire = 0;
         } else {
             // clk: destructive read. No stored flux means logic 0 —
             // no output pulse.
-            if (state_[i] != 0) {
-                state_[i] = 0;
-                emit(id, 0, delay, cx);
-            }
+            fire = state_[i];
+            state_[i] = 0;
         }
         break;
       case u8(CellKind::NDRO): {
-        if (!arriveCell(id, kind, port, cx))
-            return;
         // Stuck-at faults model flux trapped in (stuck-set) or a
         // dead (stuck-reset) storage loop: while active, the loop
         // holds its forced value and writes in the opposing
@@ -393,14 +390,15 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
                 s_set = fm.stuckSetMasked(fault_mask_[i], now);
                 s_rst = fm.stuckResetMasked(fault_mask_[i], now);
             } else {
-                s_set = fm.stuckSet(struct_->names[i], now);
-                s_rst = fm.stuckReset(struct_->names[i], now);
+                s_set = fm.stuckSet(cellName(id), now);
+                s_rst = fm.stuckReset(cellName(id), now);
             }
         }
         if (s_set)
             state_[i] = 1;
         if (s_rst)
             state_[i] = 0;
+        fire = 0;
         switch (port) {
           case chan::kNdroDin:
             if (!s_rst)
@@ -411,51 +409,36 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
                 state_[i] = 0;
             break;
           case chan::kNdroClk:
-            if (state_[i] != 0)
-                emit(id, 0, delay, cx);
+            fire = state_[i];
             break;
           default:
-            sushi_panic("NDRO %s: bad port %d",
-                        struct_->names[i].c_str(), port);
+            sushi_panic("NDRO %.*s: bad port %d",
+                        static_cast<int>(cellName(id).size()),
+                        cellName(id).data(), port);
         }
         break;
       }
       case u8(CellKind::TFFL):
-        if (!arriveCell(id, kind, port, cx))
-            return;
         state_[i] ^= 1;
-        if (state_[i] != 0) // pulses on the 0 -> 1 flip
-            emit(id, 0, delay, cx);
+        fire = state_[i]; // pulses on the 0 -> 1 flip
         break;
       case u8(CellKind::TFFR):
-        if (!arriveCell(id, kind, port, cx))
-            return;
         state_[i] ^= 1;
-        if (state_[i] == 0) // pulses on the 1 -> 0 flip
-            emit(id, 0, delay, cx);
+        fire = state_[i] ^ 1; // pulses on the 1 -> 0 flip
         break;
       case u8(CellKind::SFQDC):
-        if (!arriveCell(id, kind, port, cx))
-            return;
         state_[i] ^= 1; // output level toggles per pulse
         traces_[static_cast<std::size_t>(struct_->trace_slot[i])]
             .push_back(cx.now);
-        break;
-      case kKindSink:
-        sushi_assert(port == 0);
-        traces_[static_cast<std::size_t>(struct_->trace_slot[i])]
-            .push_back(cx.now);
-        break;
-      case kKindSource:
-        // A source "delivery" is its scheduled firing: emit through
-        // output 0 with zero cell delay, as PulseSource::pulseAt did.
-        emit(id, 0, 0, cx);
-        break;
+        return;
       default:
-        sushi_panic("cell %s: bad kind %d",
-                    struct_->names[i].c_str(),
-                    static_cast<int>(kind));
+        sushi_panic("cell %.*s: bad kind %d",
+                    static_cast<int>(cellName(id).size()),
+                    cellName(id).data(), static_cast<int>(kind));
     }
+    const Tick delay = kind_delay_[kind];
+    for (int o = 0; o < fire; ++o)
+        emit(id, o, delay, cx);
 }
 
 } // namespace sushi::sfq

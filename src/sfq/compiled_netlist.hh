@@ -10,7 +10,8 @@
  *    the SoA kind/input-count bytes, the CSR fan-out table (RSFQ
  *    fan-out is one, paper Sec. 2.1.2, so each output port owns
  *    exactly one {dst, port, wire_delay} slot), the per-cell
- *    constraint-presence flags, and the name table. One
+ *    constraint-presence flags, and the name table (every name in
+ *    one arena string, addressed by per-cell end offsets). One
  *    NetStructure can be shared (shared_ptr) by many simulators:
  *    replica fleets — fault-campaign workers, engine replicas —
  *    clone only the mutable state below instead of re-lowering the
@@ -43,6 +44,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -78,7 +80,8 @@ struct NetStructure
     std::vector<OutConn> conns;
     std::vector<std::int32_t> in_off;   ///< offsets into last-arrival
     std::vector<std::int32_t> trace_slot;
-    std::deque<std::string> names;      ///< stable refs for name()
+    std::string names;                  ///< every name, back to back
+    std::vector<std::uint32_t> name_end; ///< end of cell i's name
     std::size_t live_conns = 0;
     std::size_t num_traces = 0;
     std::size_t num_inputs = 0;         ///< total input channels
@@ -145,7 +148,7 @@ class CompiledNetlist
 
     /** Register a cell; returns its dense id. Fatal once the
      *  structure has been sealed by shareStructure(). */
-    std::int32_t addCell(std::string name, std::uint8_t kind,
+    std::int32_t addCell(std::string_view name, std::uint8_t kind,
                          int num_inputs, int num_outputs);
 
     /** Wire src output port to dst input port (fan-out of one). */
@@ -194,17 +197,22 @@ class CompiledNetlist
         return struct_->live_conns;
     }
 
-    const std::string &
+    /** Instance name of a cell: a view into the name arena, valid
+     *  until the next addCell on this structure. */
+    std::string_view
     cellName(std::int32_t id) const
     {
-        return struct_->names[checkId(id)];
+        const std::size_t i = checkId(id);
+        const NetStructure &st = *struct_;
+        const std::uint32_t begin = i != 0 ? st.name_end[i - 1] : 0;
+        return {st.names.data() + begin, st.name_end[i] - begin};
     }
 
     /** Dense id for an instance name; -1 if unknown. Duplicate names
      *  (legal, discouraged) resolve to the first registration. A
      *  linear scan: lookups are set-up work, so lowering keeps no
      *  name index. */
-    std::int32_t cellId(const std::string &name) const;
+    std::int32_t cellId(std::string_view name) const;
 
     /** Execution kind byte (CellKind value, or kKindSource/Sink). */
     std::uint8_t
@@ -304,18 +312,25 @@ class CompiledNetlist
     void deliver(std::int32_t id, std::int32_t port, ExecCtx &cx);
 
   private:
+    // The per-event helpers of deliver(), defined in
+    // compiled_netlist.cc and forced inline there, so a delivered
+    // pulse costs one call.
+
     /** Dead-cell / constraint / energy bookkeeping shared by every
      *  library cell. @return false if the pulse must be discarded. */
-    bool arriveCell(std::int32_t id, std::uint8_t kind, int port,
-                    ExecCtx &cx);
+    [[gnu::always_inline]] inline bool
+    arriveCell(std::int32_t id, std::uint8_t kind, int port,
+               ExecCtx &cx);
 
     /** Emit one pulse out of @p out_port after @p delay. */
-    void emit(std::int32_t id, int out_port, Tick delay, ExecCtx &cx);
+    [[gnu::always_inline]] inline void
+    emit(std::int32_t id, int out_port, Tick delay, ExecCtx &cx);
 
     /** Route one scheduled delivery: local queue push, or outbox
      *  append when @p dst lives in another partition. */
-    void pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
-                 std::int32_t port);
+    [[gnu::always_inline]] inline void
+    pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
+            std::int32_t port);
 
     /** True if the cached fault bitmasks match the live config. */
     bool masksCurrent() const;

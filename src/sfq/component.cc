@@ -1,17 +1,14 @@
 #include "sfq/component.hh"
 
-#include <utility>
-
 #include "common/logging.hh"
 
 namespace sushi::sfq {
 
-Component::Component(Simulator &sim, std::string name,
+Component::Component(Simulator &sim, std::string_view name,
                      int num_inputs, int num_outputs,
                      std::uint8_t exec_kind)
     : sim_(sim),
-      id_(sim.core().addCell(std::move(name), exec_kind, num_inputs,
-                             num_outputs)),
+      id_(sim.core().addCell(name, exec_kind, num_inputs, num_outputs)),
       num_inputs_(num_inputs), num_outputs_(num_outputs)
 {
     sushi_assert(num_inputs >= 0 && num_outputs >= 0);
@@ -24,8 +21,10 @@ Component::connect(int out_port, Component &dst, int dst_port,
     sushi_assert(out_port >= 0 && out_port < num_outputs_);
     sushi_assert(dst_port >= 0 && dst_port < dst.numInputs());
     if (sim_.core().outputConnected(id_, out_port)) {
-        sushi_fatal("%s output %d already driven; RSFQ fan-out is 1 — "
-                    "insert an SPL", name().c_str(), out_port);
+        sushi_fatal("%.*s output %d already driven; RSFQ fan-out is "
+                    "1 — insert an SPL",
+                    static_cast<int>(name().size()), name().data(),
+                    out_port);
     }
     sim_.core().connect(id_, out_port, dst.id_, dst_port, wire_delay);
 }
@@ -44,14 +43,14 @@ Component::inject(int port, Tick when)
     sim_.schedulePulse(when, id_, port);
 }
 
-PulseSink::PulseSink(Simulator &sim, std::string name)
-    : Component(sim, std::move(name), 1, 0,
+PulseSink::PulseSink(Simulator &sim, std::string_view name)
+    : Component(sim, name, 1, 0,
                 CompiledNetlist::kKindSink)
 {
 }
 
-PulseSource::PulseSource(Simulator &sim, std::string name)
-    : Component(sim, std::move(name), 0, 1,
+PulseSource::PulseSource(Simulator &sim, std::string_view name)
+    : Component(sim, name, 0, 1,
                 CompiledNetlist::kKindSource)
 {
 }

@@ -19,7 +19,7 @@
 #ifndef SUSHI_SFQ_COMPONENT_HH
 #define SUSHI_SFQ_COMPONENT_HH
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hh"
@@ -40,16 +40,14 @@ class Component
      * @param exec_kind  CompiledNetlist execution kind byte (a
      *        CellKind value, or kKindSource / kKindSink)
      */
-    Component(Simulator &sim, std::string name, int num_inputs,
+    Component(Simulator &sim, std::string_view name, int num_inputs,
               int num_outputs, std::uint8_t exec_kind);
-
-    virtual ~Component() = default;
 
     Component(const Component &) = delete;
     Component &operator=(const Component &) = delete;
 
-    /** Instance name. */
-    const std::string &name() const { return sim_.core().cellName(id_); }
+    /** Instance name (a view into the compiled core's name arena). */
+    std::string_view name() const { return sim_.core().cellName(id_); }
 
     /** Dense id of this cell in the compiled core. */
     std::int32_t cellId() const { return id_; }
@@ -94,7 +92,7 @@ class Component
 class PulseSink : public Component
 {
   public:
-    PulseSink(Simulator &sim, std::string name);
+    PulseSink(Simulator &sim, std::string_view name);
 
     /** Arrival times of all recorded pulses, in order. */
     const std::vector<Tick> &pulsesSeen() const
@@ -116,7 +114,7 @@ class PulseSink : public Component
 class PulseSource : public Component
 {
   public:
-    PulseSource(Simulator &sim, std::string name);
+    PulseSource(Simulator &sim, std::string_view name);
 
     /** Schedule an output pulse at absolute time @p when. */
     void pulseAt(Tick when);

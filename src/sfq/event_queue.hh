@@ -88,6 +88,10 @@ class EventQueue
      *  meshes drain a handful of events per day. */
     static constexpr std::size_t kSortedMax = 16;
 
+    /** Capacity a day bucket takes on its first push: a fresh
+     *  simulator's buckets then skip the 1-2-4-8 regrowth steps. */
+    static constexpr std::size_t kDayReserve = 16;
+
     EventQueue() : days_(static_cast<std::size_t>(kNumDays)) {}
 
     /** Schedule delivery at absolute tick @p when. */
@@ -102,8 +106,11 @@ class EventQueue
             // monotonic time, an earlier one).
             pushCur(ev);
         } else if (d - cur_day_ < kNumDays) {
-            days_[static_cast<std::size_t>(d & (kNumDays - 1))]
-                .push_back(ev);
+            auto &bucket =
+                days_[static_cast<std::size_t>(d & (kNumDays - 1))];
+            if (bucket.capacity() == 0)
+                bucket.reserve(kDayReserve);
+            bucket.push_back(ev);
             ++ring_count_;
         } else if (far_.size() == far_head_ ||
                    when >= far_.back().when) {

@@ -73,18 +73,18 @@ FaultModel::clearFaults()
 }
 
 bool
-FaultModel::matches(const FaultSpec &spec, const std::string &cell,
+FaultModel::matches(const FaultSpec &spec, std::string_view cell,
                     Tick now)
 {
     if (now < spec.from || now >= spec.until)
         return false;
     if (spec.target.empty())
         return true;
-    return cell.find(spec.target) != std::string::npos;
+    return cell.find(spec.target) != std::string_view::npos;
 }
 
 FaultModel::Delivery
-FaultModel::onDeliver(const std::string &src, Tick now)
+FaultModel::onDeliver(std::string_view src, Tick now)
 {
     Delivery d;
     for (const FaultSpec &spec : specs_) {
@@ -125,7 +125,7 @@ FaultModel::onDeliver(const std::string &src, Tick now)
 }
 
 bool
-FaultModel::suppressArrival(const std::string &cell, Tick now)
+FaultModel::suppressArrival(std::string_view cell, Tick now)
 {
     for (const FaultSpec &spec : specs_) {
         if (spec.kind == FaultKind::DeadCell &&
@@ -138,7 +138,7 @@ FaultModel::suppressArrival(const std::string &cell, Tick now)
 }
 
 bool
-FaultModel::stuckSet(const std::string &cell, Tick now) const
+FaultModel::stuckSet(std::string_view cell, Tick now) const
 {
     for (const FaultSpec &spec : specs_)
         if (spec.kind == FaultKind::StuckSet &&
@@ -148,7 +148,7 @@ FaultModel::stuckSet(const std::string &cell, Tick now) const
 }
 
 bool
-FaultModel::stuckReset(const std::string &cell, Tick now) const
+FaultModel::stuckReset(std::string_view cell, Tick now) const
 {
     for (const FaultSpec &spec : specs_)
         if (spec.kind == FaultKind::StuckReset &&

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -120,11 +121,11 @@ class FaultModel
     /** True if spec @p i name-targets @p cell (time window excluded —
      *  that part stays a per-event check). For mask building. */
     bool
-    targetMatches(std::size_t i, const std::string &cell) const
+    targetMatches(std::size_t i, std::string_view cell) const
     {
         const FaultSpec &spec = specs_[i];
         return spec.target.empty() ||
-               cell.find(spec.target) != std::string::npos;
+               cell.find(spec.target) != std::string_view::npos;
     }
 
     /** The net effect of faults on one pulse delivery. */
@@ -140,16 +141,16 @@ class FaultModel
      * @p now. Consumes randomness only for matching active faults,
      * in insertion order, so streams are reproducible.
      */
-    Delivery onDeliver(const std::string &src, Tick now);
+    Delivery onDeliver(std::string_view src, Tick now);
 
     /** True if @p cell is dead at @p now; counts the suppression. */
-    bool suppressArrival(const std::string &cell, Tick now);
+    bool suppressArrival(std::string_view cell, Tick now);
 
     /** True if an NDRO named @p cell is stuck-set at @p now. */
-    bool stuckSet(const std::string &cell, Tick now) const;
+    bool stuckSet(std::string_view cell, Tick now) const;
 
     /** True if an NDRO named @p cell is stuck-reset at @p now. */
-    bool stuckReset(const std::string &cell, Tick now) const;
+    bool stuckReset(std::string_view cell, Tick now) const;
 
     /// @name Mask-addressed queries (compiled path)
     ///
@@ -211,7 +212,7 @@ class FaultModel
 
   private:
     /** True if @p spec applies to @p cell at @p now. */
-    static bool matches(const FaultSpec &spec, const std::string &cell,
+    static bool matches(const FaultSpec &spec, std::string_view cell,
                         Tick now);
 
     /** True if spec @p i applies at @p now given its cached target

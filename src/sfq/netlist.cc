@@ -1,8 +1,69 @@
 #include "sfq/netlist.hh"
 
+#include <new>
+#include <string>
+#include <type_traits>
+
 #include "common/logging.hh"
 
 namespace sushi::sfq {
+
+namespace {
+
+/** Netlist::fanout over @p dsts; @p name is the running instance
+ *  prefix, extended in place and restored before returning. */
+void
+fanoutTree(Netlist &net, std::string &name, Component &src,
+           int out_port, std::span<const PortRef> dsts,
+           int jtl_per_hop)
+{
+    sushi_assert(!dsts.empty());
+    if (dsts.size() == 1) {
+        net.connectWire(src, out_port, *dsts[0].first, dsts[0].second,
+                        jtl_per_hop);
+        return;
+    }
+    // Binary splitter tree: split the destination list in half and
+    // recurse; each split point is one SPL.
+    const std::size_t len = name.size();
+    Spl &spl = net.makeSpl(name.append(".spl"));
+    name.resize(len);
+    net.connectWire(src, out_port, spl, 0, jtl_per_hop);
+    const std::size_t mid = dsts.size() / 2;
+    fanoutTree(net, name.append(".l"), spl, 0, dsts.first(mid),
+               jtl_per_hop);
+    name.resize(len);
+    fanoutTree(net, name.append(".r"), spl, 1, dsts.subspan(mid),
+               jtl_per_hop);
+    name.resize(len);
+}
+
+/** Netlist::mergeTree over @p srcs, with fanoutTree's name buffer. */
+void
+mergeTreeInto(Netlist &net, std::string &name,
+              std::span<const PortRef> srcs, Component &dst,
+              int dst_port, int jtl_per_hop)
+{
+    sushi_assert(!srcs.empty());
+    if (srcs.size() == 1) {
+        net.connectWire(*srcs[0].first, srcs[0].second, dst, dst_port,
+                        jtl_per_hop);
+        return;
+    }
+    const std::size_t len = name.size();
+    Cb &cb = net.makeCb(name.append(".cb"));
+    name.resize(len);
+    const std::size_t mid = srcs.size() / 2;
+    mergeTreeInto(net, name.append(".l"), srcs.first(mid), cb, 0,
+                  jtl_per_hop);
+    name.resize(len);
+    mergeTreeInto(net, name.append(".r"), srcs.subspan(mid), cb, 1,
+                  jtl_per_hop);
+    name.resize(len);
+    net.connectWire(cb, 0, dst, dst_port, jtl_per_hop);
+}
+
+} // namespace
 
 ResourceTally &
 ResourceTally::operator+=(const ResourceTally &other)
@@ -18,13 +79,23 @@ ResourceTally::operator+=(const ResourceTally &other)
 
 template <typename T>
 T &
-Netlist::addCell(const std::string &name, CellKind kind)
+Netlist::place(std::string_view name)
 {
-    auto cell = std::make_unique<T>(sim_, name);
-    T &ref = *cell;
-    cells_.push_back(std::move(cell));
+    // The arena releases its memory without running destructors.
+    static_assert(std::is_trivially_destructible_v<T>);
+    void *mem = arena_.allocate(sizeof(T), alignof(T));
+    T &cell = *::new (mem) T(sim_, name);
+    ++num_cells_;
+    return cell;
+}
+
+template <typename T>
+T &
+Netlist::addCell(std::string_view name, CellKind kind)
+{
+    T &cell = place<T>(name);
     accountCell(kind, /*wiring=*/kind == CellKind::JTL);
-    return ref;
+    return cell;
 }
 
 void
@@ -42,87 +113,81 @@ Netlist::accountCell(CellKind kind, bool wiring)
 }
 
 Jtl &
-Netlist::makeJtl(const std::string &name)
+Netlist::makeJtl(std::string_view name)
 {
     return addCell<Jtl>(name, CellKind::JTL);
 }
 
 Spl &
-Netlist::makeSpl(const std::string &name)
+Netlist::makeSpl(std::string_view name)
 {
     return addCell<Spl>(name, CellKind::SPL);
 }
 
 Spl3 &
-Netlist::makeSpl3(const std::string &name)
+Netlist::makeSpl3(std::string_view name)
 {
     return addCell<Spl3>(name, CellKind::SPL3);
 }
 
 Cb &
-Netlist::makeCb(const std::string &name)
+Netlist::makeCb(std::string_view name)
 {
     return addCell<Cb>(name, CellKind::CB);
 }
 
 Cb3 &
-Netlist::makeCb3(const std::string &name)
+Netlist::makeCb3(std::string_view name)
 {
     return addCell<Cb3>(name, CellKind::CB3);
 }
 
 Dff &
-Netlist::makeDff(const std::string &name)
+Netlist::makeDff(std::string_view name)
 {
     return addCell<Dff>(name, CellKind::DFF);
 }
 
 Ndro &
-Netlist::makeNdro(const std::string &name)
+Netlist::makeNdro(std::string_view name)
 {
     return addCell<Ndro>(name, CellKind::NDRO);
 }
 
 Tffl &
-Netlist::makeTffl(const std::string &name)
+Netlist::makeTffl(std::string_view name)
 {
     return addCell<Tffl>(name, CellKind::TFFL);
 }
 
 Tffr &
-Netlist::makeTffr(const std::string &name)
+Netlist::makeTffr(std::string_view name)
 {
     return addCell<Tffr>(name, CellKind::TFFR);
 }
 
 DcSfq &
-Netlist::makeDcSfq(const std::string &name)
+Netlist::makeDcSfq(std::string_view name)
 {
     return addCell<DcSfq>(name, CellKind::DCSFQ);
 }
 
 SfqDc &
-Netlist::makeSfqDc(const std::string &name)
+Netlist::makeSfqDc(std::string_view name)
 {
     return addCell<SfqDc>(name, CellKind::SFQDC);
 }
 
 PulseSource &
-Netlist::makeSource(const std::string &name)
+Netlist::makeSource(std::string_view name)
 {
-    auto cell = std::make_unique<PulseSource>(sim_, name);
-    PulseSource &ref = *cell;
-    cells_.push_back(std::move(cell));
-    return ref; // IO pads carry no on-chip resources
+    return place<PulseSource>(name); // IO pads carry no resources
 }
 
 PulseSink &
-Netlist::makeSink(const std::string &name)
+Netlist::makeSink(std::string_view name)
 {
-    auto cell = std::make_unique<PulseSink>(sim_, name);
-    PulseSink &ref = *cell;
-    cells_.push_back(std::move(cell));
-    return ref;
+    return place<PulseSink>(name);
 }
 
 void
@@ -141,15 +206,16 @@ Netlist::connectWire(Component &src, int out_port,
 }
 
 void
-Netlist::makeJtlChain(const std::string &name, Component &src,
+Netlist::makeJtlChain(std::string_view name, Component &src,
                       int out_port, Component &dst, int in_port,
                       int stages)
 {
     sushi_assert(stages >= 1);
     Component *prev = &src;
     int prev_port = out_port;
+    CellNamer n(name);
     for (int i = 0; i < stages; ++i) {
-        Jtl &j = makeJtl(name + ".jtl" + std::to_string(i));
+        Jtl &j = makeJtl(n(".jtl", i));
         // The chain's JTLs are wiring, but makeJtl accounted them as
         // wiring already via the kind check.
         prev->connect(prev_port, j, 0, 0);
@@ -160,49 +226,19 @@ Netlist::makeJtlChain(const std::string &name, Component &src,
 }
 
 void
-Netlist::fanout(const std::string &name, Component &src, int out_port,
-                const std::vector<std::pair<Component *, int>> &dsts,
-                int jtl_per_hop)
+Netlist::fanout(std::string_view name, Component &src, int out_port,
+                std::span<const PortRef> dsts, int jtl_per_hop)
 {
-    sushi_assert(!dsts.empty());
-    if (dsts.size() == 1) {
-        connectWire(src, out_port, *dsts[0].first, dsts[0].second,
-                    jtl_per_hop);
-        return;
-    }
-    // Binary splitter tree: split the destination list in half and
-    // recurse; each split point is one SPL.
-    Spl &spl = makeSpl(name + ".spl");
-    connectWire(src, out_port, spl, 0, jtl_per_hop);
-    const std::size_t mid = dsts.size() / 2;
-    std::vector<std::pair<Component *, int>> lo(dsts.begin(),
-                                                dsts.begin() + mid);
-    std::vector<std::pair<Component *, int>> hi(dsts.begin() + mid,
-                                                dsts.end());
-    fanout(name + ".l", spl, 0, lo, jtl_per_hop);
-    fanout(name + ".r", spl, 1, hi, jtl_per_hop);
+    std::string buf(name);
+    fanoutTree(*this, buf, src, out_port, dsts, jtl_per_hop);
 }
 
 void
-Netlist::mergeTree(const std::string &name,
-                   const std::vector<std::pair<Component *, int>> &srcs,
+Netlist::mergeTree(std::string_view name, std::span<const PortRef> srcs,
                    Component &dst, int dst_port, int jtl_per_hop)
 {
-    sushi_assert(!srcs.empty());
-    if (srcs.size() == 1) {
-        connectWire(*srcs[0].first, srcs[0].second, dst, dst_port,
-                    jtl_per_hop);
-        return;
-    }
-    Cb &cb = makeCb(name + ".cb");
-    const std::size_t mid = srcs.size() / 2;
-    std::vector<std::pair<Component *, int>> lo(srcs.begin(),
-                                                srcs.begin() + mid);
-    std::vector<std::pair<Component *, int>> hi(srcs.begin() + mid,
-                                                srcs.end());
-    mergeTree(name + ".l", lo, cb, 0, jtl_per_hop);
-    mergeTree(name + ".r", hi, cb, 1, jtl_per_hop);
-    connectWire(cb, 0, dst, dst_port, jtl_per_hop);
+    std::string buf(name);
+    mergeTreeInto(*this, buf, srcs, dst, dst_port, jtl_per_hop);
 }
 
 void

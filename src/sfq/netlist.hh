@@ -18,9 +18,12 @@
 #define SUSHI_SFQ_NETLIST_HH
 
 #include <array>
-#include <memory>
+#include <charconv>
+#include <memory_resource>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <utility>
 
 #include "sfq/cells.hh"
 #include "sfq/simulator.hh"
@@ -54,7 +57,54 @@ struct ResourceTally
     ResourceTally &operator+=(const ResourceTally &other);
 };
 
-/** Owns the cells of one gate-level design. */
+/**
+ * Composes instance names in one reused buffer: n(".sc", i) returns
+ * "<prefix>.sc<i>". The view stays valid until the next call, which
+ * is all Netlist::make* needs (they copy the name into the compiled
+ * core's name arena).
+ */
+class CellNamer
+{
+  public:
+    explicit CellNamer(std::string_view prefix = {})
+        : buf_(prefix), len_(buf_.size())
+    {
+    }
+
+    /** The prefix followed by every part (strings and ints). */
+    template <typename... Parts>
+    std::string_view
+    operator()(const Parts &...parts)
+    {
+        buf_.resize(len_);
+        (append(parts), ...);
+        return buf_;
+    }
+
+  private:
+    void append(std::string_view s) { buf_ += s; }
+
+    void
+    append(int v)
+    {
+        char digits[12];
+        const auto r = std::to_chars(digits, digits + sizeof digits, v);
+        buf_.append(digits, r.ptr);
+    }
+
+    std::string buf_;
+    std::size_t len_;
+};
+
+/** One (component, port) end of a fan-out or merge tree. */
+using PortRef = std::pair<Component *, int>;
+
+/**
+ * Owns the cells of one gate-level design. The cell facades live in a
+ * monotonic arena (one bump allocation each, freed with the netlist;
+ * facades are trivially destructible), and their names in the
+ * compiled core's name arena.
+ */
 class Netlist
 {
   public:
@@ -65,19 +115,19 @@ class Netlist
 
     /// @name Cell factories (each registers resources as logic).
     /// @{
-    Jtl &makeJtl(const std::string &name);
-    Spl &makeSpl(const std::string &name);
-    Spl3 &makeSpl3(const std::string &name);
-    Cb &makeCb(const std::string &name);
-    Cb3 &makeCb3(const std::string &name);
-    Dff &makeDff(const std::string &name);
-    Ndro &makeNdro(const std::string &name);
-    Tffl &makeTffl(const std::string &name);
-    Tffr &makeTffr(const std::string &name);
-    DcSfq &makeDcSfq(const std::string &name);
-    SfqDc &makeSfqDc(const std::string &name);
-    PulseSource &makeSource(const std::string &name);
-    PulseSink &makeSink(const std::string &name);
+    Jtl &makeJtl(std::string_view name);
+    Spl &makeSpl(std::string_view name);
+    Spl3 &makeSpl3(std::string_view name);
+    Cb &makeCb(std::string_view name);
+    Cb3 &makeCb3(std::string_view name);
+    Dff &makeDff(std::string_view name);
+    Ndro &makeNdro(std::string_view name);
+    Tffl &makeTffl(std::string_view name);
+    Tffr &makeTffr(std::string_view name);
+    DcSfq &makeDcSfq(std::string_view name);
+    SfqDc &makeSfqDc(std::string_view name);
+    PulseSource &makeSource(std::string_view name);
+    PulseSink &makeSink(std::string_view name);
     /// @}
 
     /**
@@ -94,7 +144,7 @@ class Netlist
      * ports (each stage is a simulated component). Accounted as
      * wiring.
      */
-    void makeJtlChain(const std::string &name, Component &src,
+    void makeJtlChain(std::string_view name, Component &src,
                       int out_port, Component &dst, int in_port,
                       int stages);
 
@@ -104,9 +154,8 @@ class Netlist
      * fan-out of N costs N-1 SPL cells (accounted as logic) plus
      * @p jtl_per_hop wiring stages on every tree edge.
      */
-    void fanout(const std::string &name, Component &src, int out_port,
-                const std::vector<std::pair<Component *, int>> &dsts,
-                int jtl_per_hop = 0);
+    void fanout(std::string_view name, Component &src, int out_port,
+                std::span<const PortRef> dsts, int jtl_per_hop = 0);
 
     /**
      * Build a confluence-buffer merge tree combining every source in
@@ -115,8 +164,7 @@ class Netlist
      * per tree edge. Sources must keep their pulses spaced per
      * Table 1; the SUSHI encoder guarantees that.
      */
-    void mergeTree(const std::string &name,
-                   const std::vector<std::pair<Component *, int>> &srcs,
+    void mergeTree(std::string_view name, std::span<const PortRef> srcs,
                    Component &dst, int dst_port, int jtl_per_hop = 0);
 
     /** Account extra wiring JJs that are not on any modelled path
@@ -150,16 +198,21 @@ class Netlist
     Simulator &sim() { return sim_; }
 
     /** Number of owned components. */
-    std::size_t numComponents() const { return cells_.size(); }
+    std::size_t numComponents() const { return num_cells_; }
 
   private:
+    /** Construct a facade in the arena. */
+    template <typename T> T &place(std::string_view name);
+
+    /** place() plus resource accounting (library cells). */
     template <typename T>
-    T &addCell(const std::string &name, CellKind kind);
+    T &addCell(std::string_view name, CellKind kind);
 
     void accountCell(CellKind kind, bool wiring);
 
     Simulator &sim_;
-    std::vector<std::unique_ptr<Component>> cells_;
+    std::pmr::monotonic_buffer_resource arena_;
+    std::size_t num_cells_ = 0;
     ResourceTally tally_;
 };
 

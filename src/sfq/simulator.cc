@@ -115,7 +115,7 @@ Simulator::reportViolation(const std::string &cell,
 }
 
 bool
-Simulator::reportViolationEvt(const std::string &cell,
+Simulator::reportViolationEvt(std::string_view cell,
                               const std::string &what,
                               const char *constraint, Tick prev,
                               Tick at, Tick ev_when,
@@ -127,8 +127,8 @@ Simulator::reportViolationEvt(const std::string &cell,
         std::lock_guard<std::mutex> lk(violation_mu_);
         ++violations_;
         if (!cell.empty())
-            ++violations_by_cell_[cell];
-        where = cell.empty() ? what : cell + ": " + what;
+            ++violations_by_cell_[std::string(cell)];
+        where = cell.empty() ? what : std::string(cell) + ": " + what;
         // Max-key-wins: sequential execution reports in increasing
         // event order, so >= reproduces "most recent"; partitioned
         // lanes may report out of order and still converge on the
@@ -156,7 +156,7 @@ Simulator::reportViolationEvt(const std::string &cell,
       case ViolationPolicy::Recover:
         return true;
       case ViolationPolicy::Fatal:
-        throw TimingFault(cell, where,
+        throw TimingFault(std::string(cell), where,
                           constraint != nullptr ? constraint : "",
                           prev, at);
     }

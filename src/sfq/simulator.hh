@@ -28,6 +28,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hh"
@@ -186,7 +187,7 @@ class Simulator
      * same report regardless of which lane finds it first. Thread
      * safe (parallel lanes report concurrently).
      */
-    bool reportViolationEvt(const std::string &cell,
+    bool reportViolationEvt(std::string_view cell,
                             const std::string &what,
                             const char *constraint, Tick prev,
                             Tick at, Tick ev_when,

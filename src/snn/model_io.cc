@@ -3,8 +3,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-
-#include "common/logging.hh"
+#include <string>
+#include <vector>
 
 namespace sushi::snn {
 
@@ -30,55 +30,79 @@ saveBinarySnn(const BinarySnn &net, std::ostream &os)
     }
 }
 
+namespace {
+
+[[noreturn]] void
+reject(const std::string &what)
+{
+    throw ModelFormatError("sushi-ssnn model: " + what);
+}
+
+std::string
+inLayer(std::size_t l)
+{
+    return " in layer " + std::to_string(l);
+}
+
+} // namespace
+
 BinarySnn
 loadBinarySnn(std::istream &is)
 {
     std::string magic, version;
     is >> magic >> version;
     if (magic != "sushi-ssnn" || version != "v1")
-        sushi_fatal("not a sushi-ssnn v1 model");
+        reject("not a sushi-ssnn v1 model");
 
     std::string key;
     int t_steps = 0;
     std::size_t num_layers = 0;
     is >> key >> t_steps;
-    if (key != "t_steps" || t_steps < 1)
-        sushi_fatal("bad t_steps record");
+    if (!is || key != "t_steps" || t_steps < 1)
+        reject("bad t_steps record");
     is >> key >> num_layers;
-    if (key != "layers" || num_layers == 0)
-        sushi_fatal("bad layers record");
+    if (!is || key != "layers" || num_layers == 0)
+        reject("bad layers record");
 
     std::vector<BinaryLayer> layers;
     for (std::size_t l = 0; l < num_layers; ++l) {
         std::size_t in_dim = 0, out_dim = 0;
         is >> key >> in_dim >> out_dim;
-        if (key != "layer" || in_dim == 0 || out_dim == 0)
-            sushi_fatal("bad layer header in layer %zu", l);
+        if (!is || key != "layer" || in_dim == 0 || out_dim == 0)
+            reject("bad layer header" + inLayer(l));
+        if (l > 0 && in_dim != layers.back().outDim())
+            reject("in_dim " + std::to_string(in_dim) +
+                   " differs from the previous out_dim " +
+                   std::to_string(layers.back().outDim()) + inLayer(l));
         BinaryLayer layer;
-        layer.thresholds.resize(out_dim);
         is >> key;
-        if (key != "thresholds")
-            sushi_fatal("missing thresholds in layer %zu", l);
-        for (auto &t : layer.thresholds)
-            is >> t;
-        layer.weights.resize(out_dim);
+        if (!is || key != "thresholds")
+            reject("missing thresholds" + inLayer(l));
+        for (std::size_t o = 0; o < out_dim; ++o) {
+            int t = 0;
+            if (!(is >> t))
+                reject("missing threshold " + std::to_string(o) +
+                       inLayer(l));
+            layer.thresholds.push_back(t);
+        }
         for (std::size_t o = 0; o < out_dim; ++o) {
             std::string signs;
             is >> key >> signs;
-            if (key != "row" || signs.size() != in_dim)
-                sushi_fatal("bad weight row %zu in layer %zu", o, l);
-            auto &row = layer.weights[o];
+            if (!is || key != "row" || signs.size() != in_dim)
+                reject("bad weight row " + std::to_string(o) +
+                       inLayer(l));
+            std::vector<std::int8_t> row;
             row.reserve(in_dim);
             for (char c : signs) {
                 if (c != '+' && c != '-')
-                    sushi_fatal("bad sign '%c' in layer %zu", c, l);
+                    reject(std::string("bad sign '") + c + "'" +
+                           inLayer(l));
                 row.push_back(c == '+' ? 1 : -1);
             }
+            layer.weights.push_back(std::move(row));
         }
         layers.push_back(std::move(layer));
     }
-    if (!is)
-        sushi_fatal("truncated sushi-ssnn model");
     return BinarySnn::fromLayers(std::move(layers), t_steps);
 }
 

@@ -20,18 +20,29 @@
 #define SUSHI_SNN_MODEL_IO_HH
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "snn/binarize.hh"
 
 namespace sushi::snn {
 
+/** A model stream that is not a well-formed sushi-ssnn v1 model. */
+class ModelFormatError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /** Serialize a binarized network to a stream. */
 void saveBinarySnn(const BinarySnn &net, std::ostream &os);
 
 /**
- * Parse a binarized network from a stream.
- * Calls fatal() on malformed input (user data error).
+ * Parse a binarized network from a stream. Records are read one at a
+ * time, so a header that declares more rows than the stream holds
+ * fails at the first missing row without allocating for the rest.
+ * @throws ModelFormatError on malformed or truncated input, or when
+ *         a layer's in_dim differs from the previous layer's out_dim.
  */
 BinarySnn loadBinarySnn(std::istream &is);
 

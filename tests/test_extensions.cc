@@ -84,8 +84,8 @@ TEST(ModelIo, FormatIsHumanReadable)
 
 TEST(ModelIo, RejectsWrongMagic)
 {
-    EXPECT_EXIT(snn::binarySnnFromString("not-a-model v9\n"),
-                ::testing::ExitedWithCode(1), "sushi-ssnn");
+    EXPECT_THROW(snn::binarySnnFromString("not-a-model v9\n"),
+                 snn::ModelFormatError);
 }
 
 TEST(ModelIo, RejectsTruncated)
@@ -93,8 +93,66 @@ TEST(ModelIo, RejectsTruncated)
     auto net = randomNet(80);
     std::string text = snn::binarySnnToString(net);
     text.resize(text.size() / 2);
-    EXPECT_EXIT(snn::binarySnnFromString(text),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_THROW(snn::binarySnnFromString(text), snn::ModelFormatError);
+}
+
+TEST(ModelIo, RejectsLayerChainMismatch)
+{
+    // Layer 1 claims 6 inputs, but layer 0 has 7 outputs: inference
+    // on such a model could never run.
+    const std::string text = "sushi-ssnn v1\nt_steps 2\nlayers 2\n"
+                             "layer 2 7\nthresholds 1 1 1 1 1 1 1\n"
+                             "row ++\nrow ++\nrow ++\nrow ++\n"
+                             "row ++\nrow ++\nrow ++\n"
+                             "layer 6 1\nthresholds 1\nrow ++++++\n";
+    EXPECT_THROW(snn::binarySnnFromString(text), snn::ModelFormatError);
+}
+
+TEST(ModelIo, HugeHeaderFailsAtFirstMissingRecord)
+{
+    // Declared sizes are not trusted: a ~10^11-row header must fail
+    // on the missing data, not reserve for it first.
+    EXPECT_THROW(snn::binarySnnFromString(
+                     "sushi-ssnn v1\nt_steps 1\nlayers 1\n"
+                     "layer 1 99999999999\nthresholds 1\nrow +\n"),
+                 snn::ModelFormatError);
+}
+
+/** Load @p text; true if it loaded (and then runs), false if it was
+ *  rejected with ModelFormatError. Anything else fails the test. */
+bool
+loadsOrRejects(const std::string &text)
+{
+    try {
+        const auto net = snn::binarySnnFromString(text);
+        const std::vector<std::vector<std::uint8_t>> frames(
+            static_cast<std::size_t>(net.tSteps()),
+            std::vector<std::uint8_t>(net.layers()[0].inDim(), 1));
+        EXPECT_EQ(net.forwardCounts(frames).size(),
+                  net.layers().back().outDim());
+        return true;
+    } catch (const snn::ModelFormatError &) {
+        return false;
+    }
+}
+
+TEST(ModelIo, FuzzedInputsLoadOrThrowTyped)
+{
+    const std::string text = snn::binarySnnToString(randomNet(81));
+    // Every prefix truncation: only the whole text (give or take the
+    // trailing newline) is a model.
+    std::size_t loaded = 0;
+    for (std::size_t n = 0; n <= text.size(); ++n)
+        loaded += loadsOrRejects(text.substr(0, n)) ? 1 : 0;
+    EXPECT_EQ(loaded, 2u);
+    // Seeded single-byte mutations.
+    Rng rng(0xF022);
+    for (int i = 0; i < 200; ++i) {
+        std::string bad = text;
+        bad[rng.below(bad.size())] =
+            static_cast<char>(rng.below(256));
+        loadsOrRejects(bad);
+    }
 }
 
 compiler::BinaryConvSpec

@@ -92,6 +92,48 @@ TEST(FaultModel, SameSeedSameDropInsertSequence)
     EXPECT_NE(std::get<0>(a), std::get<0>(c));
 }
 
+TEST(FaultModel, SpuriousPulsesTrailTheRealDelivery)
+{
+    Chain c(1);
+    FaultSpec spur;
+    spur.kind = FaultKind::SpuriousPulse;
+    spur.rate = 1.0;
+    spur.target = "jtl0";
+    c.sim.faults().addFault(spur);
+    const Tick t = 1000;
+    c.src->pulseAt(t);
+    c.sim.run();
+    const Tick d = sfq::cellParams(sfq::CellKind::JTL).delay;
+    EXPECT_EQ(c.sink->pulsesSeen(), (std::vector<Tick>{t + d, t + d + 1}));
+    EXPECT_EQ(c.sim.faults().counters().inserted, 1u);
+}
+
+TEST(FaultModel, JitterNeverDeliversIntoThePast)
+{
+    // A sigma far above the JTL delay makes about half the shifts
+    // negative enough to land before the firing; those are clamped
+    // to arrive at the firing tick itself.
+    Chain c(1);
+    FaultSpec jit;
+    jit.kind = FaultKind::TimingJitter;
+    jit.jitter_sigma = 1e6;
+    jit.target = "jtl0";
+    c.sim.faults().addFault(jit);
+    const Tick gap = 100'000'000;
+    const int pulses = 40;
+    for (int i = 0; i < pulses; ++i)
+        c.src->pulseAt(i * gap);
+    c.sim.run();
+    const auto &seen = c.sink->pulsesSeen();
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(pulses));
+    int clamped = 0;
+    for (int i = 0; i < pulses; ++i) {
+        EXPECT_GE(seen[static_cast<std::size_t>(i)], i * gap);
+        clamped += seen[static_cast<std::size_t>(i)] == i * gap ? 1 : 0;
+    }
+    EXPECT_GT(clamped, 0);
+}
+
 TEST(FaultModel, TargetedDeadCellKillsOnlyItsPath)
 {
     sfq::Simulator sim;
