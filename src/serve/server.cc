@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -31,8 +32,33 @@ poolConfig(const ServerConfig &cfg)
     int active = ec.replicas;
     if (active <= 0)
         active = static_cast<int>(parallelWorkers());
-    ec.replicas = active + std::max(0, cfg.hot_spares);
+    ec.replicas = active + cfg.hot_spares;
     return ec;
+}
+
+/** Throw std::invalid_argument naming the first field a Server
+ *  cannot run with; runs before the engines see @p cfg. */
+const ServerConfig &
+validated(const ServerConfig &cfg)
+{
+    const auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw std::invalid_argument(std::string("ServerConfig.") +
+                                        what);
+    };
+    require(cfg.max_batch >= 1, "max_batch must be >= 1");
+    require(cfg.max_queue >= 1, "max_queue must be >= 1");
+    require(cfg.max_delay_ns >= 0, "max_delay_ns must be >= 0");
+    require(cfg.hot_spares >= 0, "hot_spares must be >= 0");
+    // HalfOpen would admit no trial batch, stranding its admits.
+    require(!cfg.breaker.enabled() || cfg.breaker.half_open_probes >= 1,
+            "breaker.half_open_probes must be >= 1 when the breaker "
+            "is enabled");
+    const int pool = poolConfig(cfg).replicas;
+    for (const ChaosScript &ev : cfg.chaos.script)
+        require(ev.replica >= 0 && ev.replica < pool,
+                "chaos.script replica must be inside the pool");
+    return cfg;
 }
 
 } // namespace
@@ -55,18 +81,12 @@ rejectName(Reject r)
 Server::Server(std::shared_ptr<const engine::CompiledModel> model,
                const ServerConfig &cfg)
     : model_(std::move(model)),
-      cfg_(cfg),
-      engine_(model_, poolConfig(cfg)),
-      chaos_(cfg.chaos, engine_.replicas()),
+      cfg_(validated(cfg)),
+      engine_(model_, poolConfig(cfg_)),
+      chaos_(cfg_.chaos, engine_.replicas()),
       epoch_(std::chrono::steady_clock::now())
 {
-    sushi_assert(cfg_.max_batch >= 1);
-    sushi_assert(cfg_.max_queue >= 1);
-    sushi_assert(cfg_.max_delay_ns >= 0);
-    sushi_assert(cfg_.hot_spares >= 0);
-    target_active_ =
-        engine_.replicas() - std::max(0, cfg_.hot_spares);
-    sushi_assert(target_active_ >= 1);
+    target_active_ = engine_.replicas() - cfg_.hot_spares;
     const int nshards = cfg_.admission_shards > 0
                             ? cfg_.admission_shards
                             : engine_.replicas();
@@ -74,6 +94,7 @@ Server::Server(std::shared_ptr<const engine::CompiledModel> model,
     for (int s = 0; s < nshards; ++s)
         shards_.push_back(std::make_unique<Shard>());
     health_.resize(static_cast<std::size_t>(engine_.replicas()));
+    running_.resize(health_.size());
     metrics_.replicas.resize(
         static_cast<std::size_t>(engine_.replicas()));
     for (int r = target_active_; r < engine_.replicas(); ++r) {
@@ -115,7 +136,10 @@ Server::now() const
 ReplicaState
 Server::replicaState(int r) const
 {
-    sushi_assert(r >= 0 && r < engine_.replicas());
+    if (r < 0 || r >= engine_.replicas())
+        throw std::out_of_range("Server::replicaState: replica " +
+                                std::to_string(r) +
+                                " is outside the pool");
     std::lock_guard<std::mutex> lock(mu_);
     return health_[static_cast<std::size_t>(r)].state;
 }
@@ -174,28 +198,12 @@ Server::submit(engine::Sample sample, const RequestOptions &opts)
         fulfillRejectLocked(sh, req, Reject::ShuttingDown, t);
         return fut;
     }
-    if (!validShape(*req.sample)) {
-        fulfillRejectLocked(sh, req, Reject::InvalidRequest, t);
-        return fut;
-    }
-    if (req.deadline_ns <= t) {
-        fulfillRejectLocked(sh, req, Reject::DeadlineExceeded, t);
-        return fut;
-    }
-    if (cfg_.breaker.enabled() &&
-        breaker_.state == BreakerState::Open) {
-        fulfillRejectLocked(sh, req, Reject::BreakerOpen, t);
-        return fut;
-    }
     // Shed this shard's expired entries (their retry/hedge timers
     // are reaped lazily — firing a timer of a resolved request is a
-    // no-op); the global sweep happens on the worker side.
+    // no-op); the global sweep happens in the scheduler step.
     shedShardLocked(sh, t, /*reap=*/false);
-    if (!tryReserveQueueSlot()) {
-        fulfillRejectLocked(sh, req, Reject::QueueFull, t);
+    if (!admitOrRejectLocked(sh, req, t))
         return fut;
-    }
-    admitShardLocked(sh, std::move(req), t);
     slock.unlock();
     if (global.owns_lock())
         global.unlock();
@@ -207,7 +215,9 @@ std::future<Response>
 Server::submitAt(std::int64_t arrival_ns, engine::Sample sample,
                  const RequestOptions &opts)
 {
-    sushi_assert(cfg_.clock == ClockMode::Virtual);
+    if (cfg_.clock != ClockMode::Virtual)
+        throw std::logic_error(
+            "Server::submitAt needs ClockMode::Virtual");
     std::lock_guard<std::mutex> lock(mu_);
     return submitAtLocked(arrival_ns, std::move(sample), opts);
 }
@@ -262,6 +272,27 @@ Server::tryReserveQueueSlot()
         return true;
     queued_.fetch_sub(1);
     return false;
+}
+
+bool
+Server::admitOrRejectLocked(Shard &sh, PendingReq &req, std::int64_t t)
+{
+    Reject reason = Reject::None;
+    if (!validShape(*req.sample))
+        reason = Reject::InvalidRequest;
+    else if (req.deadline_ns <= t)
+        reason = Reject::DeadlineExceeded;
+    else if (cfg_.breaker.enabled() &&
+             breaker_.state == BreakerState::Open)
+        reason = Reject::BreakerOpen;
+    else if (!tryReserveQueueSlot())
+        reason = Reject::QueueFull;
+    if (reason != Reject::None) {
+        fulfillRejectLocked(sh, req, reason, t);
+        return false;
+    }
+    admitShardLocked(sh, std::move(req), t);
+    return true;
 }
 
 void
@@ -525,19 +556,6 @@ Server::oldestQueuedAnyLocked() const
     return oldest;
 }
 
-std::int64_t
-Server::nearestDeadlineAnyLocked() const
-{
-    std::int64_t nearest = kNoDeadline;
-    for (const auto &sh : shards_) {
-        std::lock_guard<std::mutex> slock(sh->mu);
-        sh->pool.forEachLive([&](const PendingReq &q) {
-            nearest = std::min(nearest, q.deadline_ns);
-        });
-    }
-    return nearest;
-}
-
 int
 Server::activeCountLocked() const
 {
@@ -551,7 +569,8 @@ bool
 Server::workPendingLocked() const
 {
     return queued_.load() > 0 || !retries_.empty() ||
-           in_flight_ > 0;
+           std::any_of(running_.begin(), running_.end(),
+                       [](const auto &slot) { return slot.has_value(); });
 }
 
 std::int64_t
@@ -578,34 +597,6 @@ Server::backoffNs(std::uint64_t request_id, int attempt) const
             std::llround(static_cast<double>(delay) * scale));
     }
     return std::max<std::int64_t>(1, delay);
-}
-
-std::int64_t
-Server::nextRetryNsLocked() const
-{
-    std::int64_t next = kNever;
-    for (const RetryEntry &e : retries_)
-        next = std::min(next, e.ready_ns);
-    return next;
-}
-
-std::int64_t
-Server::nextHedgeNsLocked() const
-{
-    std::int64_t next = kNever;
-    for (const HedgeTimer &h : hedges_)
-        next = std::min(next, h.fire_ns);
-    return next;
-}
-
-std::int64_t
-Server::nextProbeNsLocked() const
-{
-    std::int64_t next = kNever;
-    for (const RepHealth &h : health_)
-        if (h.state == ReplicaState::Quarantined)
-            next = std::min(next, h.probe_at);
-    return next;
 }
 
 void
@@ -723,7 +714,6 @@ Server::quarantineLocked(int replica, std::int64_t t)
         metrics_.replicas[s].state = ReplicaState::Active;
         break;
     }
-    work_cv_.notify_all();
 }
 
 void
@@ -771,7 +761,6 @@ Server::runProbeLocked(int replica, std::int64_t t)
         rep.failed_npes = 0;
         rep.state = h.state;
     }
-    work_cv_.notify_all();
 }
 
 void
@@ -1108,96 +1097,169 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
     }
 }
 
+bool
+Server::stepLocked(std::int64_t t)
+{
+    if (cfg_.chaos.enabled())
+        chaos_.advance(t);
+    breakerAdvanceLocked(t);
+
+    // 1. Completions due, in (complete_ns, replica) order.
+    std::vector<std::size_t> done;
+    for (std::size_t r = 0; r < running_.size(); ++r)
+        if (running_[r] && running_[r]->complete_ns <= t)
+            done.push_back(r);
+    std::sort(done.begin(), done.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return running_[a]->complete_ns !=
+                                 running_[b]->complete_ns
+                             ? running_[a]->complete_ns <
+                                   running_[b]->complete_ns
+                             : a < b;
+              });
+    for (std::size_t r : done) {
+        Running &run = *running_[r];
+        processOutcomeLocked(run.batch, run.outcome, run.complete_ns);
+        running_[r].reset();
+    }
+
+    // 2. Hedge fires, 3. health probes (replica order).
+    fireHedgesLocked(t);
+    for (std::size_t r = 0; r < health_.size(); ++r)
+        if (health_[r].state == ReplicaState::Quarantined &&
+            health_[r].probe_at <= t)
+            runProbeLocked(static_cast<int>(r), t);
+
+    // 4. Shed queued requests whose deadlines have now passed,
+    //    re-admit due retries, then fire due arrivals against the
+    //    cleaned queue.
+    shedExpiredAllLocked(t);
+    fireRetriesLocked(t);
+    while (arrival_next_ < arrivals_.size() &&
+           arrivals_[arrival_next_].arrival_ns <= t) {
+        PendingReq &req = arrivals_[arrival_next_++].req;
+        req.submit_ns = t;
+        req.queued_ns = t;
+        Shard &sh = shardOf(req.request_id);
+        std::lock_guard<std::mutex> slock(sh.mu);
+        admitOrRejectLocked(sh, req, t);
+    }
+
+    // 5. Form a batch on each eligible free replica (ascending id);
+    //    it executes outside the step.
+    bool formed = false;
+    for (std::size_t r = 0; r < running_.size(); ++r) {
+        if (running_[r] || !replicaEligibleLocked(static_cast<int>(r)))
+            continue;
+        FlushCause cause;
+        if (!flushReadyLocked(t, &cause))
+            break;
+        Batch batch = takeBatchLocked(static_cast<int>(r), t, cause);
+        if (batch.reqs.empty())
+            break;
+        applyChaosAtDispatchLocked(batch);
+        if (cfg_.breaker.enabled() &&
+            breaker_.state == BreakerState::HalfOpen) {
+            batch.half_open_trial = true;
+            ++breaker_.half_open_inflight;
+        }
+        scheduleHedgeLocked(batch);
+        running_[r] = Running{std::move(batch), Outcome{}, kNever};
+        formed = true;
+    }
+    return formed;
+}
+
+std::int64_t
+Server::nextEventNsLocked(std::int64_t now) const
+{
+    // Next event: arrival, completion, deadline expiry, batch flush
+    // (only while an eligible replica is free), retry ready, hedge
+    // fire, and — while work is pending — health probe, scripted
+    // chaos, or the breaker's open_until.
+    std::int64_t t = kNever;
+    const bool arrivals = arrival_next_ < arrivals_.size();
+    if (arrivals)
+        t = arrivals_[arrival_next_].arrival_ns;
+    bool any_eligible_free = false;
+    for (std::size_t r = 0; r < running_.size(); ++r) {
+        if (running_[r])
+            t = std::min(t, running_[r]->complete_ns);
+        else if (replicaEligibleLocked(static_cast<int>(r)))
+            any_eligible_free = true;
+    }
+    const std::size_t depth = queued_.load();
+    if (depth > 0) {
+        const bool flush_now =
+            depth >= cfg_.max_batch || draining_.load();
+        std::int64_t oldest = kNever;
+        for (const auto &sh : shards_) {
+            std::lock_guard<std::mutex> slock(sh->mu);
+            sh->pool.forEachLive([&](const PendingReq &q) {
+                t = std::min(t, q.deadline_ns);
+                oldest = std::min(oldest, q.queued_ns);
+            });
+        }
+        if (any_eligible_free && flush_now)
+            t = std::min(t, now);
+        else if (any_eligible_free && oldest != kNever)
+            t = std::min(t, oldest + cfg_.max_delay_ns);
+    }
+    for (const RetryEntry &e : retries_)
+        t = std::min(t, e.ready_ns);
+    for (const HedgeTimer &h : hedges_)
+        t = std::min(t, h.fire_ns);
+    if (workPendingLocked() || arrivals) {
+        for (const RepHealth &h : health_)
+            if (h.state == ReplicaState::Quarantined)
+                t = std::min(t, h.probe_at);
+        if (cfg_.chaos.enabled())
+            t = std::min(t, chaos_.nextScriptNs());
+        if (cfg_.breaker.enabled() &&
+            breaker_.state == BreakerState::Open)
+            t = std::min(t, breaker_.open_until);
+    }
+    return t;
+}
+
 void
 Server::workerMain(int replica)
 {
+    std::optional<Running> &slot =
+        running_[static_cast<std::size_t>(replica)];
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
-        const std::int64_t t = realNow();
-        breakerAdvanceLocked(t);
-        RepHealth &h = health_[static_cast<std::size_t>(replica)];
-        if (h.state == ReplicaState::Spare) {
-            if (stop_.load())
-                return;
-            work_cv_.wait(lock);
-            continue;
-        }
-        if (h.state == ReplicaState::Quarantined) {
-            if (stop_.load())
-                return;
-            if (t < h.probe_at) {
-                const std::int64_t wake =
-                    std::min(h.probe_at, t + kMaxWaitNs);
-                work_cv_.wait_until(
-                    lock, epoch_ + std::chrono::nanoseconds(wake));
-                continue;
-            }
-            runProbeLocked(replica, t);
-            continue;
-        }
-        fireRetriesLocked(t);
-        fireHedgesLocked(t);
-        shedExpiredAllLocked(t);
+        // Loaded before the step, so an admit the step did not see
+        // changes it (the publish-then-recheck handshake below).
         const std::size_t q0 = queued_.load();
-        if (q0 == 0) {
-            if (!workPendingLocked())
-                drain_cv_.notify_all();
-            if (stop_.load())
-                return;
-            const std::int64_t wake = std::min(
-                {nextRetryNsLocked(), nextHedgeNsLocked(),
-                 t + kMaxWaitNs});
-            // Publish-then-recheck: a submitter that enqueued after
-            // our load either sees sleepers_ > 0 and notifies under
-            // mu_, or we see its entry here and skip the wait.
-            sleepers_.fetch_add(1);
-            if (queued_.load() == 0)
-                work_cv_.wait_until(
-                    lock, epoch_ + std::chrono::nanoseconds(wake));
-            sleepers_.fetch_sub(1);
-            continue;
-        }
-        FlushCause cause;
-        if (replicaEligibleLocked(replica) &&
-            flushReadyLocked(t, &cause)) {
-            Batch batch = takeBatchLocked(replica, t, cause);
-            if (batch.reqs.empty())
-                continue; // a concurrent shed raced the decision
-            applyChaosAtDispatchLocked(batch);
-            if (cfg_.breaker.enabled() &&
-                breaker_.state == BreakerState::HalfOpen) {
-                batch.half_open_trial = true;
-                ++breaker_.half_open_inflight;
-            }
-            scheduleHedgeLocked(batch);
-            ++in_flight_;
+        const std::int64_t t = realNow();
+        if (stepLocked(t))
+            work_cv_.notify_all(); // the batch may be another's
+        if (slot && slot->complete_ns == kNever) {
+            Running &run = *slot;
             lock.unlock();
-            Outcome out = executeBatch(batch);
+            Outcome out = executeBatch(run.batch);
             const std::int64_t done = realNow();
             lock.lock();
-            --in_flight_;
-            processOutcomeLocked(batch, out, done);
-            drain_cv_.notify_all();
-            work_cv_.notify_all();
+            run.outcome = std::move(out);
+            run.complete_ns = done; // the next step processes it
             continue;
         }
-        // Partial batch (or this replica is held out): sleep until
-        // the delay flush, the nearest deadline, or the next
-        // retry/hedge fire, whichever comes first (capped; new
-        // arrivals and state changes notify).
-        std::int64_t wake = t + kMaxWaitNs;
-        if (replicaEligibleLocked(replica)) {
-            const std::int64_t oldest = oldestQueuedAnyLocked();
-            if (oldest != kNever)
-                wake = std::min(wake, oldest + cfg_.max_delay_ns);
-            wake = std::min(wake, nearestDeadlineAnyLocked());
-        }
-        wake = std::min(
-            {wake, nextRetryNsLocked(), nextHedgeNsLocked()});
+        if (!workPendingLocked())
+            drain_cv_.notify_all();
+        if (stop_.load())
+            return;
+        // Publish-then-recheck: a submitter that enqueued after q0
+        // either sees sleepers_ > 0 and notifies under mu_, or its
+        // entry is visible here — to the recheck and to the wake
+        // time, which is computed after publishing.
         sleepers_.fetch_add(1);
-        if (queued_.load() == q0)
+        if (queued_.load() == q0) {
+            const std::int64_t wake =
+                std::min(nextEventNsLocked(t), t + kMaxWaitNs);
             work_cv_.wait_until(
                 lock, epoch_ + std::chrono::nanoseconds(wake));
+        }
         sleepers_.fetch_sub(1);
     }
 }
@@ -1205,7 +1267,9 @@ Server::workerMain(int replica)
 void
 Server::runVirtual()
 {
-    sushi_assert(cfg_.clock == ClockMode::Virtual);
+    if (cfg_.clock != ClockMode::Virtual)
+        throw std::logic_error(
+            "Server::runVirtual needs ClockMode::Virtual");
     std::unique_lock<std::mutex> lock(mu_);
     runVirtualLocked(lock);
 }
@@ -1220,176 +1284,39 @@ Server::runVirtualLocked(std::unique_lock<std::mutex> &lock)
                      [](const Arrival &a, const Arrival &b) {
                          return a.arrival_ns < b.arrival_ns;
                      });
-    std::vector<Arrival> arrivals = std::move(arrivals_);
-    arrivals_.clear();
-    std::size_t next = 0;
-
-    struct Running
-    {
-        Batch batch;
-        Outcome outcome;
-        std::int64_t complete_ns = 0;
-    };
-    std::vector<std::optional<Running>> running(
-        static_cast<std::size_t>(engine_.replicas()));
-
+    std::vector<std::size_t> formed;
     for (;;) {
-        // Next event: arrival, completion, deadline expiry, batch
-        // flush (only while an eligible replica is free), retry
-        // ready, hedge fire, health probe, scripted chaos, or the
-        // breaker's open_until.
-        std::int64_t t = kNever;
-        if (next < arrivals.size())
-            t = std::min(t, arrivals[next].arrival_ns);
-        bool any_running = false;
-        bool any_eligible_free = false;
-        for (std::size_t r = 0; r < running.size(); ++r) {
-            if (running[r]) {
-                any_running = true;
-                t = std::min(t, running[r]->complete_ns);
-            } else if (replicaEligibleLocked(static_cast<int>(r))) {
-                any_eligible_free = true;
-            }
-        }
-        const std::size_t depth = queued_.load();
-        if (depth > 0) {
-            t = std::min(t, nearestDeadlineAnyLocked());
-            if (any_eligible_free) {
-                if (depth >= cfg_.max_batch || draining_.load()) {
-                    t = std::min(t, virtual_now_);
-                } else {
-                    const std::int64_t oldest =
-                        oldestQueuedAnyLocked();
-                    if (oldest != kNever)
-                        t = std::min(t,
-                                     oldest + cfg_.max_delay_ns);
-                }
-            }
-        }
-        t = std::min(t, nextRetryNsLocked());
-        t = std::min(t, nextHedgeNsLocked());
-        const bool work = depth > 0 || !retries_.empty() ||
-                          any_running || next < arrivals.size();
-        if (work) {
-            t = std::min(t, nextProbeNsLocked());
-            if (cfg_.chaos.enabled())
-                t = std::min(t, chaos_.nextScriptNs());
-            if (cfg_.breaker.enabled() &&
-                breaker_.state == BreakerState::Open)
-                t = std::min(t, breaker_.open_until);
-        }
+        const std::int64_t t = nextEventNsLocked(virtual_now_);
         if (t == kNever)
             break; // nothing queued, running, or yet to arrive
         virtual_now_ = std::max(virtual_now_, t);
-        if (cfg_.chaos.enabled())
-            chaos_.advance(virtual_now_);
-        breakerAdvanceLocked(virtual_now_);
-
-        // 1. Completions due, in (complete_ns, replica) order.
-        std::vector<std::size_t> done;
-        for (std::size_t r = 0; r < running.size(); ++r)
-            if (running[r] &&
-                running[r]->complete_ns <= virtual_now_)
-                done.push_back(r);
-        std::sort(done.begin(), done.end(),
-                  [&](std::size_t a, std::size_t b) {
-                      return running[a]->complete_ns !=
-                                     running[b]->complete_ns
-                                 ? running[a]->complete_ns <
-                                       running[b]->complete_ns
-                                 : a < b;
-                  });
-        for (std::size_t r : done) {
-            processOutcomeLocked(running[r]->batch,
-                                 running[r]->outcome,
-                                 running[r]->complete_ns);
-            running[r].reset();
-        }
-
-        // 2. Hedge fires, 3. health probes (replica order).
-        fireHedgesLocked(virtual_now_);
-        for (std::size_t r = 0; r < health_.size(); ++r)
-            if (health_[r].state == ReplicaState::Quarantined &&
-                health_[r].probe_at <= virtual_now_)
-                runProbeLocked(static_cast<int>(r), virtual_now_);
-
-        // 4. Shed queued requests whose deadlines have now passed,
-        //    re-admit due retries, then fire due arrivals against
-        //    the cleaned queue.
-        shedExpiredAllLocked(virtual_now_);
-        fireRetriesLocked(virtual_now_);
-        while (next < arrivals.size() &&
-               arrivals[next].arrival_ns <= virtual_now_) {
-            const std::int64_t at =
-                std::max(arrivals[next].arrival_ns, virtual_now_);
-            PendingReq req = std::move(arrivals[next].req);
-            ++next;
-            req.submit_ns = at;
-            req.queued_ns = at;
-            Shard &sh = shardOf(req.request_id);
-            std::lock_guard<std::mutex> slock(sh.mu);
-            if (!validShape(*req.sample)) {
-                fulfillRejectLocked(sh, req, Reject::InvalidRequest,
-                                    at);
-            } else if (req.deadline_ns <= at) {
-                fulfillRejectLocked(sh, req,
-                                    Reject::DeadlineExceeded, at);
-            } else if (cfg_.breaker.enabled() &&
-                       breaker_.state == BreakerState::Open) {
-                fulfillRejectLocked(sh, req, Reject::BreakerOpen,
-                                    at);
-            } else if (!tryReserveQueueSlot()) {
-                fulfillRejectLocked(sh, req, Reject::QueueFull, at);
-            } else {
-                admitShardLocked(sh, std::move(req), at);
-            }
-        }
-
-        // 5. Form batches on eligible free replicas (ascending id),
-        //    then execute them concurrently over the worker pool.
-        std::vector<Batch> formed;
-        for (std::size_t r = 0; r < running.size(); ++r) {
-            if (running[r] ||
-                !replicaEligibleLocked(static_cast<int>(r)))
-                continue;
-            FlushCause cause;
-            if (!flushReadyLocked(virtual_now_, &cause))
-                break;
-            Batch batch = takeBatchLocked(static_cast<int>(r),
-                                          virtual_now_, cause);
-            if (batch.reqs.empty())
-                break;
-            applyChaosAtDispatchLocked(batch);
-            if (cfg_.breaker.enabled() &&
-                breaker_.state == BreakerState::HalfOpen) {
-                batch.half_open_trial = true;
-                ++breaker_.half_open_inflight;
-            }
-            scheduleHedgeLocked(batch);
-            formed.push_back(std::move(batch));
-        }
-        if (!formed.empty()) {
-            std::vector<Outcome> outs(formed.size());
-            lock.unlock();
-            parallelFor(
-                formed.size(),
-                [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i)
-                        outs[i] = executeBatch(formed[i]);
-                },
-                ParallelOptions{/*grain=*/1, cfg_.max_threads});
-            lock.lock();
-            for (std::size_t i = 0; i < formed.size(); ++i) {
-                const auto r =
-                    static_cast<std::size_t>(formed[i].replica);
-                const std::int64_t service =
-                    virtualServiceNs(formed[i], outs[i]);
-                running[r] = Running{std::move(formed[i]),
-                                     std::move(outs[i]),
-                                     virtual_now_ + service};
-            }
+        if (!stepLocked(virtual_now_))
+            continue;
+        // Execute the new batches over the worker pool; each writes
+        // only its own slot.
+        formed.clear();
+        for (std::size_t r = 0; r < running_.size(); ++r)
+            if (running_[r] && running_[r]->complete_ns == kNever)
+                formed.push_back(r);
+        lock.unlock();
+        parallelFor(
+            formed.size(),
+            [&](std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                    Running &run = *running_[formed[i]];
+                    run.outcome = executeBatch(run.batch);
+                }
+            },
+            ParallelOptions{/*grain=*/1, cfg_.max_threads});
+        lock.lock();
+        for (std::size_t r : formed) {
+            Running &run = *running_[r];
+            run.complete_ns =
+                virtual_now_ + virtualServiceNs(run.batch, run.outcome);
         }
     }
+    arrivals_.clear();
+    arrival_next_ = 0;
     drain_cv_.notify_all();
 }
 

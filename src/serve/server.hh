@@ -73,28 +73,33 @@
  *    an entire chaos campaign replays byte-identically at any
  *    worker-thread count.
  *
- * Two clock modes:
- *
- *  - ClockMode::Real — wall-clock serving. One worker thread per
- *    replica pulls batches from the sharded pending queue; timestamps
- *    are steady_clock nanoseconds since construction. Quarantined
- *    replicas' workers run their own probe schedule; spare workers
- *    sleep until promoted. Throughput is whatever the host delivers;
- *    no byte-determinism is promised (chaos service-time scaling is
- *    virtual-only; crashes/faults/degrades apply in both modes).
+ * One scheduler, two time sources. Every scheduling decision —
+ * chaos-script and breaker advances, completions, hedge fires,
+ * health probes, deadline shedding, retry re-admission, timed
+ * arrivals and batch formation — is made by one step, stepLocked(t),
+ * under mu_ and in that fixed order. The clock modes differ only in where
+ * t comes from and in who executes the batches the step forms:
  *
  *  - ClockMode::Virtual — deterministic discrete-event serving for
  *    tests and the open-loop benches. Requests carry logical arrival
- *    times (submitAt), runVirtual() plays the whole timeline:
- *    batches form at exact logical instants, service time is the
- *    batch's *modelled chip time* (est_time_ps scaled by
- *    virtual_ns_per_ps, then by the chaos service scale), and
- *    completions/rejections/retries/hedges/probes are processed in a
- *    fixed order. Same seed + config => byte-identical
+ *    times (submitAt); runVirtual() jumps t to the next event time
+ *    (nextEventNsLocked), steps, runs the newly formed batches over
+ *    the worker pool and charges each its *modelled chip time*
+ *    (est_time_ps scaled by virtual_ns_per_ps, then by the chaos
+ *    service scale). Same seed + config => byte-identical
  *    ServerMetrics::toJson() for ANY worker-thread count AND any
  *    admission-shard count.
  *
- * Batcher state machine (both modes share it):
+ *  - ClockMode::Real — wall-clock serving. One thread per replica
+ *    steps at steady_clock nanoseconds since construction, executes
+ *    only the batches formed for its own replica, and otherwise
+ *    sleeps until that same next event time (at most 1 s; admits
+ *    and newly formed batches notify). Any thread may form any free
+ *    replica's batch. Throughput is whatever the host delivers; no
+ *    byte-determinism is promised (chaos service-time scaling is
+ *    virtual-only; crashes/faults/degrades apply in both modes).
+ *
+ * Batcher state machine (part of the step):
  *
  *        +--------- submit/submitAt ----------+
  *        v                                    |
@@ -120,6 +125,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -198,6 +204,8 @@ struct ServerConfig
 class Server
 {
   public:
+    /** Throws std::invalid_argument naming the ServerConfig field
+     *  it cannot run with. */
     Server(std::shared_ptr<const engine::CompiledModel> model,
            const ServerConfig &cfg = {});
     ~Server(); ///< shutdown(): resolves every outstanding future
@@ -235,6 +243,7 @@ class Server
      * Virtual mode: enqueue a request arriving at @p arrival_ns.
      * Admission control runs when the arrival fires inside
      * runVirtual(), against the queue state at that logical instant.
+     * Throws std::logic_error on a real-clock server.
      */
     std::future<Response> submitAt(std::int64_t arrival_ns,
                                    engine::Sample sample,
@@ -243,7 +252,8 @@ class Server
     /**
      * Virtual mode: play the timeline until every enqueued arrival
      * has been served or shed. Single driver thread; batch execution
-     * fans out over the worker pool (cfg.max_threads wide).
+     * fans out over the worker pool (cfg.max_threads wide). Throws
+     * std::logic_error on a real-clock server.
      */
     void runVirtual();
 
@@ -262,7 +272,8 @@ class Server
      *  folded into the rollup, in ascending shard order, first). */
     ServerMetrics metrics() const;
 
-    /** Current lifecycle state of replica @p r. */
+    /** Current lifecycle state of replica @p r (std::out_of_range
+     *  outside [0, replicas())). */
     ReplicaState replicaState(int r) const;
 
     /** Current circuit-breaker state. */
@@ -300,6 +311,16 @@ class Server
     {
         bool ok = true;
         engine::ReplicaRun run; ///< empty when !ok
+    };
+
+    /** A formed batch on its replica: complete_ns is INT64_MAX
+     *  while it executes, then the completion time whose outcome the
+     *  next step processes. */
+    struct Running
+    {
+        Batch batch;
+        Outcome outcome;
+        std::int64_t complete_ns = 0;
     };
 
     /** A virtual-mode arrival waiting for its logical instant. */
@@ -364,6 +385,11 @@ class Server
     /** Claim one queue slot against max_queue (exact global bound;
      *  no lock needed — the depth counter is atomic). */
     bool tryReserveQueueSlot();
+    /** The admission chain: valid shape, deadline, breaker, queue
+     *  slot, then admit; otherwise a typed rejection. True iff
+     *  admitted. */
+    bool admitOrRejectLocked(Shard &sh, PendingReq &req,
+                             std::int64_t t);
     void admitShardLocked(Shard &sh, PendingReq &&req,
                           std::int64_t t);
     /** A resolution deferred past the batch's central metrics
@@ -411,7 +437,6 @@ class Server
     Batch takeBatchLocked(int replica, std::int64_t t,
                           FlushCause cause);
     std::int64_t oldestQueuedAnyLocked() const;
-    std::int64_t nearestDeadlineAnyLocked() const;
 
     // ---- Resilience machinery (mu_ held).
     void breakerAdvanceLocked(std::int64_t t);
@@ -424,9 +449,6 @@ class Server
     void scheduleHedgeLocked(const Batch &batch);
     std::int64_t backoffNs(std::uint64_t request_id, int attempt)
         const;
-    std::int64_t nextRetryNsLocked() const;
-    std::int64_t nextHedgeNsLocked() const;
-    std::int64_t nextProbeNsLocked() const;
     int activeCountLocked() const;
     bool workPendingLocked() const;
 
@@ -436,6 +458,18 @@ class Server
                                   const Outcome &outcome) const;
     void processOutcomeLocked(Batch &batch, Outcome &outcome,
                               std::int64_t complete_ns);
+
+    // ---- The scheduler (mu_ held).
+    /** Make every decision due at @p t, in order: chaos script and
+     *  breaker advance, completions in (complete_ns, replica) order,
+     *  hedge fires, probes in replica order, deadline shedding,
+     *  retries, timed arrivals, then a batch on each eligible free
+     *  replica in ascending order (left executing in running_).
+     *  True iff it formed a batch. */
+    bool stepLocked(std::int64_t t);
+    /** Earliest instant at which stepLocked has something to do
+     *  (@p now when a batch can flush at once; INT64_MAX if never). */
+    std::int64_t nextEventNsLocked(std::int64_t now) const;
 
     void workerMain(int replica);
     void runVirtualLocked(std::unique_lock<std::mutex> &lock);
@@ -463,12 +497,13 @@ class Server
     mutable std::mutex mu_; ///< scheduler state below
     std::condition_variable work_cv_;  ///< workers: queue activity
     std::condition_variable drain_cv_; ///< drain(): progress
-    std::vector<Arrival> arrivals_;    ///< virtual mode, un-fired
+    std::vector<Arrival> arrivals_;    ///< virtual mode only
+    std::size_t arrival_next_ = 0;     ///< first un-fired arrival
     std::vector<RetryEntry> retries_;  ///< backing off
     std::vector<HedgeTimer> hedges_;   ///< armed hedge timers
     std::vector<RepHealth> health_;    ///< per-replica state
+    std::vector<std::optional<Running>> running_; ///< per replica
     Breaker breaker_;
-    std::size_t in_flight_ = 0;
     std::int64_t virtual_now_ = 0;
 
     mutable std::mutex metrics_mu_;

@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -133,7 +135,7 @@ campaignConfig(unsigned max_threads)
 /** Run a seeded bursty workload through a campaign server and
  *  return the metrics JSON (all futures must resolve). */
 std::string
-runCampaign(unsigned max_threads)
+runCampaign(unsigned max_threads, int admission_shards = 0)
 {
     const auto samples = randomSamples(8, 16, 3, 11);
     LoadGenConfig lg;
@@ -144,7 +146,9 @@ runCampaign(unsigned max_threads)
     lg.priorities = 3;
     const auto arrivals = burstyArrivals(lg);
 
-    Server server(smallModel(), campaignConfig(max_threads));
+    ServerConfig cfg = campaignConfig(max_threads);
+    cfg.admission_shards = admission_shards;
+    Server server(smallModel(), cfg);
     std::vector<std::future<Response>> futs;
     futs.reserve(arrivals.size());
     for (const auto &a : arrivals)
@@ -162,6 +166,90 @@ TEST(ChaosDeterminism, ByteIdenticalAcrossThreadsAndRepeats)
     EXPECT_EQ(base, runCampaign(1)) << "repeat run differs";
     EXPECT_EQ(base, runCampaign(2)) << "2 worker threads differ";
     EXPECT_EQ(base, runCampaign(8)) << "8 worker threads differ";
+}
+
+/** test_frontend's resilience + chaos matrix point: 3 replicas, a
+ *  tight queue, deadlines, retries, hedging and random chaos. */
+std::string
+runFrontendResilience(unsigned max_threads, int admission_shards)
+{
+    ServerConfig cfg;
+    cfg.engine.replicas = 3;
+    cfg.max_batch = 4;
+    cfg.max_delay_ns = 40'000;
+    cfg.max_queue = 24;
+    cfg.admission_shards = admission_shards;
+    cfg.max_threads = max_threads;
+    cfg.clock = ClockMode::Virtual;
+    cfg.retry.max_retries = 2;
+    cfg.retry.backoff_ns = 20'000;
+    cfg.hedge.priority_floor = 2;
+    cfg.hedge.delay_ns = 30'000;
+    cfg.chaos.seed = 21;
+    cfg.chaos.crash_rate = 0.08;
+    cfg.chaos.stall_rate = 0.05;
+    cfg.chaos.fault_rate = 0.04;
+    cfg.chaos.crash_hold_ns = 2'000'000;
+    cfg.resilience_seed = 9;
+
+    LoadGenConfig load;
+    load.rate_rps = 150'000.0;
+    load.requests = 400;
+    load.sample_pool = 8;
+    load.seed = 1234;
+    load.deadline_ns = 600'000;
+    load.priorities = 3;
+
+    const auto samples = randomSamples(8, 16, 3, 5);
+    Server server(smallModel(), cfg);
+    std::vector<std::future<Response>> futs;
+    for (const GeneratedArrival &a : poissonArrivals(load))
+        futs.push_back(server.submitAt(
+            a.arrival_ns, samples[a.sample_index], a.opts));
+    server.runVirtual();
+    for (auto &f : futs)
+        f.get();
+    return server.metrics().toJson();
+}
+
+std::uint64_t
+fnv1a64(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ServeReplay, CampaignJsonPinned)
+{
+    // Length and FNV-1a 64 hash of ServerMetrics::toJson(), recorded
+    // before both clocks shared one scheduler step. The in-build
+    // equality tests cannot see a rewrite that moves an event the
+    // same way at every thread and shard count; these pins can.
+    struct Pin
+    {
+        std::size_t length;
+        std::uint64_t hash;
+    };
+    constexpr Pin kCampaign{4126, 0x09f4cd1403c085fdULL};
+    constexpr Pin kFrontend{3240, 0xc57d4de652ac6bdfULL};
+    for (const int shards : {1, 3})
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            const std::string campaign = runCampaign(threads, shards);
+            EXPECT_EQ(campaign.size(), kCampaign.length);
+            EXPECT_EQ(fnv1a64(campaign), kCampaign.hash)
+                << std::hex << fnv1a64(campaign);
+            const std::string frontend =
+                runFrontendResilience(threads, shards);
+            EXPECT_EQ(frontend.size(), kFrontend.length);
+            EXPECT_EQ(fnv1a64(frontend), kFrontend.hash)
+                << std::hex << fnv1a64(frontend);
+        }
 }
 
 TEST(ChaosLiveness, AllFuturesResolveUnderHeavyCrashes)
@@ -392,6 +480,24 @@ TEST(ChaosBreaker, OpenFastFailsThenRecloses)
     EXPECT_EQ(server.breakerState(), BreakerState::Closed);
 }
 
+TEST(ChaosBreaker, ZeroHalfOpenProbesIsAConfigError)
+{
+    // With half_open_probes = 0 a HalfOpen breaker admits requests
+    // but never lets a trial batch run: a request arriving after the
+    // crash-tripped breaker half-opens (1 replica, threshold 1,
+    // open_ns 1 us, crash at 0; arrivals at 0, 10 us and 200 us) used
+    // to stay unresolved after runVirtual() and drain(), and a
+    // real-clock drain() waited forever. The config is refused.
+    ServerConfig cfg = virtualConfig(1, 1, 0);
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.open_ns = 1000;
+    cfg.breaker.half_open_probes = 0;
+    cfg.chaos.script.push_back({0, 0, ChaosKind::Crash, 0});
+    EXPECT_THROW(Server(smallModel(), cfg), std::invalid_argument);
+    cfg.clock = ClockMode::Real;
+    EXPECT_THROW(Server(smallModel(), cfg), std::invalid_argument);
+}
+
 TEST(ChaosNpe, InjectedDegradeSurfacesGaugeAndStaysCorrect)
 {
     ServerConfig cfg = virtualConfig(1, 2, 50'000);
@@ -543,6 +649,63 @@ TEST(ChaosReal, RealModeDrainResolvesEverything)
                   m.rejected_deadline + m.rejected_shutdown +
                   m.rejected_breaker + m.rejected_replica_failure,
               60u);
+    server.shutdown();
+}
+
+TEST(ChaosReal, CrashQuarantinesPromotesProbesAndReadmits)
+{
+    // Real clock through the shared scheduler step: the crashed
+    // replica is quarantined, the hot spare promoted, the quarantined
+    // replica probed (failing while the crash holds) and readmitted.
+    ServerConfig cfg;
+    cfg.engine.replicas = 2;
+    cfg.hot_spares = 1;
+    cfg.max_batch = 4;
+    cfg.max_delay_ns = 50'000;
+    cfg.clock = ClockMode::Real;
+    cfg.retry.max_retries = 3;
+    cfg.retry.backoff_ns = 50'000;
+    // The crash holds long enough for the first dispatch to land in
+    // it even in a sanitizer build, where starting the replica
+    // threads alone can take milliseconds.
+    cfg.chaos.script.push_back({0, 0, ChaosKind::Crash, 0});
+    cfg.chaos.crash_hold_ns = 50'000'000;
+    cfg.health.probe_delay_ns = 100'000;
+
+    const auto samples = randomSamples(4, 16, 3, 93);
+    Server server(smallModel(), cfg);
+    std::vector<std::future<Response>> futs;
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    // Closed loop, two requests in flight, until a readmission.
+    while (server.metrics().readmits == 0 &&
+           std::chrono::steady_clock::now() < until) {
+        for (int k = 0; k < 2; ++k)
+            futs.push_back(server.submit(
+                samples[futs.size() % samples.size()]));
+        futs[futs.size() - 2].wait();
+        futs.back().wait();
+    }
+    server.drain();
+
+    std::uint64_t served = 0;
+    for (auto &f : futs) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                  std::future_status::ready);
+        served += f.get().ok() ? 1 : 0;
+    }
+    const ServerMetrics m = server.metrics();
+    EXPECT_GE(m.quarantines, 1u);
+    EXPECT_GE(m.spares_promoted, 1u);
+    EXPECT_GE(m.probes, 1u);
+    EXPECT_GE(m.readmits, 1u);
+    EXPECT_EQ(m.submitted, futs.size());
+    EXPECT_EQ(m.completed, served);
+    EXPECT_EQ(m.completed + m.rejected_queue_full +
+                  m.rejected_deadline + m.rejected_shutdown +
+                  m.rejected_breaker + m.rejected_replica_failure +
+                  m.rejected_invalid,
+              m.submitted);
     server.shutdown();
 }
 

@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chip/sushi_chip.hh"
@@ -579,6 +582,136 @@ TEST(ServeLoadGen, SchedulesAreSeedDeterministic)
     for (std::size_t i = 0; i < a.size(); ++i)
         differs |= a[i].arrival_ns != c[i].arrival_ns;
     EXPECT_TRUE(differs);
+}
+
+
+// ---------------------------------------------------------------
+// Config validation and API misuse: typed exceptions, never aborts.
+// ---------------------------------------------------------------
+
+/** The invalid_argument message of constructing with @p cfg ("" if
+ *  it constructs). */
+std::string
+constructError(const ServerConfig &cfg)
+{
+    try {
+        Server server(smallModel(), cfg);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ServeConfig, InvalidFieldsThrowNamingTheField)
+{
+    const ServerConfig base = virtualConfig(2, 4, 1000);
+    EXPECT_EQ(constructError(base), "");
+
+    ServerConfig cfg = base;
+    cfg.max_batch = 0;
+    EXPECT_NE(constructError(cfg).find("max_batch"), std::string::npos);
+    cfg = base;
+    cfg.max_queue = 0;
+    EXPECT_NE(constructError(cfg).find("max_queue"), std::string::npos);
+    cfg = base;
+    cfg.max_delay_ns = -1;
+    EXPECT_NE(constructError(cfg).find("max_delay_ns"),
+              std::string::npos);
+    cfg = base;
+    cfg.hot_spares = -1;
+    EXPECT_NE(constructError(cfg).find("hot_spares"),
+              std::string::npos);
+    cfg = base;
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.half_open_probes = 0;
+    EXPECT_NE(constructError(cfg).find("half_open_probes"),
+              std::string::npos);
+    cfg.breaker.failure_threshold = 0; // breaker off: probes unused
+    EXPECT_EQ(constructError(cfg), "");
+    // The pool is 2 active + 1 spare: replica 2 is in, 3 and -1 out.
+    cfg = base;
+    cfg.hot_spares = 1;
+    cfg.chaos.script.push_back({0, 2, ChaosKind::Crash, 0});
+    EXPECT_EQ(constructError(cfg), "");
+    cfg.chaos.script.push_back({0, 3, ChaosKind::Crash, 0});
+    EXPECT_NE(constructError(cfg).find("chaos.script"),
+              std::string::npos);
+    cfg.chaos.script.back().replica = -1;
+    EXPECT_NE(constructError(cfg).find("chaos.script"),
+              std::string::npos);
+}
+
+TEST(ServeConfig, FuzzedConfigsConstructOrThrowTyped)
+{
+    // Seeded configs around every validated boundary: each one
+    // constructs and serves every request, or throws
+    // std::invalid_argument — never aborts.
+    const auto samples = randomSamples(3, 16, 3, 17);
+    Rng rng(2024);
+    int built = 0;
+    int refused = 0;
+    for (int i = 0; i < 240; ++i) {
+        ServerConfig cfg;
+        cfg.clock = ClockMode::Virtual;
+        cfg.engine.replicas = static_cast<int>(rng.range(1, 4));
+        cfg.hot_spares = static_cast<int>(rng.range(-1, 2));
+        cfg.max_batch = static_cast<std::size_t>(rng.range(0, 5));
+        cfg.max_queue = static_cast<std::size_t>(rng.range(0, 5));
+        cfg.max_delay_ns = rng.range(-2, 50'000);
+        cfg.admission_shards = static_cast<int>(rng.range(-1, 4));
+        cfg.max_threads = static_cast<unsigned>(rng.range(0, 3));
+        cfg.retry.max_retries = static_cast<int>(rng.range(0, 2));
+        cfg.breaker.failure_threshold =
+            static_cast<int>(rng.range(0, 2));
+        cfg.breaker.open_ns = rng.range(1, 100'000);
+        cfg.breaker.half_open_probes =
+            static_cast<int>(rng.range(-1, 2));
+        cfg.chaos.seed = rng.next();
+        cfg.chaos.crash_rate = rng.chance(0.3) ? 0.2 : 0.0;
+        cfg.chaos.crash_hold_ns = 200'000;
+        cfg.health.probe_delay_ns = 50'000;
+        for (int k = static_cast<int>(rng.range(0, 2)); k > 0; --k)
+            cfg.chaos.script.push_back(
+                {rng.range(0, 100'000),
+                 static_cast<int>(rng.range(-1, 6)),
+                 rng.chance(0.5) ? ChaosKind::Crash : ChaosKind::Stall,
+                 0});
+        SCOPED_TRACE("config " + std::to_string(i));
+        try {
+            Server server(smallModel(), cfg);
+            std::vector<std::future<Response>> futs;
+            for (std::size_t k = 0; k < samples.size(); ++k)
+                futs.push_back(server.submitAt(
+                    static_cast<std::int64_t>(k) * 10'000,
+                    samples[k]));
+            server.runVirtual();
+            for (auto &f : futs)
+                ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                          std::future_status::ready);
+            ++built;
+        } catch (const std::invalid_argument &) {
+            ++refused;
+        }
+    }
+    // Both sides of the boundary are exercised.
+    EXPECT_GT(built, 20);
+    EXPECT_GT(refused, 20);
+}
+
+TEST(ServeApi, MisuseThrowsTypedExceptions)
+{
+    ServerConfig cfg;
+    cfg.engine.replicas = 1;
+    cfg.clock = ClockMode::Real;
+    Server real(smallModel(), cfg);
+    const auto samples = randomSamples(1, 16, 3, 18);
+    EXPECT_THROW(real.submitAt(0, samples[0]), std::logic_error);
+    EXPECT_THROW(real.runVirtual(), std::logic_error);
+    EXPECT_THROW(real.replicaState(-1), std::out_of_range);
+    EXPECT_THROW(real.replicaState(1), std::out_of_range);
+    EXPECT_EQ(real.replicaState(0), ReplicaState::Active);
+    // The server still serves after the refused calls.
+    EXPECT_TRUE(real.submit(samples[0]).get().ok());
 }
 
 } // namespace
