@@ -5,16 +5,20 @@
  *
  * A batch of B activation vectors is packed once per layer step into
  * a word-major bitset over the layer's scheduled input order (word w
- * of vector b at bits[w * B + b]), so one neuron's mask word meets
- * all B vectors' words in one contiguous run. The pack scans each row
- * for its non-zero inputs and places only those. The kernel then
- * walks tiles of vectors and, per tile, neurons; per neuron it loads
- * each inhibitory mask word once and streams it over the tile,
- * running the closed-form NPE counters side by side and summing the
- * tile's tallies on the stack. The body is compiled once per
- * KernelIsa (see common/kernel_isa.hh); layerKernel() returns the
- * wrapper this CPU runs, and tests call each supported wrapper
- * directly.
+ * of vector b at bits[w * B + b]). The pack scans each row for its
+ * non-zero inputs and places each through the layer's compile-time
+ * position table; bucket totals then come from popcounts of each
+ * bucket's window. The body is compiled once per KernelIsa (see
+ * common/kernel_isa.hh); layerKernel() returns the wrapper this CPU
+ * runs, and tests call each supported wrapper directly.
+ *
+ * The AVX-512 wrapper runs neuron lanes: per block of up to eight
+ * vectors and group of eight neurons it loads each word of the
+ * group's interleaved mask line once, meets it with a broadcast of
+ * each vector's word in one vpopcntq, and runs the closed-form NPE
+ * counters of the eight neurons side by side in zmm lanes. The
+ * portable and popcnt wrappers run batch lanes: per neuron they
+ * stream each mask word over a tile of vectors.
  */
 
 #ifndef SUSHI_CHIP_LAYER_KERNEL_HH
@@ -37,17 +41,6 @@ struct ExtraPulses
     std::uint64_t extra;  ///< pulses beyond the first
 };
 
-/** Where packLayerBatch puts one input: its scheduled position and
- *  the bucket that covers it. */
-struct InputPlace
-{
-    std::uint32_t pos;
-    std::uint32_t bucket;
-};
-
-/** InputPlace::pos of an input no bucket covers. */
-inline constexpr std::uint32_t kUnplaced = ~std::uint32_t{0};
-
 /** A batch of activation vectors packed for one layer's schedule. */
 struct LayerBatchPack
 {
@@ -65,8 +58,6 @@ struct LayerBatchPack
      *  vector b owns [extra_begin[b], extra_begin[b + 1]). */
     std::vector<ExtraPulses> extras;
     std::vector<std::size_t> extra_begin;
-    /** Scratch: the inverse of schedule.order, per input. */
-    std::vector<InputPlace> place;
 };
 
 /** Pack @p in for @p layer's schedule (in.width == in_dim). */

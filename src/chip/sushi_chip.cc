@@ -51,6 +51,28 @@ nonZeroBits(const std::uint16_t *x, std::size_t n)
     return bits;
 }
 
+/** Set bits of the @p batch-strided words at @p bits over positions
+ *  [begin, end). Runs in every wrapper's pack, so it never calls
+ *  libgcc's popcount. */
+std::uint64_t
+windowCount(const std::uint64_t *bits, std::size_t batch,
+            std::size_t begin, std::size_t end)
+{
+    if (begin >= end)
+        return 0;
+    const std::size_t w0 = begin / 64;
+    const std::size_t wl = (end - 1) / 64;
+    const std::uint64_t head = ~std::uint64_t{0} << (begin % 64);
+    const std::uint64_t tail =
+        ~std::uint64_t{0} >> (63 - (end - 1) % 64);
+    if (w0 == wl)
+        return PortablePopcount::count(bits[w0 * batch] & head & tail);
+    std::uint64_t n = PortablePopcount::count(bits[w0 * batch] & head);
+    for (std::size_t w = w0 + 1; w < wl; ++w)
+        n += PortablePopcount::count(bits[w * batch]);
+    return n + PortablePopcount::count(bits[wl * batch] & tail);
+}
+
 } // namespace
 
 void
@@ -60,7 +82,7 @@ packLayerBatch(const compiler::CompiledLayer &layer,
     const std::size_t batch = in.batch;
     const std::size_t width = in.width;
     const auto &buckets = layer.schedule.buckets;
-    const auto &order = layer.schedule.order;
+    const std::uint32_t *position = layer.position.data();
     pack.batch = batch;
     pack.words = (width + 63) / 64;
     pack.bits.assign(pack.words * batch, 0);
@@ -70,67 +92,108 @@ packLayerBatch(const compiler::CompiledLayer &layer,
     pack.extras.clear();
     pack.extra_begin.assign(batch + 1, 0);
 
-    // Invert the schedule: each input's position and bucket. An input
-    // no bucket covers is never placed.
-    pack.place.assign(width, InputPlace{kUnplaced, 0});
-    for (std::size_t bk = 0; bk < buckets.size(); ++bk)
-        for (int k = buckets[bk].begin; k < buckets[bk].end; ++k) {
-            const auto i = static_cast<std::size_t>(
-                order[static_cast<std::size_t>(k)]);
-            if (i < width)
-                pack.place[i] = {static_cast<std::uint32_t>(k),
-                                 static_cast<std::uint32_t>(bk)};
-        }
-
-    // Inputs are sparse (~12 % of a Poisson frame), so scan each row
-    // 64 values at a time and place only the non-zero ones.
     for (std::size_t b = 0; b < batch; ++b) {
         const std::uint16_t *act = in.row(b).data();
         const std::size_t first_extra = pack.extras.size();
         pack.extra_begin[b] = first_extra;
-        std::uint64_t active = 0;
-        std::uint64_t pulses = 0;
+        // Inputs are sparse (~12 % of a Poisson frame), so scan each
+        // row 64 values at a time and place only the non-zero ones.
         for (std::size_t i0 = 0; i0 < width; i0 += 64) {
             const std::size_t n = std::min<std::size_t>(64, width - i0);
             for (std::uint64_t nz = nonZeroBits(act + i0, n); nz != 0;
                  nz &= nz - 1) {
                 const std::size_t i =
                     i0 + static_cast<std::size_t>(__builtin_ctzll(nz));
-                const InputPlace p = pack.place[i];
-                if (p.pos == kUnplaced)
-                    continue;
-                const std::uint16_t a = act[i];
-                pack.bits[p.pos / 64 * batch + b] |= std::uint64_t{1}
-                                                     << (p.pos % 64);
-                pack.bucket_pulses[p.bucket * batch + b] += a;
-                ++active;
-                pulses += a;
-                if (a > 1)
+                const std::uint32_t pos = position[i];
+                pack.bits[pos / 64 * batch + b] |= std::uint64_t{1}
+                                                   << (pos % 64);
+                if (act[i] > 1)
                     pack.extras.push_back(
-                        {p.bucket, p.pos, std::uint64_t{a} - 1});
+                        {0, pos, std::uint64_t{act[i]} - 1});
             }
         }
-        pack.pulses[b] = pulses;
-        pack.active[b] = active;
-        // The kernel walks a vector's extras in bucket order.
+
+        // Bucket membership follows from positions: each bucket's
+        // window popcount, then the extras, in position order, walked
+        // across the buckets. A position no bucket covers is never
+        // counted.
         std::sort(pack.extras.begin() +
                       static_cast<std::ptrdiff_t>(first_extra),
                   pack.extras.end(),
                   [](const ExtraPulses &x, const ExtraPulses &y) {
-                      return x.bucket != y.bucket ? x.bucket < y.bucket
-                                                  : x.pos < y.pos;
+                      return x.pos < y.pos;
                   });
+        std::size_t e = first_extra;
+        std::size_t kept = first_extra;
+        std::uint64_t active = 0;
+        std::uint64_t pulses = 0;
+        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+            const auto begin =
+                static_cast<std::uint32_t>(buckets[bk].begin);
+            const auto end = static_cast<std::uint32_t>(buckets[bk].end);
+            const std::uint64_t n =
+                windowCount(pack.bits.data() + b, batch, begin, end);
+            std::uint64_t sum = n;
+            for (; e < pack.extras.size() && pack.extras[e].pos < end;
+                 ++e) {
+                if (pack.extras[e].pos < begin)
+                    continue;
+                pack.extras[e].bucket = static_cast<std::uint32_t>(bk);
+                sum += pack.extras[e].extra;
+                pack.extras[kept++] = pack.extras[e];
+            }
+            pack.bucket_pulses[bk * batch + b] = sum;
+            active += n;
+            pulses += sum;
+        }
+        pack.extras.resize(kept);
+        pack.pulses[b] = pulses;
+        pack.active[b] = active;
     }
     pack.extra_begin[batch] = pack.extras.size();
 }
 
 namespace {
 
+/** Stride between one neuron's mask words in the interleaved table. */
+constexpr std::size_t kStride = compiler::MaskTable::kLanes;
+
 /** Vectors one neuron evaluates side by side (stack-resident). */
 constexpr std::size_t kTile = 64;
 
 /** Vectors whose popcount accumulators share registers. */
 constexpr std::size_t kLanes = 8;
+
+/**
+ * Add the tallies that do not depend on a neuron's counter: every
+ * enabled neuron of [o0, o1) sees all of a vector's pulses, and its
+ * remap status does not depend on the vector.
+ */
+void
+addNeuronTallies(const LayerKernelArgs &args, std::size_t o0,
+                 std::size_t o1, LayerStepStats *tally)
+{
+    const compiler::CompiledLayer &layer = *args.layer;
+    std::uint64_t enabled = 0;
+    std::uint64_t remapped = 0;
+    for (std::size_t o = o0; o < o1; ++o) {
+        if (layer.disabled[o])
+            continue;
+        ++enabled;
+        // Degraded mode: the neuron's home slot is o mod N; if that
+        // NPE failed, a healthy host NPE serves it in an extra pass.
+        // The counter arithmetic is slot-independent, so results
+        // stay bit-identical — only time/reload accounting changes.
+        if (args.failed_slots != nullptr &&
+            args.failed_slots[o % args.slots])
+            ++remapped;
+    }
+    const LayerBatchPack &pack = *args.pack;
+    for (std::size_t b = 0; b < pack.batch; ++b) {
+        tally[b].synaptic_ops += pack.pulses[b] * enabled;
+        tally[b].remapped_neurons += remapped;
+    }
+}
 
 /** count[j] += popcount(row[j] & m) for the N vectors of a word. */
 template <class Pop, std::size_t N>
@@ -145,8 +208,9 @@ addWord(std::uint64_t *count, const std::uint64_t *row, std::uint64_t m)
 /**
  * Inhibitory input pulses of scheduled positions [begin, end) for
  * the @p N vectors whose words start at @p bits (stride @p batch per
- * word): the neuron's mask word is loaded once per word and streamed
- * over the N vectors, whose counts stay in registers.
+ * word): the neuron's mask word (stride kStride at @p nm) is loaded
+ * once per word and streamed over the N vectors, whose counts stay
+ * in registers.
  */
 template <class Pop, std::size_t N>
 [[gnu::always_inline]] inline void
@@ -163,12 +227,15 @@ negCounts(const std::uint64_t *bits, std::size_t batch,
             ~std::uint64_t{0} >> (63 - (end - 1) % 64);
         if (w0 == wl) {
             addWord<Pop, N>(count, bits + w0 * batch,
-                            nm[w0] & head & tail);
+                            nm[w0 * kStride] & head & tail);
         } else {
-            addWord<Pop, N>(count, bits + w0 * batch, nm[w0] & head);
+            addWord<Pop, N>(count, bits + w0 * batch,
+                            nm[w0 * kStride] & head);
             for (std::size_t w = w0 + 1; w < wl; ++w)
-                addWord<Pop, N>(count, bits + w * batch, nm[w]);
-            addWord<Pop, N>(count, bits + wl * batch, nm[wl] & tail);
+                addWord<Pop, N>(count, bits + w * batch,
+                                nm[w * kStride]);
+            addWord<Pop, N>(count, bits + wl * batch,
+                            nm[wl * kStride] & tail);
         }
     }
 #pragma GCC unroll 8
@@ -177,95 +244,11 @@ negCounts(const std::uint64_t *bits, std::size_t batch,
 }
 
 /**
- * negCounts for the first @p lanes (at most kLanes) vectors at
- * @p bits: a full group shares registers, a partial one (the tail of
- * a tile) runs vector by vector.
- */
-template <class Pop>
-[[gnu::always_inline]] inline void
-negLanes(const std::uint64_t *bits, std::size_t batch,
-         const std::uint64_t *nm, std::size_t begin, std::size_t end,
-         std::uint64_t *neg, std::size_t lanes)
-{
-    if (lanes == kLanes) {
-        negCounts<Pop, kLanes>(bits, batch, nm, begin, end, neg);
-        return;
-    }
-    for (std::size_t j = 0; j < lanes; ++j)
-        negCounts<Pop, 1>(bits + j, batch, nm, begin, end, neg + j);
-}
-
-#if defined(__x86_64__)
-/** count += popcount(row[0..8) & m), eight lanes in one vpopcntq.
- *  A partial group (Full false) loads only the lanes set in @p on;
- *  the others count 0 and are never read. */
-template <bool Full>
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline __m512i
-addWord8(__m512i count, __mmask8 on, const std::uint64_t *row,
-         std::uint64_t m)
-{
-    const __m512i words = Full ? _mm512_loadu_si512(row)
-                               : _mm512_maskz_loadu_epi64(on, row);
-    return _mm512_add_epi64(
-        count, _mm512_popcnt_epi64(_mm512_and_si512(
-                   words, _mm512_set1_epi64(static_cast<long long>(m)))));
-}
-
-/** negCounts over the @p on lanes of eight vectors. */
-template <bool Full>
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline void
-negCounts8(const std::uint64_t *bits, std::size_t batch,
-           const std::uint64_t *nm, std::size_t begin, std::size_t end,
-           std::uint64_t *neg, __mmask8 on)
-{
-    __m512i count = _mm512_setzero_si512();
-    if (begin < end) {
-        const std::size_t w0 = begin / 64;
-        const std::size_t wl = (end - 1) / 64;
-        const std::uint64_t head = ~std::uint64_t{0} << (begin % 64);
-        const std::uint64_t tail =
-            ~std::uint64_t{0} >> (63 - (end - 1) % 64);
-        if (w0 == wl) {
-            count = addWord8<Full>(count, on, bits + w0 * batch,
-                                   nm[w0] & head & tail);
-        } else {
-            count = addWord8<Full>(count, on, bits + w0 * batch,
-                                   nm[w0] & head);
-            for (std::size_t w = w0 + 1; w < wl; ++w)
-                count =
-                    addWord8<Full>(count, on, bits + w * batch, nm[w]);
-            count = addWord8<Full>(count, on, bits + wl * batch,
-                                   nm[wl] & tail);
-        }
-    }
-    _mm512_storeu_si512(neg, count);
-}
-
-/** negLanes on AVX-512 VPOPCNTDQ: a partial group runs as one masked
- *  group, so neg must have room for kLanes values. Plain inline (not
- *  always_inline): a target-specific specialisation is inlined by the
- *  wrapper's `flatten`. */
-template <>
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline void
-negLanes<Avx512Popcount>(const std::uint64_t *bits, std::size_t batch,
-                         const std::uint64_t *nm, std::size_t begin,
-                         std::size_t end, std::uint64_t *neg,
-                         std::size_t lanes)
-{
-    if (lanes == kLanes)
-        negCounts8<true>(bits, batch, nm, begin, end, neg, 0xff);
-    else
-        negCounts8<false>(bits, batch, nm, begin, end, neg,
-                          static_cast<__mmask8>((1u << lanes) - 1));
-}
-#endif
-
-/**
- * The one layer-kernel body every wrapper compiles. Per tile of
- * vectors and neuron it runs the closed-form NPE counter — the exact
- * recurrence Npe::addPulses implements, carry per wrap past 2^K
- * counting up, borrow per wrap below zero counting down — in shifts
- * and masks. Any divergence from the Npe object is a bug the
+ * The batch-lane body of the portable and popcnt wrappers. Per tile
+ * of vectors and neuron it runs the closed-form NPE counter — the
+ * exact recurrence Npe::addPulses implements, carry per wrap past
+ * 2^K counting up, borrow per wrap below zero counting down — in
+ * shifts and masks. Any divergence from the Npe object is a bug the
  * packed-vs-oracle fuzzer catches.
  */
 template <class Pop>
@@ -279,23 +262,6 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
     const unsigned k = args.state_bits;
     const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
     const auto &buckets = layer.schedule.buckets;
-
-    // Every enabled neuron sees all of a vector's pulses, and its
-    // remap status does not depend on the vector.
-    std::uint64_t enabled = 0;
-    std::uint64_t remapped = 0;
-    for (std::size_t o = o0; o < o1; ++o) {
-        if (layer.disabled[o])
-            continue;
-        ++enabled;
-        // Degraded mode: the neuron's home slot is o mod N; if that
-        // NPE failed, a healthy host NPE serves it in an extra pass.
-        // The counter arithmetic is slot-independent, so results
-        // stay bit-identical — only time/reload accounting changes.
-        if (args.failed_slots != nullptr &&
-            args.failed_slots[o % args.slots])
-            ++remapped;
-    }
 
     std::uint64_t value[kTile];
     std::uint64_t spikes[kTile];
@@ -314,7 +280,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
         for (std::size_t o = o0; o < o1; ++o) {
             if (layer.disabled[o])
                 continue;
-            const std::uint64_t *nm = layer.neg_masks[o].data();
+            const std::uint64_t *nm = layer.neg_masks.lane(o);
             // Bias pulses count up from the preload before any input.
             const std::uint64_t start =
                 layer.preload[o] +
@@ -330,9 +296,13 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
                     static_cast<std::size_t>(buckets[bk].begin);
                 const auto end =
                     static_cast<std::size_t>(buckets[bk].end);
-                for (std::size_t b = 0; b < nt; b += kLanes)
-                    negLanes<Pop>(bits + b, batch, nm, begin, end,
-                                  neg + b, std::min(kLanes, nt - b));
+                std::size_t b = 0;
+                for (; b + kLanes <= nt; b += kLanes)
+                    negCounts<Pop, kLanes>(bits + b, batch, nm, begin,
+                                           end, neg + b);
+                for (; b < nt; ++b)
+                    negCounts<Pop, 1>(bits + b, batch, nm, begin, end,
+                                      neg + b);
                 if (extras) {
                     for (std::size_t b = 0; b < nt; ++b) {
                         const std::size_t stop =
@@ -342,7 +312,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
                              ++c) {
                             const std::uint32_t pos =
                                 pack.extras[c].pos;
-                            if (nm[pos / 64] >> (pos % 64) & 1)
+                            if (nm[pos / 64 * kStride] >> (pos % 64) & 1)
                                 neg[b] += pack.extras[c].extra;
                         }
                     }
@@ -373,14 +343,216 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
                     static_cast<std::uint16_t>(spikes[b]);
         }
         for (std::size_t b = 0; b < nt; ++b) {
-            LayerStepStats &t = tally[t0 + b];
-            t.underflow_spikes += underflow[b];
-            t.multi_fires += multi_fires[b];
-            t.synaptic_ops += pack.pulses[t0 + b] * enabled;
-            t.remapped_neurons += remapped;
+            tally[t0 + b].underflow_spikes += underflow[b];
+            tally[t0 + b].multi_fires += multi_fires[b];
         }
     }
+    addNeuronTallies(args, o0, o1, tally);
 }
+
+#if defined(__x86_64__)
+#define SUSHI_AVX512_TARGET                                             \
+    __attribute__((target("popcnt,avx512f,avx512vpopcntdq")))
+
+/** Vectors one neuron-lane block evaluates side by side. */
+constexpr std::size_t kBlock = 8;
+
+/** Eight unsigned 64-bit lanes, for the lane-wise shift: GCC 12's
+ *  shift intrinsics seed an undefined operand it then warns about. */
+using U64x8 = std::uint64_t __attribute__((vector_size(64)));
+
+/** x >> k in every lane. */
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline __m512i
+shiftRight(__m512i x, unsigned k)
+{
+    return (__m512i)((U64x8)x >> k);
+}
+
+/** The sum of x's eight lanes. */
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline std::uint64_t
+laneSum(__m512i x)
+{
+    alignas(64) std::uint64_t lane[8];
+    _mm512_store_si512(lane, x);
+    std::uint64_t sum = 0;
+    for (const std::uint64_t v : lane)
+        sum += v;
+    return sum;
+}
+
+/** neg[j] += popcount(mask line & m & bits of vector j) over word
+ *  @p w for the N vectors at @p bits: one load of eight neurons'
+ *  mask word (the line at @p nm), one vpopcntq per vector. */
+template <std::size_t N>
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline void
+addLine(__m512i *neg, const std::uint64_t *nm,
+        const std::uint64_t *bits, std::size_t batch, std::size_t w,
+        std::uint64_t m)
+{
+    const __m512i masks = _mm512_and_si512(
+        _mm512_load_si512(nm + w * kStride),
+        _mm512_set1_epi64(static_cast<long long>(m)));
+    const std::uint64_t *row = bits + w * batch;
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j)
+        neg[j] = _mm512_add_epi64(
+            neg[j],
+            _mm512_popcnt_epi64(_mm512_and_si512(
+                masks,
+                _mm512_set1_epi64(static_cast<long long>(row[j])))));
+}
+
+/**
+ * The neuron-lane body of the AVX-512 wrapper over vectors
+ * [b0, b0 + N): per group of eight neurons it runs the closed-form
+ * NPE counters of layerKernelBody in the eight 64-bit lanes of a zmm
+ * register per vector, and writes the group's outputs with one
+ * masked vpmovqw store per vector. Lanes outside [o0, o1) or of a
+ * disabled neuron are masked out of every store and tally.
+ */
+template <std::size_t N>
+SUSHI_AVX512_TARGET void
+neuronLanes(const LayerKernelArgs &args, std::size_t o0, std::size_t o1,
+            std::size_t b0, LayerStepStats *tally)
+{
+    const compiler::CompiledLayer &layer = *args.layer;
+    const LayerBatchPack &pack = *args.pack;
+    const std::size_t batch = pack.batch;
+    const auto &buckets = layer.schedule.buckets;
+    const unsigned k = args.state_bits;
+    const __m512i mask = _mm512_set1_epi64(
+        static_cast<long long>((std::uint64_t{1} << k) - 1));
+    const __m512i one = _mm512_set1_epi64(1);
+    const bool extras =
+        pack.extra_begin[b0] != pack.extra_begin[b0 + N];
+    const std::uint64_t *bits = pack.bits.data() + b0;
+
+    // The block's tallies, summed over groups in lanes.
+    __m512i underflow[N];
+    __m512i multi_fires[N];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) {
+        underflow[j] = _mm512_setzero_si512();
+        multi_fires[j] = _mm512_setzero_si512();
+    }
+    for (std::size_t g = o0 / kStride * kStride; g < o1;
+         g += kStride) {
+        // Bias pulses count up from the preload before any input.
+        alignas(64) std::uint64_t start_lane[kStride] = {};
+        unsigned lanes = 0;
+        for (std::size_t l = 0; l < kStride; ++l) {
+            const std::size_t o = g + l;
+            if (o < o0 || o >= o1 || layer.disabled[o])
+                continue;
+            lanes |= 1u << l;
+            start_lane[l] =
+                layer.preload[o] +
+                static_cast<std::uint64_t>(layer.bias_pulses[o]);
+        }
+        if (lanes == 0)
+            continue;
+        const auto on = static_cast<__mmask8>(lanes);
+        const std::uint64_t *nm = layer.neg_masks.lane(g);
+        const __m512i start = _mm512_load_si512(start_lane);
+        __m512i value[N];
+        __m512i spikes[N];
+        std::size_t cursor[N] = {};
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) {
+            value[j] = _mm512_and_si512(start, mask);
+            spikes[j] = shiftRight(start, k);
+        }
+        if (extras)
+            std::copy_n(pack.extra_begin.data() + b0, N, cursor);
+        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+            const auto begin =
+                static_cast<std::size_t>(buckets[bk].begin);
+            const auto end = static_cast<std::size_t>(buckets[bk].end);
+            __m512i neg[N];
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < N; ++j)
+                neg[j] = _mm512_setzero_si512();
+            if (begin < end) {
+                const std::size_t w0 = begin / 64;
+                const std::size_t wl = (end - 1) / 64;
+                const std::uint64_t head = ~std::uint64_t{0}
+                                           << (begin % 64);
+                const std::uint64_t tail =
+                    ~std::uint64_t{0} >> (63 - (end - 1) % 64);
+                if (w0 == wl) {
+                    addLine<N>(neg, nm, bits, batch, w0, head & tail);
+                } else {
+                    addLine<N>(neg, nm, bits, batch, w0, head);
+                    for (std::size_t w = w0 + 1; w < wl; ++w)
+                        addLine<N>(neg, nm, bits, batch, w,
+                                   ~std::uint64_t{0});
+                    addLine<N>(neg, nm, bits, batch, wl, tail);
+                }
+            }
+            if (extras) {
+                for (std::size_t j = 0; j < N; ++j) {
+                    const std::size_t stop =
+                        pack.extra_begin[b0 + j + 1];
+                    for (std::size_t &c = cursor[j];
+                         c < stop && pack.extras[c].bucket == bk; ++c) {
+                        const ExtraPulses &x = pack.extras[c];
+                        const __mmask8 hit = _mm512_test_epi64_mask(
+                            _mm512_load_si512(nm +
+                                              x.pos / 64 * kStride),
+                            _mm512_set1_epi64(static_cast<long long>(
+                                std::uint64_t{1} << (x.pos % 64))));
+                        neg[j] = _mm512_mask_add_epi64(
+                            neg[j], hit, neg[j],
+                            _mm512_set1_epi64(
+                                static_cast<long long>(x.extra)));
+                    }
+                }
+            }
+            // Inhibitory pass first within every bucket (Sec. 5.1),
+            // then the excitatory pass: the recurrence of
+            // layerKernelBody, lane-wise.
+            const std::uint64_t *total =
+                pack.bucket_pulses.data() + bk * batch + b0;
+#pragma GCC unroll 8
+            for (std::size_t j = 0; j < N; ++j) {
+                const __m512i n = neg[j];
+                const __m512i borrows =
+                    shiftRight(_mm512_add_epi64(
+                                   n, _mm512_sub_epi64(mask, value[j])),
+                               k);
+                const __m512i up = _mm512_add_epi64(
+                    _mm512_and_si512(_mm512_sub_epi64(value[j], n),
+                                     mask),
+                    _mm512_sub_epi64(
+                        _mm512_set1_epi64(
+                            static_cast<long long>(total[j])),
+                        n));
+                spikes[j] = _mm512_add_epi64(
+                    spikes[j],
+                    _mm512_add_epi64(borrows, shiftRight(up, k)));
+                underflow[j] =
+                    _mm512_mask_add_epi64(underflow[j], on, underflow[j],
+                                          borrows);
+                value[j] = _mm512_and_si512(up, mask);
+            }
+        }
+#pragma GCC unroll 8
+        for (std::size_t j = 0; j < N; ++j) {
+            multi_fires[j] = _mm512_mask_add_epi64(
+                multi_fires[j],
+                _mm512_mask_cmpgt_epu64_mask(on, spikes[j], one),
+                multi_fires[j], one);
+            _mm512_mask_cvtepi64_storeu_epi16(
+                args.out + (b0 + j) * args.out_dim + g, on, spikes[j]);
+        }
+    }
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < N; ++j) {
+        tally[b0 + j].underflow_spikes += laneSum(underflow[j]);
+        tally[b0 + j].multi_fires += laneSum(multi_fires[j]);
+    }
+}
+#endif
 
 } // namespace
 
@@ -399,12 +571,31 @@ layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
     layerKernelBody<HardwarePopcount>(args, o0, o1, tally);
 }
 
-__attribute__((target("popcnt,avx512f,avx512vpopcntdq"), flatten)) void
+SUSHI_AVX512_TARGET void
 layerKernelAvx512(const LayerKernelArgs &args, std::size_t o0,
                   std::size_t o1, LayerStepStats *tally)
 {
-    layerKernelBody<Avx512Popcount>(args, o0, o1, tally);
+    const std::size_t batch = args.pack->batch;
+    for (std::size_t b0 = 0; b0 < batch; b0 += kBlock) {
+        switch (std::min(kBlock, batch - b0)) {
+        case 1: neuronLanes<1>(args, o0, o1, b0, tally); break;
+        case 2: neuronLanes<2>(args, o0, o1, b0, tally); break;
+        case 3: neuronLanes<3>(args, o0, o1, b0, tally); break;
+        case 4: neuronLanes<4>(args, o0, o1, b0, tally); break;
+        case 5: neuronLanes<5>(args, o0, o1, b0, tally); break;
+        case 6: neuronLanes<6>(args, o0, o1, b0, tally); break;
+        case 7: neuronLanes<7>(args, o0, o1, b0, tally); break;
+        default: neuronLanes<8>(args, o0, o1, b0, tally); break;
+        }
+    }
+    // Clear the upper zmm state before leaving AVX-512 code: GCC
+    // omits it on the tail call below, and dirty upper state slows
+    // every later SSE instruction of the process (3x on gate-level
+    // builds).
+    _mm256_zeroupper();
+    addNeuronTallies(args, o0, o1, tally);
 }
+#undef SUSHI_AVX512_TARGET
 #endif
 
 LayerKernelFn
@@ -625,6 +816,8 @@ SushiChip::oracleStep(const compiler::CompiledLayer &layer,
         std::uint64_t spikes = npe.addPulses(
             static_cast<std::uint64_t>(layer.bias_pulses[o]));
 
+        const std::uint64_t *neg_mask = layer.neg_masks.lane(o);
+        const std::uint64_t *pos_mask = layer.pos_masks.lane(o);
         for (const compiler::Block &bucket : layer.schedule.buckets) {
             // Input by input: each one's pulses go to its synapse's
             // polarity.
@@ -635,9 +828,11 @@ SushiChip::oracleStep(const compiler::CompiledLayer &layer,
                     act[static_cast<std::size_t>(order[k])];
                 const auto w = static_cast<std::size_t>(k) / 64;
                 const unsigned bit = static_cast<unsigned>(k % 64);
-                if (layer.neg_masks[o][w] >> bit & 1)
+                if (neg_mask[w * compiler::MaskTable::kLanes] >> bit & 1)
                     neg += a;
-                else if (layer.pos_masks[o][w] >> bit & 1)
+                else if (pos_mask[w * compiler::MaskTable::kLanes] >>
+                             bit &
+                         1)
                     pos += a;
             }
             // Inhibitory pass first within every bucket (Sec. 5.1).

@@ -3,15 +3,17 @@
  * CPU dispatch for the popcount-bound kernels (the chip's layer
  * kernel and snn::packed's XNOR dot).
  *
- * Each kernel has one always-inlined body, compiled as thin wrappers
- * that differ only in the instruction set the compiler may use:
- * `portable` (baseline x86-64 or any other target, popcount in plain
- * shifts and adds), `popcnt` (x86-64 `target("popcnt")`, one
- * instruction per 64-bit word) and `avx512vpopcntdq` (x86-64
- * AVX-512F + VPOPCNTDQ, eight 64-bit words per `vpopcntq`). The build
- * passes no ISA flag, so the wrapper is picked at run time: once per
- * process, from `__builtin_cpu_supports`, the widest the CPU runs.
- * Every wrapper computes bit-identical results; only speed differs.
+ * Each kernel is compiled as thin wrappers that differ in the
+ * instruction set the compiler may use: `portable` (baseline x86-64
+ * or any other target, popcount in plain shifts and adds), `popcnt`
+ * (x86-64 `target("popcnt")`, one instruction per 64-bit word) and
+ * `avx512vpopcntdq` (x86-64 AVX-512F + VPOPCNTDQ, eight 64-bit words
+ * per `vpopcntq`). The first two share one always-inlined body; the
+ * AVX-512 wrapper specialises it (the XNOR dot) or has its own (the
+ * chip layer kernel's neuron lanes). The build passes no ISA flag,
+ * so the wrapper is picked at run time: once per process, from
+ * `__builtin_cpu_supports`, the widest the CPU runs. Every wrapper
+ * computes bit-identical results; only speed differs.
  */
 
 #ifndef SUSHI_COMMON_KERNEL_ISA_HH
@@ -76,8 +78,8 @@ struct HardwarePopcount
     }
 };
 
-/** Tag of the AVX-512 wrappers: their bodies specialise the vector
- *  lanes on `vpopcntq`; scalar words still use the builtin. */
+/** Tag of the XNOR dot's AVX-512 wrapper: its body specialises the
+ *  vector lanes on `vpopcntq`; scalar words still use the builtin. */
 struct Avx512Popcount : HardwarePopcount
 {};
 

@@ -8,7 +8,9 @@
 #ifndef SUSHI_COMPILER_COMPILE_HH
 #define SUSHI_COMPILER_COMPILE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "compiler/bitslice.hh"
@@ -27,6 +29,83 @@ struct ChipConfig
     int sc_per_npe = 10;
     /** Bucketing/reordering configuration. */
     BucketingConfig bucketing;
+};
+
+/** Allocator of 64-byte-aligned (cache-line) storage. */
+template <class T>
+struct CacheLineAllocator
+{
+    using value_type = T;
+
+    CacheLineAllocator() = default;
+    template <class U>
+    CacheLineAllocator(const CacheLineAllocator<U> &)
+    {}
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(
+            ::operator new(n * sizeof(T), std::align_val_t{64}));
+    }
+    void
+    deallocate(T *p, std::size_t)
+    {
+        ::operator delete(p, std::align_val_t{64});
+    }
+    friend bool
+    operator==(const CacheLineAllocator &, const CacheLineAllocator &)
+    {
+        return true;
+    }
+};
+
+/**
+ * One bitmask per neuron over the scheduled input order, 64 inputs
+ * per word, interleaved eight neurons to a 64-byte line: word w of
+ * neuron o sits at [((o / 8) * words + w) * 8 + o % 8]. One aligned
+ * 64-byte load holds word w of eight neighbouring neurons (the
+ * AVX-512 layer kernel's neuron lanes); a scalar reader walks one
+ * neuron's words with stride kLanes. Lanes past the last neuron are
+ * zero.
+ */
+class MaskTable
+{
+  public:
+    /** Neurons per 64-byte line. */
+    static constexpr std::size_t kLanes = 8;
+
+    MaskTable() = default;
+    MaskTable(std::size_t neurons, std::size_t words)
+        : words_(words),
+          data_((neurons + kLanes - 1) / kLanes * words * kLanes, 0)
+    {}
+
+    std::size_t words() const { return words_; }
+
+    /** Word 0 of neuron @p o; its word w is at [w * kLanes]. For
+     *  o % kLanes == 0 this is the 64-byte-aligned base of o's lane
+     *  group. */
+    const std::uint64_t *
+    lane(std::size_t o) const
+    {
+        return data_.data() + (o / kLanes * words_) * kLanes +
+               o % kLanes;
+    }
+
+    /** Set scheduled position @p k of neuron @p o. */
+    void
+    set(std::size_t o, std::size_t k)
+    {
+        data_[(o / kLanes * words_ + k / 64) * kLanes + o % kLanes] |=
+            std::uint64_t{1} << (k % 64);
+    }
+
+    bool operator==(const MaskTable &) const = default;
+
+  private:
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> data_;
 };
 
 /** One compiled layer. */
@@ -51,12 +130,22 @@ struct CompiledLayer
 
     /**
      * Fast membrane kernels: bitmask of negative / positive synapses
-     * per neuron over the *scheduled* input order, 64 inputs per
-     * word.
+     * per neuron over the *scheduled* input order (see MaskTable).
      */
-    std::vector<std::vector<std::uint64_t>> neg_masks;
-    std::vector<std::vector<std::uint64_t>> pos_masks;
+    MaskTable neg_masks;
+    MaskTable pos_masks;
+    /** position[i]: the scheduled position of input i, the inverse
+     *  of schedule.order. */
+    std::vector<std::uint32_t> position;
 };
+
+/**
+ * Rebuild @p out's tables that follow from schedule.order — position
+ * and the mask tables — for @p layer. The compiler calls it once per
+ * layer; code that edits schedule.order afterwards calls it again.
+ * Bucket edits need no rebuild: nothing here depends on the buckets.
+ */
+void buildLayerTables(const snn::BinaryLayer &layer, CompiledLayer &out);
 
 /** A fully compiled network. */
 struct CompiledNetwork

@@ -28,6 +28,32 @@ validateChipConfig(const ChipConfig &chip)
                 std::to_string(chip.bucketing.bucket_size));
 }
 
+void
+buildLayerTables(const snn::BinaryLayer &layer, CompiledLayer &out)
+{
+    const std::size_t in_dim = layer.inDim();
+    const std::size_t n_out = layer.outDim();
+    const auto &order = out.schedule.order;
+    out.position.assign(in_dim, 0);
+    for (std::size_t k = 0; k < in_dim; ++k)
+        out.position[static_cast<std::size_t>(order[k])] =
+            static_cast<std::uint32_t>(k);
+
+    // Bitmask kernels over the scheduled order.
+    const std::size_t words = (in_dim + 63) / 64;
+    out.neg_masks = MaskTable(n_out, words);
+    out.pos_masks = MaskTable(n_out, words);
+    for (std::size_t o = 0; o < n_out; ++o) {
+        const auto &w = layer.weights[o];
+        for (std::size_t k = 0; k < in_dim; ++k) {
+            if (w[static_cast<std::size_t>(order[k])] < 0)
+                out.neg_masks.set(o, k);
+            else
+                out.pos_masks.set(o, k);
+        }
+    }
+}
+
 CompilerDriver::CompilerDriver(DriverOptions options)
     : options_(std::move(options))
 {}
@@ -78,8 +104,8 @@ evaluateCandidate(const snn::BinaryLayer &layer,
     return c;
 }
 
-/** Place pass: preloads, bias pulses and bitmask kernels over the
- *  chosen schedule (unchanged from the historical compileLayer). */
+/** Place pass: preloads, bias pulses and the tables over the chosen
+ *  schedule (unchanged from the historical compileLayer). */
 void
 placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
            CompiledLayer &out)
@@ -104,24 +130,7 @@ placeLayer(const snn::BinaryLayer &layer, const ChipConfig &chip,
         out.preload[o] = budget - static_cast<std::uint64_t>(eff);
     }
 
-    // Bitmask kernels over the scheduled order.
-    const std::size_t in_dim = layer.inDim();
-    const std::size_t words = (in_dim + 63) / 64;
-    out.neg_masks.assign(n_out, std::vector<std::uint64_t>(words, 0));
-    out.pos_masks.assign(n_out, std::vector<std::uint64_t>(words, 0));
-    for (std::size_t o = 0; o < n_out; ++o) {
-        const auto &w = layer.weights[o];
-        for (std::size_t k = 0; k < in_dim; ++k) {
-            const auto idx = static_cast<std::size_t>(
-                out.schedule.order[k]);
-            if (w[idx] < 0)
-                out.neg_masks[o][k / 64] |= std::uint64_t{1}
-                                            << (k % 64);
-            else
-                out.pos_masks[o][k / 64] |= std::uint64_t{1}
-                                            << (k % 64);
-        }
-    }
+    buildLayerTables(layer, out);
 }
 
 } // namespace

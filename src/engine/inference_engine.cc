@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -76,7 +78,8 @@ InferenceEngine::InferenceEngine(
     const EngineConfig &cfg)
     : model_(std::move(model)), cfg_(cfg)
 {
-    sushi_assert(model_ != nullptr);
+    if (model_ == nullptr)
+        throw std::invalid_argument("InferenceEngine needs a model");
     int replicas = cfg_.replicas;
     if (replicas <= 0)
         replicas = static_cast<int>(parallelWorkers());
@@ -113,18 +116,27 @@ InferenceEngine::InferenceEngine(
     }
 }
 
+void
+InferenceEngine::checkReplica(int replica) const
+{
+    if (replica < 0 || replica >= replicas())
+        throw std::out_of_range("replica " + std::to_string(replica) +
+                                " outside [0, " +
+                                std::to_string(replicas()) + ")");
+}
+
 const noc::NocTransport &
 InferenceEngine::nocTransport(int replica) const
 {
     sushi_assert(nocEnabled());
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     return *noc_[static_cast<std::size_t>(replica)];
 }
 
 void
 InferenceEngine::markReplicaDegraded(int replica, int slot)
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     std::lock_guard<std::mutex> lock(
         *chip_mu_[static_cast<std::size_t>(replica)]);
     // The physical failure hits the whole group: every stage chip of
@@ -137,7 +149,7 @@ InferenceEngine::markReplicaDegraded(int replica, int slot)
 void
 InferenceEngine::healReplica(int replica)
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     std::lock_guard<std::mutex> lock(
         *chip_mu_[static_cast<std::size_t>(replica)]);
     for (int s = 0; s < stages_; ++s)
@@ -153,7 +165,7 @@ InferenceEngine::replicaDegraded(int replica) const
 int
 InferenceEngine::failedNpeSlots(int replica) const
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     std::lock_guard<std::mutex> lock(
         *chip_mu_[static_cast<std::size_t>(replica)]);
     // Degrade/heal keep every stage chip of the group in lockstep,
@@ -172,7 +184,7 @@ InferenceEngine::recordBatchOutcome(int replica, bool ok,
                                     std::int64_t service_ns,
                                     std::size_t samples)
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     std::lock_guard<std::mutex> lock(accounts_mu_);
     ReplicaAccount &acct =
         accounts_[static_cast<std::size_t>(replica)];
@@ -191,7 +203,7 @@ InferenceEngine::recordBatchOutcome(int replica, bool ok,
 ReplicaAccount
 InferenceEngine::replicaAccount(int replica) const
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     ReplicaAccount acct;
     {
         std::lock_guard<std::mutex> lock(accounts_mu_);
@@ -205,7 +217,7 @@ InferenceEngine::replicaAccount(int replica) const
 void
 InferenceEngine::clearReplicaStreak(int replica)
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     std::lock_guard<std::mutex> lock(accounts_mu_);
     accounts_[static_cast<std::size_t>(replica)]
         .consecutive_failures = 0;
@@ -216,7 +228,7 @@ InferenceEngine::runOnReplica(int replica,
                               const Sample *const *samples,
                               std::size_t count)
 {
-    sushi_assert(replica >= 0 && replica < replicas());
+    checkReplica(replica);
     // Pin the model against ModelCache eviction and hold the replica
     // lock so degrade/heal mutations land on batch boundaries.
     CompiledModel::Pin pin(model_.get());
@@ -263,12 +275,6 @@ InferenceEngine::runOnReplica(int replica,
     noc::NocTransport *nt =
         noc_.empty() ? nullptr
                      : noc_[static_cast<std::size_t>(replica)].get();
-    chip::PulseVector wire; // reused transport payload
-    const auto send = [&wire](std::span<const std::uint16_t> act)
-        -> const chip::PulseVector & {
-        wire.assign(act.begin(), act.end());
-        return wire;
-    };
     for (std::size_t i = 0; i < count; ++i) {
         for (int s = 0; s < stages_; ++s) {
             chipAt(replica, s).resetStats();
@@ -280,7 +286,7 @@ InferenceEngine::runOnReplica(int replica,
         for (std::size_t v = first[i]; v < first[i + 1]; ++v) {
             if (nt != nullptr) {
                 nt->beginStep();
-                nt->hostIngress(send(frames.row(v)));
+                nt->hostIngress(frames.row(v));
             }
             for (int s = 0; s < stages_; ++s) {
                 const chip::NetworkBatch &run =
@@ -288,14 +294,14 @@ InferenceEngine::runOnReplica(int replica,
                 chipAt(replica, s).chargeStep(model_->stageNet(s), run,
                                               v);
                 if (nt != nullptr && s < stages_ - 1)
-                    nt->transferCut(s, send(run.out.row(v)));
+                    nt->transferCut(s, run.out.row(v));
             }
             const auto act = final_out.row(v);
             for (std::size_t o = 0; o < out_dim; ++o)
                 counts[o] += act[o];
             chipAt(replica, stages_ - 1).countOutputSpikes(act);
             if (nt != nullptr) {
-                nt->hostEgress(send(act));
+                nt->hostEgress(act);
                 nt->endStep();
             }
         }

@@ -162,10 +162,14 @@ struct EngineRun
  * stage of the model's (multi-chip) plan, chained per time step
  * through the inter-chip activation cut. A single-chip model is the
  * one-stage case of the same pipeline.
+ *
+ * Every call that names a replica throws std::out_of_range for an id
+ * outside [0, replicas()).
  */
 class InferenceEngine
 {
   public:
+    /** Throws std::invalid_argument on a null @p model. */
     explicit InferenceEngine(
         std::shared_ptr<const CompiledModel> model,
         const EngineConfig &cfg = {});
@@ -249,6 +253,9 @@ class InferenceEngine
                             const std::vector<Sample> &samples);
 
   private:
+    /** Throw std::out_of_range unless 0 <= replica < replicas(). */
+    void checkReplica(int replica) const;
+
     /** Chip @p stage of replica group @p replica. */
     chip::SushiChip &chipAt(int replica, int stage) const
     {

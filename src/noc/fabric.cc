@@ -1,6 +1,7 @@
 #include "noc/fabric.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace sushi::noc {
 
@@ -13,6 +14,8 @@ NocFabric::NocFabric(const MeshTopology &topo, const NocConfig &cfg)
         throw NocError("link bandwidth must be positive");
     if (cfg_.nic_queue_flits <= 0)
         throw NocError("NIC queue depth must be positive");
+    if (!(std::isfinite(cfg_.cycle_ps) && cfg_.cycle_ps > 0.0))
+        throw NocError("cycle time must be finite and positive");
     clock_.cycle_ps = cfg_.cycle_ps;
     links_.assign(static_cast<std::size_t>(topo_.numLinks()),
                   LinkCounters{});

@@ -67,7 +67,8 @@ struct NocConfig
      *  inter-stage cuts. */
     bool model_host_ports = true;
 
-    /** Fabric cycle period (50 GHz board-level SFQ clock). */
+    /** Fabric cycle period (50 GHz board-level SFQ clock); must be
+     *  finite and positive. */
     double cycle_ps = 20.0;
 
     PacketFormat packetFormat() const

@@ -29,12 +29,15 @@ PacketFormat::worstCaseFlits(int wires) const
 }
 
 PacketSize
-packetOf(const std::vector<std::uint16_t> &act,
-         const PacketFormat &format)
+packetOf(std::span<const std::uint16_t> act, const PacketFormat &format)
 {
-    PacketSize size;
+    // A 32-bit count over 16-bit compares keeps the loop in vector
+    // lanes; it cannot overflow for any real activation width.
+    std::uint32_t entries = 0;
     for (const std::uint16_t v : act)
-        size.entries += v != 0 ? 1 : 0;
+        entries += v != 0 ? 1u : 0u;
+    PacketSize size;
+    size.entries = entries;
     size.flits = format.flitsFor(size.entries);
     return size;
 }

@@ -17,7 +17,7 @@
 #define SUSHI_NOC_PACKET_HH
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 namespace sushi::noc {
 
@@ -51,7 +51,7 @@ struct PacketSize
 };
 
 /** Serialize @p act (per-wire pulse counts) under @p format. */
-PacketSize packetOf(const std::vector<std::uint16_t> &act,
+PacketSize packetOf(std::span<const std::uint16_t> act,
                     const PacketFormat &format);
 
 } // namespace sushi::noc

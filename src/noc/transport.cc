@@ -65,7 +65,7 @@ NocTransport::beginStep()
 
 void
 NocTransport::sendPacket(const std::vector<int> &route,
-                         const std::vector<std::uint16_t> &act,
+                         std::span<const std::uint16_t> act,
                          std::uint64_t *cut_counter)
 {
     const PacketSize size = packetOf(act, format_);
@@ -75,15 +75,14 @@ NocTransport::sendPacket(const std::vector<int> &route,
 }
 
 void
-NocTransport::hostIngress(const std::vector<std::uint16_t> &act)
+NocTransport::hostIngress(std::span<const std::uint16_t> act)
 {
     if (cfg_.model_host_ports)
         sendPacket(ingress_route_, act, nullptr);
 }
 
 void
-NocTransport::transferCut(int cut,
-                          const std::vector<std::uint16_t> &act)
+NocTransport::transferCut(int cut, std::span<const std::uint16_t> act)
 {
     if (cut < 0 || cut >= cuts())
         throw NocError("cut " + std::to_string(cut) +
@@ -94,7 +93,7 @@ NocTransport::transferCut(int cut,
 }
 
 void
-NocTransport::hostEgress(const std::vector<std::uint16_t> &act)
+NocTransport::hostEgress(std::span<const std::uint16_t> act)
 {
     if (cfg_.model_host_ports)
         sendPacket(egress_route_, act, nullptr);

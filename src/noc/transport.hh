@@ -22,6 +22,7 @@
 #define SUSHI_NOC_TRANSPORT_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compiler/multichip.hh"
@@ -72,12 +73,11 @@ class NocTransport
     void beginSample();
     void beginStep();
     /** Host input frame into stage 0's NIC. */
-    void hostIngress(const std::vector<std::uint16_t> &act);
+    void hostIngress(std::span<const std::uint16_t> act);
     /** Activations crossing plan cut @p cut (stage cut -> cut+1). */
-    void transferCut(int cut,
-                     const std::vector<std::uint16_t> &act);
+    void transferCut(int cut, std::span<const std::uint16_t> act);
     /** Final-stage outputs back to the host NIC. */
-    void hostEgress(const std::vector<std::uint16_t> &act);
+    void hostEgress(std::span<const std::uint16_t> act);
     void endStep();
     /** Close the sample and return its transport totals. */
     NocSampleStats finishSample();
@@ -85,7 +85,7 @@ class NocTransport
 
   private:
     void sendPacket(const std::vector<int> &route,
-                    const std::vector<std::uint16_t> &act,
+                    std::span<const std::uint16_t> act,
                     std::uint64_t *cut_counter);
 
     NocConfig cfg_;

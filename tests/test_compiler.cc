@@ -251,19 +251,28 @@ TEST(Compile, MasksPartitionInputs)
     chip.n = 4;
     auto compiled = compileNetwork(bin, chip);
     const auto &l0 = compiled.layers[0];
+    constexpr std::size_t kLanes = MaskTable::kLanes;
     for (std::size_t o = 0; o < 9; ++o) {
+        const std::uint64_t *neg = l0.neg_masks.lane(o);
+        const std::uint64_t *pos = l0.pos_masks.lane(o);
         // Every input position is in exactly one of the two masks.
-        for (std::size_t w = 0; w < l0.neg_masks[o].size(); ++w) {
-            EXPECT_EQ(l0.neg_masks[o][w] & l0.pos_masks[o][w], 0u);
+        for (std::size_t w = 0; w < l0.neg_masks.words(); ++w) {
+            EXPECT_EQ(neg[w * kLanes] & pos[w * kLanes], 0u);
         }
         std::uint64_t bits = 0;
-        for (std::size_t w = 0; w < l0.neg_masks[o].size(); ++w) {
+        for (std::size_t w = 0; w < l0.neg_masks.words(); ++w) {
             bits += static_cast<std::uint64_t>(
-                std::popcount(l0.neg_masks[o][w]) +
-                std::popcount(l0.pos_masks[o][w]));
+                std::popcount(neg[w * kLanes]) +
+                std::popcount(pos[w * kLanes]));
         }
         EXPECT_EQ(bits, 70u);
     }
+    // position inverts the schedule.
+    ASSERT_EQ(l0.position.size(), 70u);
+    for (std::size_t k = 0; k < 70; ++k)
+        EXPECT_EQ(l0.position[static_cast<std::size_t>(
+                      l0.schedule.order[k])],
+                  k);
 }
 
 TEST(Validate, RejectsBadGeometry)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "chip/sushi_chip.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
@@ -358,6 +360,41 @@ TEST(Engine, EmptyBatch)
     EXPECT_TRUE(run.samples.empty());
     EXPECT_EQ(run.merged.frames, 0u);
     EXPECT_EQ(run.modeledMakespanPs(), 0.0);
+}
+
+TEST(Engine, ReplicaIdOutOfRangeThrows)
+{
+    auto net = tinyNet(10, 5, 3, 2, 92);
+    auto model = CompiledModel::compile(net, smallChip());
+    EngineConfig cfg;
+    cfg.replicas = 2;
+    InferenceEngine eng(model, cfg);
+    const auto samples = randomSamples(1, 10, 2, 93);
+    for (const int bad : {-1, eng.replicas()}) {
+        EXPECT_THROW(eng.runOnReplica(bad, samples), std::out_of_range)
+            << bad;
+        EXPECT_THROW(eng.markReplicaDegraded(bad, 0), std::out_of_range)
+            << bad;
+        EXPECT_THROW(eng.healReplica(bad), std::out_of_range) << bad;
+        EXPECT_THROW(eng.failedNpeSlots(bad), std::out_of_range) << bad;
+        EXPECT_THROW(eng.replicaAccount(bad), std::out_of_range) << bad;
+        EXPECT_THROW(eng.recordBatchOutcome(bad, true, 0, 1),
+                     std::out_of_range)
+            << bad;
+        EXPECT_THROW(eng.clearReplicaStreak(bad), std::out_of_range)
+            << bad;
+    }
+    // A rejected call leaves the engine serving.
+    EXPECT_EQ(eng.runOnReplica(eng.replicas() - 1, samples)
+                  .results.size(),
+              1u);
+    EXPECT_EQ(eng.replicaAccount(0).batches, 0u);
+}
+
+TEST(Engine, NullModelThrows)
+{
+    EXPECT_THROW(InferenceEngine(nullptr, EngineConfig{}),
+                 std::invalid_argument);
 }
 
 TEST(Engine, EncodeSamplesIsPerSampleDeterministic)

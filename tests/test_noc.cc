@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <vector>
 
 #include "common/rng.hh"
 #include "compiler/driver.hh"
@@ -96,14 +98,15 @@ TEST(NocPacket, HeaderPlusPackedEntries)
     // Only nonzero wires serialize; an all-silent step still pays
     // the header flit for the step boundary.
     const noc::PacketSize silent =
-        noc::packetOf({0, 0, 0, 0}, fmt);
+        noc::packetOf(std::vector<std::uint16_t>{0, 0, 0, 0}, fmt);
     EXPECT_EQ(silent.entries, 0u);
     EXPECT_EQ(silent.flits, 1u);
     const noc::PacketSize sparse =
-        noc::packetOf({0, 2, 0, 1, 1}, fmt);
+        noc::packetOf(std::vector<std::uint16_t>{0, 2, 0, 1, 1}, fmt);
     EXPECT_EQ(sparse.entries, 3u);
     EXPECT_EQ(sparse.flits, 1u + 2u);
-    EXPECT_THROW(noc::packetOf({1}, noc::PacketFormat{0, 32}),
+    EXPECT_THROW(noc::packetOf(std::vector<std::uint16_t>{1},
+                               noc::PacketFormat{0, 32}),
                  noc::NocError);
 }
 
@@ -188,6 +191,22 @@ TEST(NocFabric, GuardsAgainstProtocolMisuse)
                  noc::NocError);
     EXPECT_THROW(noc::NocFabric(topo, fabricConfig(4, 0)),
                  noc::NocError);
+}
+
+TEST(NocFabric, RejectsCycleTimeThatIsNotFiniteAndPositive)
+{
+    noc::MeshTopology topo(2, 1);
+    for (const double cycle_ps :
+         {0.0, -20.0, std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity()}) {
+        noc::NocConfig cfg = fabricConfig(4, 8);
+        cfg.cycle_ps = cycle_ps;
+        EXPECT_THROW(noc::NocFabric(topo, cfg), noc::NocError)
+            << cycle_ps;
+    }
+    noc::NocConfig cfg = fabricConfig(4, 8);
+    cfg.cycle_ps = 0.5;
+    EXPECT_NO_THROW(noc::NocFabric(topo, cfg));
 }
 
 // --- Placement --------------------------------------------------

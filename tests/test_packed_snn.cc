@@ -709,15 +709,17 @@ expectTalliesEq(const std::vector<chip::LayerStepStats> &a,
 
 TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
 {
-    // 70 spans two kernel tiles of 64 vectors.
-    const std::size_t kBatches[] = {1, 2, 5, 8, 40, 70};
+    // 70 spans two batch-lane tiles of 64 vectors; 1-9 leave every
+    // remainder of the neuron-lane block of 8 vectors.
+    const std::size_t kBatches[] = {1, 2, 3, 4, 5, 7, 8, 9, 40, 70};
+    constexpr int kSizes = 10;
     const int kThreads[] = {0, 2, 8};
-    for (int c = 0; c < 72; ++c) {
+    for (int c = 0; c < kSizes * 12; ++c) {
         Rng rng(31000 + static_cast<std::uint64_t>(c));
         // Every (batch, in_dim tail class, bucket shape) triple once.
-        const std::size_t batch = kBatches[c % 6];
-        const std::size_t in_dim = sampleInDim((c / 6) % 3, rng);
-        const int shape = c / 18;
+        const std::size_t batch = kBatches[c % kSizes];
+        const std::size_t in_dim = sampleInDim((c / kSizes) % 3, rng);
+        const int shape = c / (kSizes * 3);
         const auto net = tinyNet(in_dim, 4 + rng.below(30), 2, 1,
                                  32000 + static_cast<std::uint64_t>(c));
         compiler::ChipConfig ccfg;
@@ -811,6 +813,82 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
     }
 }
 
+TEST(ChipBatchKernel, NeuronRangeSplitWritesOnlyItsRange)
+{
+    // The sim_threads split may start a range at any neuron: the two
+    // calls over [0, s) and [s, out_dim), s % 8 != 0, touch only
+    // their own outputs and together equal one whole call.
+    constexpr std::uint16_t kSentinel = 0xbeef;
+    for (int c = 0; c < 48; ++c) {
+        Rng rng(38000 + static_cast<std::uint64_t>(c));
+        const std::size_t batch = 1 + rng.below(12);
+        const std::size_t in_dim = sampleInDim(c % 3, rng);
+        const std::size_t out_dim = 9 + rng.below(40);
+        const auto net = tinyNet(in_dim, out_dim, 2, 1,
+                                 39000 + static_cast<std::uint64_t>(c));
+        compiler::ChipConfig ccfg;
+        ccfg.n = 4;
+        ccfg.sc_per_npe = 3 + static_cast<int>(rng.below(3));
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        compiler::CompiledLayer layer = compiled.layers[0];
+        rebucket(layer, static_cast<int>(in_dim), c / 12, rng);
+        for (auto &d : layer.disabled)
+            if (rng.chance(0.15))
+                d = 1;
+        const chip::PulseBatch in = randomBatch(batch, in_dim, rng);
+        chip::detail::LayerBatchPack pack;
+        chip::detail::packLayerBatch(layer, in, pack);
+        std::size_t split = 1 + rng.below(out_dim - 1);
+        if (split % 8 == 0)
+            ++split;
+        const std::string what = "case " + std::to_string(c) +
+                                 " split " + std::to_string(split);
+
+        for (const KernelIsa isa : supportedIsas()) {
+            const auto kernel = layerKernelWrapper(isa);
+            const auto call = [&](std::size_t o0, std::size_t o1,
+                                  std::vector<std::uint16_t> &out,
+                                  std::vector<chip::LayerStepStats> &t) {
+                out.assign(batch * out_dim, kSentinel);
+                t.assign(batch, chip::LayerStepStats{});
+                chip::detail::LayerKernelArgs args;
+                args.layer = &layer;
+                args.pack = &pack;
+                args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
+                args.out = out.data();
+                args.out_dim = out_dim;
+                kernel(args, o0, o1, t.data());
+            };
+            std::vector<std::uint16_t> whole, lo, hi;
+            std::vector<chip::LayerStepStats> whole_t, lo_t, hi_t;
+            call(0, out_dim, whole, whole_t);
+            call(0, split, lo, lo_t);
+            call(split, out_dim, hi, hi_t);
+            const std::string tag = kernelIsaName(isa) + (" " + what);
+            for (std::size_t v = 0; v < batch; ++v)
+                for (std::size_t o = 0; o < out_dim; ++o) {
+                    const std::size_t i = v * out_dim + o;
+                    ASSERT_EQ(o < split ? hi[i] : lo[i], kSentinel)
+                        << tag << " v " << v << " o " << o;
+                    ASSERT_EQ(o < split ? lo[i] : hi[i], whole[i])
+                        << tag << " v " << v << " o " << o;
+                }
+            for (std::size_t v = 0; v < batch; ++v) {
+                EXPECT_EQ(lo_t[v].synaptic_ops + hi_t[v].synaptic_ops,
+                          whole_t[v].synaptic_ops)
+                    << tag;
+                EXPECT_EQ(lo_t[v].underflow_spikes +
+                              hi_t[v].underflow_spikes,
+                          whole_t[v].underflow_spikes)
+                    << tag;
+                EXPECT_EQ(lo_t[v].multi_fires + hi_t[v].multi_fires,
+                          whole_t[v].multi_fires)
+                    << tag;
+            }
+        }
+    }
+}
+
 /** The dense pack the sparse packLayerBatch replaced: every input
  *  gathered through schedule.order, bucket by bucket. The oracle of
  *  SparsePackMatchesDensePack. */
@@ -872,10 +950,12 @@ TEST(ChipBatchKernel, SparsePackMatchesDensePack)
         compiler::CompiledLayer layer = compiled.layers[0];
         rebucket(layer, static_cast<int>(in_dim), c % 4, rng);
         if (rng.chance(0.5)) {
-            // Any permutation is a schedule the pack must invert.
+            // Any permutation is a schedule the pack must invert,
+            // once the compiler has rebuilt the tables it derives.
             auto &order = layer.schedule.order;
             for (std::size_t i = order.size(); i > 1; --i)
                 std::swap(order[i - 1], order[rng.below(i)]);
+            compiler::buildLayerTables(net.layers()[0], layer);
         }
         chip::PulseBatch in;
         in.reset(batch, in_dim);
