@@ -10,7 +10,9 @@
  * position table; bucket totals then come from popcounts of each
  * bucket's window. The body is compiled once per KernelIsa (see
  * common/kernel_isa.hh); layerKernel() returns the wrapper this CPU
- * runs, and tests call each supported wrapper directly.
+ * runs, and tests call each supported wrapper directly. There is no
+ * other kernel: the Npe-object reference it must match lives in
+ * tests/test_packed_snn.cc.
  *
  * The AVX-512 wrapper runs neuron lanes: per block of up to eight
  * vectors and group of eight neurons it loads each word of the
@@ -79,22 +81,19 @@ struct LayerKernelArgs
 };
 
 /**
- * Evaluate neurons [o0, o1) for every vector of the pack: writes
- * their outputs and adds their tallies into @p tally (one per
- * vector; active_inputs is left to the caller). Outputs of disabled
- * neurons are left untouched (callers zero @p out).
+ * Evaluate every neuron for every vector of the pack: writes their
+ * outputs and adds their tallies into @p tally (one per vector;
+ * active_inputs is left to the caller). Outputs of disabled neurons
+ * are left untouched (callers zero @p out).
  */
 using LayerKernelFn = void (*)(const LayerKernelArgs &args,
-                               std::size_t o0, std::size_t o1,
                                LayerStepStats *tally);
 
-void layerKernelPortable(const LayerKernelArgs &args, std::size_t o0,
-                         std::size_t o1, LayerStepStats *tally);
+void layerKernelPortable(const LayerKernelArgs &args,
+                         LayerStepStats *tally);
 #if defined(__x86_64__)
-void layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
-                       std::size_t o1, LayerStepStats *tally);
-void layerKernelAvx512(const LayerKernelArgs &args, std::size_t o0,
-                       std::size_t o1, LayerStepStats *tally);
+void layerKernelPopcnt(const LayerKernelArgs &args, LayerStepStats *tally);
+void layerKernelAvx512(const LayerKernelArgs &args, LayerStepStats *tally);
 #endif
 
 /** The wrapper selectedKernelIsa() names. */

@@ -1,14 +1,12 @@
 #include "chip/sushi_chip.hh"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
 #include "chip/layer_kernel.hh"
 #include "common/kernel_isa.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "compiler/driver.hh"
 #include "fabric/resource_model.hh"
 #include "fabric/timing_model.hh"
@@ -166,17 +164,16 @@ constexpr std::size_t kLanes = 8;
 
 /**
  * Add the tallies that do not depend on a neuron's counter: every
- * enabled neuron of [o0, o1) sees all of a vector's pulses, and its
- * remap status does not depend on the vector.
+ * enabled neuron sees all of a vector's pulses, and its remap status
+ * does not depend on the vector.
  */
 void
-addNeuronTallies(const LayerKernelArgs &args, std::size_t o0,
-                 std::size_t o1, LayerStepStats *tally)
+addNeuronTallies(const LayerKernelArgs &args, LayerStepStats *tally)
 {
     const compiler::CompiledLayer &layer = *args.layer;
     std::uint64_t enabled = 0;
     std::uint64_t remapped = 0;
-    for (std::size_t o = o0; o < o1; ++o) {
+    for (std::size_t o = 0; o < args.out_dim; ++o) {
         if (layer.disabled[o])
             continue;
         ++enabled;
@@ -253,12 +250,12 @@ negCounts(const std::uint64_t *bits, std::size_t batch,
  */
 template <class Pop>
 [[gnu::always_inline]] inline void
-layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
-                std::size_t o1, LayerStepStats *tally)
+layerKernelBody(const LayerKernelArgs &args, LayerStepStats *tally)
 {
     const compiler::CompiledLayer &layer = *args.layer;
     const LayerBatchPack &pack = *args.pack;
     const std::size_t batch = pack.batch;
+    const std::size_t out_dim = args.out_dim;
     const unsigned k = args.state_bits;
     const std::uint64_t mask = (std::uint64_t{1} << k) - 1;
     const auto &buckets = layer.schedule.buckets;
@@ -277,7 +274,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
         const std::uint64_t *bits = pack.bits.data() + t0;
         std::fill(underflow, underflow + nt, 0);
         std::fill(multi_fires, multi_fires + nt, 0);
-        for (std::size_t o = o0; o < o1; ++o) {
+        for (std::size_t o = 0; o < out_dim; ++o) {
             if (layer.disabled[o])
                 continue;
             const std::uint64_t *nm = layer.neg_masks.lane(o);
@@ -339,7 +336,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
             for (std::size_t b = 0; b < nt; ++b)
                 multi_fires[b] += spikes[b] > 1 ? 1 : 0;
             for (std::size_t b = 0; b < nt; ++b)
-                args.out[(t0 + b) * args.out_dim + o] =
+                args.out[(t0 + b) * out_dim + o] =
                     static_cast<std::uint16_t>(spikes[b]);
         }
         for (std::size_t b = 0; b < nt; ++b) {
@@ -347,7 +344,7 @@ layerKernelBody(const LayerKernelArgs &args, std::size_t o0,
             tally[t0 + b].multi_fires += multi_fires[b];
         }
     }
-    addNeuronTallies(args, o0, o1, tally);
+    addNeuronTallies(args, tally);
 }
 
 #if defined(__x86_64__)
@@ -407,17 +404,18 @@ addLine(__m512i *neg, const std::uint64_t *nm,
  * [b0, b0 + N): per group of eight neurons it runs the closed-form
  * NPE counters of layerKernelBody in the eight 64-bit lanes of a zmm
  * register per vector, and writes the group's outputs with one
- * masked vpmovqw store per vector. Lanes outside [o0, o1) or of a
+ * masked vpmovqw store per vector. Lanes past out_dim or of a
  * disabled neuron are masked out of every store and tally.
  */
 template <std::size_t N>
 SUSHI_AVX512_TARGET void
-neuronLanes(const LayerKernelArgs &args, std::size_t o0, std::size_t o1,
-            std::size_t b0, LayerStepStats *tally)
+neuronLanes(const LayerKernelArgs &args, std::size_t b0,
+            LayerStepStats *tally)
 {
     const compiler::CompiledLayer &layer = *args.layer;
     const LayerBatchPack &pack = *args.pack;
     const std::size_t batch = pack.batch;
+    const std::size_t out_dim = args.out_dim;
     const auto &buckets = layer.schedule.buckets;
     const unsigned k = args.state_bits;
     const __m512i mask = _mm512_set1_epi64(
@@ -435,14 +433,13 @@ neuronLanes(const LayerKernelArgs &args, std::size_t o0, std::size_t o1,
         underflow[j] = _mm512_setzero_si512();
         multi_fires[j] = _mm512_setzero_si512();
     }
-    for (std::size_t g = o0 / kStride * kStride; g < o1;
-         g += kStride) {
+    for (std::size_t g = 0; g < out_dim; g += kStride) {
         // Bias pulses count up from the preload before any input.
         alignas(64) std::uint64_t start_lane[kStride] = {};
         unsigned lanes = 0;
         for (std::size_t l = 0; l < kStride; ++l) {
             const std::size_t o = g + l;
-            if (o < o0 || o >= o1 || layer.disabled[o])
+            if (o >= out_dim || layer.disabled[o])
                 continue;
             lanes |= 1u << l;
             start_lane[l] =
@@ -543,7 +540,7 @@ neuronLanes(const LayerKernelArgs &args, std::size_t o0, std::size_t o1,
                 _mm512_mask_cmpgt_epu64_mask(on, spikes[j], one),
                 multi_fires[j], one);
             _mm512_mask_cvtepi64_storeu_epi16(
-                args.out + (b0 + j) * args.out_dim + g, on, spikes[j]);
+                args.out + (b0 + j) * out_dim + g, on, spikes[j]);
         }
     }
 #pragma GCC unroll 8
@@ -557,35 +554,32 @@ neuronLanes(const LayerKernelArgs &args, std::size_t o0, std::size_t o1,
 } // namespace
 
 void
-layerKernelPortable(const LayerKernelArgs &args, std::size_t o0,
-                    std::size_t o1, LayerStepStats *tally)
+layerKernelPortable(const LayerKernelArgs &args, LayerStepStats *tally)
 {
-    layerKernelBody<PortablePopcount>(args, o0, o1, tally);
+    layerKernelBody<PortablePopcount>(args, tally);
 }
 
 #if defined(__x86_64__)
 __attribute__((target("popcnt"))) void
-layerKernelPopcnt(const LayerKernelArgs &args, std::size_t o0,
-                  std::size_t o1, LayerStepStats *tally)
+layerKernelPopcnt(const LayerKernelArgs &args, LayerStepStats *tally)
 {
-    layerKernelBody<HardwarePopcount>(args, o0, o1, tally);
+    layerKernelBody<HardwarePopcount>(args, tally);
 }
 
 SUSHI_AVX512_TARGET void
-layerKernelAvx512(const LayerKernelArgs &args, std::size_t o0,
-                  std::size_t o1, LayerStepStats *tally)
+layerKernelAvx512(const LayerKernelArgs &args, LayerStepStats *tally)
 {
     const std::size_t batch = args.pack->batch;
     for (std::size_t b0 = 0; b0 < batch; b0 += kBlock) {
         switch (std::min(kBlock, batch - b0)) {
-        case 1: neuronLanes<1>(args, o0, o1, b0, tally); break;
-        case 2: neuronLanes<2>(args, o0, o1, b0, tally); break;
-        case 3: neuronLanes<3>(args, o0, o1, b0, tally); break;
-        case 4: neuronLanes<4>(args, o0, o1, b0, tally); break;
-        case 5: neuronLanes<5>(args, o0, o1, b0, tally); break;
-        case 6: neuronLanes<6>(args, o0, o1, b0, tally); break;
-        case 7: neuronLanes<7>(args, o0, o1, b0, tally); break;
-        default: neuronLanes<8>(args, o0, o1, b0, tally); break;
+        case 1: neuronLanes<1>(args, b0, tally); break;
+        case 2: neuronLanes<2>(args, b0, tally); break;
+        case 3: neuronLanes<3>(args, b0, tally); break;
+        case 4: neuronLanes<4>(args, b0, tally); break;
+        case 5: neuronLanes<5>(args, b0, tally); break;
+        case 6: neuronLanes<6>(args, b0, tally); break;
+        case 7: neuronLanes<7>(args, b0, tally); break;
+        default: neuronLanes<8>(args, b0, tally); break;
         }
     }
     // Clear the upper zmm state before leaving AVX-512 code: GCC
@@ -593,7 +587,7 @@ layerKernelAvx512(const LayerKernelArgs &args, std::size_t o0,
     // every later SSE instruction of the process (3x on gate-level
     // builds).
     _mm256_zeroupper();
-    addNeuronTallies(args, o0, o1, tally);
+    addNeuronTallies(args, tally);
 }
 #undef SUSHI_AVX512_TARGET
 #endif
@@ -697,7 +691,10 @@ SushiChip::~SushiChip() = default;
 void
 SushiChip::markNpeFailed(int slot)
 {
-    sushi_assert(slot >= 0 && slot < cfg_.n);
+    if (slot < 0 || slot >= cfg_.n)
+        throw std::out_of_range("NPE slot " + std::to_string(slot) +
+                                " outside [0, " + std::to_string(cfg_.n) +
+                                ")");
     failed_npes_[static_cast<std::size_t>(slot)] = 1;
     remap_ = compiler::planNpeRemap(cfg_.n, failed_npes_);
     stats_.failed_npes = static_cast<std::uint64_t>(remap_.failed);
@@ -742,12 +739,6 @@ SushiChip::stepLayerBatch(const compiler::CompiledLayer &layer,
     out.reset(in.batch, out_dim);
     std::fill(tallies, tallies + in.batch, LayerStepStats{});
 
-    if (!packedKernels()) {
-        for (std::size_t b = 0; b < in.batch; ++b)
-            oracleStep(layer, in.row(b), out.row(b), tallies[b]);
-        return;
-    }
-
     detail::packLayerBatch(layer, in, *pack_);
     for (std::size_t b = 0; b < in.batch; ++b)
         tallies[b].active_inputs = pack_->active[b];
@@ -760,98 +751,7 @@ SushiChip::stepLayerBatch(const compiler::CompiledLayer &layer,
     args.slots = static_cast<std::size_t>(cfg_.n);
     args.out = out.pulses.data();
     args.out_dim = out_dim;
-    const detail::LayerKernelFn kernel = detail::layerKernel();
-
-    // Neurons are independent and the tallies are integer sums
-    // (exact, order-free), so evaluating neurons across worker
-    // threads yields the same outputs and tallies, bit for bit.
-    if (sim_threads_ > 1 && out_dim > 1) {
-        std::mutex mu;
-        ParallelOptions popts;
-        popts.grain = 16;
-        popts.max_workers = static_cast<unsigned>(sim_threads_);
-        parallelFor(
-            out_dim,
-            [&](std::size_t begin, std::size_t end) {
-                std::vector<LayerStepStats> local(in.batch);
-                kernel(args, begin, end, local.data());
-                std::lock_guard<std::mutex> lock(mu);
-                for (std::size_t b = 0; b < in.batch; ++b) {
-                    LayerStepStats &t = tallies[b];
-                    t.synaptic_ops += local[b].synaptic_ops;
-                    t.underflow_spikes += local[b].underflow_spikes;
-                    t.multi_fires += local[b].multi_fires;
-                    t.remapped_neurons += local[b].remapped_neurons;
-                }
-            },
-            popts);
-    } else {
-        kernel(args, 0, out_dim, tallies);
-    }
-}
-
-void
-SushiChip::oracleStep(const compiler::CompiledLayer &layer,
-                      std::span<const std::uint16_t> act,
-                      std::span<std::uint16_t> out,
-                      LayerStepStats &tally) const
-{
-    const auto &order = layer.schedule.order;
-    for (const int idx : order)
-        if (act[static_cast<std::size_t>(idx)] > 0)
-            ++tally.active_inputs;
-    const bool degraded = remap_.failed > 0;
-    for (std::size_t o = 0; o < out.size(); ++o) {
-        if (layer.disabled[o])
-            continue;
-        if (degraded &&
-            failed_npes_[o % static_cast<std::size_t>(cfg_.n)])
-            ++tally.remapped_neurons;
-        // A fresh counter per neuron-step is behaviourally identical
-        // to the time-multiplexed physical NPE (rst + write).
-        npe::Npe npe(cfg_.sc_per_npe);
-        npe.rst();
-        npe.write(layer.preload[o]);
-        npe.setPolarity(npe::Polarity::Excitatory);
-        std::uint64_t spikes = npe.addPulses(
-            static_cast<std::uint64_t>(layer.bias_pulses[o]));
-
-        const std::uint64_t *neg_mask = layer.neg_masks.lane(o);
-        const std::uint64_t *pos_mask = layer.pos_masks.lane(o);
-        for (const compiler::Block &bucket : layer.schedule.buckets) {
-            // Input by input: each one's pulses go to its synapse's
-            // polarity.
-            std::uint64_t neg = 0;
-            std::uint64_t pos = 0;
-            for (int k = bucket.begin; k < bucket.end; ++k) {
-                const std::uint64_t a =
-                    act[static_cast<std::size_t>(order[k])];
-                const auto w = static_cast<std::size_t>(k) / 64;
-                const unsigned bit = static_cast<unsigned>(k % 64);
-                if (neg_mask[w * compiler::MaskTable::kLanes] >> bit & 1)
-                    neg += a;
-                else if (pos_mask[w * compiler::MaskTable::kLanes] >>
-                             bit &
-                         1)
-                    pos += a;
-            }
-            // Inhibitory pass first within every bucket (Sec. 5.1).
-            if (neg) {
-                npe.setPolarity(npe::Polarity::Inhibitory);
-                const std::uint64_t borrows = npe.addPulses(neg);
-                tally.underflow_spikes += borrows;
-                spikes += borrows;
-            }
-            if (pos) {
-                npe.setPolarity(npe::Polarity::Excitatory);
-                spikes += npe.addPulses(pos);
-            }
-            tally.synaptic_ops += neg + pos;
-        }
-        if (spikes > 1)
-            ++tally.multi_fires;
-        out[o] = static_cast<std::uint16_t>(spikes);
-    }
+    detail::layerKernel()(args, tallies);
 }
 
 void

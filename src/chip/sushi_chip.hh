@@ -7,6 +7,11 @@
  * and carry pulses, the physical failure mode bucketing exists to
  * control).
  *
+ * Each neuron-step runs as closed-form counter arithmetic (the exact
+ * recurrence npe::Npe::addPulses implements) in the CPU-dispatched
+ * batch kernel of chip/layer_kernel.hh; tests/test_packed_snn.cc
+ * fuzzes it against a reference that steps an Npe object per neuron.
+ *
  * The gate-level counterpart for small configurations lives in
  * chip/gate_sim; tests assert pulse-level agreement between the two,
  * mirroring the paper's chip-vs-simulation validation (Sec. 6.2).
@@ -22,8 +27,6 @@
 #include <vector>
 
 #include "compiler/compile.hh"
-#include "npe/npe.hh"
-#include "snn/packed.hh"
 
 namespace sushi::chip {
 
@@ -189,9 +192,9 @@ struct PulseBatch
 
 /**
  * Tallies of one vector's layer step (SushiChip::stepLayerBatch).
- * Integer sums, so they are exact at any batch size and thread
- * count; the modelled time is a pure function of active_inputs and
- * is charged when the step is folded into InferenceStats.
+ * Integer sums, so they are exact at any batch size; the modelled
+ * time is a pure function of active_inputs and is charged when the
+ * step is folded into InferenceStats.
  */
 struct LayerStepStats
 {
@@ -323,40 +326,6 @@ class SushiChip
     void resetStats();
 
     /**
-     * Evaluate output neurons on up to @p threads worker threads
-     * (<= 1: sequential, the default). Neuron counters are
-     * independent and the spilled statistics are integer sums, so
-     * results and InferenceStats are identical at any setting.
-     */
-    void setSimThreads(int threads) { sim_threads_ = threads; }
-    int simThreads() const { return sim_threads_; }
-
-    /// @name Packed-kernel selection.
-    /// The fast path evaluates each neuron-step with closed-form
-    /// counter arithmetic (the exact recurrence Npe::addPulses
-    /// implements) instead of materialising an Npe object per
-    /// neuron. Pulse outputs and every InferenceStats counter are
-    /// bit-identical either way; tests/test_packed_snn.cc fuzzes the
-    /// equivalence. Per-chip override defaults to following the
-    /// process-wide snn::packed toggle (SUSHI_PACKED).
-    /// @{
-
-    /** Force the fast (true) or oracle (false) kernel on this chip. */
-    void setPackedKernels(bool on) { packed_kernels_ = on ? 1 : 0; }
-
-    /** Revert to following the process-wide toggle. */
-    void clearPackedKernelsOverride() { packed_kernels_ = -1; }
-
-    /** The kernel stepLayer will use right now. */
-    bool packedKernels() const
-    {
-        return packed_kernels_ < 0 ? snn::packed::enabled()
-                                   : packed_kernels_ == 1;
-    }
-
-    /// @}
-
-    /**
      * Return the chip to its just-constructed state: statistics
      * cleared and every NPE slot healthy. Replica pools call this
      * between batches so a reused chip is indistinguishable from a
@@ -371,7 +340,8 @@ class SushiChip
     /// reloads are charged and reported in InferenceStats.
     /// @{
 
-    /** Mark output-NPE slot @p slot (0..n-1) as failed. */
+    /** Mark output-NPE slot @p slot (0..n-1) as failed; throws
+     *  std::out_of_range outside [0, n). */
     void markNpeFailed(int slot);
 
     /** Restore every slot to healthy. */
@@ -393,19 +363,11 @@ class SushiChip
     void chargeLayer(const compiler::CompiledLayer &layer,
                      const LayerStepStats &tally);
 
-    /** The Npe-object oracle for one vector (packedKernels() off). */
-    void oracleStep(const compiler::CompiledLayer &layer,
-                    std::span<const std::uint16_t> act,
-                    std::span<std::uint16_t> out,
-                    LayerStepStats &tally) const;
-
     compiler::ChipConfig cfg_;
     double pulse_ps_ = 0.0; ///< modelled time of one serial pulse
     InferenceStats stats_;
     std::vector<std::uint8_t> failed_npes_;
     compiler::NpeRemap remap_;
-    int sim_threads_ = 0;
-    int packed_kernels_ = -1; ///< -1 follow global, else 0/1
 
     /// @name Buffers reused across calls (a chip is not reentrant).
     /// @{

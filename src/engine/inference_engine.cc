@@ -93,14 +93,9 @@ InferenceEngine::InferenceEngine(
     chip_mu_.reserve(static_cast<std::size_t>(replicas));
     accounts_.resize(static_cast<std::size_t>(replicas));
     for (int r = 0; r < replicas; ++r) {
-        for (int s = 0; s < stages_; ++s) {
+        for (int s = 0; s < stages_; ++s)
             chips_.push_back(
                 std::make_unique<chip::SushiChip>(model_->chip()));
-            chips_.back()->setSimThreads(cfg_.sim_threads);
-            if (cfg_.packed_kernels >= 0)
-                chips_.back()->setPackedKernels(cfg_.packed_kernels !=
-                                                0);
-        }
         chip_mu_.push_back(std::make_unique<std::mutex>());
     }
     // Modelled NoC transport: one fabric per replica group, driven
@@ -128,7 +123,8 @@ InferenceEngine::checkReplica(int replica) const
 const noc::NocTransport &
 InferenceEngine::nocTransport(int replica) const
 {
-    sushi_assert(nocEnabled());
+    if (!nocEnabled())
+        throw std::logic_error("nocTransport on an engine without NoC");
     checkReplica(replica);
     return *noc_[static_cast<std::size_t>(replica)];
 }

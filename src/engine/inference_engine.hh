@@ -16,11 +16,15 @@
  *    sample's stats delta is independent of its position in the
  *    shard, and the merge (in sample-index order) is byte-identical
  *    across thread counts AND across replica counts.
- *  - Degraded replicas (failed NPEs, PR 1's fault model) are drained
- *    by default: they receive no shard and their work is
+ *  - Degraded replicas (failed NPEs, SushiChip's degraded mode) are
+ *    drained by default: they receive no shard and their work is
  *    redistributed across healthy replicas. Behavioural results are
  *    bit-identical either way; draining avoids the degraded-mode
  *    time and reload surcharges.
+ *
+ * Host parallelism is across replicas only (max_threads): each
+ * replica runs its whole batch on one thread through the chip's
+ * batched layer kernel.
  */
 
 #ifndef SUSHI_ENGINE_INFERENCE_ENGINE_HH
@@ -59,20 +63,6 @@ struct EngineConfig
 
     /** Exclude degraded replicas from the shard plan. */
     bool drain_degraded = true;
-
-    /** Worker threads inside each replica's neuron-evaluation loop
-     *  (SushiChip::setSimThreads; <= 1 keeps replicas sequential).
-     *  Orthogonal to max_threads, and — like it — byte-identical
-     *  results at every setting. Not part of the model fingerprint:
-     *  a host execution knob, not a chip property. */
-    int sim_threads = 0;
-
-    /** Replica kernel selection (SushiChip::setPackedKernels):
-     *  -1 follows the process-wide snn::packed toggle, 0 forces the
-     *  Npe-object oracle, 1 forces the closed-form fast kernel.
-     *  Results and stats are bit-identical at every setting — like
-     *  sim_threads, a host knob, not a chip property. */
-    int packed_kernels = -1;
 
     /** Modelled NoC transport for multi-chip plan cuts (noc.enabled;
      *  off by default — the ideal zero-cost transport stays
@@ -189,15 +179,16 @@ class InferenceEngine
     bool nocEnabled() const { return !noc_.empty(); }
 
     /** The NoC transport of replica @p replica (placement, topology
-     *  and fabric counters for tests/benches); asserts nocEnabled().
-     */
+     *  and fabric counters for tests/benches); throws
+     *  std::logic_error unless nocEnabled(). */
     const noc::NocTransport &nocTransport(int replica) const;
 
     /** Mark output-NPE @p slot of replica @p replica failed (the
-     *  PR 1 degraded mode). Serialized against any batch running on
-     *  the same replica: the mark waits for the batch to finish, so
-     *  a concurrent degrade lands on a batch boundary and never
-     *  races the chip's remap plan mid-inference. */
+     *  degraded mode); throws std::out_of_range for a slot outside
+     *  [0, npeSlots()). Serialized against any batch running on the
+     *  same replica: the mark waits for the batch to finish, so a
+     *  concurrent degrade lands on a batch boundary and never races
+     *  the chip's remap plan mid-inference. */
     void markReplicaDegraded(int replica, int slot);
 
     /** Restore replica @p replica to full health (same batch-

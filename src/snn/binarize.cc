@@ -188,9 +188,9 @@ BinarySnn::membrane(const BinaryLayer &layer, std::size_t neuron,
 std::vector<std::uint8_t>
 BinarySnn::stepForward(const std::vector<std::uint8_t> &frame) const
 {
-    if (packed_ready_ && packed::enabled()) {
-        // XNOR/popcount fast path; the scalar loop below is the
-        // oracle the differential fuzzer checks this against.
+    if (packed_ready_) {
+        // XNOR/popcount fast path; the scalar loop below runs when
+        // packing refused the weights (a zero weight).
         std::vector<std::uint8_t> act = frame;
         packed::PackedActivations x;
         for (const packed::PackedLayer &layer : packed_) {

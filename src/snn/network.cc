@@ -74,12 +74,10 @@ SnnMlp::forwardWith(const Tensor &eff_w1, const Tensor &eff_w2,
     // XNOR/popcount fast path: when both weight tensors carry the
     // exact XNOR-Net structure (rows of +-alpha, as produced by
     // binaryEffectiveWeights) and every frame is a 0/1 spike matrix,
-    // the charge step runs as bias + alpha * (integer bit dot). Both
-    // toggle states route through the same integer kernel (packed vs
-    // element-wise scalar backend), so flipping SUSHI_PACKED never
-    // changes a single bit of the trainer's numerics. Raw float
-    // weights (SnnMlp::forward) fail the structure check and keep
-    // the dense linearForward path untouched.
+    // the charge step runs as bias + alpha * (integer bit dot), which
+    // equals the element-wise scalar backend bit for bit (the tests
+    // compare the two). Raw float weights (SnnMlp::forward) fail the
+    // structure check and keep the dense linearForward path untouched.
     const packed::PackedLayer p1 =
         packed::PackedLayer::fromEffective(eff_w1, b1);
     const packed::PackedLayer p2 =
@@ -91,7 +89,6 @@ SnnMlp::forwardWith(const Tensor &eff_w1, const Tensor &eff_w2,
         for (std::size_t t = 0; t < frames.size() && use_packed; ++t)
             use_packed = packed::packFloatRows(frames[t], px[t]);
     }
-    const packed::Backend backend = packed::activeBackend();
     packed::PackedActivations ps1;
 
     for (int t = 0; t < cfg_.t_steps; ++t) {
@@ -107,7 +104,8 @@ SnnMlp::forwardWith(const Tensor &eff_w1, const Tensor &eff_w2,
         // Hidden layer: charge (Eq. 1), fire (Eq. 2), reset (Eq. 3).
         if (use_packed)
             packed::effectiveForward(
-                p1, px[static_cast<std::size_t>(t)], h1, backend);
+                p1, px[static_cast<std::size_t>(t)], h1,
+                packed::Backend::Packed);
         else
             linearForward(x, eff_w1, b1, h1);
         ifStep(v1, h1, theta, v1_pre, s1);
@@ -116,7 +114,8 @@ SnnMlp::forwardWith(const Tensor &eff_w1, const Tensor &eff_w2,
         if (use_packed) {
             const bool ok = packed::packFloatRows(s1, ps1);
             sushi_assert(ok); // ifStep emits exact 0/1 spikes
-            packed::effectiveForward(p2, ps1, h2, backend);
+            packed::effectiveForward(p2, ps1, h2,
+                                     packed::Backend::Packed);
         } else {
             linearForward(s1, eff_w2, b2, h2);
         }

@@ -1,8 +1,6 @@
 #include "snn/packed.hh"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/kernel_isa.hh"
 #include "common/logging.hh"
@@ -14,39 +12,6 @@
 #endif
 
 namespace sushi::snn::packed {
-
-namespace {
-
-/** -1 = unresolved (read SUSHI_PACKED once), else 0/1. */
-std::atomic<int> g_enabled{-1};
-
-int
-resolveEnabled()
-{
-    int v = g_enabled.load(std::memory_order_relaxed);
-    if (v >= 0)
-        return v;
-    const char *e = std::getenv("SUSHI_PACKED");
-    v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
-    // Another thread may race the first read; both compute the same
-    // value from the same environment, so either store wins safely.
-    g_enabled.store(v, std::memory_order_relaxed);
-    return v;
-}
-
-} // namespace
-
-bool
-enabled()
-{
-    return resolveEnabled() == 1;
-}
-
-void
-setEnabled(bool on)
-{
-    g_enabled.store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 void
 packRows(const std::uint8_t *const *rows, std::size_t batch,

@@ -25,10 +25,10 @@
  * Both backends share one float epilogue (`bias + alpha * dot`) and
  * the dot product is exact integer arithmetic in either, so packed
  * vs. scalar equality is bitwise — the property the differential
- * fuzzer in tests/test_packed_snn.cc hammers. The process-wide
- * toggle below selects the backend for every wired call site
- * (BinarySnn::stepForward, SnnMlp::forwardWith, SushiChip); the env
- * variable SUSHI_PACKED=0 forces the scalar oracle everywhere.
+ * fuzzer in tests/test_packed_snn.cc hammers. Library call sites
+ * (BinarySnn::stepForward, SnnMlp::forwardWith) always pass
+ * Backend::Packed; the scalar backend is the tests' and
+ * bench_snn_throughput's explicit reference.
  *
  * Tail handling: for in_dim not a multiple of 64 the final lane's
  * high bits are zero in both the packed weights and every packed
@@ -52,22 +52,6 @@ enum class Backend
     Scalar, ///< element-by-element integer dot (the oracle)
     Packed, ///< XNOR + popcount over uint64_t lanes
 };
-
-/**
- * Process-wide packed-kernel toggle. Defaults to on; the environment
- * variable SUSHI_PACKED=0 (checked once, on first use) or
- * setEnabled(false) forces the scalar oracle. Reads and writes are
- * atomic so tests may flip it around threaded regions.
- */
-bool enabled();
-void setEnabled(bool on);
-
-/** The backend the toggle currently selects. */
-inline Backend
-activeBackend()
-{
-    return enabled() ? Backend::Packed : Backend::Scalar;
-}
 
 /** Lanes needed for @p bits packed 64 per word. */
 inline std::size_t

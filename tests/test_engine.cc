@@ -3,8 +3,8 @@
  * Tests for the batched multi-chip inference engine: compiled-model
  * cache behaviour, shard-plan determinism (byte-identical merged
  * stats across thread counts), equivalence with single-chip
- * sequential inference, degraded-replica draining, and replica reuse
- * across batches.
+ * sequential inference, degraded-replica draining, replica reuse
+ * across batches, and typed errors for out-of-range arguments.
  */
 
 #include <gtest/gtest.h>
@@ -211,36 +211,6 @@ TEST(Engine, MergedStatsByteIdenticalAcrossReplicaCounts)
     }
 }
 
-TEST(Engine, SimThreadsByteIdenticalResultsAndStats)
-{
-    // sim_threads fans the per-replica neuron-evaluation loop out
-    // over worker threads; like max_threads it must never move a
-    // result or a stats byte.
-    auto net = tinyNet(24, 12, 5, 3, 47);
-    auto model = CompiledModel::compile(net, smallChip());
-    auto samples = randomSamples(19, 24, 3, 9);
-
-    std::string digest;
-    std::vector<SampleResult> base;
-    for (int sim_threads : {0, 2, 8}) {
-        EngineConfig ecfg;
-        ecfg.replicas = 2;
-        ecfg.sim_threads = sim_threads;
-        InferenceEngine eng(model, ecfg);
-        const EngineRun run = eng.run(samples);
-        const std::string json = statsJson(run.merged);
-        if (digest.empty()) {
-            digest = json;
-            base = run.samples;
-        }
-        EXPECT_EQ(json, digest) << "sim_threads " << sim_threads;
-        ASSERT_EQ(run.samples.size(), base.size());
-        for (std::size_t i = 0; i < base.size(); ++i)
-            EXPECT_EQ(run.samples[i].counts, base[i].counts)
-                << "sim_threads " << sim_threads << " sample " << i;
-    }
-}
-
 TEST(Engine, ShardPlanCoversEverySampleOnce)
 {
     auto net = tinyNet(16, 8, 4, 2, 51);
@@ -389,6 +359,46 @@ TEST(Engine, ReplicaIdOutOfRangeThrows)
                   .results.size(),
               1u);
     EXPECT_EQ(eng.replicaAccount(0).batches, 0u);
+}
+
+TEST(Engine, DegradeSlotOutOfRangeThrows)
+{
+    auto net = tinyNet(10, 5, 3, 2, 94);
+    auto model = CompiledModel::compile(net, smallChip());
+    EngineConfig cfg;
+    cfg.replicas = 2;
+    InferenceEngine eng(model, cfg);
+    for (const int bad : {-1, eng.npeSlots(), eng.npeSlots() + 7})
+        EXPECT_THROW(eng.markReplicaDegraded(0, bad), std::out_of_range)
+            << bad;
+    // A rejected mark fails no slot, and the edge slots are valid.
+    EXPECT_FALSE(eng.replicaDegraded(0));
+    EXPECT_EQ(eng.failedNpeSlots(0), 0);
+    eng.markReplicaDegraded(0, 0);
+    eng.markReplicaDegraded(1, eng.npeSlots() - 1);
+    EXPECT_EQ(eng.failedNpeSlots(0), 1);
+    EXPECT_EQ(eng.failedNpeSlots(1), 1);
+
+    chip::SushiChip chip(smallChip());
+    EXPECT_THROW(chip.markNpeFailed(-1), std::out_of_range);
+    EXPECT_THROW(chip.markNpeFailed(smallChip().n), std::out_of_range);
+    EXPECT_EQ(chip.stats().failed_npes, 0u);
+}
+
+TEST(Engine, NocTransportWithoutNocThrows)
+{
+    auto net = tinyNet(10, 5, 3, 2, 95);
+    auto model = CompiledModel::compile(net, smallChip());
+    ASSERT_EQ(model->stageCount(), 1);
+    // NoC off, and NoC on over a single-stage plan (no cut to route).
+    for (const bool noc : {false, true}) {
+        EngineConfig cfg;
+        cfg.replicas = 1;
+        cfg.noc.enabled = noc;
+        InferenceEngine eng(model, cfg);
+        ASSERT_FALSE(eng.nocEnabled());
+        EXPECT_THROW(eng.nocTransport(0), std::logic_error) << noc;
+    }
 }
 
 TEST(Engine, NullModelThrows)

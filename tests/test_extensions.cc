@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the extension modules: model serialization and the
- * convolutional lowering.
+ * Tests for the model serialization extension (snn/model_io).
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +8,6 @@
 #include <sstream>
 
 #include "common/rng.hh"
-#include "compiler/conv_lowering.hh"
 #include "snn/model_io.hh"
 
 namespace sushi {
@@ -153,107 +151,6 @@ TEST(ModelIo, FuzzedInputsLoadOrThrowTyped)
             static_cast<char>(rng.below(256));
         loadsOrRejects(bad);
     }
-}
-
-compiler::BinaryConvSpec
-randomConv(int h, int w, int ks, int kernels, int stride,
-           std::uint64_t seed)
-{
-    Rng rng(seed);
-    compiler::BinaryConvSpec spec;
-    spec.in_h = h;
-    spec.in_w = w;
-    spec.stride = stride;
-    for (int k = 0; k < kernels; ++k) {
-        std::vector<std::vector<std::int8_t>> kern(
-            static_cast<std::size_t>(ks));
-        for (auto &row : kern)
-            for (int x = 0; x < ks; ++x)
-                row.push_back(rng.chance(0.5) ? 1 : -1);
-        spec.kernels.push_back(std::move(kern));
-        spec.thresholds.push_back(
-            static_cast<int>(rng.range(0, ks)));
-    }
-    return spec;
-}
-
-TEST(ConvLowering, Geometry)
-{
-    auto spec = randomConv(8, 10, 3, 2, 1, 81);
-    EXPECT_EQ(spec.outH(), 6);
-    EXPECT_EQ(spec.outW(), 8);
-    auto lowered = compiler::lowerConv(spec);
-    EXPECT_EQ(lowered.layer.outDim(), spec.outDim());
-    EXPECT_EQ(lowered.layer.inDim(), 80u);
-}
-
-TEST(ConvLowering, StrideShrinksOutput)
-{
-    auto spec = randomConv(9, 9, 3, 1, 2, 82);
-    EXPECT_EQ(spec.outH(), 4);
-    auto lowered = compiler::lowerConv(spec);
-    EXPECT_EQ(lowered.layer.outDim(), 16u);
-}
-
-TEST(ConvLowering, MaskMarksExactlyKernelTaps)
-{
-    auto spec = randomConv(6, 6, 3, 2, 1, 83);
-    auto lowered = compiler::lowerConv(spec);
-    for (const auto &mask : lowered.active) {
-        int taps = 0;
-        for (auto m : mask)
-            taps += m;
-        EXPECT_EQ(taps, 9); // 3x3 kernel
-    }
-}
-
-TEST(ConvLowering, LoweredMatchesDirectConvolution)
-{
-    Rng rng(84);
-    auto spec = randomConv(7, 7, 3, 3, 2, 85);
-    auto lowered = compiler::lowerConv(spec);
-    const int oh = spec.outH(), ow = spec.outW();
-    for (int trial = 0; trial < 30; ++trial) {
-        std::vector<std::uint8_t> frame(49);
-        for (auto &v : frame)
-            v = rng.chance(0.5);
-        const auto spikes =
-            compiler::loweredConvStep(lowered, frame);
-        for (std::size_t k = 0; k < spec.kernels.size(); ++k) {
-            for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox) {
-                    const int m = compiler::convMembrane(
-                        spec, frame, static_cast<int>(k), oy, ox);
-                    const std::size_t o =
-                        (k * static_cast<std::size_t>(oh) + oy) *
-                            static_cast<std::size_t>(ow) +
-                        static_cast<std::size_t>(ox);
-                    EXPECT_EQ(spikes[o],
-                              m >= spec.thresholds[k] ? 1 : 0)
-                        << "k=" << k << " oy=" << oy
-                        << " ox=" << ox;
-                }
-            }
-        }
-    }
-}
-
-TEST(ConvLowering, SingleTapKernelIsIdentityWindow)
-{
-    compiler::BinaryConvSpec spec;
-    spec.in_h = 3;
-    spec.in_w = 3;
-    spec.stride = 1;
-    spec.kernels = {{{1}}};
-    spec.thresholds = {1};
-    auto lowered = compiler::lowerConv(spec);
-    EXPECT_EQ(lowered.layer.outDim(), 9u);
-    // Each output neuron fires iff its single pixel is on.
-    std::vector<std::uint8_t> frame = {1, 0, 0, 0, 1, 0, 0, 0, 1};
-    const auto spikes = compiler::loweredConvStep(lowered, frame);
-    EXPECT_EQ(spikes,
-              (std::vector<std::uint8_t>{1, 0, 0, 0, 1, 0, 0, 0,
-                                         1}));
 }
 
 } // namespace

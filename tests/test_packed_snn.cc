@@ -1,31 +1,35 @@
 /**
  * @file
  * Differential-fuzzing parity harness for the bit-packed
- * XNOR/popcount kernel layer (snn/packed) and every call site wired
- * behind the SUSHI_PACKED toggle:
+ * XNOR/popcount kernel layer (snn/packed), its call sites and the
+ * chip's closed-form layer kernel, each against a reference that
+ * lives here or is selected by an explicit argument:
  *
- *  - packed vs scalar-oracle kernels over hundreds of seeded random
- *    shapes (ragged in_dim % 64 in {0, 1, 63}, batch = 1, varying
- *    thread counts) — bit-identical spikes and floats;
- *  - BinarySnn::stepForward and SnnMlp::forwardWith toggle on/off —
- *    byte-identical results, including the fall-back cases (zero
- *    weights, non-binary structure) where packing must refuse;
- *  - SushiChip closed-form counter vs the Npe-object oracle,
- *    including wrap-around borrows (tiny counters), multi-pulse
- *    extras, degraded-mode remaps, and threaded evaluation;
+ *  - packed vs scalar-oracle kernels (Backend::Scalar) over hundreds
+ *    of seeded random shapes (ragged in_dim % 64 in {0, 1, 63},
+ *    batch = 1, varying thread counts) — bit-identical spikes and
+ *    floats;
+ *  - BinarySnn::stepForward/forwardCounts vs a reference built from
+ *    BinarySnn::membrane, including the fall-back case (a zero
+ *    weight) where packing must refuse; SnnMlp::forwardWith vs the
+ *    scalar effectiveForward followed by the IF step, traces
+ *    included;
+ *  - SushiChip's closed-form counter vs oracleLayerStep, which steps
+ *    one npe::Npe object per neuron: wrap-around borrows (tiny
+ *    counters), multi-pulse extras and degraded-mode remaps, outputs
+ *    and per-vector LayerStepStats;
  *  - every CPU-dispatched wrapper this CPU supports (KernelIsa),
  *    called directly: the batch-major layer kernel over batch sizes
- *    {1, 2, 5, 8, 40, 70}, ragged in_dim and every bucket shape,
- *    against the oracle and the per-vector stepLayer composition;
- *    the XNOR dot's popcount loop against a bit-by-bit count;
+ *    covering every remainder of the neuron-lane block, ragged
+ *    in_dim and every bucket shape, against oracleLayerStep and the
+ *    per-vector stepLayer composition; the XNOR dot's popcount loop
+ *    against a bit-by-bit count;
  *  - the sparse-scan batch pack vs the dense gather it replaced,
  *    field by field, over batch 1..70, ragged widths, every bucket
  *    shape, permuted schedules and all-zero/all-one/multi-pulse rows;
  *  - InferenceEngine::runOnReplica (whole batch per stage) vs the
  *    serial per-sample, per-step stage loop, NoC on, stats JSON
- *    byte-identical;
- *  - InferenceEngine / Server virtual-clock replay with packed
- *    kernels forced on vs off — byte-identical stats/metrics JSON;
+ *    byte-identical, and merged stats pinned to a recorded run;
  *  - binarize deterministic-rounding fixes (sign of zero, NaN,
  *    denormal alpha, astronomically large raw thresholds).
  */
@@ -35,9 +39,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -50,12 +54,11 @@
 #include "compiler/cost_model.hh"
 #include "compiler/driver.hh"
 #include "engine/inference_engine.hh"
-#include "serve/server.hh"
+#include "npe/npe.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 #include "snn/packed.hh"
 #include "snn/packed_kernel.hh"
-#include "snn/train.hh"
 
 namespace sushi {
 namespace {
@@ -63,14 +66,6 @@ namespace {
 using snn::packed::Backend;
 using snn::packed::PackedActivations;
 using snn::packed::PackedLayer;
-
-/** Restores the process-wide packed toggle on scope exit, so a test
- *  that flips it can never leak state into later tests. */
-struct ToggleGuard
-{
-    bool prev = snn::packed::enabled();
-    ~ToggleGuard() { snn::packed::setEnabled(prev); }
-};
 
 snn::BinarySnn
 tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
@@ -245,43 +240,58 @@ TEST(PackedLayer, RejectsNonBinaryInputs)
     EXPECT_FALSE(snn::packed::packFloatRows(x, px));
 }
 
-TEST(PackedToggle, SetterControlsBackend)
+/** BinarySnn::stepForward's reference: every neuron's membrane
+ *  (BinarySnn::membrane) against its threshold, layer by layer. */
+std::vector<std::uint8_t>
+membraneStep(const snn::BinarySnn &net, std::vector<std::uint8_t> act)
 {
-    ToggleGuard guard;
-    snn::packed::setEnabled(false);
-    EXPECT_FALSE(snn::packed::enabled());
-    EXPECT_EQ(snn::packed::activeBackend(), Backend::Scalar);
-    snn::packed::setEnabled(true);
-    EXPECT_TRUE(snn::packed::enabled());
-    EXPECT_EQ(snn::packed::activeBackend(), Backend::Packed);
+    for (const snn::BinaryLayer &layer : net.layers()) {
+        std::vector<std::uint8_t> next(layer.outDim(), 0);
+        for (std::size_t o = 0; o < layer.outDim(); ++o)
+            next[o] = snn::BinarySnn::membrane(layer, o, act) >=
+                              layer.thresholds[o]
+                          ? 1
+                          : 0;
+        act = std::move(next);
+    }
+    return act;
+}
+
+/** BinarySnn::forwardCounts' reference: membraneStep summed over
+ *  the frames. */
+std::vector<int>
+membraneCounts(const snn::BinarySnn &net,
+               const std::vector<std::vector<std::uint8_t>> &frames)
+{
+    std::vector<int> counts(net.layers().back().outDim(), 0);
+    for (const auto &frame : frames) {
+        const auto spikes = membraneStep(net, frame);
+        for (std::size_t o = 0; o < counts.size(); ++o)
+            counts[o] += spikes[o];
+    }
+    return counts;
 }
 
 TEST(BinarySnnParity, ToggleByteIdentical)
 {
-    ToggleGuard guard;
     for (std::uint64_t seed = 0; seed < 8; ++seed) {
         const auto net = tinyNet(70, 12, 4, 3, 60 + seed);
         ASSERT_TRUE(net.packedReady());
         ASSERT_EQ(net.packedLayers().size(), net.layers().size());
         const auto frames = randomFrames(70, 3, 0.4, 200 + seed);
 
-        snn::packed::setEnabled(true);
-        const auto on_counts = net.forwardCounts(frames);
-        const auto on_step = net.stepForward(frames[0]);
-        snn::packed::setEnabled(false);
-        const auto off_counts = net.forwardCounts(frames);
-        const auto off_step = net.stepForward(frames[0]);
-
-        EXPECT_EQ(on_counts, off_counts) << "seed " << seed;
-        EXPECT_EQ(on_step, off_step) << "seed " << seed;
+        EXPECT_EQ(net.forwardCounts(frames), membraneCounts(net, frames))
+            << "seed " << seed;
+        EXPECT_EQ(net.stepForward(frames[0]),
+                  membraneStep(net, frames[0]))
+            << "seed " << seed;
     }
 }
 
 TEST(BinarySnnParity, ZeroWeightKeepsScalarPath)
 {
-    ToggleGuard guard;
     // Hand-built layer with a zero weight: packing must refuse and
-    // the toggle must have no effect on results.
+    // the scalar path must still give the membrane reference.
     snn::BinaryLayer layer;
     layer.weights = {{1, 0, -1, 1}, {-1, -1, 1, 1}};
     layer.thresholds = {1, 0};
@@ -289,16 +299,27 @@ TEST(BinarySnnParity, ZeroWeightKeepsScalarPath)
     EXPECT_FALSE(net.packedReady());
 
     const auto frames = randomFrames(4, 2, 0.6, 77);
-    snn::packed::setEnabled(true);
-    const auto on = net.forwardCounts(frames);
-    snn::packed::setEnabled(false);
-    const auto off = net.forwardCounts(frames);
-    EXPECT_EQ(on, off);
+    EXPECT_EQ(net.forwardCounts(frames), membraneCounts(net, frames));
+    EXPECT_EQ(net.stepForward(frames[1]), membraneStep(net, frames[1]));
+}
+
+/** SnnMlp's IF step (paper Eqs. (1)-(3)), restated for the trainer
+ *  reference below. */
+void
+referenceIfStep(snn::Tensor &v, const snn::Tensor &h, float theta,
+                snn::Tensor &v_pre, snn::Tensor &s)
+{
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        const float pre = v.data()[i] + h.data()[i];
+        const float spike = pre >= theta ? 1.0f : 0.0f;
+        v_pre.data()[i] = pre;
+        s.data()[i] = spike;
+        v.data()[i] = pre * (1.0f - spike);
+    }
 }
 
 TEST(TrainerParity, ForwardWithToggleByteIdentical)
 {
-    ToggleGuard guard;
     snn::SnnConfig cfg;
     cfg.input = 66; // ragged lane tail
     cfg.hidden = 9;
@@ -317,96 +338,172 @@ TEST(TrainerParity, ForwardWithToggleByteIdentical)
         frames.push_back(std::move(f));
     }
 
-    snn::ForwardTrace tr_on, tr_off;
-    snn::packed::setEnabled(true);
-    const snn::Tensor on = net.forwardWith(e1, e2, frames, &tr_on);
-    snn::packed::setEnabled(false);
-    const snn::Tensor off = net.forwardWith(e1, e2, frames, &tr_off);
+    snn::ForwardTrace tr;
+    const snn::Tensor got = net.forwardWith(e1, e2, frames, &tr);
 
-    ASSERT_EQ(on.size(), off.size());
-    EXPECT_EQ(std::memcmp(on.data(), off.data(),
-                          on.size() * sizeof(float)),
-              0);
-    for (int t = 0; t < cfg.t_steps; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        EXPECT_EQ(std::memcmp(tr_on.v1_pre[ti].data(),
-                              tr_off.v1_pre[ti].data(),
-                              tr_on.v1_pre[ti].size() * sizeof(float)),
+    // The reference: the scalar backend's charge, then the IF step.
+    const PackedLayer p1 = PackedLayer::fromEffective(e1, net.b1);
+    const PackedLayer p2 = PackedLayer::fromEffective(e2, net.b2);
+    ASSERT_TRUE(p1.packable());
+    ASSERT_TRUE(p2.packable());
+    const std::size_t batch = frames[0].rows();
+    snn::Tensor v1(batch, cfg.hidden), v2(batch, cfg.output);
+    snn::Tensor h1(batch, cfg.hidden), h2(batch, cfg.output);
+    snn::Tensor v1_pre(batch, cfg.hidden), s1(batch, cfg.hidden);
+    snn::Tensor v2_pre(batch, cfg.output), s2(batch, cfg.output);
+    snn::Tensor want(batch, cfg.output);
+    PackedActivations px, ps1;
+    ASSERT_EQ(tr.v1_pre.size(), frames.size());
+    ASSERT_EQ(tr.s2.size(), frames.size());
+    for (std::size_t t = 0; t < frames.size(); ++t) {
+        ASSERT_TRUE(snn::packed::packFloatRows(frames[t], px));
+        snn::packed::effectiveForward(p1, px, h1, Backend::Scalar, 1);
+        referenceIfStep(v1, h1, cfg.threshold, v1_pre, s1);
+        ASSERT_TRUE(snn::packed::packFloatRows(s1, ps1));
+        snn::packed::effectiveForward(p2, ps1, h2, Backend::Scalar, 1);
+        referenceIfStep(v2, h2, cfg.threshold, v2_pre, s2);
+        for (std::size_t i = 0; i < want.size(); ++i)
+            want.data()[i] += s2.data()[i];
+
+        EXPECT_EQ(std::memcmp(tr.v1_pre[t].data(), v1_pre.data(),
+                              v1_pre.size() * sizeof(float)),
                   0)
             << "t " << t;
-        EXPECT_EQ(std::memcmp(tr_on.s2[ti].data(),
-                              tr_off.s2[ti].data(),
-                              tr_on.s2[ti].size() * sizeof(float)),
+        EXPECT_EQ(std::memcmp(tr.s2[t].data(), s2.data(),
+                              s2.size() * sizeof(float)),
                   0)
             << "t " << t;
     }
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)),
+              0);
 }
 
-TEST(TrainerParity, TrainingRunToggleByteIdentical)
+/**
+ * The Npe-object reference for one vector of a layer step: a fresh
+ * npe::Npe per neuron-step (behaviourally identical to the
+ * time-multiplexed physical NPE after rst + write), fed input by
+ * input in schedule order, inhibitory pass first within every
+ * bucket. The chip's closed-form kernels must match it bit for bit,
+ * tallies included. @p failed_slots holds the chip's per-slot failure
+ * flags (SushiChip::failedNpes); @p out and @p tally start zeroed.
+ */
+void
+oracleLayerStep(const compiler::CompiledLayer &layer,
+                const compiler::ChipConfig &cfg,
+                const std::vector<std::uint8_t> &failed_slots,
+                std::span<const std::uint16_t> act,
+                std::span<std::uint16_t> out, chip::LayerStepStats &tally)
 {
-    ToggleGuard guard;
-    snn::SnnConfig cfg;
-    cfg.input = 12;
-    cfg.hidden = 8;
-    cfg.output = 3;
-    cfg.t_steps = 2;
+    const auto &order = layer.schedule.order;
+    for (const int idx : order)
+        if (act[static_cast<std::size_t>(idx)] > 0)
+            ++tally.active_inputs;
+    for (std::size_t o = 0; o < out.size(); ++o) {
+        if (layer.disabled[o])
+            continue;
+        if (failed_slots[o % static_cast<std::size_t>(cfg.n)])
+            ++tally.remapped_neurons;
+        npe::Npe npe(cfg.sc_per_npe);
+        npe.rst();
+        npe.write(layer.preload[o]);
+        npe.setPolarity(npe::Polarity::Excitatory);
+        std::uint64_t spikes = npe.addPulses(
+            static_cast<std::uint64_t>(layer.bias_pulses[o]));
 
-    Rng rng(3);
-    snn::Tensor images(24, cfg.input);
-    for (std::size_t i = 0; i < images.size(); ++i)
-        images.data()[i] = static_cast<float>(rng.uniform());
-    std::vector<int> labels(24);
-    for (auto &l : labels)
-        l = static_cast<int>(rng.below(3));
+        const std::uint64_t *neg_mask = layer.neg_masks.lane(o);
+        const std::uint64_t *pos_mask = layer.pos_masks.lane(o);
+        for (const compiler::Block &bucket : layer.schedule.buckets) {
+            // Input by input: each one's pulses go to its synapse's
+            // polarity.
+            std::uint64_t neg = 0;
+            std::uint64_t pos = 0;
+            for (int k = bucket.begin; k < bucket.end; ++k) {
+                const std::uint64_t a =
+                    act[static_cast<std::size_t>(order[k])];
+                const auto w = static_cast<std::size_t>(k) / 64;
+                const unsigned bit = static_cast<unsigned>(k % 64);
+                if (neg_mask[w * compiler::MaskTable::kLanes] >> bit & 1)
+                    neg += a;
+                else if (pos_mask[w * compiler::MaskTable::kLanes] >>
+                             bit &
+                         1)
+                    pos += a;
+            }
+            // Inhibitory pass first within every bucket (Sec. 5.1).
+            if (neg) {
+                npe.setPolarity(npe::Polarity::Inhibitory);
+                const std::uint64_t borrows = npe.addPulses(neg);
+                tally.underflow_spikes += borrows;
+                spikes += borrows;
+            }
+            if (pos) {
+                npe.setPolarity(npe::Polarity::Excitatory);
+                spikes += npe.addPulses(pos);
+            }
+            tally.synaptic_ops += neg + pos;
+        }
+        if (spikes > 1)
+            ++tally.multi_fires;
+        out[o] = static_cast<std::uint16_t>(spikes);
+    }
+}
 
-    snn::TrainConfig tcfg;
-    tcfg.epochs = 2;
-    tcfg.batch = 8;
-    tcfg.binary_aware = true;
-
-    auto trainOnce = [&](bool packed_on) {
-        snn::packed::setEnabled(packed_on);
-        snn::SnnMlp net(cfg, 29);
-        snn::Trainer trainer(net, tcfg);
-        const snn::TrainStats stats = trainer.fit(images, labels);
-        return std::make_tuple(net.w1, net.w2, stats);
-    };
-    const auto [w1_on, w2_on, st_on] = trainOnce(true);
-    const auto [w1_off, w2_off, st_off] = trainOnce(false);
-
-    EXPECT_EQ(std::memcmp(w1_on.data(), w1_off.data(),
-                          w1_on.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(w2_on.data(), w2_off.data(),
-                          w2_on.size() * sizeof(float)),
-              0);
-    EXPECT_EQ(st_on.epoch_loss, st_off.epoch_loss);
-    EXPECT_EQ(st_on.epoch_train_acc, st_off.epoch_train_acc);
+/** oracleLayerStep over every vector of @p in, as a chip with
+ *  @p failed_slots would run it: outputs into @p out, one tally per
+ *  vector into @p tallies. */
+void
+oracleLayerBatch(const compiler::CompiledLayer &layer,
+                 const compiler::ChipConfig &cfg,
+                 const std::vector<std::uint8_t> &failed_slots,
+                 const chip::PulseBatch &in, std::size_t out_dim,
+                 chip::PulseBatch &out,
+                 std::vector<chip::LayerStepStats> &tallies)
+{
+    out.reset(in.batch, out_dim);
+    tallies.assign(in.batch, chip::LayerStepStats{});
+    for (std::size_t v = 0; v < in.batch; ++v)
+        oracleLayerStep(layer, cfg, failed_slots, in.row(v), out.row(v),
+                        tallies[v]);
 }
 
 void
-expectStatsEq(const chip::InferenceStats &a,
-              const chip::InferenceStats &b, int trial)
+expectTalliesEq(const std::vector<chip::LayerStepStats> &a,
+                const std::vector<chip::LayerStepStats> &b,
+                const std::string &what)
 {
-    EXPECT_EQ(a.frames, b.frames) << "trial " << trial;
-    EXPECT_EQ(a.time_steps, b.time_steps) << "trial " << trial;
-    EXPECT_EQ(a.input_pulses, b.input_pulses) << "trial " << trial;
-    EXPECT_EQ(a.synaptic_ops, b.synaptic_ops) << "trial " << trial;
-    EXPECT_EQ(a.output_spikes, b.output_spikes) << "trial " << trial;
-    EXPECT_EQ(a.underflow_spikes, b.underflow_spikes)
-        << "trial " << trial;
-    EXPECT_EQ(a.multi_fires, b.multi_fires) << "trial " << trial;
-    EXPECT_EQ(a.reload_events, b.reload_events) << "trial " << trial;
-    EXPECT_EQ(a.failed_npes, b.failed_npes) << "trial " << trial;
-    EXPECT_EQ(a.remapped_neurons, b.remapped_neurons)
-        << "trial " << trial;
-    EXPECT_EQ(a.degraded_passes, b.degraded_passes)
-        << "trial " << trial;
-    EXPECT_EQ(a.est_time_ps, b.est_time_ps) << "trial " << trial;
-    EXPECT_EQ(a.reload_time_ps, b.reload_time_ps)
-        << "trial " << trial;
-    EXPECT_EQ(a.dynamic_energy_j, b.dynamic_energy_j)
-        << "trial " << trial;
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t v = 0; v < a.size(); ++v) {
+        EXPECT_EQ(a[v].synaptic_ops, b[v].synaptic_ops) << what << v;
+        EXPECT_EQ(a[v].underflow_spikes, b[v].underflow_spikes)
+            << what << v;
+        EXPECT_EQ(a[v].multi_fires, b[v].multi_fires) << what << v;
+        EXPECT_EQ(a[v].remapped_neurons, b[v].remapped_neurons)
+            << what << v;
+        EXPECT_EQ(a[v].active_inputs, b[v].active_inputs) << what << v;
+    }
+}
+
+/** The counters stepLayer charges: each must equal the sum of the
+ *  tallies in @p steps. */
+void
+expectChargedTallies(const chip::InferenceStats &stats,
+                     const std::vector<chip::LayerStepStats> &steps,
+                     const std::string &what)
+{
+    chip::LayerStepStats sum;
+    for (const auto &t : steps) {
+        sum.synaptic_ops += t.synaptic_ops;
+        sum.underflow_spikes += t.underflow_spikes;
+        sum.multi_fires += t.multi_fires;
+        sum.remapped_neurons += t.remapped_neurons;
+    }
+    EXPECT_EQ(stats.synaptic_ops, sum.synaptic_ops) << what;
+    EXPECT_EQ(stats.input_pulses, sum.synaptic_ops) << what;
+    EXPECT_EQ(stats.underflow_spikes, sum.underflow_spikes) << what;
+    EXPECT_EQ(stats.multi_fires, sum.multi_fires) << what;
+    EXPECT_EQ(stats.remapped_neurons, sum.remapped_neurons) << what;
 }
 
 TEST(ChipParity, StepLayerFastVsOracleFuzz)
@@ -424,71 +521,49 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
         ccfg.sc_per_npe = 3 + static_cast<int>(rng.below(3));
         const auto compiled = compiler::compileNetwork(net, ccfg);
 
-        chip::SushiChip fast(ccfg), oracle(ccfg);
-        fast.setPackedKernels(true);
-        oracle.setPackedKernels(false);
-        EXPECT_TRUE(fast.packedKernels());
-        EXPECT_FALSE(oracle.packedKernels());
-        if (trial % 4 == 1)
-            fast.setSimThreads(8); // thread-count invariance too
+        chip::SushiChip fast(ccfg), batched(ccfg);
         if (trial % 3 == 0) {
             const int slot = static_cast<int>(rng.below(
                 static_cast<std::uint64_t>(ccfg.n)));
             fast.markNpeFailed(slot);
-            oracle.markNpeFailed(slot);
+            batched.markNpeFailed(slot);
         }
 
+        std::vector<chip::LayerStepStats> oracle_steps;
         for (std::size_t l = 0; l < compiled.layers.size(); ++l) {
             const auto &blayer = net.layers()[l];
             for (int rep = 0; rep < 4; ++rep) {
-                chip::PulseVector act(blayer.inDim());
-                for (auto &v : act)
+                chip::PulseBatch in;
+                in.reset(1, blayer.inDim());
+                for (auto &v : in.pulses)
                     // Values > 1 exercise the multi-pulse extras.
                     v = static_cast<std::uint16_t>(rng.below(4));
-                const auto a =
-                    fast.stepLayer(compiled.layers[l], blayer, act);
-                const auto b = oracle.stepLayer(compiled.layers[l],
-                                                blayer, act);
-                ASSERT_EQ(a, b) << "trial " << trial << " layer "
-                                << l << " rep " << rep;
+                const std::string what = "trial " +
+                                         std::to_string(trial) +
+                                         " layer " + std::to_string(l) +
+                                         " rep " + std::to_string(rep);
+                chip::PulseBatch want, got;
+                std::vector<chip::LayerStepStats> want_t, got_t(1);
+                oracleLayerBatch(compiled.layers[l], ccfg,
+                                 fast.failedNpes(), in, blayer.outDim(),
+                                 want, want_t);
+                batched.stepLayerBatch(compiled.layers[l], blayer, in,
+                                       got, got_t.data());
+                ASSERT_EQ(got.pulses, want.pulses) << what;
+                expectTalliesEq(got_t, want_t, what + " v ");
+
+                const chip::PulseVector act(in.pulses.begin(),
+                                            in.pulses.end());
+                ASSERT_EQ(fast.stepLayer(compiled.layers[l], blayer, act),
+                          want.pulses)
+                    << what;
+                oracle_steps.push_back(want_t[0]);
             }
         }
-        expectStatsEq(fast.stats(), oracle.stats(), trial);
+        expectChargedTallies(fast.stats(), oracle_steps,
+                             "trial " + std::to_string(trial));
+        EXPECT_EQ(batched.stats().synaptic_ops, 0u);
     }
-}
-
-TEST(ChipParity, InferCountsFollowsGlobalToggle)
-{
-    ToggleGuard guard;
-    const auto net = tinyNet(24, 10, 4, 4, 41);
-    compiler::ChipConfig ccfg;
-    ccfg.n = 8;
-    ccfg.sc_per_npe = 4;
-    const auto compiled = compiler::compileNetwork(net, ccfg);
-    const auto frames = randomFrames(24, 4, 0.5, 11);
-
-    snn::packed::setEnabled(true);
-    chip::SushiChip on(ccfg);
-    EXPECT_TRUE(on.packedKernels());
-    const auto counts_on = on.inferCounts(compiled, frames);
-
-    snn::packed::setEnabled(false);
-    chip::SushiChip off(ccfg);
-    EXPECT_FALSE(off.packedKernels());
-    const auto counts_off = off.inferCounts(compiled, frames);
-
-    EXPECT_EQ(counts_on, counts_off);
-    expectStatsEq(on.stats(), off.stats(), -1);
-}
-
-std::shared_ptr<const engine::CompiledModel>
-smallModel()
-{
-    compiler::ChipConfig ccfg;
-    ccfg.n = 8;
-    ccfg.sc_per_npe = 10;
-    return engine::CompiledModel::compile(tinyNet(16, 8, 4, 3, 7),
-                                          ccfg);
 }
 
 std::vector<engine::Sample>
@@ -506,62 +581,6 @@ randomSamples(std::size_t n, std::size_t dim, int t_steps,
         }
     }
     return samples;
-}
-
-TEST(EngineParity, MergedStatsByteIdentical)
-{
-    const auto model = smallModel();
-    const auto samples = randomSamples(24, 16, 3, 5);
-
-    auto runWith = [&](int packed_kernels) {
-        engine::EngineConfig cfg;
-        cfg.replicas = 3;
-        cfg.packed_kernels = packed_kernels;
-        engine::InferenceEngine eng(model, cfg);
-        return eng.run(samples);
-    };
-    const auto on = runWith(1);
-    const auto off = runWith(0);
-
-    ASSERT_EQ(on.samples.size(), off.samples.size());
-    for (std::size_t i = 0; i < on.samples.size(); ++i) {
-        EXPECT_EQ(on.samples[i].prediction, off.samples[i].prediction)
-            << "sample " << i;
-        EXPECT_EQ(on.samples[i].counts, off.samples[i].counts)
-            << "sample " << i;
-    }
-    EXPECT_EQ(engine::statsJson(on.merged),
-              engine::statsJson(off.merged));
-}
-
-TEST(ServeParity, VirtualReplayByteIdentical)
-{
-    const auto model = smallModel();
-    const auto samples = randomSamples(20, 16, 3, 9);
-
-    auto replay = [&](int packed_kernels) {
-        serve::ServerConfig cfg;
-        cfg.engine.replicas = 2;
-        cfg.engine.packed_kernels = packed_kernels;
-        cfg.max_batch = 4;
-        cfg.max_delay_ns = 500;
-        cfg.clock = serve::ClockMode::Virtual;
-        serve::Server server(model, cfg);
-        std::vector<std::future<serve::Response>> futs;
-        for (std::size_t i = 0; i < samples.size(); ++i)
-            futs.push_back(server.submitAt(
-                static_cast<std::int64_t>(i) * 120, samples[i]));
-        server.runVirtual();
-        std::vector<int> preds;
-        for (auto &f : futs)
-            preds.push_back(f.get().result.prediction);
-        return std::make_pair(server.metrics().toJson(),
-                              std::move(preds));
-    };
-    const auto [json_on, preds_on] = replay(1);
-    const auto [json_off, preds_off] = replay(0);
-    EXPECT_EQ(preds_on, preds_off);
-    EXPECT_EQ(json_on, json_off);
 }
 
 // ---------------------------------------------------------------
@@ -690,30 +709,12 @@ randomBatch(std::size_t batch, std::size_t width, Rng &rng)
     return in;
 }
 
-void
-expectTalliesEq(const std::vector<chip::LayerStepStats> &a,
-                const std::vector<chip::LayerStepStats> &b,
-                const std::string &what)
-{
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t v = 0; v < a.size(); ++v) {
-        EXPECT_EQ(a[v].synaptic_ops, b[v].synaptic_ops) << what << v;
-        EXPECT_EQ(a[v].underflow_spikes, b[v].underflow_spikes)
-            << what << v;
-        EXPECT_EQ(a[v].multi_fires, b[v].multi_fires) << what << v;
-        EXPECT_EQ(a[v].remapped_neurons, b[v].remapped_neurons)
-            << what << v;
-        EXPECT_EQ(a[v].active_inputs, b[v].active_inputs) << what << v;
-    }
-}
-
 TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
 {
     // 70 spans two batch-lane tiles of 64 vectors; 1-9 leave every
     // remainder of the neuron-lane block of 8 vectors.
     const std::size_t kBatches[] = {1, 2, 3, 4, 5, 7, 8, 9, 40, 70};
     constexpr int kSizes = 10;
-    const int kThreads[] = {0, 2, 8};
     for (int c = 0; c < kSizes * 12; ++c) {
         Rng rng(31000 + static_cast<std::uint64_t>(c));
         // Every (batch, in_dim tail class, bucket shape) triple once.
@@ -738,23 +739,18 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
         const chip::PulseBatch in = randomBatch(batch, in_dim, rng);
         const std::string what = "case " + std::to_string(c) + " v ";
 
-        chip::SushiChip oracle(ccfg), fast(ccfg), single(ccfg),
-            single_oracle(ccfg);
-        oracle.setPackedKernels(false);
-        single_oracle.setPackedKernels(false);
-        fast.setPackedKernels(true);
-        single.setPackedKernels(true);
-        fast.setSimThreads(kThreads[rng.below(3)]);
+        chip::SushiChip fast(ccfg), single(ccfg);
         if (rng.chance(0.4)) {
             const int slot = static_cast<int>(
                 rng.below(static_cast<std::uint64_t>(ccfg.n)));
-            for (auto *chip : {&oracle, &fast, &single, &single_oracle})
-                chip->markNpeFailed(slot);
+            fast.markNpeFailed(slot);
+            single.markNpeFailed(slot);
         }
 
         chip::PulseBatch want, got;
-        std::vector<chip::LayerStepStats> want_t(batch), got_t(batch);
-        oracle.stepLayerBatch(layer, blayer, in, want, want_t.data());
+        std::vector<chip::LayerStepStats> want_t, got_t(batch);
+        oracleLayerBatch(layer, ccfg, fast.failedNpes(), in,
+                         blayer.outDim(), want, want_t);
         fast.stepLayerBatch(layer, blayer, in, got, got_t.data());
         ASSERT_EQ(got.pulses, want.pulses) << what;
         expectTalliesEq(got_t, want_t, what);
@@ -769,13 +765,13 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
             args.layer = &layer;
             args.pack = &pack;
             args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
-            args.failed_slots = oracle.remapPlan().failed > 0
-                                    ? oracle.failedNpes().data()
+            args.failed_slots = fast.remapPlan().failed > 0
+                                    ? fast.failedNpes().data()
                                     : nullptr;
             args.slots = static_cast<std::size_t>(ccfg.n);
             args.out = out.data();
             args.out_dim = blayer.outDim();
-            layerKernelWrapper(isa)(args, 0, blayer.outDim(), t.data());
+            layerKernelWrapper(isa)(args, t.data());
             for (std::size_t v = 0; v < batch; ++v)
                 t[v].active_inputs = pack.active[v];
             ASSERT_EQ(out, want.pulses) << kernelIsaName(isa) << what;
@@ -788,104 +784,12 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
             const chip::PulseVector act(in.row(v).begin(),
                                         in.row(v).end());
             const auto row = single.stepLayer(layer, blayer, act);
-            ASSERT_EQ(row, single_oracle.stepLayer(layer, blayer, act))
-                << what << v;
             ASSERT_TRUE(std::equal(row.begin(), row.end(),
                                    want.row(v).begin()))
                 << what << v;
         }
-        expectStatsEq(single.stats(), single_oracle.stats(), c);
-        chip::LayerStepStats sum;
-        for (const auto &t : want_t) {
-            sum.synaptic_ops += t.synaptic_ops;
-            sum.underflow_spikes += t.underflow_spikes;
-            sum.multi_fires += t.multi_fires;
-            sum.remapped_neurons += t.remapped_neurons;
-        }
-        EXPECT_EQ(single.stats().synaptic_ops, sum.synaptic_ops) << c;
-        EXPECT_EQ(single.stats().underflow_spikes,
-                  sum.underflow_spikes)
-            << c;
-        EXPECT_EQ(single.stats().multi_fires, sum.multi_fires) << c;
-        EXPECT_EQ(single.stats().remapped_neurons,
-                  sum.remapped_neurons)
-            << c;
-    }
-}
-
-TEST(ChipBatchKernel, NeuronRangeSplitWritesOnlyItsRange)
-{
-    // The sim_threads split may start a range at any neuron: the two
-    // calls over [0, s) and [s, out_dim), s % 8 != 0, touch only
-    // their own outputs and together equal one whole call.
-    constexpr std::uint16_t kSentinel = 0xbeef;
-    for (int c = 0; c < 48; ++c) {
-        Rng rng(38000 + static_cast<std::uint64_t>(c));
-        const std::size_t batch = 1 + rng.below(12);
-        const std::size_t in_dim = sampleInDim(c % 3, rng);
-        const std::size_t out_dim = 9 + rng.below(40);
-        const auto net = tinyNet(in_dim, out_dim, 2, 1,
-                                 39000 + static_cast<std::uint64_t>(c));
-        compiler::ChipConfig ccfg;
-        ccfg.n = 4;
-        ccfg.sc_per_npe = 3 + static_cast<int>(rng.below(3));
-        const auto compiled = compiler::compileNetwork(net, ccfg);
-        compiler::CompiledLayer layer = compiled.layers[0];
-        rebucket(layer, static_cast<int>(in_dim), c / 12, rng);
-        for (auto &d : layer.disabled)
-            if (rng.chance(0.15))
-                d = 1;
-        const chip::PulseBatch in = randomBatch(batch, in_dim, rng);
-        chip::detail::LayerBatchPack pack;
-        chip::detail::packLayerBatch(layer, in, pack);
-        std::size_t split = 1 + rng.below(out_dim - 1);
-        if (split % 8 == 0)
-            ++split;
-        const std::string what = "case " + std::to_string(c) +
-                                 " split " + std::to_string(split);
-
-        for (const KernelIsa isa : supportedIsas()) {
-            const auto kernel = layerKernelWrapper(isa);
-            const auto call = [&](std::size_t o0, std::size_t o1,
-                                  std::vector<std::uint16_t> &out,
-                                  std::vector<chip::LayerStepStats> &t) {
-                out.assign(batch * out_dim, kSentinel);
-                t.assign(batch, chip::LayerStepStats{});
-                chip::detail::LayerKernelArgs args;
-                args.layer = &layer;
-                args.pack = &pack;
-                args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
-                args.out = out.data();
-                args.out_dim = out_dim;
-                kernel(args, o0, o1, t.data());
-            };
-            std::vector<std::uint16_t> whole, lo, hi;
-            std::vector<chip::LayerStepStats> whole_t, lo_t, hi_t;
-            call(0, out_dim, whole, whole_t);
-            call(0, split, lo, lo_t);
-            call(split, out_dim, hi, hi_t);
-            const std::string tag = kernelIsaName(isa) + (" " + what);
-            for (std::size_t v = 0; v < batch; ++v)
-                for (std::size_t o = 0; o < out_dim; ++o) {
-                    const std::size_t i = v * out_dim + o;
-                    ASSERT_EQ(o < split ? hi[i] : lo[i], kSentinel)
-                        << tag << " v " << v << " o " << o;
-                    ASSERT_EQ(o < split ? lo[i] : hi[i], whole[i])
-                        << tag << " v " << v << " o " << o;
-                }
-            for (std::size_t v = 0; v < batch; ++v) {
-                EXPECT_EQ(lo_t[v].synaptic_ops + hi_t[v].synaptic_ops,
-                          whole_t[v].synaptic_ops)
-                    << tag;
-                EXPECT_EQ(lo_t[v].underflow_spikes +
-                              hi_t[v].underflow_spikes,
-                          whole_t[v].underflow_spikes)
-                    << tag;
-                EXPECT_EQ(lo_t[v].multi_fires + hi_t[v].multi_fires,
-                          whole_t[v].multi_fires)
-                    << tag;
-            }
-        }
+        expectChargedTallies(single.stats(), want_t,
+                             "case " + std::to_string(c));
     }
 }
 
