@@ -695,8 +695,11 @@ SushiChip::markNpeFailed(int slot)
         throw std::out_of_range("NPE slot " + std::to_string(slot) +
                                 " outside [0, " + std::to_string(cfg_.n) +
                                 ")");
-    failed_npes_[static_cast<std::size_t>(slot)] = 1;
-    remap_ = compiler::planNpeRemap(cfg_.n, failed_npes_);
+    // Plan first: a throw for the last healthy slot changes nothing.
+    std::vector<std::uint8_t> failed = failed_npes_;
+    failed[static_cast<std::size_t>(slot)] = 1;
+    remap_ = compiler::planNpeRemap(cfg_.n, failed);
+    failed_npes_ = std::move(failed);
     stats_.failed_npes = static_cast<std::uint64_t>(remap_.failed);
 }
 

@@ -341,7 +341,9 @@ class SushiChip
     /// @{
 
     /** Mark output-NPE slot @p slot (0..n-1) as failed; throws
-     *  std::out_of_range outside [0, n). */
+     *  std::out_of_range outside [0, n) and compiler::CompileError
+     *  (AllNpesFailed) for the last healthy slot, changing nothing
+     *  either way. */
     void markNpeFailed(int slot);
 
     /** Restore every slot to healthy. */

@@ -16,6 +16,8 @@ CompileError::kindName(Kind kind)
         return "BudgetOverflow";
       case Kind::EmptyNetwork:
         return "EmptyNetwork";
+      case Kind::AllNpesFailed:
+        return "AllNpesFailed";
     }
     return "Unknown";
 }

@@ -35,6 +35,7 @@ class CompileError : public std::runtime_error
         BadBudget,      ///< negative/zero caps handed to the driver
         BudgetOverflow, ///< model cannot fit the allowed chips
         EmptyNetwork,   ///< network with no layers
+        AllNpesFailed,  ///< degraded-mode remap with no healthy slot
     };
 
     CompileError(Kind kind, const std::string &what)

@@ -1,5 +1,7 @@
 #include "compiler/compile.hh"
 
+#include <string>
+
 #include "common/logging.hh"
 #include "compiler/driver.hh"
 
@@ -39,8 +41,10 @@ planNpeRemap(int n, const std::vector<std::uint8_t> &failed_slots)
             healthy.push_back(s);
     }
     if (healthy.empty())
-        sushi_fatal("all %d output NPE slots failed: the mesh cannot "
-                    "run in degraded mode", n);
+        throw CompileError(CompileError::Kind::AllNpesFailed,
+                           "all " + std::to_string(n) +
+                               " output NPE slots failed: the mesh "
+                               "cannot run in degraded mode");
     int next = 0;
     for (int s = 0; s < n; ++s) {
         if (!failed_slots[static_cast<std::size_t>(s)]) {

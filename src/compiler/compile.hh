@@ -205,8 +205,9 @@ struct NpeRemap
 
 /**
  * Plan the remap for an @p n wide mesh given @p failed_slots
- * (size n, nonzero = failed). Fatal if every slot has failed — a
- * fully dead mesh cannot be degraded around.
+ * (size n, nonzero = failed). Throws CompileError (AllNpesFailed)
+ * if every slot has failed — a fully dead mesh cannot be degraded
+ * around.
  */
 NpeRemap planNpeRemap(int n,
                       const std::vector<std::uint8_t> &failed_slots);

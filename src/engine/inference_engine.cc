@@ -137,7 +137,9 @@ InferenceEngine::markReplicaDegraded(int replica, int slot)
         *chip_mu_[static_cast<std::size_t>(replica)]);
     // The physical failure hits the whole group: every stage chip of
     // the replica remaps the slot (results stay bit-identical; only
-    // the time/reload surcharges change).
+    // the time/reload surcharges change). The stage chips are in
+    // lockstep, so if stage 0 refuses the mark (and changes nothing)
+    // it throws before any chip of the group has changed.
     for (int s = 0; s < stages_; ++s)
         chipAt(replica, s).markNpeFailed(slot);
 }

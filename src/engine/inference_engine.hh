@@ -185,7 +185,9 @@ class InferenceEngine
 
     /** Mark output-NPE @p slot of replica @p replica failed (the
      *  degraded mode); throws std::out_of_range for a slot outside
-     *  [0, npeSlots()). Serialized against any batch running on the
+     *  [0, npeSlots()) and compiler::CompileError (AllNpesFailed)
+     *  for the group's last healthy slot, leaving every stage chip
+     *  unchanged. Serialized against any batch running on the
      *  same replica: the mark waits for the batch to finish, so a
      *  concurrent degrade lands on a batch boundary and never races
      *  the chip's remap plan mid-inference. */

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/rng.hh"
+#include "compiler/budget.hh"
 #include "sfq/simulator.hh"
 
 namespace sushi::serve {
@@ -665,8 +666,15 @@ Server::applyChaosAtDispatchLocked(Batch &batch)
         // a batch boundary before this batch starts.
         const int slot =
             fate.degrade_slot % std::max(1, engine_.npeSlots());
-        engine_.markReplicaDegraded(batch.replica, slot);
-        failed_npes_now = engine_.failedNpeSlots(batch.replica);
+        try {
+            engine_.markReplicaDegraded(batch.replica, slot);
+            failed_npes_now = engine_.failedNpeSlots(batch.replica);
+        } catch (const compiler::CompileError &) {
+            // The last healthy slot failed: nothing can host the
+            // neurons, so the replica is down. The crash path
+            // quarantines it, and a probe heals it.
+            batch.fate.crash = true;
+        }
     }
     std::lock_guard<std::mutex> mlock(metrics_mu_);
     if (fate.crash)

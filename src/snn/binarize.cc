@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -171,12 +173,30 @@ BinarySnn::buildPacked()
     packed_ready_ = ok;
 }
 
+namespace {
+
+/** Throw std::invalid_argument unless @p frame is @p in_dim wide. */
+void
+checkFrameWidth(const std::vector<std::uint8_t> &frame,
+                std::size_t in_dim)
+{
+    if (frame.size() != in_dim)
+        throw std::invalid_argument(
+            "frame width " + std::to_string(frame.size()) +
+            " != layer input width " + std::to_string(in_dim));
+}
+
+} // namespace
+
 int
 BinarySnn::membrane(const BinaryLayer &layer, std::size_t neuron,
                     const std::vector<std::uint8_t> &frame)
 {
-    sushi_assert(neuron < layer.outDim());
-    sushi_assert(frame.size() == layer.inDim());
+    if (neuron >= layer.outDim())
+        throw std::out_of_range(
+            "neuron " + std::to_string(neuron) + " outside [0, " +
+            std::to_string(layer.outDim()) + ")");
+    checkFrameWidth(frame, layer.inDim());
     const auto &row = layer.weights[neuron];
     int m = 0;
     for (std::size_t i = 0; i < frame.size(); ++i)
@@ -188,6 +208,8 @@ BinarySnn::membrane(const BinaryLayer &layer, std::size_t neuron,
 std::vector<std::uint8_t>
 BinarySnn::stepForward(const std::vector<std::uint8_t> &frame) const
 {
+    if (!layers_.empty())
+        checkFrameWidth(frame, layers_.front().inDim());
     if (packed_ready_) {
         // XNOR/popcount fast path; the scalar loop below runs when
         // packing refused the weights (a zero weight).

@@ -79,6 +79,8 @@ class BinarySnn
     /**
      * Stateless forward over one binary input frame: returns the
      * spike vector of the final layer for this time step.
+     * @throws std::invalid_argument if the frame is not the first
+     *         layer's input width (so also forwardCounts, predict)
      */
     std::vector<std::uint8_t>
     stepForward(const std::vector<std::uint8_t> &frame) const;
@@ -99,6 +101,9 @@ class BinarySnn
      * Integer membrane at a single layer for one frame (the exact
      * value the NPE counter reaches); used by tests and the compiler
      * to bound state ranges.
+     * @throws std::out_of_range if @p neuron is not a layer output
+     * @throws std::invalid_argument if the frame is not the layer's
+     *         input width
      */
     static int membrane(const BinaryLayer &layer, std::size_t neuron,
                         const std::vector<std::uint8_t> &frame);

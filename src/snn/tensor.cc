@@ -1,6 +1,7 @@
 #include "snn/tensor.hh"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -88,18 +89,14 @@ linearForward(const Tensor &x, const Tensor &w,
 }
 
 void
-linearBackward(const Tensor &x, const Tensor &w, const Tensor &dout,
-               Tensor &dw, std::vector<float> &db, Tensor &dx)
+linearInputGrad(const Tensor &w, const Tensor &dout, Tensor &dx)
 {
-    const std::size_t batch = x.rows();
-    const std::size_t in_dim = x.cols();
+    const std::size_t batch = dx.rows();
+    const std::size_t in_dim = dx.cols();
     const std::size_t out_dim = w.rows();
+    sushi_assert(w.cols() == in_dim);
     sushi_assert(dout.rows() == batch && dout.cols() == out_dim);
-    sushi_assert(dw.rows() == out_dim && dw.cols() == in_dim);
-    sushi_assert(db.size() == out_dim);
-    sushi_assert(dx.rows() == batch && dx.cols() == in_dim);
 
-    // dx = dout * W : parallel over batch.
     parallelFor(batch, [&](std::size_t b0, std::size_t b1) {
         for (std::size_t b = b0; b < b1; ++b) {
             const float *dob = dout.row(b);
@@ -115,25 +112,124 @@ linearBackward(const Tensor &x, const Tensor &w, const Tensor &dout,
             }
         }
     });
+}
 
-    // dW += dout^T * x and db += colsum(dout): parallel over outputs
-    // so accumulation rows are disjoint.
-    parallelFor(out_dim, [&](std::size_t o0, std::size_t o1) {
-        for (std::size_t o = o0; o < o1; ++o) {
-            float *dwo = dw.row(o);
-            float dbo = 0.0f;
-            for (std::size_t b = 0; b < batch; ++b) {
-                const float g = dout.at(b, o);
-                if (g == 0.0f)
-                    continue;
-                dbo += g;
-                const float *xb = x.row(b);
-                for (std::size_t i = 0; i < in_dim; ++i)
-                    dwo[i] += g * xb[i];
+namespace {
+
+/**
+ * Non-zero inputs of a batch, listed by input column: column i owns
+ * entries [first[i], first[i + 1]) of row/value, in ascending row
+ * order.
+ */
+struct ActiveColumns
+{
+    std::vector<std::size_t> first;
+    std::vector<std::uint32_t> row;
+    std::vector<float> value;
+
+    explicit ActiveColumns(const Tensor &x) : first(x.cols() + 1, 0)
+    {
+        // Each row's non-zero inputs, listed without a branch per
+        // input, then counting-sorted into columns.
+        std::vector<std::uint32_t> listed(x.size());
+        std::vector<std::size_t> row_end(x.rows());
+        std::size_t n = 0;
+        for (std::size_t b = 0; b < x.rows(); ++b) {
+            const float *xb = x.row(b);
+            for (std::size_t i = 0; i < x.cols(); ++i) {
+                listed[n] = static_cast<std::uint32_t>(i);
+                n += xb[i] != 0.0f ? 1 : 0;
             }
-            db[o] += dbo;
+            row_end[b] = n;
         }
-    });
+        for (std::size_t k = 0; k < n; ++k)
+            ++first[listed[k] + 1];
+        for (std::size_t i = 0; i < x.cols(); ++i)
+            first[i + 1] += first[i];
+        row.resize(n);
+        value.resize(n);
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        std::size_t k = 0;
+        for (std::size_t b = 0; b < x.rows(); ++b)
+            for (; k < row_end[b]; ++k) {
+                const std::size_t i = listed[k];
+                row[next[i]] = static_cast<std::uint32_t>(b);
+                value[next[i]++] = x.at(b, i);
+            }
+    }
+};
+
+/**
+ * dw_t[i, o .. o + W) += x[b, i] * dout[b, o .. o + W) for every
+ * active input, one input column at a time: the W accumulators stay
+ * in registers while the column's rows are added in ascending order.
+ */
+template <std::size_t W>
+void
+addColumns(const ActiveColumns &act, const Tensor &dout, Tensor &dw_t,
+           std::size_t o)
+{
+    for (std::size_t i = 0; i + 1 < act.first.size(); ++i) {
+        if (act.first[i] == act.first[i + 1])
+            continue;
+        float *dwi = dw_t.row(i) + o;
+        float acc[W];
+        for (std::size_t k = 0; k < W; ++k)
+            acc[k] = dwi[k];
+        for (std::size_t p = act.first[i]; p < act.first[i + 1]; ++p) {
+            const float *g = dout.row(act.row[p]) + o;
+            const float xv = act.value[p];
+            for (std::size_t k = 0; k < W; ++k)
+                acc[k] += g[k] * xv;
+        }
+        for (std::size_t k = 0; k < W; ++k)
+            dwi[k] = acc[k];
+    }
+}
+
+/** Output columns per register block: four SSE vectors. */
+constexpr std::size_t kColumnBlock = 16;
+
+} // namespace
+
+void
+linearWeightGrad(const Tensor &x, const Tensor &dout, Tensor &dw_t,
+                 std::vector<float> &db)
+{
+    const std::size_t batch = x.rows();
+    const std::size_t in_dim = x.cols();
+    const std::size_t out_dim = dout.cols();
+    sushi_assert(dout.rows() == batch);
+    sushi_assert(dw_t.rows() == in_dim && dw_t.cols() == out_dim);
+    sushi_assert(db.size() == out_dim);
+
+    // db += colsum(dout), summed over rows in ascending order first.
+    std::vector<float> dbsum(out_dim, 0.0f);
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float *dob = dout.row(b);
+        for (std::size_t o = 0; o < out_dim; ++o)
+            dbsum[o] += dob[o];
+    }
+    for (std::size_t o = 0; o < out_dim; ++o)
+        db[o] += dbsum[o];
+
+    // Jobs own disjoint column blocks of dw_t, at least 4 blocks
+    // each; the last out_dim % kColumnBlock columns run one at a
+    // time.
+    const ActiveColumns act(x);
+    const std::size_t blocks = out_dim / kColumnBlock;
+    ParallelOptions opts;
+    opts.grain = 4;
+    parallelFor(
+        blocks,
+        [&](std::size_t k0, std::size_t k1) {
+            for (std::size_t k = k0; k < k1; ++k)
+                addColumns<kColumnBlock>(act, dout, dw_t,
+                                         k * kColumnBlock);
+        },
+        opts);
+    for (std::size_t o = blocks * kColumnBlock; o < out_dim; ++o)
+        addColumns<1>(act, dout, dw_t, o);
 }
 
 } // namespace sushi::snn

@@ -76,13 +76,29 @@ void linearForward(const Tensor &x, const Tensor &w,
                    const std::vector<float> &bias, Tensor &out);
 
 /**
- * Gradients of a linear layer: given upstream dL/dout [B x out_dim]
- * and inputs x [B x in_dim], accumulate dW += dout^T * x,
- * db += colsum(dout), and produce dx = dout * W.
+ * Input gradient of a linear layer: dx = dout * W, for upstream
+ * dL/dout [B x out_dim] and W [out_dim x in_dim]. Overwrites dx
+ * [B x in_dim]. Parallel over batch rows.
  */
-void linearBackward(const Tensor &x, const Tensor &w,
-                    const Tensor &dout, Tensor &dw,
-                    std::vector<float> &db, Tensor &dx);
+void linearInputGrad(const Tensor &w, const Tensor &dout, Tensor &dx);
+
+/**
+ * Weight and bias gradients of a linear layer with inputs x
+ * [B x in_dim] and upstream dL/dout [B x out_dim]: accumulates
+ * db += colsum(dout) and dW += dout^T * x, the latter *transposed*
+ * into dw_t [in_dim x out_dim], so that each non-zero input x[b, i]
+ * adds one contiguous row x[b, i] * dout[b, :] to dw_t[i, :].
+ *
+ * Only the non-zero inputs of each row are walked (the trainer's
+ * inputs are 0/1 spikes). Every weight receives its terms in
+ * ascending batch order, and the result equals the dense loop over
+ * every input bit for bit: a skipped term is +-0, and adding +-0
+ * changes no accumulator that is not -0. So dout must be finite and
+ * dw_t must hold no -0 (a zero-filled dw_t never becomes -0 in
+ * round-to-nearest). Parallel over output columns.
+ */
+void linearWeightGrad(const Tensor &x, const Tensor &dout,
+                      Tensor &dw_t, std::vector<float> &db);
 
 } // namespace sushi::snn
 

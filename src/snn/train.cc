@@ -17,21 +17,38 @@ Adam::Adam(std::size_t size, float lr, float beta1, float beta2,
 }
 
 void
-Adam::step(float *params, const float *grads, std::size_t size)
+Adam::step(float *params, const float *grads_t, std::size_t rows,
+           std::size_t cols)
 {
-    sushi_assert(size == m_.size());
+    sushi_assert(rows * cols == m_.size());
     ++t_;
     const float bc1 =
         1.0f - std::pow(beta1_, static_cast<float>(t_));
     const float bc2 =
         1.0f - std::pow(beta2_, static_cast<float>(t_));
-    for (std::size_t i = 0; i < size; ++i) {
-        const float g = grads[i];
-        m_[i] = beta1_ * m_[i] + (1.0f - beta1_) * g;
-        v_[i] = beta2_ * v_[i] + (1.0f - beta2_) * g * g;
-        const float mhat = m_[i] / bc1;
-        const float vhat = v_[i] / bc2;
-        params[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+    // Transpose a band of kBand rows at a time, in kBand x kBand
+    // tiles that stay in L1, then update the band as one run.
+    constexpr std::size_t kBand = 16;
+    std::vector<float> band(kBand * cols);
+    for (std::size_t r0 = 0; r0 < rows; r0 += kBand) {
+        const std::size_t n = std::min(kBand, rows - r0);
+        for (std::size_t c0 = 0; c0 < cols; c0 += kBand) {
+            const std::size_t c1 = std::min(cols, c0 + kBand);
+            for (std::size_t r = 0; r < n; ++r)
+                for (std::size_t c = c0; c < c1; ++c)
+                    band[r * cols + c] = grads_t[c * rows + r0 + r];
+        }
+        float *p = params + r0 * cols;
+        float *m = m_.data() + r0 * cols;
+        float *v = v_.data() + r0 * cols;
+        for (std::size_t i = 0; i < n * cols; ++i) {
+            const float g = band[i];
+            m[i] = beta1_ * m[i] + (1.0f - beta1_) * g;
+            v[i] = beta2_ * v[i] + (1.0f - beta2_) * g * g;
+            const float mhat = m[i] / bc1;
+            const float vhat = v[i] / bc2;
+            p[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+        }
     }
 }
 
@@ -96,7 +113,8 @@ Trainer::step(const std::vector<Tensor> &frames,
     // BPTT with detached reset: walk time backwards, carrying the
     // membrane gradient gv through v_pre[t] = v_after[t-1] + h[t],
     // v_after = v_pre * (1 - s) (s detached in the reset term).
-    Tensor gw1(cfg.hidden, cfg.input), gw2(cfg.output, cfg.hidden);
+    // Weight gradients accumulate transposed, [in x out].
+    Tensor gw1t(cfg.input, cfg.hidden), gw2t(cfg.hidden, cfg.output);
     std::vector<float> gb1(cfg.hidden, 0.0f), gb2(cfg.output, 0.0f);
     Tensor gv1(batch, cfg.hidden), gv2(batch, cfg.output);
     Tensor dv2(batch, cfg.output), dv1(batch, cfg.hidden);
@@ -121,7 +139,8 @@ Trainer::step(const std::vector<Tensor> &frames,
 
         // Through the output linear layer into hidden spikes (the
         // effective weights are what the forward pass used).
-        linearBackward(trace.s1[ti], fw2, dv2, gw2, gb2, ds1);
+        linearWeightGrad(trace.s1[ti], dv2, gw2t, gb2);
+        linearInputGrad(fw2, dv2, ds1);
 
         const Tensor &v1p = trace.v1_pre[ti];
         const Tensor &s1 = trace.s1[ti];
@@ -137,15 +156,15 @@ Trainer::step(const std::vector<Tensor> &frames,
         else
             gv1 = dv1;
 
-        // Into the first linear layer (input gradient discarded).
-        Tensor dx(batch, cfg.input);
-        linearBackward(trace.x[ti], fw1, dv1, gw1, gb1, dx);
+        // Into the first linear layer; its input gradient is not
+        // needed.
+        linearWeightGrad(trace.x[ti], dv1, gw1t, gb1);
     }
 
-    opt_w1_.step(net_.w1.data(), gw1.data(), gw1.size());
-    opt_b1_.step(net_.b1.data(), gb1.data(), gb1.size());
-    opt_w2_.step(net_.w2.data(), gw2.data(), gw2.size());
-    opt_b2_.step(net_.b2.data(), gb2.data(), gb2.size());
+    opt_w1_.step(net_.w1.data(), gw1t.data(), cfg.hidden, cfg.input);
+    opt_b1_.step(net_.b1.data(), gb1.data(), gb1.size(), 1);
+    opt_w2_.step(net_.w2.data(), gw2t.data(), cfg.output, cfg.hidden);
+    opt_b2_.step(net_.b2.data(), gb2.data(), gb2.size(), 1);
 
     return {loss, correct};
 }

@@ -26,8 +26,14 @@ class Adam
     Adam(std::size_t size, float lr = 1e-3f, float beta1 = 0.9f,
          float beta2 = 0.999f, float eps = 1e-8f);
 
-    /** Apply one update: params -= lr * mhat / (sqrt(vhat) + eps). */
-    void step(float *params, const float *grads, std::size_t size);
+    /**
+     * Apply one update, params -= lr * mhat / (sqrt(vhat) + eps), to
+     * a [rows x cols] parameter matrix whose gradient @p grads_t is
+     * stored transposed, [cols x rows]. A vector is rows = size,
+     * cols = 1.
+     */
+    void step(float *params, const float *grads_t, std::size_t rows,
+              std::size_t cols);
 
   private:
     float lr_, beta1_, beta2_, eps_;

@@ -534,6 +534,49 @@ TEST(ChaosNpe, InjectedDegradeSurfacesGaugeAndStaysCorrect)
     EXPECT_EQ(server.engine().replicaAccount(0).failed_npes, 1u);
 }
 
+TEST(ChaosNpe, DegradingEveryNpeCrashesThenHealsReplica)
+{
+    // One scripted NpeDegrade per dispatch on replica 0 until every
+    // output slot has failed: the last one used to abort the
+    // process. It now fails that dispatch like a crash; the spare
+    // takes over, the retry succeeds and a probe heals replica 0.
+    const int slots = smallModel()->chip().n;
+    ServerConfig cfg = virtualConfig(1, 1, 0);
+    cfg.hot_spares = 1;
+    cfg.retry.max_retries = 2;
+    cfg.health.probe_delay_ns = 200'000;
+    constexpr std::int64_t kGap = 100'000;
+    for (int s = 0; s < slots; ++s)
+        cfg.chaos.script.push_back(
+            {s * kGap, 0, ChaosKind::NpeDegrade, s});
+
+    const auto samples = randomSamples(4, 16, 3, 73);
+    Server server(smallModel(), cfg);
+    Server clean(smallModel(), virtualConfig(1, 1, 0));
+    std::vector<std::future<Response>> futs, want;
+    for (int k = 0; k < slots + 8; ++k) {
+        const auto &sample =
+            samples[static_cast<std::size_t>(k) % samples.size()];
+        futs.push_back(server.submitAt(k * kGap + 10, sample));
+        want.push_back(clean.submitAt(k * kGap + 10, sample));
+    }
+    server.runVirtual();
+    clean.runVirtual();
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+        const Response r = futs[i].get();
+        ASSERT_TRUE(r.ok()) << i;
+        EXPECT_EQ(r.result.counts, want[i].get().result.counts) << i;
+    }
+
+    const ServerMetrics m = server.metrics();
+    EXPECT_EQ(m.chaos_degrades, static_cast<std::uint64_t>(slots - 1));
+    EXPECT_EQ(m.chaos_crashes, 1u);
+    EXPECT_EQ(m.quarantines, 1u);
+    EXPECT_EQ(m.spares_promoted, 1u);
+    EXPECT_EQ(m.readmits, 1u);
+    EXPECT_EQ(server.engine().failedNpeSlots(0), 0);
+}
+
 TEST(ModelCachePin, DefersEvictionOfPinnedEntries)
 {
     compiler::ChipConfig chip;

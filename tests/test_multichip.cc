@@ -551,6 +551,53 @@ TEST(MultiChipPlan, DegradedReplicaKeepsResults)
     EXPECT_EQ(degraded.failedNpeSlots(0), 0);
 }
 
+TEST(MultiChipPlan, FailingLastHealthyNpeThrowsAndChangesNothing)
+{
+    // Every output NPE of a chip failed used to abort the process.
+    const auto chip = smallChip();
+    chip::SushiChip one(chip);
+    for (int s = 0; s + 1 < chip.n; ++s)
+        one.markNpeFailed(s);
+    const auto flags = one.failedNpes();
+    try {
+        one.markNpeFailed(chip.n - 1);
+        ADD_FAILURE() << "no throw";
+    } catch (const compiler::CompileError &e) {
+        EXPECT_STREQ(compiler::CompileError::kindName(e.kind()),
+                     "AllNpesFailed");
+    }
+    EXPECT_EQ(one.failedNpes(), flags);
+    EXPECT_EQ(one.remapPlan().failed, chip.n - 1);
+    EXPECT_EQ(one.stats().failed_npes,
+              static_cast<std::uint64_t>(chip.n - 1));
+
+    // The same through a 2-stage replica group: no stage chip moves.
+    auto net = tinyNet(24, 16, 12, 3, 9);
+    auto model = CompiledModel::compile(net, chip,
+                                        splittingOptions(net, chip));
+    ASSERT_EQ(model->stageCount(), 2);
+    auto samples = randomSamples(6, 24, 3, 23);
+    EngineConfig cfg;
+    cfg.replicas = 1;
+    cfg.drain_degraded = false;
+    InferenceEngine want(model, cfg), got(model, cfg);
+    for (int s = 0; s + 1 < chip.n; ++s) {
+        want.markReplicaDegraded(0, s);
+        got.markReplicaDegraded(0, s);
+    }
+    EXPECT_THROW(got.markReplicaDegraded(0, chip.n - 1),
+                 compiler::CompileError);
+    EXPECT_EQ(got.failedNpeSlots(0), chip.n - 1);
+    got.markReplicaDegraded(0, 0); // an already-failed slot is fine
+    const EngineRun a = want.run(samples);
+    const EngineRun b = got.run(samples);
+    for (std::size_t i = 0; i < a.samples.size(); ++i)
+        EXPECT_EQ(a.samples[i].counts, b.samples[i].counts) << i;
+    EXPECT_EQ(statsJson(a.merged), statsJson(b.merged));
+    got.healReplica(0);
+    EXPECT_EQ(got.failedNpeSlots(0), 0);
+}
+
 TEST(EnergyModel, ChipAndCostModelShareTheDerivedConstant)
 {
     // The chip's per-op energy and the compiler's cost model must be

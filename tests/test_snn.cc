@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "snn/binarize.hh"
 #include "snn/encoder.hh"
@@ -74,11 +77,11 @@ TEST(TensorTest, LinearBackwardGradCheck)
     for (std::size_t i = 0; i < dout.size(); ++i)
         dout.data()[i] = static_cast<float>(rng.uniform(-1, 1));
 
-    Tensor dw(O, I), dx(B, I);
+    Tensor dw_t(I, O);
     std::vector<float> db(O, 0.0f);
-    linearBackward(x, w, dout, dw, db, dx);
+    linearWeightGrad(x, dout, dw_t, db);
 
-    // L = sum(out * dout): dL/dw analytically equals dw above.
+    // L = sum(out * dout): dL/dw analytically equals dw_t^T above.
     auto loss = [&](const Tensor &wt) {
         Tensor out(B, O);
         linearForward(x, wt, bias, out);
@@ -95,8 +98,153 @@ TEST(TensorTest, LinearBackwardGradCheck)
         Tensor wm = w;
         wm.data()[k] -= eps;
         const double fd = (loss(wp) - loss(wm)) / (2 * eps);
-        EXPECT_NEAR(fd, dw.data()[k], 1e-2) << "k=" << k;
+        EXPECT_NEAR(fd, dw_t.at(k % I, k / I), 1e-2) << "k=" << k;
     }
+}
+
+/** Dense reference of linearInputGrad/linearWeightGrad: every input
+ *  is multiplied in; only zero upstream terms are skipped. */
+void
+denseBackward(const Tensor &x, const Tensor &w, const Tensor &dout,
+              Tensor &dw, std::vector<float> &db, Tensor &dx)
+{
+    const std::size_t batch = x.rows();
+    const std::size_t in_dim = x.cols();
+    const std::size_t out_dim = w.rows();
+    for (std::size_t b = 0; b < batch; ++b) {
+        const float *dob = dout.row(b);
+        float *dxb = dx.row(b);
+        std::fill(dxb, dxb + in_dim, 0.0f);
+        for (std::size_t o = 0; o < out_dim; ++o) {
+            const float g = dob[o];
+            if (g == 0.0f)
+                continue;
+            const float *wo = w.row(o);
+            for (std::size_t i = 0; i < in_dim; ++i)
+                dxb[i] += g * wo[i];
+        }
+    }
+    for (std::size_t o = 0; o < out_dim; ++o) {
+        float *dwo = dw.row(o);
+        float dbo = 0.0f;
+        for (std::size_t b = 0; b < batch; ++b) {
+            const float g = dout.at(b, o);
+            if (g == 0.0f)
+                continue;
+            dbo += g;
+            const float *xb = x.row(b);
+            for (std::size_t i = 0; i < in_dim; ++i)
+                dwo[i] += g * xb[i];
+        }
+        db[o] += dbo;
+    }
+}
+
+Tensor
+transposed(const Tensor &t)
+{
+    Tensor out(t.cols(), t.rows());
+    for (std::size_t r = 0; r < t.rows(); ++r)
+        for (std::size_t c = 0; c < t.cols(); ++c)
+            out.at(c, r) = t.at(r, c);
+    return out;
+}
+
+bool
+sameBytes(const float *a, const float *b, std::size_t n)
+{
+    return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+TEST(TensorTest, SparseBackwardMatchesDenseBitForBit)
+{
+    Rng rng(61);
+    int cases = 0;
+    for (const std::size_t batch : {1u, 7u, 64u}) {
+        for (const std::size_t in_dim : {1u, 63u, 64u, 784u}) {
+            // 800 outputs split the weight gradient over workers.
+            const std::size_t out_dim = in_dim == 784 ? 800 : 37;
+            for (const bool binary : {true, false}) {
+                SCOPED_TRACE(testing::Message()
+                             << "batch " << batch << " in " << in_dim
+                             << (binary ? " 0/1" : " real"));
+                Tensor x(batch, in_dim), w(out_dim, in_dim);
+                Tensor dout(batch, out_dim);
+                for (std::size_t b = 0; b < batch; ++b) {
+                    // Every third row of a multi-row batch is all
+                    // zero.
+                    if (batch > 1 && b % 3 == 1)
+                        continue;
+                    for (std::size_t i = 0; i < in_dim; ++i) {
+                        if (rng.uniform() < 0.6)
+                            continue;
+                        x.at(b, i) =
+                            binary ? 1.0f
+                                   : static_cast<float>(
+                                         rng.uniform(-2, 2));
+                    }
+                }
+                for (std::size_t k = 0; k < w.size(); ++k)
+                    w.data()[k] = static_cast<float>(rng.uniform(-1, 1));
+                // Negative, positive and exactly zero upstream terms.
+                for (std::size_t k = 0; k < dout.size(); ++k)
+                    dout.data()[k] =
+                        rng.uniform() < 0.25
+                            ? 0.0f
+                            : static_cast<float>(rng.uniform(-1, 1));
+                // A non-zero starting gradient (no -0 entries).
+                Tensor dw(out_dim, in_dim);
+                std::vector<float> db(out_dim);
+                for (std::size_t k = 0; k < dw.size(); ++k)
+                    dw.data()[k] =
+                        static_cast<float>(rng.uniform(-1e-3, 1e-3));
+                for (auto &v : db)
+                    v = static_cast<float>(rng.uniform(-1e-3, 1e-3));
+
+                Tensor dw_t = transposed(dw), dx(batch, in_dim);
+                std::vector<float> db_new = db;
+                Tensor dx_ref(batch, in_dim);
+                denseBackward(x, w, dout, dw, db, dx_ref);
+                linearWeightGrad(x, dout, dw_t, db_new);
+                linearInputGrad(w, dout, dx);
+
+                const Tensor back = transposed(dw_t);
+                EXPECT_TRUE(sameBytes(back.data(), dw.data(), dw.size()));
+                EXPECT_TRUE(sameBytes(db_new.data(), db.data(), out_dim));
+                EXPECT_TRUE(sameBytes(dx.data(), dx_ref.data(), dx.size()));
+                ++cases;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 24);
+}
+
+TEST(TensorTest, WeightGradAccumulatesAcrossCallsLikeDense)
+{
+    // The trainer accumulates one call per time step into a
+    // zero-filled buffer; cancelling terms must leave +0, not -0.
+    const std::size_t batch = 5, in_dim = 70, out_dim = 300;
+    Rng rng(67);
+    Tensor w(out_dim, in_dim), dw(out_dim, in_dim), dw_t(in_dim, out_dim);
+    std::vector<float> db(out_dim, 0.0f), db_new(out_dim, 0.0f);
+    for (int step = 0; step < 4; ++step) {
+        Tensor x(batch, in_dim), dout(batch, out_dim), dx(batch, in_dim);
+        for (std::size_t k = 0; k < x.size(); ++k)
+            x.data()[k] = rng.uniform() < 0.3 ? 1.0f : 0.0f;
+        for (std::size_t k = 0; k < dout.size(); ++k) {
+            // Pairs of rows that cancel exactly, and -0 terms.
+            const std::size_t b = k / out_dim;
+            dout.data()[k] = b % 2 == 1 ? -dout.data()[k - out_dim]
+                             : rng.uniform() < 0.2
+                                 ? -0.0f
+                                 : static_cast<float>(rng.uniform(-1, 1));
+        }
+        denseBackward(x, w, dout, dw, db, dx);
+        linearWeightGrad(x, dout, dw_t, db_new);
+    }
+    const Tensor back = transposed(dw_t);
+    EXPECT_TRUE(sameBytes(back.data(), dw.data(), dw.size()));
+    EXPECT_TRUE(sameBytes(db_new.data(), db.data(), out_dim));
 }
 
 TEST(Encoder, RateMatchesIntensity)
@@ -213,6 +361,62 @@ TEST(Training, LossDecreasesOnToyTask)
     EXPECT_GT(evaluate(net, images, labels), 0.85);
 }
 
+/** FNV-1a 64 over the bytes of w1, b1, w2 and b2 after a small
+ *  binary-aware Trainer::fit. */
+std::uint64_t
+fitWeightsHash(bool stateless)
+{
+    // 90 samples at batch 16 leave a ragged last batch of 10; 100
+    // inputs leave a ragged 64-bit word in the packed forward.
+    const std::size_t n = 90, dim = 100;
+    Tensor images(n, dim);
+    std::vector<int> labels(n);
+    Rng rng(41);
+    for (std::size_t i = 0; i < n; ++i) {
+        const int cls = static_cast<int>(rng.below(4));
+        labels[i] = cls;
+        for (std::size_t d = 0; d < dim; ++d)
+            images.at(i, d) = static_cast<float>(
+                rng.uniform() *
+                (static_cast<int>(d % 4) == cls ? 1.0 : 0.3));
+    }
+    SnnConfig cfg;
+    cfg.input = dim;
+    cfg.hidden = 48;
+    cfg.output = 4;
+    cfg.t_steps = 4;
+    cfg.stateless = stateless;
+    SnnMlp net(cfg, 43);
+    TrainConfig tc;
+    tc.epochs = 2;
+    tc.batch = 16;
+    Trainer(net, tc).fit(images, labels);
+
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&](const float *p, std::size_t count) {
+        const auto *bytes = reinterpret_cast<const unsigned char *>(p);
+        for (std::size_t k = 0; k < count * sizeof(float); ++k) {
+            h ^= bytes[k];
+            h *= 0x100000001b3ULL;
+        }
+    };
+    mix(net.w1.data(), net.w1.size());
+    mix(net.b1.data(), net.b1.size());
+    mix(net.w2.data(), net.w2.size());
+    mix(net.b2.data(), net.b2.size());
+    return h;
+}
+
+TEST(Training, FitWeightsPinned)
+{
+    // Recorded with the dense backward loops: the sparse backward
+    // must reproduce the trainer's float arithmetic exactly.
+    EXPECT_EQ(fitWeightsHash(true), 0x44c61cab515cd833ULL)
+        << std::hex << fitWeightsHash(true);
+    EXPECT_EQ(fitWeightsHash(false), 0xfdd1eff57ca2f444ULL)
+        << std::hex << fitWeightsHash(false);
+}
+
 TEST(Binarize, SignsAndThresholds)
 {
     Tensor w(2, 4);
@@ -286,6 +490,42 @@ TEST(Binarize, CountsAccumulateOverSteps)
     auto counts = net.forwardCounts(frames);
     EXPECT_EQ(counts[0], 2); // fires at steps 0 and 2
     EXPECT_EQ(net.predict(frames), 0);
+}
+
+TEST(Binarize, WrongFrameWidthThrows)
+{
+    // A 3-input net fed a 2-wide frame: the packed net (all weights
+    // +-1) and a net with a zero weight, which keeps the scalar path.
+    BinaryLayer packed_layer;
+    packed_layer.weights = {{1, -1, 1}, {-1, 1, 1}};
+    packed_layer.thresholds = {1, 1};
+    BinaryLayer scalar_layer = packed_layer;
+    scalar_layer.weights[0][1] = 0;
+    const std::vector<std::uint8_t> narrow = {1, 0};
+    for (const bool packed : {true, false}) {
+        const BinaryLayer &layer = packed ? packed_layer : scalar_layer;
+        const auto net = BinarySnn::fromLayers({layer}, 2);
+        EXPECT_EQ(net.packedReady(), packed);
+        EXPECT_THROW(net.stepForward(narrow), std::invalid_argument);
+        EXPECT_THROW(net.forwardCounts({narrow, narrow}),
+                     std::invalid_argument);
+        EXPECT_THROW(net.predict({{1, 0, 1}, narrow}),
+                     std::invalid_argument);
+        EXPECT_THROW(BinarySnn::membrane(layer, 0, narrow),
+                     std::invalid_argument);
+        EXPECT_THROW(BinarySnn::membrane(layer, 2, {1, 0, 1}),
+                     std::out_of_range);
+        try {
+            net.stepForward(narrow);
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("2"),
+                      std::string::npos);
+            EXPECT_NE(std::string(e.what()).find("3"),
+                      std::string::npos);
+        }
+        // The right width still works.
+        EXPECT_EQ(net.stepForward({1, 0, 1}).size(), 2u);
+    }
 }
 
 TEST(Binarize, BinaryAwareTrainingIsConsistent)
