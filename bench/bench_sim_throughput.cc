@@ -22,10 +22,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "chip/gate_sim.hh"
 #include "common/stats.hh"
@@ -33,7 +30,6 @@
 #include "sfq/constraints.hh"
 #include "sfq/event_queue.hh"
 #include "sfq/netlist.hh"
-#include "sfq/parallel_simulator.hh"
 #include "sfq/simulator.hh"
 
 #include "bench_util.hh"
@@ -83,62 +79,6 @@ runNpeWorkload()
     r.seconds = std::chrono::duration<double>(t1 - t0).count();
     r.events = sim.eventsExecuted();
     r.checksum = gate.value() + gate.outSink().count();
-    return r;
-}
-
-/** Independent NPE counters in one netlist for the thread sweep:
- *  enough decoupled work that the partitioner gives every lane its
- *  own gates and the windows never exchange pulses — the scaling
- *  ceiling of the conservative-sync design. */
-constexpr int kFleetGates = 8;
-
-struct SweepResult
-{
-    double seconds = 0.0;
-    std::uint64_t events = 0;
-    bool checksum_ok = false;
-    bool parallel = false;
-};
-
-/** One fresh repetition of the fleet workload on @p threads lanes.
- *  Every gate receives the identical pulse stream, so each must
- *  reproduce @p want_checksum exactly. */
-SweepResult
-runFleetWorkload(int threads, std::uint64_t want_checksum)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    sfq::Simulator sim;
-    sim.setViolationPolicy(sfq::ViolationPolicy::Ignore);
-    sfq::Netlist net(sim);
-    std::vector<std::unique_ptr<npe::NpeGate>> gates;
-    for (int g = 0; g < kFleetGates; ++g)
-        gates.push_back(std::make_unique<npe::NpeGate>(
-            net, "npe" + std::to_string(g), kNumSc));
-    const Tick gap = sfq::safePulseSpacing();
-    for (auto &gate : gates) {
-        gate->injectSet1(gap);
-        for (int i = 0; i < kPulses; ++i)
-            gate->injectIn((i + 2) * gap);
-    }
-
-    SweepResult r;
-    if (threads <= 1) {
-        sim.run();
-    } else {
-        sfq::ParallelSimulator::Options opts;
-        opts.threads = threads;
-        sfq::ParallelSimulator psim(sim, opts);
-        psim.run();
-        r.parallel = psim.lastRunParallel();
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-
-    r.seconds = std::chrono::duration<double>(t1 - t0).count();
-    r.events = sim.eventsExecuted();
-    r.checksum_ok = true;
-    for (auto &gate : gates)
-        r.checksum_ok &=
-            gate->value() + gate->outSink().count() == want_checksum;
     return r;
 }
 
@@ -236,54 +176,6 @@ main()
     std::printf("16x16 mesh build: %.0f us (%zu cells)\n", mesh_us,
                 mesh_cells);
 
-    // Thread sweep on the partitioned simulator: 8 independent NPE
-    // counters in one netlist. The 2x floor at 8 threads is only
-    // meaningful with real cores underneath; single-core runners
-    // still check correctness at every thread count.
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool enforce_floor = hw >= 4;
-    const int sweep_reps = benchutil::envFlag("SUSHI_FULL") ? 5 : 3;
-    std::printf("=== Partitioned thread sweep (%d NPE gates, "
-                "%u hw threads) ===\n",
-                kFleetGates, hw);
-    struct SweepPoint
-    {
-        int threads;
-        double eps;
-        bool checksum_ok;
-        bool parallel;
-        std::uint64_t events;
-    };
-    std::vector<SweepPoint> sweep;
-    bool sweep_checksums_ok = true;
-    for (int threads : {1, 2, 4, 8}) {
-        SweepResult sbest{};
-        bool ok = true;
-        for (int r = 0; r < sweep_reps; ++r) {
-            const SweepResult run =
-                runFleetWorkload(threads, want_checksum);
-            ok &= run.checksum_ok;
-            if (sbest.events == 0 || run.seconds < sbest.seconds)
-                sbest = run;
-        }
-        const double teps =
-            static_cast<double>(sbest.events) / sbest.seconds;
-        sweep.push_back(
-            {threads, teps, ok, sbest.parallel, sbest.events});
-        sweep_checksums_ok &= ok;
-        std::printf("  %d threads: %9.3g events/sec%s %s\n", threads,
-                    teps, sbest.parallel ? " (parallel)" : "",
-                    ok ? "" : "CHECKSUM MISMATCH");
-    }
-    const double sweep_scaling =
-        sweep.back().eps / sweep.front().eps;
-    const bool sweep_ok =
-        sweep_checksums_ok &&
-        (!enforce_floor || sweep_scaling >= 2.0);
-    std::printf("8-thread scaling: %.2fx over 1 thread (floor %s)\n",
-                sweep_scaling,
-                enforce_floor ? "enforced: >= 2.0x" : "advisory");
-
     JsonWriter w;
     w.field("workload", "npe_gate_counter");
     w.field("pulses", kPulses);
@@ -298,22 +190,6 @@ main()
     w.field("queue_events_per_sec", queue_eps);
     w.field("mesh_build_us", mesh_us);
     w.field("mesh_cells", static_cast<std::uint64_t>(mesh_cells));
-    w.field("sweep_gates", kFleetGates);
-    w.field("sweep_reps", sweep_reps);
-    w.field("hardware_concurrency", static_cast<std::uint64_t>(hw));
-    w.field("sweep_floor_enforced", enforce_floor);
-    w.field("sweep_scaling_8t", sweep_scaling);
-    w.beginArray("sweep");
-    for (const SweepPoint &p : sweep) {
-        w.beginObject();
-        w.field("threads", p.threads);
-        w.field("events_per_sec", p.eps);
-        w.field("events_per_run", p.events);
-        w.field("checksum_ok", p.checksum_ok);
-        w.field("ran_parallel", p.parallel);
-        w.endObject();
-    }
-    w.endArray();
     const std::string json = w.finish();
 
     const char *env_path = std::getenv("SUSHI_JSON_OUT");
@@ -327,5 +203,5 @@ main()
     }
     std::printf("JSON written to %s\n", path.c_str());
 
-    return checksum_ok && speedup >= 2.0 && sweep_ok ? 0 : 1;
+    return checksum_ok && speedup >= 2.0 ? 0 : 1;
 }

@@ -31,26 +31,6 @@ GateChip::GateChip(sfq::Netlist &net, const compiler::ChipConfig &cfg)
 }
 
 void
-GateChip::setSimThreads(int threads)
-{
-    sim_threads_ = threads;
-    if (threads <= 1) {
-        psim_.reset();
-        return;
-    }
-    sfq::ParallelSimulator::Options opts;
-    opts.threads = threads;
-    psim_ = std::make_unique<sfq::ParallelSimulator>(net_.sim(),
-                                                     opts);
-}
-
-Tick
-GateChip::runSim()
-{
-    return psim_ != nullptr ? psim_->run() : net_.sim().run();
-}
-
-void
 GateChip::checkLayer(const compiler::CompiledNetwork &cnet) const
 {
     if (cnet.net == nullptr || cnet.layers.size() != 1 ||
@@ -132,7 +112,7 @@ GateChip::run(const compiler::CompiledNetwork &cnet,
             }
         }
         t += gap_ * (cfg_.sc_per_npe + 2);
-        runSim();
+        net_.sim().run();
         t = std::max(t, sim.now() + gap_);
 
         // Two polarity passes per bucket (tiny nets: one bucket).
@@ -164,7 +144,7 @@ GateChip::run(const compiler::CompiledNetwork &cnet,
                     mesh_->outputNpe(j).injectSet1(t);
             }
             t += gap_;
-            runSim();
+            net_.sim().run();
             t = std::max(t, sim.now() + gap_);
 
             // Replay the input spikes for this pass, one relay
@@ -175,11 +155,11 @@ GateChip::run(const compiler::CompiledNetwork &cnet,
                 t = rearmInputNpe(i, t);
                 mesh_->injectInput(i, t);
                 t += 2 * gap_;
-                runSim();
+                net_.sim().run();
                 t = std::max(t, sim.now() + gap_);
             }
         }
-        runSim();
+        net_.sim().run();
         t = std::max(t, sim.now() + 2 * gap_);
 
         // Collect this step's output pulses from the drivers.
@@ -273,7 +253,7 @@ GateChip::runProgram(const compiler::CompiledNetwork &cnet,
             break;
         }
     }
-    runSim();
+    net_.sim().run();
 
     bounds_ = prog.step_bounds;
     std::vector<std::vector<int>> result;

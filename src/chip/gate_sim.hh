@@ -25,7 +25,7 @@
 #include "compiler/compile.hh"
 #include "compiler/program.hh"
 #include "fabric/mesh_network.hh"
-#include "sfq/parallel_simulator.hh"
+#include "sfq/netlist.hh"
 
 namespace sushi::chip {
 
@@ -83,17 +83,6 @@ class GateChip
     /** Timing-constraint violations observed during the run. */
     std::uint64_t violations() const;
 
-    /**
-     * Execute the event kernel on @p threads worker threads via the
-     * partitioned parallel simulator (<= 1 restores the sequential
-     * path). Results are byte-identical at any thread count; the
-     * knob only trades wall-clock for cores.
-     */
-    void setSimThreads(int threads);
-
-    /** Configured worker threads (0 = sequential default). */
-    int simThreads() const { return sim_threads_; }
-
   private:
     /** Throw std::invalid_argument unless @p cnet is one layer that
      *  fits the mesh. */
@@ -102,16 +91,11 @@ class GateChip
     /** Re-arm input NPE @p i as a fire-per-pulse relay. */
     Tick rearmInputNpe(int i, Tick t);
 
-    /** Drain pending events (parallel when configured). */
-    Tick runSim();
-
     sfq::Netlist &net_;
     compiler::ChipConfig cfg_;
     std::unique_ptr<fabric::MeshGate> mesh_;
     std::vector<Tick> bounds_;
     Tick gap_;
-    int sim_threads_ = 0;
-    std::unique_ptr<sfq::ParallelSimulator> psim_;
 };
 
 } // namespace sushi::chip

@@ -19,10 +19,8 @@
 #ifndef SUSHI_COMMON_PARALLEL_HH
 #define SUSHI_COMMON_PARALLEL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -31,68 +29,6 @@
 #include <vector>
 
 namespace sushi {
-
-/**
- * A reusable rendezvous barrier for a fixed party count.
- *
- * Built for tightly-coupled lock-step loops (the parallel gate
- * simulator's time windows, where every window ends in two barriers):
- * arrivals spin briefly on the generation counter — the common case
- * when all parties run in parallel on real cores — then fall back to
- * a condition variable so oversubscribed or single-core hosts don't
- * burn their timeslice spinning on a party that cannot be running.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(unsigned parties) : parties_(parties) {}
-
-    SpinBarrier(const SpinBarrier &) = delete;
-    SpinBarrier &operator=(const SpinBarrier &) = delete;
-
-    /** Block until all parties have arrived; reusable immediately. */
-    void
-    arriveAndWait()
-    {
-        const std::uint64_t gen =
-            generation_.load(std::memory_order_acquire);
-        if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            parties_) {
-            // Last arrival opens the next generation. The reset of
-            // arrived_ is published by the release store below, so
-            // early risers of the new generation can't observe a
-            // stale count.
-            arrived_.store(0, std::memory_order_relaxed);
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                generation_.store(gen + 1,
-                                  std::memory_order_release);
-            }
-            cv_.notify_all();
-            return;
-        }
-        for (int spin = 0; spin < kSpins; ++spin) {
-            if (generation_.load(std::memory_order_acquire) != gen)
-                return;
-            if ((spin & 63) == 63)
-                std::this_thread::yield();
-        }
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] {
-            return generation_.load(std::memory_order_acquire) !=
-                   gen;
-        });
-    }
-
-  private:
-    static constexpr int kSpins = 1024;
-
-    const unsigned parties_;
-    std::atomic<unsigned> arrived_{0};
-    std::atomic<std::uint64_t> generation_{0};
-    std::mutex mu_;
-    std::condition_variable cv_;
-};
 
 /** Knobs for parallelFor. */
 struct ParallelOptions

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/logging.hh"
+#include "common/union_find.hh"
 
 namespace sushi::compiler {
 
@@ -42,23 +43,6 @@ MultiChipPlan::cutTrafficPerStep() const
         p += c.est_pulses_per_step;
     return p;
 }
-
-namespace {
-
-/** Union-find with path compression (partitionNetlist idiom). */
-int
-findRoot(std::vector<int> &parent, int x)
-{
-    while (parent[static_cast<std::size_t>(x)] != x) {
-        parent[static_cast<std::size_t>(x)] =
-            parent[static_cast<std::size_t>(
-                parent[static_cast<std::size_t>(x)])];
-        x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-}
-
-} // namespace
 
 StageSplit
 splitLayersUnderBudget(const std::vector<LayerCost> &costs,

@@ -5,8 +5,8 @@
  *
  * The layer chain is cut at layer boundaries only (a dense layer is
  * never split — a single layer that overflows a whole chip is a hard
- * `BudgetOverflow`). The splitter mirrors `sfq::partitionNetlist`'s
- * union-find contraction idiom: every boundary starts cut, then
+ * `BudgetOverflow`). The splitter is a union-find contraction
+ * (`common/union_find.hh`): every boundary starts cut, then
  * boundaries are contracted heaviest-traffic-first (a cut at a wide
  * activation boundary costs the most inter-chip wiring) whenever the
  * merged component still fits one chip's budget. The surviving cuts

@@ -4,24 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/union_find.hh"
+
 namespace sushi::noc {
-
-namespace {
-
-/** Union-find with path compression (partitionNetlist idiom). */
-int
-findRoot(std::vector<int> &parent, int x)
-{
-    while (parent[static_cast<std::size_t>(x)] != x) {
-        parent[static_cast<std::size_t>(x)] =
-            parent[static_cast<std::size_t>(
-                parent[static_cast<std::size_t>(x)])];
-        x = parent[static_cast<std::size_t>(x)];
-    }
-    return x;
-}
-
-} // namespace
 
 Placement
 placeStages(int n_stages, const std::vector<CutTraffic> &edges,

@@ -4,9 +4,9 @@
  * plan to a NoC node so the heaviest inter-stage traffic travels the
  * fewest hops.
  *
- * The pass reuses the union-find contraction idiom of
- * `sfq::partitionNetlist` / `compiler::splitLayersUnderBudget`:
- * every stage starts as its own chain, then cut edges are contracted
+ * The pass is a union-find contraction (`common/union_find.hh`, the
+ * same one `compiler::splitLayersUnderBudget` uses): every stage
+ * starts as its own chain, then cut edges are contracted
  * heaviest-traffic-first (ties by edge index) whenever both
  * endpoints sit at the ends of their chains — the merge concatenates
  * the chains so the two stages become physical neighbours. The final

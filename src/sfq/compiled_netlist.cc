@@ -1,11 +1,10 @@
 #include "sfq/compiled_netlist.hh"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "sfq/constraints.hh"
-#include "sfq/event_queue.hh"
-#include "sfq/fault_model.hh"
 #include "sfq/simulator.hh"
 
 namespace sushi::sfq {
@@ -62,10 +61,10 @@ CompiledNetlist::CompiledNetlist(
 NetStructure &
 CompiledNetlist::mut()
 {
-    if (mut_ == nullptr) {
-        sushi_panic("compiled netlist structure is sealed (shared "
-                    "with replicas); cannot add or connect cells");
-    }
+    if (mut_ == nullptr)
+        throw std::logic_error(
+            "compiled netlist structure is sealed (shared with "
+            "replicas); cannot add or connect cells");
     return *mut_;
 }
 
@@ -118,7 +117,7 @@ CompiledNetlist::connect(std::int32_t src, int out_port,
     NetStructure &st = mut();
     OutConn &c = st.conns[static_cast<std::size_t>(st.out_off[i]) +
                           static_cast<std::size_t>(out_port)];
-    // Component::connect raises the user-facing fan-out fatal first;
+    // Component::connect throws the user-facing fan-out error first;
     // this guards direct core callers.
     sushi_assert(c.dst < 0);
     c.dst = dst;
@@ -215,20 +214,18 @@ CompiledNetlist::switchEnergyOf(const std::uint64_t counts[]) const
 
 inline bool
 CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
-                            int port, ExecCtx &cx)
+                            int port, Tick now)
 {
     const auto i = static_cast<std::size_t>(id);
     const NetStructure &st = *struct_;
-    const Tick now = cx.now;
     sushi_assert(port >= 0 && port < static_cast<int>(st.n_in[i]));
     // A dead cell (shorted/open junction) eats the pulse before any
     // junction switches: no energy, no constraint bookkeeping.
-    if (cx.cell_faults) {
-        FaultModel &fm = sim_.faults();
+    FaultModel &fm = sim_.faults();
+    if (fm.anyCellFaults()) {
         const bool dead =
             masksCurrent()
-                ? fm.suppressArrivalKeyed(fault_mask_[i], now,
-                                          *cx.faults)
+                ? fm.suppressArrivalKeyed(fault_mask_[i], now)
                 : fm.suppressArrival(cellName(id), now);
         if (dead)
             return false;
@@ -257,12 +254,12 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
         // from it.
         last[static_cast<std::size_t>(port)] = now;
         if (hit != nullptr &&
-            sim_.reportViolationEvt(
+            sim_.reportViolation(
                 cellName(id),
                 violationMessage(static_cast<CellKind>(kind),
                                  hit->label, hit->min_interval,
                                  hit_prev, now),
-                hit->label, hit_prev, now, now, id, port)) {
+                hit->label, hit_prev, now)) {
             // Recover policy: the marginal arrival is attributed to
             // this cell and the offending pulse is discarded.
             return false;
@@ -270,29 +267,13 @@ CompiledNetlist::arriveCell(std::int32_t id, std::uint8_t kind,
     } else {
         last[static_cast<std::size_t>(port)] = now;
     }
-    ++cx.switch_count[kind];
+    ++sim_.switch_count_[kind];
     return true;
 }
 
 inline void
-CompiledNetlist::pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
-                         std::int32_t port)
-{
-    ++*cx.pulses;
-    if (cx.lane_of == nullptr || cx.lane_of[dst] == cx.lane) {
-        cx.queue->push(when, dst, port);
-    } else {
-        // Crossing a partition boundary: park in the per-destination
-        // outbox; the window barrier merges it into the destination
-        // partition's queue in deterministic order.
-        cx.outbox[cx.lane_of[dst]].push_back(
-            CrossEvent{when, dst, port});
-    }
-}
-
-inline void
 CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
-                      ExecCtx &cx)
+                      Tick now)
 {
     const auto i = static_cast<std::size_t>(id);
     const NetStructure &st = *struct_;
@@ -301,17 +282,15 @@ CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
                  static_cast<std::size_t>(out_port)];
     if (c.dst < 0)
         return; // dangling output is legal (unused readout)
-    Tick when = cx.now + delay + c.wire_delay;
+    Tick when = now + delay + c.wire_delay;
     int copies = 1;
-    if (cx.delivery_faults) {
-        FaultModel &fm = sim_.faults();
-        const Tick now = cx.now;
+    FaultModel &fm = sim_.faults();
+    if (fm.anyDeliveryFaults()) {
         const FaultModel::Delivery fate =
             masksCurrent()
-                ? fm.onDeliverKeyed(
-                      fault_mask_[i], now,
-                      static_cast<std::uint64_t>(id), rng_ctr_[i],
-                      *cx.faults)
+                ? fm.onDeliverKeyed(fault_mask_[i], now,
+                                    static_cast<std::uint64_t>(id),
+                                    rng_ctr_[i])
                 : fm.onDeliver(cellName(id), now);
         if (fate.dropped)
             return; // injected fault: the pulse is lost in flight
@@ -321,25 +300,26 @@ CompiledNetlist::emit(std::int32_t id, int out_port, Tick delay,
         // Spurious pulses (punch-through) trail the real delivery.
         copies += fate.inserted;
     }
+    sim_.pulses_ += static_cast<std::uint64_t>(copies);
     for (int s = 0; s < copies; ++s)
-        pushOut(cx, when + s, c.dst, c.port);
+        sim_.queue_.push(when + s, c.dst, c.port);
 }
 
 void
-CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
-                         ExecCtx &cx)
+CompiledNetlist::deliver(std::int32_t id, std::int32_t port)
 {
     const std::size_t i = checkId(id);
     const std::uint8_t kind = struct_->kind[i];
+    const Tick now = sim_.now();
     if (kind == kKindSink) {
         sushi_assert(port == 0);
         traces_[static_cast<std::size_t>(struct_->trace_slot[i])]
-            .push_back(cx.now);
+            .push_back(now);
         return;
     }
     // Every other kind ends in "emit outputs [0, fire)", so
     // arriveCell() and emit() each have one call site here.
-    if (kind != kKindSource && !arriveCell(id, kind, port, cx))
+    if (kind != kKindSource && !arriveCell(id, kind, port, now))
         return;
     int fire = 1;
     switch (kind) {
@@ -364,9 +344,9 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
             // quantum into the storage loop — a design error.
             // Under Recover the surplus din is simply discarded.
             if (state_[i] != 0 &&
-                sim_.reportViolationEvt(
-                    cellName(id), "din while already storing", "",
-                    kTickNever, kTickNever, cx.now, id, port))
+                sim_.reportViolation(cellName(id),
+                                     "din while already storing", "",
+                                     kTickNever, kTickNever))
                 return;
             state_[i] = 1;
             fire = 0;
@@ -383,9 +363,8 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
         // holds its forced value and writes in the opposing
         // direction are lost.
         bool s_set = false, s_rst = false;
-        if (cx.cell_faults) {
-            FaultModel &fm = sim_.faults();
-            const Tick now = cx.now;
+        const FaultModel &fm = sim_.faults();
+        if (fm.anyCellFaults()) {
             if (masksCurrent()) {
                 s_set = fm.stuckSetMasked(fault_mask_[i], now);
                 s_rst = fm.stuckResetMasked(fault_mask_[i], now);
@@ -429,7 +408,7 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
       case u8(CellKind::SFQDC):
         state_[i] ^= 1; // output level toggles per pulse
         traces_[static_cast<std::size_t>(struct_->trace_slot[i])]
-            .push_back(cx.now);
+            .push_back(now);
         return;
       default:
         sushi_panic("cell %.*s: bad kind %d",
@@ -438,7 +417,7 @@ CompiledNetlist::deliver(std::int32_t id, std::int32_t port,
     }
     const Tick delay = kind_delay_[kind];
     for (int o = 0; o < fire; ++o)
-        emit(id, o, delay, cx);
+        emit(id, o, delay, now);
 }
 
 } // namespace sushi::sfq

@@ -21,20 +21,17 @@
  *    (NDRO flux bit / TFF phase / DFF latch / SFQDC level) per cell,
  *    flat per-channel last-arrival ticks for the Table-1 constraint
  *    checks, pooled pulse traces for the probes (PulseSink, SFQDC),
- *    per-cell keyed-RNG draw counters, and the cached fault-target
- *    bitmasks.
+ *    per-cell keyed-RNG draw counters (so a fault draw depends only
+ *    on the cell's own delivery history), and the cached
+ *    fault-target bitmasks.
  *
  * deliver() is the pulse-delivery inner loop: a switch on the kind
  * byte over indices. No virtual dispatch, no std::function, no
  * allocation, no string handling on the fault-free hot path (see
- * DESIGN.md §2.1). It executes against an ExecCtx — a bundle of
- * pointers naming the clock, event queue, and counters to use — so
- * the same compiled tables serve both the sequential simulator (one
- * context wired to the Simulator's own members) and the partitioned
- * parallel simulator (one context per partition, with cross-partition
- * pulses routed into per-edge outboxes). freeze() completes the
- * lowering by caching one fault-target bitmask per cell and taking
- * the state snapshot that makes Simulator::reset() a memcpy.
+ * DESIGN.md §2.1). It pushes onto the owning Simulator's event queue
+ * and tallies into its counters. freeze() completes the lowering by
+ * caching one fault-target bitmask per cell and taking the state
+ * snapshot that makes Simulator::reset() a memcpy.
  */
 
 #ifndef SUSHI_SFQ_COMPILED_NETLIST_HH
@@ -55,8 +52,6 @@
 namespace sushi::sfq {
 
 class Simulator;
-class EventQueue;
-struct FaultCounters;
 
 /** One CSR fan-out slot (fan-out is 1 per output port). */
 struct OutConn
@@ -87,42 +82,6 @@ struct NetStructure
     std::size_t num_inputs = 0;         ///< total input channels
 };
 
-/** One pulse bound for another partition, parked in an outbox until
- *  the window barrier (parallel simulation only). */
-struct CrossEvent
-{
-    Tick when;
-    std::int32_t cell;
-    std::int32_t port;
-};
-
-/**
- * Execution context for deliver(): names the clock, event queue, and
- * counters one delivery should use. The sequential Simulator wires a
- * single context to its own members; the parallel simulator gives
- * each partition its own (queue, counters, outboxes) so partitions
- * never write shared state. All pointers are non-owning.
- */
-struct ExecCtx
-{
-    Tick now = 0;                       ///< current simulation time
-    EventQueue *queue = nullptr;        ///< same-partition pushes
-    std::uint64_t *pulses = nullptr;    ///< delivered-pulse tally
-    std::uint64_t *switch_count = nullptr; ///< per-kind switch tally
-    FaultCounters *faults = nullptr;    ///< injected-fault tally
-
-    /// Fault presence (FaultModel::anyCellFaults/anyDeliveryFaults),
-    /// copied in by the runner at run start and again after anything
-    /// that may reconfigure faults (a host callback).
-    bool cell_faults = false;
-    bool delivery_faults = false;
-
-    /// Partition routing: null lane_of means everything is local.
-    const std::int32_t *lane_of = nullptr; ///< cell id -> partition
-    std::int32_t lane = 0;                 ///< executing partition
-    std::vector<CrossEvent> *outbox = nullptr; ///< per-dst-partition
-};
-
 /** Flat, index-addressed circuit representation plus its executor. */
 class CompiledNetlist
 {
@@ -146,12 +105,14 @@ class CompiledNetlist
     /// @name Lowering (driven by Component registration)
     /// @{
 
-    /** Register a cell; returns its dense id. Fatal once the
-     *  structure has been sealed by shareStructure(). */
+    /** Register a cell; returns its dense id.
+     *  @throws std::logic_error once the structure has been sealed
+     *          by shareStructure() (or adopted by a replica). */
     std::int32_t addCell(std::string_view name, std::uint8_t kind,
                          int num_inputs, int num_outputs);
 
-    /** Wire src output port to dst input port (fan-out of one). */
+    /** Wire src output port to dst input port (fan-out of one).
+     *  @throws std::logic_error on a sealed structure. */
     void connect(std::int32_t src, int out_port, std::int32_t dst,
                  int dst_port, Tick wire_delay);
 
@@ -177,7 +138,8 @@ class CompiledNetlist
      * Seal the structure and return it for sharing with replica
      * simulators (Simulator's structure-adopting constructor).
      * Further addCell/connect calls on any simulator using this
-     * structure are fatal — replicas would see the mutation.
+     * structure throw std::logic_error — replicas would see the
+     * mutation.
      */
     std::shared_ptr<const NetStructure> shareStructure();
 
@@ -213,28 +175,6 @@ class CompiledNetlist
      *  linear scan: lookups are set-up work, so lowering keeps no
      *  name index. */
     std::int32_t cellId(std::string_view name) const;
-
-    /** Execution kind byte (CellKind value, or kKindSource/Sink). */
-    std::uint8_t
-    cellKind(std::int32_t id) const
-    {
-        return struct_->kind[checkId(id)];
-    }
-
-    /** Propagation delay of an execution kind. */
-    Tick
-    kindDelay(std::uint8_t kind) const
-    {
-        sushi_assert(kind < kNumExecKinds);
-        return kind_delay_[kind];
-    }
-
-    /** Number of output ports of a cell. */
-    int
-    numOutputs(std::int32_t id) const
-    {
-        return static_cast<int>(connCount(checkId(id)));
-    }
 
     /// @}
     /// @name SoA state access (used by the cell facades and tests)
@@ -278,13 +218,6 @@ class CompiledNetlist
                      static_cast<std::size_t>(channel)];
     }
 
-    /** CSR fan-out slot of an output port. */
-    const OutConn &
-    connection(std::int32_t id, int out_port) const
-    {
-        return conn(id, out_port);
-    }
-
     /// @}
     /// @name Snapshot-fast reset
     /// @{
@@ -306,10 +239,10 @@ class CompiledNetlist
 
     /**
      * Execute one pulse arriving on input @p port of cell @p id at
-     * time @p cx.now, against @p cx's queue and counters. The inner
-     * loop of the simulator.
+     * the simulator's now(), against its event queue and counters.
+     * The inner loop of the simulator.
      */
-    void deliver(std::int32_t id, std::int32_t port, ExecCtx &cx);
+    void deliver(std::int32_t id, std::int32_t port);
 
   private:
     // The per-event helpers of deliver(), defined in
@@ -320,22 +253,17 @@ class CompiledNetlist
      *  library cell. @return false if the pulse must be discarded. */
     [[gnu::always_inline]] inline bool
     arriveCell(std::int32_t id, std::uint8_t kind, int port,
-               ExecCtx &cx);
+               Tick now);
 
     /** Emit one pulse out of @p out_port after @p delay. */
     [[gnu::always_inline]] inline void
-    emit(std::int32_t id, int out_port, Tick delay, ExecCtx &cx);
-
-    /** Route one scheduled delivery: local queue push, or outbox
-     *  append when @p dst lives in another partition. */
-    [[gnu::always_inline]] inline void
-    pushOut(ExecCtx &cx, Tick when, std::int32_t dst,
-            std::int32_t port);
+    emit(std::int32_t id, int out_port, Tick delay, Tick now);
 
     /** True if the cached fault bitmasks match the live config. */
     bool masksCurrent() const;
 
-    /** The builder-writable structure (null once sealed/adopted). */
+    /** The builder-writable structure.
+     *  @throws std::logic_error once sealed or adopted. */
     NetStructure &mut();
 
     std::size_t
@@ -403,12 +331,6 @@ class CompiledNetlist
     std::vector<std::uint64_t> fault_mask_;
     std::uint64_t fault_cfg_version_ = ~std::uint64_t{0};
     bool fault_masks_usable_ = false;
-
-    /** Masks usable for the keyed fault path (parallel runs need
-     *  this or a fault-free config). */
-    bool faultMasksUsable() const { return fault_masks_usable_; }
-
-    friend class ParallelSimulator;
 };
 
 } // namespace sushi::sfq

@@ -1,8 +1,27 @@
 #include "sfq/component.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/logging.hh"
 
 namespace sushi::sfq {
+
+namespace {
+
+/** Throw std::out_of_range unless 0 <= @p port < @p count. */
+void
+checkPort(std::string_view cell, const char *what, int port,
+          int count)
+{
+    if (port < 0 || port >= count)
+        throw std::out_of_range(
+            std::string(cell) + ": " + what + " " +
+            std::to_string(port) + " outside [0, " +
+            std::to_string(count) + ")");
+}
+
+} // namespace
 
 Component::Component(Simulator &sim, std::string_view name,
                      int num_inputs, int num_outputs,
@@ -18,28 +37,27 @@ void
 Component::connect(int out_port, Component &dst, int dst_port,
                    Tick wire_delay)
 {
-    sushi_assert(out_port >= 0 && out_port < num_outputs_);
-    sushi_assert(dst_port >= 0 && dst_port < dst.numInputs());
-    if (sim_.core().outputConnected(id_, out_port)) {
-        sushi_fatal("%.*s output %d already driven; RSFQ fan-out is "
-                    "1 — insert an SPL",
-                    static_cast<int>(name().size()), name().data(),
-                    out_port);
-    }
+    checkPort(name(), "output", out_port, num_outputs_);
+    checkPort(dst.name(), "input", dst_port, dst.numInputs());
+    if (sim_.core().outputConnected(id_, out_port))
+        throw std::invalid_argument(
+            std::string(name()) + " output " +
+            std::to_string(out_port) +
+            " already driven; RSFQ fan-out is 1 — insert an SPL");
     sim_.core().connect(id_, out_port, dst.id_, dst_port, wire_delay);
 }
 
 bool
 Component::outputConnected(int out_port) const
 {
-    sushi_assert(out_port >= 0 && out_port < num_outputs_);
+    checkPort(name(), "output", out_port, num_outputs_);
     return sim_.core().outputConnected(id_, out_port);
 }
 
 void
 Component::inject(int port, Tick when)
 {
-    sushi_assert(port >= 0 && port < num_inputs_);
+    checkPort(name(), "input", port, num_inputs_);
     sim_.schedulePulse(when, id_, port);
 }
 

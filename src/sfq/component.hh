@@ -6,7 +6,7 @@
  * along point-to-point connections. RSFQ cells have a fan-out of one
  * (paper Sec. 2.1.2), so connecting an output that is already driven
  * is rejected — a splitter (SPL) must be inserted instead, exactly as
- * in a real design.
+ * in a real design. Builder mistakes throw; none aborts the process.
  *
  * Since the compiled-core refactor a Component carries no execution
  * state of its own: construction registers the cell into the owning
@@ -33,6 +33,8 @@ class Component
   public:
     /**
      * Register a cell with the simulator's compiled core.
+     * @throws std::logic_error if @p sim is a replica over a shared
+     *         (sealed) structure — replicas cannot grow the circuit.
      * @param sim        owning simulator
      * @param name       instance name (for diagnostics)
      * @param num_inputs number of input ports
@@ -60,18 +62,23 @@ class Component
      * Connect output @p out_port to @p dst input @p dst_port.
      * @param wire_delay extra propagation delay of the interconnect
      *        (e.g. a chain of JTL stages), added to the cell delay.
-     *
-     * Fatal if the output is already connected (fan-out must be 1).
+     * @throws std::out_of_range if either port does not exist;
+     *         std::invalid_argument if the output is already
+     *         connected (fan-out must be 1); std::logic_error if the
+     *         structure is sealed. Nothing is wired on a throw.
      */
     void connect(int out_port, Component &dst, int dst_port,
                  Tick wire_delay = 0);
 
-    /** True if output @p out_port has a destination. */
+    /** True if output @p out_port has a destination.
+     *  @throws std::out_of_range if the port does not exist. */
     bool outputConnected(int out_port) const;
 
     /**
      * Inject a pulse into input @p port at absolute time @p when.
      * Used by stimulus generators and netlist primary inputs.
+     * @throws std::out_of_range if the port does not exist;
+     *         std::invalid_argument if @p when is before now().
      */
     void inject(int port, Tick when);
 

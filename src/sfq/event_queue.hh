@@ -7,10 +7,8 @@
  * (cell + 1) << 32 | port into one word and is 0 for callbacks. That
  * is the intrinsic (when, cell, port, seq) order: the pop order of
  * equal-tick events depends only on what the events are, never on
- * the order they were pushed. It is what lets the partitioned
- * parallel simulator reproduce the sequential order exactly — each
- * partition pops its own events in the same relative order the single
- * queue would have, regardless of when boundary pulses were merged in
+ * the order they were pushed, so the recorded gate-level outputs do
+ * not move with how a netlist or a stimulus happens to be built
  * (callbacks sort first at a tick, in schedule order). Storage is a
  * calendar of day-wide buckets:
  *
@@ -154,24 +152,6 @@ class EventQueue
             return false;
         out = popTop();
         ++executed_;
-        return true;
-    }
-
-    /**
-     * Pop the earliest event into @p out *without* counting it as
-     * executed. Used to migrate pending events between queues (the
-     * parallel simulator drains the owning simulator's queue into
-     * per-partition queues and back); migration must not inflate
-     * eventsExecuted().
-     * @return false when the queue is empty.
-     */
-    bool
-    take(Event &out)
-    {
-        if (size_ == 0)
-            return false;
-        settle();
-        out = popTop();
         return true;
     }
 

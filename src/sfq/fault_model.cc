@@ -50,7 +50,6 @@ FaultModel::addFault(FaultSpec spec)
       case FaultKind::TimingJitter:
         sushi_assert(spec.jitter_sigma >= 0.0);
         ++delivery_faults_;
-        ++jitter_faults_;
         break;
       case FaultKind::StuckSet:
       case FaultKind::StuckReset:
@@ -68,7 +67,6 @@ FaultModel::clearFaults()
     specs_.clear();
     delivery_faults_ = 0;
     cell_faults_ = 0;
-    jitter_faults_ = 0;
     ++config_version_;
 }
 
@@ -158,62 +156,8 @@ FaultModel::stuckReset(std::string_view cell, Tick now) const
 }
 
 FaultModel::Delivery
-FaultModel::onDeliverMasked(std::uint64_t mask, Tick now)
-{
-    Delivery d;
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        const FaultSpec &spec = specs_[i];
-        switch (spec.kind) {
-          case FaultKind::PulseDrop:
-            if (maskedMatch(i, mask, now) && rng_.chance(spec.rate) &&
-                !d.dropped) {
-                d.dropped = true;
-                ++counters_.dropped;
-            }
-            break;
-          case FaultKind::SpuriousPulse:
-            if (maskedMatch(i, mask, now) && rng_.chance(spec.rate) &&
-                !d.dropped) {
-                ++d.inserted;
-                ++counters_.inserted;
-            }
-            break;
-          case FaultKind::TimingJitter:
-            if (maskedMatch(i, mask, now) &&
-                spec.jitter_sigma > 0.0) {
-                const double shift =
-                    rng_.gaussian(0.0, spec.jitter_sigma);
-                d.jitter += static_cast<Tick>(std::llround(shift));
-            }
-            break;
-          case FaultKind::StuckSet:
-          case FaultKind::StuckReset:
-          case FaultKind::DeadCell:
-            break;
-        }
-    }
-    if (d.jitter != 0)
-        ++counters_.jittered;
-    return d;
-}
-
-bool
-FaultModel::suppressArrivalMasked(std::uint64_t mask, Tick now)
-{
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
-        if (specs_[i].kind == FaultKind::DeadCell &&
-            maskedMatch(i, mask, now)) {
-            ++counters_.suppressed;
-            return true;
-        }
-    }
-    return false;
-}
-
-FaultModel::Delivery
 FaultModel::onDeliverKeyed(std::uint64_t mask, Tick now,
-                           std::uint64_t cell, std::uint32_t &ctr,
-                           FaultCounters &c) const
+                           std::uint64_t cell, std::uint32_t &ctr)
 {
     Delivery d;
     for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -224,12 +168,12 @@ FaultModel::onDeliverKeyed(std::uint64_t mask, Tick now,
             // a drop decision, so the per-cell stream position — and
             // therefore every later decision on this cell — is
             // independent of this delivery's fate (mirrors the
-            // sequential-stream rule in onDeliver).
+            // shared-stream rule in onDeliver).
             if (maskedMatch(i, mask, now) &&
                 keyedChance(spec.rate, seed_, cell, ctr) &&
                 !d.dropped) {
                 d.dropped = true;
-                ++c.dropped;
+                ++counters_.dropped;
             }
             break;
           case FaultKind::SpuriousPulse:
@@ -237,7 +181,7 @@ FaultModel::onDeliverKeyed(std::uint64_t mask, Tick now,
                 keyedChance(spec.rate, seed_, cell, ctr) &&
                 !d.dropped) {
                 ++d.inserted;
-                ++c.inserted;
+                ++counters_.inserted;
             }
             break;
           case FaultKind::TimingJitter:
@@ -255,18 +199,17 @@ FaultModel::onDeliverKeyed(std::uint64_t mask, Tick now,
         }
     }
     if (d.jitter != 0)
-        ++c.jittered;
+        ++counters_.jittered;
     return d;
 }
 
 bool
-FaultModel::suppressArrivalKeyed(std::uint64_t mask, Tick now,
-                                 FaultCounters &c) const
+FaultModel::suppressArrivalKeyed(std::uint64_t mask, Tick now)
 {
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         if (specs_[i].kind == FaultKind::DeadCell &&
             maskedMatch(i, mask, now)) {
-            ++c.suppressed;
+            ++counters_.suppressed;
             return true;
         }
     }

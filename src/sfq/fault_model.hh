@@ -139,7 +139,10 @@ class FaultModel
     /**
      * Decide the fate of a delivery leaving component @p src at time
      * @p now. Consumes randomness only for matching active faults,
-     * in insertion order, so streams are reproducible.
+     * in insertion order, so streams are reproducible. The compiled
+     * core uses these name-based queries only when more than 64
+     * specs make the per-cell target masks unusable; they draw from
+     * the model's single seeded stream.
      */
     Delivery onDeliver(std::string_view src, Tick now);
 
@@ -156,54 +159,36 @@ class FaultModel
     ///
     /// Bit i of @p mask caches targetMatches(i, cell) for the cell in
     /// question, so the per-event work is a bit test plus the time
-    /// window. Each query consumes randomness for exactly the same
-    /// spec set as its name-based twin, so fault streams — and every
-    /// downstream decision — are bit-identical across the two paths.
+    /// window.
     /// @{
-    Delivery onDeliverMasked(std::uint64_t mask, Tick now);
-    bool suppressArrivalMasked(std::uint64_t mask, Tick now);
+
+    /** True if an NDRO with target bits @p mask is stuck-set at
+     *  @p now. */
     bool stuckSetMasked(std::uint64_t mask, Tick now) const;
+
+    /** True if an NDRO with target bits @p mask is stuck-reset at
+     *  @p now. */
     bool stuckResetMasked(std::uint64_t mask, Tick now) const;
-    /// @}
 
-    /// @name Keyed queries (compiled / parallel path)
-    ///
-    /// Counter-based randomness: every draw is a pure function of
-    /// (seed, cell id, per-cell counter), so fault decisions depend
-    /// only on the per-cell delivery sequence — never on the global
-    /// interleaving of cells. That is what lets the partitioned
-    /// parallel simulator reproduce the sequential fault stream
-    /// exactly: each partition advances only its own cells' counters.
-    /// Effects are tallied into the caller's @p c (per-partition in
-    /// parallel runs, the model's own counters sequentially), so the
-    /// queries are const and race-free across partitions.
-    /// @{
-
-    /** Keyed twin of onDeliverMasked: the fate of a delivery leaving
-     *  cell @p cell, whose draw counter is @p ctr. Matching drop /
-     *  spurious specs consume one counter value each, jitter specs
-     *  exactly two, independent of earlier outcomes. */
+    /**
+     * The fate of a delivery leaving cell @p cell, whose draw counter
+     * is @p ctr. Counter-based randomness: every draw is a pure
+     * function of (seed, cell id, per-cell counter), so a draw
+     * depends only on the cell's own delivery history. Matching drop
+     * / spurious specs consume one counter value each, jitter specs
+     * exactly two, independent of earlier outcomes.
+     */
     Delivery onDeliverKeyed(std::uint64_t mask, Tick now,
-                            std::uint64_t cell, std::uint32_t &ctr,
-                            FaultCounters &c) const;
+                            std::uint64_t cell, std::uint32_t &ctr);
 
-    /** Keyed twin of suppressArrivalMasked (no randomness; counts
-     *  the suppression into @p c instead of the model). */
-    bool suppressArrivalKeyed(std::uint64_t mask, Tick now,
-                              FaultCounters &c) const;
+    /** True if a cell with target bits @p mask is dead at @p now;
+     *  counts the suppression. */
+    bool suppressArrivalKeyed(std::uint64_t mask, Tick now);
     /// @}
-
-    /** Mutable counters (for merging per-partition tallies back). */
-    FaultCounters &countersMut() { return counters_; }
 
     /** Fast-path guards: any fault of the given class configured? */
     bool anyDeliveryFaults() const { return delivery_faults_ > 0; }
     bool anyCellFaults() const { return cell_faults_ > 0; }
-
-    /** Any TimingJitter spec configured? Jitter shifts delivery
-     *  times arbitrarily, which defeats the parallel simulator's
-     *  min-link-delay lookahead — it falls back to sequential. */
-    bool anyJitterFaults() const { return jitter_faults_ > 0; }
 
     const FaultCounters &counters() const { return counters_; }
 
@@ -231,7 +216,6 @@ class FaultModel
     std::vector<FaultSpec> specs_;
     int delivery_faults_ = 0; ///< drop/spurious/jitter spec count
     int cell_faults_ = 0;     ///< stuck/dead spec count
-    int jitter_faults_ = 0;   ///< TimingJitter spec count
     std::uint64_t config_version_ = 0;
     FaultCounters counters_;
 };

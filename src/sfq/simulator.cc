@@ -44,21 +44,13 @@ Tick
 Simulator::run(Tick until)
 {
     core_.freeze();
-    ExecCtx cx;
-    cx.queue = &queue_;
-    cx.pulses = &pulses_;
-    cx.switch_count = switch_count_;
-    cx.faults = &faults_.countersMut();
-    cx.cell_faults = faults_.anyCellFaults();
-    cx.delivery_faults = faults_.anyDeliveryFaults();
     EventQueue::Event ev;
     while (queue_.popNext(until, ev)) {
         // Advance time *before* executing so that deliveries observe
         // the correct now() and relative scheduling is exact.
         now_ = ev.when;
-        cx.now = ev.when;
         if (ev.cell != EventQueue::kCallbackCell) {
-            core_.deliver(ev.cell, ev.port, cx);
+            core_.deliver(ev.cell, ev.port);
         } else {
             // Vacate the slot before invoking: the callback may
             // schedule further callbacks (and reuse this slot).
@@ -67,9 +59,6 @@ Simulator::run(Tick until)
             cb_pool_[slot] = nullptr;
             cb_free_.push_back(ev.port);
             cb();
-            // The callback may have reconfigured the fault model.
-            cx.cell_faults = faults_.anyCellFaults();
-            cx.delivery_faults = faults_.anyDeliveryFaults();
         }
     }
     return now_;
@@ -89,64 +78,21 @@ Simulator::reset()
     extra_energy_j_ = 0.0;
     violations_by_cell_.clear();
     last_violation_.clear();
-    last_v_when_ = -1;
-    last_v_cell_ = -1;
-    last_v_port_ = -1;
     core_.restoreState();
     faults_.resetCounters();
 }
 
 bool
-Simulator::reportViolation(const std::string &cell,
+Simulator::reportViolation(std::string_view cell,
                            const std::string &what,
                            const char *constraint, Tick prev, Tick at)
 {
-    // Legacy (unkeyed) entry point: always the most recent report,
-    // and resets the stored key so a later keyed report wins again.
-    const bool drop = reportViolationEvt(cell, what, constraint, prev,
-                                         at, -1, -1, -1);
-    {
-        std::lock_guard<std::mutex> lk(violation_mu_);
-        last_v_when_ = -1;
-        last_v_cell_ = -1;
-        last_v_port_ = -1;
-    }
-    return drop;
-}
-
-bool
-Simulator::reportViolationEvt(std::string_view cell,
-                              const std::string &what,
-                              const char *constraint, Tick prev,
-                              Tick at, Tick ev_when,
-                              std::int32_t ev_cell,
-                              std::int32_t ev_port)
-{
-    std::string where;
-    {
-        std::lock_guard<std::mutex> lk(violation_mu_);
-        ++violations_;
-        if (!cell.empty())
-            ++violations_by_cell_[std::string(cell)];
-        where = cell.empty() ? what : std::string(cell) + ": " + what;
-        // Max-key-wins: sequential execution reports in increasing
-        // event order, so >= reproduces "most recent"; partitioned
-        // lanes may report out of order and still converge on the
-        // same final value.
-        const bool newest =
-            ev_when > last_v_when_ ||
-            (ev_when == last_v_when_ &&
-             (ev_cell > last_v_cell_ ||
-              (ev_cell == last_v_cell_ && ev_port >= last_v_port_)));
-        if (newest) {
-            last_violation_ = where;
-            last_v_when_ = ev_when;
-            last_v_cell_ = ev_cell;
-            last_v_port_ = ev_port;
-        }
-        if (policy_ == ViolationPolicy::Recover)
-            ++recovered_;
-    }
+    ++violations_;
+    if (!cell.empty())
+        ++violations_by_cell_[std::string(cell)];
+    last_violation_ =
+        cell.empty() ? what : std::string(cell) + ": " + what;
+    const std::string &where = last_violation_;
     switch (policy_) {
       case ViolationPolicy::Ignore:
         break;
@@ -154,6 +100,7 @@ Simulator::reportViolationEvt(std::string_view cell,
         sushi_warn("timing constraint violated: %s", where.c_str());
         break;
       case ViolationPolicy::Recover:
+        ++recovered_;
         return true;
       case ViolationPolicy::Fatal:
         throw TimingFault(std::string(cell), where,

@@ -10,12 +10,6 @@
  * against the compiled tables; std::function callbacks remain
  * available for test harnesses and stimulus generators via a pooled
  * side channel that never touches the pulse hot path.
- *
- * Execution goes through an ExecCtx: the sequential run() wires one
- * context to the simulator's own queue and counters, while the
- * partitioned ParallelSimulator (parallel_simulator.hh) drives the
- * same compiled core with one context per partition and merges the
- * counters back, so both paths produce identical aggregates.
  */
 
 #ifndef SUSHI_SFQ_SIMULATOR_HH
@@ -25,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -174,25 +167,8 @@ class Simulator
      * forwarded into the TimingFault for attribution.
      * @return true if the offending pulse must be dropped (Recover).
      */
-    bool reportViolation(const std::string &cell,
-                         const std::string &what,
+    bool reportViolation(std::string_view cell, const std::string &what,
                          const char *constraint, Tick prev, Tick at);
-
-    /**
-     * Violation report keyed by the event that exposed it — the
-     * (when, cell id, port) of the delivery being executed. The key
-     * makes aggregation order-free: lastViolation() keeps the report
-     * with the maximum key, which under sequential execution is
-     * simply the latest one, and under partitioned execution is the
-     * same report regardless of which lane finds it first. Thread
-     * safe (parallel lanes report concurrently).
-     */
-    bool reportViolationEvt(std::string_view cell,
-                            const std::string &what,
-                            const char *constraint, Tick prev,
-                            Tick at, Tick ev_when,
-                            std::int32_t ev_cell,
-                            std::int32_t ev_port);
 
     /** Attributed violation without pulse-timing details. */
     bool
@@ -239,7 +215,7 @@ class Simulator
      * Total dynamic (switching) energy dissipated so far, joules:
      * the per-kind switch tallies priced by the cell library, plus
      * anything added via addSwitchEnergy(). Count-based, so the sum
-     * is exact (and merge-order-free) however execution interleaved.
+     * is exact.
      */
     double switchEnergy() const
     {
@@ -262,12 +238,8 @@ class Simulator
     /** Total pulses delivered between cells. */
     std::uint64_t pulses() const { return pulses_; }
 
-    /** Events executed so far (including events executed on lane
-     *  queues during partitioned runs). */
-    std::uint64_t eventsExecuted() const
-    {
-        return queue_.executed() + extra_events_;
-    }
+    /** Events executed so far. */
+    std::uint64_t eventsExecuted() const { return queue_.executed(); }
 
   private:
     /** Reject a schedule request dated before now(). */
@@ -282,18 +254,9 @@ class Simulator
     std::uint64_t pulses_ = 0;
     std::uint64_t switch_count_[CompiledNetlist::kNumExecKinds] = {};
     double extra_energy_j_ = 0.0;
-    std::uint64_t extra_events_ = 0; ///< lane-queue executed events
     ViolationPolicy policy_ = ViolationPolicy::Warn;
     std::map<std::string, std::uint64_t> violations_by_cell_;
     std::string last_violation_;
-
-    // Event key of the stored last_violation_ (max-key-wins merge);
-    // when = -1 marks "no keyed report yet" so the next keyed report
-    // always wins. Guarded by violation_mu_ with the counters above.
-    Tick last_v_when_ = -1;
-    std::int32_t last_v_cell_ = -1;
-    std::int32_t last_v_port_ = -1;
-    std::mutex violation_mu_;
 
     // Pooled callback storage: the queue carries only the slot index
     // (EventQueue::kCallbackCell events), so callbacks never allocate
@@ -301,7 +264,9 @@ class Simulator
     std::vector<Callback> cb_pool_;
     std::vector<std::int32_t> cb_free_;
 
-    friend class ParallelSimulator;
+    // The compiled core pushes onto this simulator's queue and tallies
+    // into its pulse and switch counters (CompiledNetlist::deliver).
+    friend class CompiledNetlist;
 };
 
 } // namespace sushi::sfq

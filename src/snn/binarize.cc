@@ -150,8 +150,20 @@ BinarySnn::fromFloat(const SnnMlp &net)
 BinarySnn
 BinarySnn::fromLayers(std::vector<BinaryLayer> layers, int t_steps)
 {
-    sushi_assert(!layers.empty());
-    sushi_assert(t_steps >= 1);
+    if (layers.empty())
+        throw std::invalid_argument("BinarySnn needs at least one "
+                                    "layer");
+    if (t_steps < 1)
+        throw std::invalid_argument("BinarySnn t_steps " +
+                                    std::to_string(t_steps) + " < 1");
+    for (std::size_t k = 0; k + 1 < layers.size(); ++k)
+        if (layers[k].outDim() != layers[k + 1].inDim())
+            throw std::invalid_argument(
+                "layer " + std::to_string(k) + " has " +
+                std::to_string(layers[k].outDim()) +
+                " outputs but layer " + std::to_string(k + 1) +
+                " takes " + std::to_string(layers[k + 1].inDim()) +
+                " inputs");
     BinarySnn out;
     out.layers_ = std::move(layers);
     out.t_steps_ = t_steps;

@@ -55,7 +55,10 @@ class BinarySnn
     /** Binarize a trained float network. */
     static BinarySnn fromFloat(const SnnMlp &net);
 
-    /** Assemble directly from layers (tests, hand-built networks). */
+    /** Assemble directly from layers (tests, hand-built networks).
+     *  @throws std::invalid_argument if @p layers is empty,
+     *          @p t_steps < 1, or a layer's outDim() differs from
+     *          the next layer's inDim(). */
     static BinarySnn fromLayers(std::vector<BinaryLayer> layers,
                                 int t_steps);
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/time.hh"
 #include "sfq/cells.hh"
 #include "sfq/netlist.hh"
@@ -254,8 +257,45 @@ TEST_F(CellTest, FanOutOfTwoRejected)
     PulseSink &a = net.makeSink("a");
     PulseSink &b = net.makeSink("b");
     j.connect(0, a, 0);
-    EXPECT_EXIT(j.connect(0, b, 0),
-                ::testing::ExitedWithCode(1), "fan-out");
+    try {
+        j.connect(0, b, 0);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("fan-out"),
+                  std::string::npos);
+    }
+    // The first connection is kept and still carries pulses.
+    j.inject(0, 0);
+    sim.run();
+    EXPECT_EQ(a.count(), 1u);
+    EXPECT_EQ(b.count(), 0u);
+}
+
+TEST_F(CellTest, OutOfRangePortsThrow)
+{
+    Jtl &j = net.makeJtl("j");
+    PulseSink &s = net.makeSink("s");
+    EXPECT_THROW(j.connect(1, s, 0), std::out_of_range);
+    EXPECT_THROW(j.connect(-1, s, 0), std::out_of_range);
+    EXPECT_THROW(j.connect(0, s, 1), std::out_of_range);
+    EXPECT_THROW((void)j.outputConnected(1), std::out_of_range);
+    EXPECT_THROW(j.inject(1, 0), std::out_of_range);
+    EXPECT_THROW(s.inject(-1, 0), std::out_of_range);
+    EXPECT_FALSE(j.outputConnected(0));
+    EXPECT_TRUE(sim.idle());
+}
+
+TEST_F(CellTest, CellOnSharedStructureReplicaThrows)
+{
+    Jtl &j = net.makeJtl("j");
+    PulseSink &s = net.makeSink("s");
+    Simulator replica(sim.core().shareStructure());
+    EXPECT_THROW(Jtl(replica, "extra"), std::logic_error);
+    // The sealed parent cannot grow or rewire either.
+    EXPECT_THROW(Jtl(sim, "extra"), std::logic_error);
+    EXPECT_THROW(j.connect(0, s, 0), std::logic_error);
+    EXPECT_EQ(replica.core().numCells(), 2u);
+    EXPECT_EQ(sim.core().numConnections(), 0u);
 }
 
 TEST_F(CellTest, DanglingOutputIsLegal)

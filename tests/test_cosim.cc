@@ -21,7 +21,6 @@
 #include <string>
 
 #include "chip/gate_sim.hh"
-#include "sfq/parallel_simulator.hh"
 #include "chip/sushi_chip.hh"
 #include "common/rng.hh"
 #include "compiler/pulse_encoder.hh"
@@ -37,13 +36,9 @@ namespace {
 /**
  * 100 randomized multi-burst counter programs: random chain length,
  * random preload, polarity flips between bursts, spike counts checked
- * after every burst (not just at the end). With @p threads > 1 every
- * drain runs on the partitioned parallel simulator with the gate
- * scattered across lanes (min lookahead 1 tick) — same oracle, same
- * spike-for-spike requirement.
+ * after every burst (not just at the end).
  */
-void
-multiBurstPrograms(int threads)
+TEST(CosimNpe, RandomMultiBurstPrograms)
 {
     Rng rng(1234);
     for (int trial = 0; trial < 100; ++trial) {
@@ -53,21 +48,6 @@ multiBurstPrograms(int threads)
         sfq::Netlist netlist(sim);
         npe::NpeGate gate(netlist, "npe", k);
         npe::Npe ref(k);
-
-        std::unique_ptr<sfq::ParallelSimulator> psim;
-        if (threads > 1) {
-            sfq::ParallelSimulator::Options opts;
-            opts.threads = threads;
-            opts.min_lookahead = 1;
-            psim = std::make_unique<sfq::ParallelSimulator>(sim,
-                                                            opts);
-        }
-        auto drain = [&] {
-            if (psim != nullptr)
-                psim->run();
-            else
-                sim.run();
-        };
 
         const Tick gap = sfq::safePulseSpacing();
         Tick t = gap;
@@ -108,7 +88,7 @@ multiBurstPrograms(int threads)
             // Draining advances simulator time past the injection
             // cursor (ripple/propagation delays), so resume injecting
             // after now().
-            drain();
+            sim.run();
             t = std::max(t, sim.now() + gap);
             ASSERT_EQ(gate.outSink().count(), ref_spikes)
                 << "trial " << trial << " burst " << burst;
@@ -117,13 +97,6 @@ multiBurstPrograms(int threads)
         EXPECT_EQ(gate.states(), ref.states()) << "trial " << trial;
         EXPECT_EQ(sim.violations(), 0u) << "trial " << trial;
     }
-}
-
-TEST(CosimNpe, RandomMultiBurstPrograms) { multiBurstPrograms(0); }
-
-TEST(CosimNpe, RandomMultiBurstProgramsPartitioned)
-{
-    multiBurstPrograms(4);
 }
 
 /**
@@ -312,22 +285,6 @@ TEST_P(LayerCosim, GateChipMatchesBehaviouralStepLayer)
     for (std::size_t s = 0; s < gate_steps.size(); ++s)
         EXPECT_EQ(gate_steps[s], behav_steps[s])
             << "n=" << n << " variant " << variant << " step " << s;
-
-    // Third party to the agreement: the same program on a second
-    // gate chip whose event kernel runs partitioned across two
-    // lanes. The mesh is one tight component at the default
-    // lookahead, so this also covers the single-lane fallback at
-    // small n.
-    sfq::Simulator psim_sim;
-    psim_sim.setViolationPolicy(sfq::ViolationPolicy::Fatal);
-    sfq::Netlist pnetlist(psim_sim);
-    chip::GateChip pgate(pnetlist, cfg);
-    pgate.setSimThreads(2);
-    auto pgate_steps = pgate.runProgram(compiled, prog);
-    EXPECT_EQ(psim_sim.violations(), 0u);
-    EXPECT_EQ(pgate_steps, gate_steps)
-        << "partitioned gate chip diverged, n=" << n << " variant "
-        << variant;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -341,7 +298,7 @@ INSTANTIATE_TEST_SUITE_P(
  * rewrite: event count, final time, pulse count, switching energy
  * (bit-exact via %.17g) and the per-step spike counts of eight seeded
  * 16x16 nets. Any change in event order, timing or dissipation shows
- * up here, on the sequential path and on 2 and 4 partitioned lanes.
+ * up here.
  */
 
 /** What one pinned 16x16 gate-level net produced. */
@@ -357,7 +314,7 @@ struct GatePin
 /** Run seeded 16x16 net @p seed (sc_per_npe 5, T = 5) through the
  *  compiler's pulse program on a fresh GateChip. */
 GatePin
-runPinnedNet(std::uint64_t seed, int threads)
+runPinnedNet(std::uint64_t seed)
 {
     constexpr int kN = 16;
     constexpr int kSteps = 5;
@@ -390,7 +347,6 @@ runPinnedNet(std::uint64_t seed, int threads)
     sim.setViolationPolicy(sfq::ViolationPolicy::Fatal);
     sfq::Netlist netlist(sim);
     chip::GateChip gate(netlist, cfg);
-    gate.setSimThreads(threads);
     const auto steps = gate.runProgram(compiled, prog);
 
     GatePin pin{sim.eventsExecuted(), sim.now(), sim.pulses(), {}, {}};
@@ -460,16 +416,11 @@ const GatePin kRecordedPins[] = {
      "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0"},
 };
 
-class GatePins : public ::testing::TestWithParam<int>
+TEST(GatePins, SixteenBySixteenNetsMatchRecordedOutputs)
 {
-};
-
-TEST_P(GatePins, SixteenBySixteenNetsMatchRecordedOutputs)
-{
-    const int threads = GetParam();
     for (std::uint64_t seed = 0; seed < std::size(kRecordedPins);
          ++seed) {
-        const GatePin got = runPinnedNet(seed, threads);
+        const GatePin got = runPinnedNet(seed);
         const GatePin &want = kRecordedPins[seed];
         EXPECT_EQ(got.events, want.events) << "seed " << seed;
         EXPECT_EQ(got.now, want.now) << "seed " << seed;
@@ -487,7 +438,7 @@ TEST_P(GatePins, SixteenBySixteenNetsMatchRecordedOutputs)
  * pulse counts record the (cell, port) order of every tie.
  */
 std::string
-runTieOrderNet(std::uint64_t seed, int threads)
+runTieOrderNet(std::uint64_t seed)
 {
     constexpr int kCells = 16;
     Rng rng(0x7135eed0 + seed);
@@ -514,11 +465,7 @@ runTieOrderNet(std::uint64_t seed, int threads)
                     ndro->inject(p, step * gap);
         }
     }
-    sfq::ParallelSimulator::Options opts;
-    opts.threads = threads;
-    opts.min_lookahead = 1;
-    sfq::ParallelSimulator psim(sim, opts);
-    psim.run();
+    sim.run();
     std::string out;
     for (const auto &sink : sinks)
         out += std::to_string(sink->count()) + ",";
@@ -535,17 +482,13 @@ const char *const kRecordedTieOrder[] = {
     "8,7,8,7,5,1,11,10,6,7,7,6,8,6,11,4,",
 };
 
-TEST_P(GatePins, SameTickPortTiesMatchRecordedOutputs)
+TEST(GatePins, SameTickPortTiesMatchRecordedOutputs)
 {
     for (std::uint64_t seed = 0; seed < std::size(kRecordedTieOrder);
          ++seed)
-        EXPECT_EQ(runTieOrderNet(seed, GetParam()),
-                  kRecordedTieOrder[seed])
+        EXPECT_EQ(runTieOrderNet(seed), kRecordedTieOrder[seed])
             << "seed " << seed;
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, GatePins,
-                         ::testing::Values(0, 2, 4));
 
 /** A 2x2 single-layer net with thresholds @p theta and its program. */
 struct SmallNet

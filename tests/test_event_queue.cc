@@ -209,8 +209,8 @@ sameEvent(const EventQueue::Event &a, const EventQueue::Event &b)
  * Seeded random pushes (full (when, cell, port) collisions,
  * callbacks among pulses at one tick, ring and far-future ticks, far
  * pushes out of order, dense single-day bursts well past kSortedMax,
- * stragglers into a long run) interleaved with popNext(until), take(),
- * nextTick() and clear(). Every pop must be the reference's earliest
+ * stragglers into a long run) interleaved with popNext(until), an
+ * unbounded popNext, nextTick() and clear(). Every pop must be the reference's earliest
  * event, and every full drain must equal std::sort of what was
  * pending, event for event.
  */
@@ -303,8 +303,9 @@ TEST(EventQueue, DifferentialFuzzAgainstSortedReference)
                     ref.erase(it);
                 }
             } else if (what < 90) {
+                // An unbounded pop.
                 EventQueue::Event got{};
-                const bool took = q.take(got);
+                const bool took = q.popNext(kTickNever, got);
                 const auto it = earliest();
                 ASSERT_EQ(took, it != ref.end());
                 if (took) {

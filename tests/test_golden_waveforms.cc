@@ -28,7 +28,6 @@
 #include "sfq/cells.hh"
 #include "sfq/constraints.hh"
 #include "sfq/netlist.hh"
-#include "sfq/parallel_simulator.hh"
 #include "sfq/simulator.hh"
 #include "sfq/waveform.hh"
 
@@ -98,10 +97,7 @@ checkGolden(const std::string &name, const PulseTrace &trace)
         << name << ": trace diverged from " << goldenPath(name);
 }
 
-/** A micro-netlist: one cell, sources on each input, sink on out 0.
- *  With @p threads > 1 the event kernel runs on the partitioned
- *  parallel simulator, split at every cell boundary (min lookahead
- *  1 tick) — the goldens must not move. */
+/** A micro-netlist: one cell, sources on each input, sink on out 0. */
 struct MicroBench
 {
     Simulator sim;
@@ -110,9 +106,8 @@ struct MicroBench
     PulseSink *out = nullptr;
     Tick gap = safePulseSpacing();
     Tick t = 0;
-    int threads = 0;
 
-    explicit MicroBench(int sim_threads = 0) : threads(sim_threads)
+    MicroBench()
     {
         sim.setViolationPolicy(ViolationPolicy::Fatal);
     }
@@ -138,26 +133,17 @@ struct MicroBench
 
     PulseTrace finish()
     {
-        if (threads > 1) {
-            ParallelSimulator::Options opts;
-            opts.threads = threads;
-            opts.min_lookahead = 1; // split even tiny rigs
-            ParallelSimulator psim(sim, opts);
-            psim.run();
-        } else {
-            sim.run();
-        }
+        sim.run();
         EXPECT_EQ(sim.violations(), 0u);
         return out->pulsesSeen();
     }
 };
 
-void
-ndroScenario(int threads)
+TEST(GoldenWaveforms, Ndro)
 {
     // din arms, each clk reads non-destructively, rst clears
     // (Fig. 3(b)(f); the Sec. 4.1.1 configurable switch).
-    MicroBench mb(threads);
+    MicroBench mb;
     auto &cell = mb.net.makeNdro("ndro");
     mb.wire(cell, 3);
     const int din = 0, rst = 1, clk = 2;
@@ -174,12 +160,11 @@ ndroScenario(int threads)
     checkGolden("ndro", trace);
 }
 
-void
-tfflScenario(int threads)
+TEST(GoldenWaveforms, TffL)
 {
     // L-variant toggle: a pulse out on every 0 -> 1 flip, i.e. on
     // odd-numbered inputs (Sec. 2.1.2 E — the frequency divider).
-    MicroBench mb(threads);
+    MicroBench mb;
     auto &cell = mb.net.makeTffl("tff");
     mb.wire(cell, 1);
     for (int i = 0; i < 6; ++i)
@@ -189,11 +174,10 @@ tfflScenario(int threads)
     checkGolden("tffl", trace);
 }
 
-void
-cbScenario(int threads)
+TEST(GoldenWaveforms, Cb)
 {
     // Confluence buffer merges both inputs onto one output.
-    MicroBench mb(threads);
+    MicroBench mb;
     auto &cell = mb.net.makeCb("cb");
     mb.wire(cell, 2);
     mb.fire(0);
@@ -206,12 +190,11 @@ cbScenario(int threads)
     checkGolden("cb", trace);
 }
 
-void
-dffScenario(int threads)
+TEST(GoldenWaveforms, Dff)
 {
     // Destructive readout: dout fires only for clk after din, and
     // the read consumes the stored flux (Fig. 3(a)(e)).
-    MicroBench mb(threads);
+    MicroBench mb;
     auto &cell = mb.net.makeDff("dff");
     mb.wire(cell, 2);
     const int din = 0, clk = 1;
@@ -226,18 +209,6 @@ dffScenario(int threads)
     checkGolden("dff", trace);
 }
 
-TEST(GoldenWaveforms, Ndro) { ndroScenario(0); }
-TEST(GoldenWaveforms, TffL) { tfflScenario(0); }
-TEST(GoldenWaveforms, Cb) { cbScenario(0); }
-TEST(GoldenWaveforms, Dff) { dffScenario(0); }
-
-// The same scenarios with the event kernel partitioned across four
-// lanes: the checked-in goldens are the oracle, so any divergence
-// between the sequential and parallel kernels fails here too.
-TEST(GoldenWaveformsPartitioned, Ndro) { ndroScenario(4); }
-TEST(GoldenWaveformsPartitioned, TffL) { tfflScenario(4); }
-TEST(GoldenWaveformsPartitioned, Cb) { cbScenario(4); }
-TEST(GoldenWaveformsPartitioned, Dff) { dffScenario(4); }
 
 TEST(GoldenWaveforms, DifferAcceptsJitterWithinTolerance)
 {

@@ -528,6 +528,38 @@ TEST(Binarize, WrongFrameWidthThrows)
     }
 }
 
+TEST(Binarize, FromLayersRejectsUnchainedWidths)
+{
+    // 3 -> 2, then a layer that wants 3 inputs: the widths do not
+    // chain, so assembly refuses instead of stepForward aborting.
+    BinaryLayer first;
+    first.weights = {{1, -1, 1}, {-1, 1, 1}};
+    first.thresholds = {1, 1};
+    BinaryLayer wants3;
+    wants3.weights = {{1, 1, 1}};
+    wants3.thresholds = {1};
+    EXPECT_THROW(BinarySnn::fromLayers({first, wants3}, 2),
+                 std::invalid_argument);
+    try {
+        BinarySnn::fromLayers({first, wants3}, 2);
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("layer 1"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(BinarySnn::fromLayers({}, 2), std::invalid_argument);
+    EXPECT_THROW(BinarySnn::fromLayers({first}, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(BinarySnn::fromLayers({first}, -3),
+                 std::invalid_argument);
+
+    // A chaining pair still assembles and steps.
+    BinaryLayer wants2;
+    wants2.weights = {{1, 1}};
+    wants2.thresholds = {1};
+    const auto net = BinarySnn::fromLayers({first, wants2}, 2);
+    EXPECT_EQ(net.stepForward({1, 0, 1}).size(), 1u);
+}
+
 TEST(Binarize, BinaryAwareTrainingIsConsistent)
 {
     // After binarization-aware stateless training, the binarized
