@@ -72,16 +72,6 @@ Histogram::merge(const Histogram &other)
     sum_ += other.sum_;
 }
 
-void
-Histogram::reset()
-{
-    std::fill(counts_.begin(), counts_.end(), 0);
-    count_ = 0;
-    sum_ = 0;
-    min_ = 0;
-    max_ = 0;
-}
-
 double
 Histogram::mean() const
 {

@@ -50,12 +50,6 @@ class Histogram
     /** Bucket-wise merge; bounds must be identical. */
     void merge(const Histogram &other);
 
-    /** Forget every sample but keep the bucket bounds (and their
-     *  allocation) — the delta-accumulator reuse path: a shard's
-     *  histogram delta is merged into the global rollup and reset in
-     *  place, so the steady-state fold allocates nothing. */
-    void reset();
-
     std::uint64_t count() const { return count_; }
     std::int64_t sum() const { return sum_; }
     std::int64_t min() const { return count_ ? min_ : 0; }

@@ -1,6 +1,8 @@
 #include "compiler/pulse_encoder.hh"
 
-#include "common/logging.hh"
+#include <stdexcept>
+#include <string>
+
 #include "sfq/constraints.hh"
 
 namespace sushi::compiler {
@@ -11,15 +13,36 @@ encodeLayerProgram(
     const std::vector<std::vector<std::uint8_t>> &frames,
     const EncoderConfig &cfg)
 {
-    sushi_assert(cnet.net != nullptr);
-    sushi_assert(cnet.layers.size() == 1);
+    auto reject = [](const std::string &why) {
+        throw std::invalid_argument("encodeLayerProgram: " + why);
+    };
+    if (cnet.net == nullptr)
+        reject("the compiled network has no source net");
+    if (cnet.layers.size() != 1 || cnet.net->layers().size() != 1)
+        reject("the network has " + std::to_string(cnet.layers.size()) +
+               " layers; the encoder takes one");
     const auto &layer = cnet.layers[0];
     const auto &blayer = cnet.net->layers()[0];
     const int in_dim = static_cast<int>(blayer.inDim());
     const int out_dim = static_cast<int>(blayer.outDim());
     const int n = cnet.chip.n;
     const int k = cnet.chip.sc_per_npe;
-    sushi_assert(in_dim <= n && out_dim <= n);
+    if (in_dim > n || out_dim > n)
+        reject("a " + std::to_string(in_dim) + "x" +
+               std::to_string(out_dim) + " layer does not fit a " +
+               std::to_string(n) + "x" + std::to_string(n) + " mesh");
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+        if (static_cast<int>(frames[f].size()) != in_dim)
+            reject("frame " + std::to_string(f) + " has " +
+                   std::to_string(frames[f].size()) +
+                   " inputs, the layer takes " +
+                   std::to_string(in_dim));
+    }
+    // Thresholds <= 0 compile to excitatory bias pulses at step
+    // start; the encoded protocol has no stream for them.
+    for (const int bias : layer.bias_pulses)
+        if (bias > 0)
+            reject("bias pulses are not encoded; use thresholds >= 1");
 
     const Tick gap =
         cfg.spacing ? cfg.spacing : sfq::safePulseSpacing();
@@ -38,7 +61,6 @@ encodeLayerProgram(
     };
 
     for (const auto &frame : frames) {
-        sushi_assert(static_cast<int>(frame.size()) == in_dim);
         prog.step_bounds.push_back(t);
 
         // Step start: reset and preload the output NPEs

@@ -34,7 +34,11 @@ struct EncoderConfig
 /**
  * Encode a full inference run of a single-layer compiled network
  * (in_dim, out_dim <= mesh width — the gate-level scale) over binary
- * input frames, one time step per frame.
+ * input frames, one time step per frame. Throws
+ * std::invalid_argument, before encoding anything, on a network
+ * without a source net or with other than one layer, a layer wider
+ * than the mesh, a frame of the wrong width, or a threshold <= 0
+ * (its bias pulses have no encoded stream).
  */
 PulseProgram encodeLayerProgram(const CompiledNetwork &cnet,
                                 const std::vector<std::vector<

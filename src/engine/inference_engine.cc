@@ -91,7 +91,6 @@ InferenceEngine::InferenceEngine(
     stages_ = model_->stageCount();
     chips_.reserve(static_cast<std::size_t>(replicas * stages_));
     chip_mu_.reserve(static_cast<std::size_t>(replicas));
-    accounts_.resize(static_cast<std::size_t>(replicas));
     for (int r = 0; r < replicas; ++r) {
         for (int s = 0; s < stages_; ++s)
             chips_.push_back(
@@ -175,50 +174,6 @@ int
 InferenceEngine::npeSlots() const
 {
     return model_->chip().n;
-}
-
-void
-InferenceEngine::recordBatchOutcome(int replica, bool ok,
-                                    std::int64_t service_ns,
-                                    std::size_t samples)
-{
-    checkReplica(replica);
-    std::lock_guard<std::mutex> lock(accounts_mu_);
-    ReplicaAccount &acct =
-        accounts_[static_cast<std::size_t>(replica)];
-    ++acct.batches;
-    acct.service_ns_total += service_ns;
-    acct.last_service_ns = service_ns;
-    if (ok) {
-        acct.samples += samples;
-        acct.consecutive_failures = 0;
-    } else {
-        ++acct.failures;
-        ++acct.consecutive_failures;
-    }
-}
-
-ReplicaAccount
-InferenceEngine::replicaAccount(int replica) const
-{
-    checkReplica(replica);
-    ReplicaAccount acct;
-    {
-        std::lock_guard<std::mutex> lock(accounts_mu_);
-        acct = accounts_[static_cast<std::size_t>(replica)];
-    }
-    acct.failed_npes =
-        static_cast<std::uint64_t>(failedNpeSlots(replica));
-    return acct;
-}
-
-void
-InferenceEngine::clearReplicaStreak(int replica)
-{
-    checkReplica(replica);
-    std::lock_guard<std::mutex> lock(accounts_mu_);
-    accounts_[static_cast<std::size_t>(replica)]
-        .consecutive_failures = 0;
 }
 
 ReplicaRun
@@ -393,9 +348,6 @@ InferenceEngine::run(const std::vector<Sample> &samples)
                 ReplicaRun rr =
                     runOnReplica(active[a], shard_ptrs.data(),
                                  shard_ptrs.size());
-                recordBatchOutcome(active[a], /*ok=*/true,
-                                   /*service_ns=*/0,
-                                   shard_ptrs.size());
                 for (std::size_t k = 0; k < shards[r].size(); ++k) {
                     const std::size_t i = shards[r][k];
                     out.samples[i] = std::move(rr.results[k]);

@@ -90,32 +90,6 @@ struct ReplicaRun
     std::vector<chip::InferenceStats> per_sample; ///< stats deltas
 };
 
-/**
- * Per-replica error/latency account — the raw health signal the
- * serving layer's failure detector reads. The engine only records
- * what happened (the serving layer tells it batch outcomes via
- * recordBatchOutcome); detection thresholds and quarantine decisions
- * live in serve::HealthPolicy.
- */
-struct ReplicaAccount
-{
-    std::uint64_t batches = 0;  ///< dispatches recorded
-    std::uint64_t samples = 0;  ///< requests in successful batches
-    std::uint64_t failures = 0; ///< failed dispatches
-    std::uint64_t consecutive_failures = 0; ///< since last success
-    std::int64_t service_ns_total = 0; ///< summed batch service time
-    std::int64_t last_service_ns = 0;  ///< most recent batch
-    std::uint64_t failed_npes = 0; ///< chip failed-slot gauge
-
-    /** Mean service per recorded batch (0 if none). */
-    double meanServiceNs() const
-    {
-        return batches == 0 ? 0.0
-                            : static_cast<double>(service_ns_total) /
-                                  static_cast<double>(batches);
-    }
-};
-
 /** One completed batch. */
 struct EngineRun
 {
@@ -207,21 +181,6 @@ class InferenceEngine
     /** Output-NPE slots per replica (valid chaos degrade targets). */
     int npeSlots() const;
 
-    /** Record the outcome of one dispatched batch into the per-
-     *  replica account (called by the serving layer; run() records
-     *  its own shards). Thread-safe. */
-    void recordBatchOutcome(int replica, bool ok,
-                            std::int64_t service_ns,
-                            std::size_t samples);
-
-    /** Snapshot of replica @p replica's account (failed_npes is
-     *  refreshed from the chip at snapshot time). Thread-safe. */
-    ReplicaAccount replicaAccount(int replica) const;
-
-    /** Reset @p replica's consecutive-failure streak (after the
-     *  serving layer readmits it). Thread-safe. */
-    void clearReplicaStreak(int replica);
-
     /** Run one batch. Deterministic per the contract above. */
     EngineRun run(const std::vector<Sample> &samples);
 
@@ -270,9 +229,6 @@ class InferenceEngine
      *  runOnReplica and by the degrade/heal mutators, so health
      *  mutations land on batch boundaries. */
     mutable std::vector<std::unique_ptr<std::mutex>> chip_mu_;
-
-    mutable std::mutex accounts_mu_;
-    std::vector<ReplicaAccount> accounts_;
 };
 
 /**

@@ -2,21 +2,23 @@
  * @file
  * Observability snapshot of the serving layer.
  *
- * ServerMetrics is a value type: Server::metrics() copies the live
- * counters/histograms under the metrics lock and the caller owns the
- * snapshot. Every aggregate is integer-valued or derived from
- * integers at render time, so in virtual-clock mode toJson() is
- * byte-identical across worker-thread counts and across repeated
- * runs of the same seeded workload (the serve determinism property
- * in tests/test_serve.cc, extended to whole chaos campaigns in
- * tests/test_chaos.cc).
+ * ServerMetrics is a value type: Server::metrics() folds the
+ * scheduler's record and each admission shard's partial record into
+ * one snapshot, and the caller owns it. Every field is declared once
+ * in SUSHI_SERVER_METRICS with its merge rule — counters add,
+ * histograms merge bucket-wise, the span watermarks take min / max,
+ * and the scheduler-held state (breaker, per-replica rows, merged
+ * engine stats) is not folded. Every aggregate is integer-valued or
+ * derived from integers at render time, so in virtual-clock mode
+ * toJson() is byte-identical across worker-thread counts, across
+ * admission-shard counts and across repeated runs of the same seeded
+ * workload (the determinism properties in tests/test_serve.cc,
+ * tests/test_frontend.cc and tests/test_chaos.cc).
  *
- * PR 6 adds the resilience counters: retries, hedge outcomes,
- * circuit-breaker transitions, quarantine/probe/readmission
- * accounting, chaos injection totals, and per-replica health state
- * including the failed-NPE gauge surfaced from the chip layer — so
- * a degraded-but-alive replica is distinguishable from a healthy
- * one in the same snapshot that shows a quarantined one.
+ * The per-replica rows carry the health state, including the
+ * failed-NPE gauge surfaced from the chip layer, so a
+ * degraded-but-alive replica is distinguishable from a healthy one
+ * in the same snapshot that shows a quarantined one.
  */
 
 #ifndef SUSHI_SERVE_METRICS_HH
@@ -53,81 +55,119 @@ struct ReplicaMetrics
     bool degraded() const { return failed_npes > 0; }
 };
 
+/**
+ * Every ServerMetrics field and toJson() key, declared once, in key
+ * order. Three kinds of row:
+ *
+ *  - F(type, name, rule[, init]): a field that ServerMetrics::fold
+ *    merges by @p rule (serve::merge), rendered under its own name.
+ *  - S(type, name): a field only the scheduler sets; fold
+ *    keeps the receiving snapshot's value, and a D row renders it.
+ *  - D(key, expr): a key rendered from the fields at toJson() time.
+ *
+ * The members, fold() and toJson() expand from this list, so adding
+ * a counter is one line.
+ */
+#define SUSHI_SERVER_METRICS(F, S, D)                                   \
+    /* Request accounting. */                                           \
+    F(std::uint64_t, submitted, Add)   /* submit()/submitAt() calls */  \
+    F(std::uint64_t, accepted, Add)    /* admitted to the queue */      \
+    F(std::uint64_t, completed, Add)   /* executed and answered */      \
+    F(std::uint64_t, rejected_queue_full, Add)                          \
+    F(std::uint64_t, rejected_deadline, Add) /* shed before running */  \
+    F(std::uint64_t, rejected_shutdown, Add)                            \
+    F(std::uint64_t, rejected_breaker, Add) /* breaker fast-fails */    \
+    F(std::uint64_t, rejected_replica_failure, Add) /* retries out */   \
+    F(std::uint64_t, rejected_invalid, Add) /* malformed input shape */ \
+    F(std::uint64_t, deadline_missed, Add) /* completed after it */     \
+    /* Batcher accounting. */                                           \
+    F(std::uint64_t, batches, Add)                                      \
+    F(std::uint64_t, flush_size, Add)      /* flushed at max_batch */   \
+    F(std::uint64_t, flush_delay, Add)     /* at max_delay_ns */        \
+    F(std::uint64_t, flush_drain, Add)     /* by drain/shutdown */      \
+    F(std::uint64_t, batch_failures, Add)  /* dispatches that failed */ \
+    /* Recovery accounting. */                                          \
+    F(std::uint64_t, retries, Add)         /* retries queued */         \
+    F(std::uint64_t, hedges_launched, Add) /* hedge copies enqueued */  \
+    F(std::uint64_t, hedges_won, Add)      /* hedge resolved first */   \
+    F(std::uint64_t, hedges_lost, Add)     /* primary resolved first */ \
+    F(std::uint64_t, hedges_cancelled, Add) /* cancelled unqueued */    \
+    F(std::uint64_t, breaker_opens, Add)                                \
+    F(std::uint64_t, breaker_half_opens, Add)                           \
+    F(std::uint64_t, breaker_closes, Add)                               \
+    S(BreakerState, breaker)               /* at snapshot */            \
+    D(breaker_state, breakerStateName(breaker))                         \
+    F(std::uint64_t, quarantines, Add)     /* replicas failed out */    \
+    F(std::uint64_t, probes, Add)          /* health probes run */      \
+    F(std::uint64_t, probe_failures, Add)                               \
+    F(std::uint64_t, readmits, Add)        /* probe-success readmits */ \
+    F(std::uint64_t, spares_promoted, Add) /* hot spares activated */   \
+    /* Chaos injection totals. */                                       \
+    F(std::uint64_t, chaos_crashes, Add)                                \
+    F(std::uint64_t, chaos_stalls, Add)                                 \
+    F(std::uint64_t, chaos_slow_degrades, Add)                          \
+    F(std::uint64_t, chaos_faults, Add)                                 \
+    F(std::uint64_t, chaos_degrades, Add)  /* injected NPE failures */  \
+    D(degraded_replicas, degradedReplicas())                            \
+    /* Serving span watermarks. */                                      \
+    F(std::int64_t, first_submit_ns, Min, -1) /* first admit; -1 none */\
+    F(std::int64_t, last_event_ns, Max)    /* latest completion */      \
+    D(span_ns, spanNs())                                                \
+    D(goodput_rps, goodputRps())                                        \
+    D(availability, availability())                                     \
+    /* Latency and batch-size distributions (nanoseconds in the      */ \
+    /* server's clock domain).                                       */ \
+    F(Histogram, queue_ns, Buckets, Histogram::exponential())           \
+    F(Histogram, service_ns, Buckets, Histogram::exponential())         \
+    F(Histogram, total_ns, Buckets, Histogram::exponential())           \
+    F(Histogram, batch_size, Buckets, Histogram::linear(1, 64, 1))      \
+    S(std::vector<ReplicaMetrics>, replicas) /* index = replica id */   \
+    D(replicas, replicas)                                               \
+    /* Engine stats folded at batch completion, in completion order  */ \
+    /* (deterministic under the virtual clock), with the compiler    */ \
+    /* diagnostic gauges of engine::statsJson.                       */ \
+    S(chip::InferenceStats, merged)                                     \
+    D(merged_stats, merged)
+
+/** Merge rules of the ServerMetrics fields. */
+namespace merge {
+
+using chip::merge::Add; ///< counters
+using chip::merge::Max; ///< latest-event watermark
+
+/** Earliest-event watermark; -1 on either side means none. */
+struct Min
+{
+    void operator()(std::int64_t &into, std::int64_t from) const
+    {
+        if (from >= 0 && (into < 0 || from < into))
+            into = from;
+    }
+};
+
+/** Histograms: Histogram::merge (bounds must match). */
+struct Buckets
+{
+    void operator()(Histogram &into, const Histogram &from) const
+    {
+        into.merge(from);
+    }
+};
+
+} // namespace merge
+
 /** One coherent snapshot of the server's counters and latency
- *  distributions. */
+ *  distributions (fields: see SUSHI_SERVER_METRICS). */
 struct ServerMetrics
 {
-    /// @name Request accounting.
-    /// @{
-    std::uint64_t submitted = 0; ///< submit()/submitAt() calls seen
-    std::uint64_t accepted = 0;  ///< admitted to the queue
-    std::uint64_t completed = 0; ///< executed and answered
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t rejected_deadline = 0; ///< shed before execution
-    std::uint64_t rejected_shutdown = 0;
-    std::uint64_t rejected_breaker = 0;  ///< breaker fast-fails
-    std::uint64_t rejected_replica_failure = 0; ///< retries exhausted
-    std::uint64_t rejected_invalid = 0;  ///< malformed input shape
-    std::uint64_t deadline_missed = 0; ///< completed after deadline
-    /// @}
-
-    /// @name Batcher accounting.
-    /// @{
-    std::uint64_t batches = 0;
-    std::uint64_t flush_size = 0;  ///< flushed at max_batch
-    std::uint64_t flush_delay = 0; ///< flushed at max_delay_ns
-    std::uint64_t flush_drain = 0; ///< flushed by drain/shutdown
-    std::uint64_t batch_failures = 0; ///< dispatches that failed
-    /// @}
-
-    /// @name Recovery accounting (PR 6).
-    /// @{
-    std::uint64_t retries = 0;          ///< retry dispatches queued
-    std::uint64_t hedges_launched = 0;  ///< hedge copies enqueued
-    std::uint64_t hedges_won = 0;       ///< hedge resolved first
-    std::uint64_t hedges_lost = 0;      ///< primary resolved first
-    std::uint64_t hedges_cancelled = 0; ///< copy cancelled unqueued
-    std::uint64_t breaker_opens = 0;
-    std::uint64_t breaker_half_opens = 0;
-    std::uint64_t breaker_closes = 0;
-    std::uint64_t quarantines = 0;      ///< replicas failed out
-    std::uint64_t probes = 0;           ///< health probes run
-    std::uint64_t probe_failures = 0;
-    std::uint64_t readmits = 0;         ///< probe-success readmits
-    std::uint64_t spares_promoted = 0;  ///< hot spares activated
-    BreakerState breaker = BreakerState::Closed; ///< at snapshot
-    /// @}
-
-    /// @name Chaos injection totals (PR 6).
-    /// @{
-    std::uint64_t chaos_crashes = 0;
-    std::uint64_t chaos_stalls = 0;
-    std::uint64_t chaos_slow_degrades = 0;
-    std::uint64_t chaos_faults = 0;
-    std::uint64_t chaos_degrades = 0; ///< injected NPE failures
-    /// @}
-
-    /// @name Latency and batch-size distributions (nanoseconds in
-    /// the server's clock domain).
-    /// @{
-    Histogram queue_ns{Histogram::exponential()};
-    Histogram service_ns{Histogram::exponential()};
-    Histogram total_ns{Histogram::exponential()};
-    Histogram batch_size{Histogram::linear(1, 64, 1)};
-    /// @}
-
-    /** Per-replica totals (index = replica id). */
-    std::vector<ReplicaMetrics> replicas;
-
-    /** Engine stats folded at batch completion, in completion order
-     *  (deterministic under the virtual clock). Includes the
-     *  compiler-diagnostic gauges (disabled_neurons, plan_reloads,
-     *  jj/area utilisation of the worst plan stage) surfaced through
-     *  engine::statsJson. */
-    chip::InferenceStats merged;
-
-    std::int64_t first_submit_ns = -1; ///< first admission (-1: none)
-    std::int64_t last_event_ns = 0;    ///< latest completion/reject
+#define SUSHI_METRIC_FIELD(type, name, rule, ...) type name{__VA_ARGS__};
+#define SUSHI_METRIC_HELD(type, name) type name{};
+#define SUSHI_METRIC_DERIVED(key, expr)
+    SUSHI_SERVER_METRICS(SUSHI_METRIC_FIELD, SUSHI_METRIC_HELD,
+                         SUSHI_METRIC_DERIVED)
+#undef SUSHI_METRIC_FIELD
+#undef SUSHI_METRIC_HELD
+#undef SUSHI_METRIC_DERIVED
 
     /** Observed serving span (first submit to last event). */
     std::int64_t spanNs() const
@@ -154,75 +194,19 @@ struct ServerMetrics
     std::uint64_t degradedReplicas() const;
 
     /**
+     * Merge @p from's F fields into this snapshot by their rules.
+     * Every rule commutes, so folding any number of partial
+     * snapshots in any order gives the same bytes; S fields keep
+     * this snapshot's values.
+     */
+    void fold(const ServerMetrics &from);
+
+    /**
      * Byte-deterministic JSON rendering (common/stats::JsonWriter
      * formatting rules; histograms via Histogram::json()). Equal
      * snapshots give equal bytes.
      */
     std::string toJson() const;
-};
-
-/**
- * The shard-delta counters, declared once: X(name) for each
- * ServerMetrics counter of the same name that MetricsDelta adds into
- * it. Admission-side counters first, then completion-side (per-batch)
- * ones. The members, empty() and foldInto() expand from this list.
- */
-#define SUSHI_METRICS_DELTA_COUNTERS(X)                                 \
-    X(submitted)                                                        \
-    X(accepted)                                                         \
-    X(rejected_queue_full)                                              \
-    X(rejected_deadline)                                                \
-    X(rejected_shutdown)                                                \
-    X(rejected_breaker)                                                 \
-    X(rejected_replica_failure)                                         \
-    X(rejected_invalid)                                                 \
-    X(hedges_launched)                                                  \
-    X(hedges_cancelled)                                                 \
-    X(retries)                                                          \
-    X(completed)                                                        \
-    X(deadline_missed)                                                  \
-    X(hedges_won)                                                       \
-    X(hedges_lost)
-
-/**
- * Shard-local metrics accumulator of the sharded front-end (PR 10).
- *
- * Admission-path events (submissions, acceptances, typed rejections)
- * are recorded here under the owning shard's lock instead of taking
- * the global metrics lock per request; completion processing records
- * one delta per batch the same way. Deltas are folded into the
- * ServerMetrics rollup at snapshot/drain time in ascending shard
- * order — every field is an integer counter, a min/max watermark, or
- * a fixed-bucket histogram (Histogram::merge), so the fold commutes
- * and the rollup is byte-identical for any shard count and any fold
- * schedule.
- */
-struct MetricsDelta
-{
-#define SUSHI_DELTA_MEMBER(name) std::uint64_t name = 0;
-    SUSHI_METRICS_DELTA_COUNTERS(SUSHI_DELTA_MEMBER)
-#undef SUSHI_DELTA_MEMBER
-
-    /// @name Watermarks (min / max merge).
-    /// @{
-    std::int64_t first_submit_ns = -1; ///< min (-1 = none)
-    std::int64_t last_event_ns = 0;    ///< max
-    /// @}
-
-    /// @name Latency histogram deltas (Histogram::merge path).
-    /// @{
-    Histogram queue_ns{Histogram::exponential()};
-    Histogram service_ns{Histogram::exponential()};
-    Histogram total_ns{Histogram::exponential()};
-    /// @}
-
-    /** True when nothing has been recorded since the last fold —
-     *  the steady-state early-out of the snapshot path. */
-    bool empty() const;
-
-    /** Add every field into @p into, then reset this delta in place
-     *  (histograms keep their bucket allocation). */
-    void foldInto(ServerMetrics &into);
 };
 
 } // namespace sushi::serve

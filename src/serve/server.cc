@@ -194,7 +194,7 @@ Server::submit(engine::Sample sample, const RequestOptions &opts)
 
     Shard &sh = shardOf(req.request_id);
     std::unique_lock<std::mutex> slock(sh.mu);
-    ++sh.delta.submitted;
+    ++sh.metrics.submitted;
     if (draining_.load() || stop_.load()) {
         fulfillRejectLocked(sh, req, Reject::ShuttingDown, t);
         return fut;
@@ -232,7 +232,7 @@ Server::submitAtLocked(std::int64_t arrival_ns,
     auto fut = req.state->promise.get_future();
     Shard &sh = shardOf(req.request_id);
     std::lock_guard<std::mutex> slock(sh.mu);
-    ++sh.delta.submitted;
+    ++sh.metrics.submitted;
     if (draining_.load() || stop_.load()) {
         fulfillRejectLocked(sh, req, Reject::ShuttingDown,
                             std::max(arrival_ns, virtual_now_));
@@ -300,9 +300,9 @@ void
 Server::admitShardLocked(Shard &sh, PendingReq &&req, std::int64_t t)
 {
     ++req.state->live;
-    ++sh.delta.accepted;
-    if (sh.delta.first_submit_ns < 0 || t < sh.delta.first_submit_ns)
-        sh.delta.first_submit_ns = t;
+    ++sh.metrics.accepted;
+    if (sh.metrics.first_submit_ns < 0 || t < sh.metrics.first_submit_ns)
+        sh.metrics.first_submit_ns = t;
     sh.pool.enqueue(std::move(req));
 }
 
@@ -321,28 +321,28 @@ Server::fulfillRejectLocked(Shard &sh, PendingReq &req, Reject reason,
     resp.hedged = req.state->hedged;
     switch (reason) {
       case Reject::QueueFull:
-        ++sh.delta.rejected_queue_full;
+        ++sh.metrics.rejected_queue_full;
         break;
       case Reject::DeadlineExceeded:
-        ++sh.delta.rejected_deadline;
+        ++sh.metrics.rejected_deadline;
         break;
       case Reject::ShuttingDown:
-        ++sh.delta.rejected_shutdown;
+        ++sh.metrics.rejected_shutdown;
         break;
       case Reject::BreakerOpen:
-        ++sh.delta.rejected_breaker;
+        ++sh.metrics.rejected_breaker;
         break;
       case Reject::ReplicaFailure:
-        ++sh.delta.rejected_replica_failure;
+        ++sh.metrics.rejected_replica_failure;
         break;
       case Reject::InvalidRequest:
-        ++sh.delta.rejected_invalid;
+        ++sh.metrics.rejected_invalid;
         break;
       case Reject::None:
         break;
     }
-    sh.delta.last_event_ns =
-        std::max(sh.delta.last_event_ns, event_ns);
+    sh.metrics.last_event_ns =
+        std::max(sh.metrics.last_event_ns, event_ns);
     req.state->resolved = true;
     if (defer != nullptr)
         defer->push_back(Resolution{req.state, std::move(resp)});
@@ -373,7 +373,7 @@ Server::purgeShardCopiesLocked(
         },
         [&](PendingReq &&q) {
             if (q.is_hedge)
-                ++sh.delta.hedges_cancelled;
+                ++sh.metrics.hedges_cancelled;
             --state->live;
             queued_.fetch_sub(1);
         });
@@ -755,7 +755,6 @@ Server::runProbeLocked(int replica, std::int64_t t)
     // and readmit — Active if the pool is short, Spare otherwise.
     chaos_.heal(replica);
     engine_.healReplica(replica);
-    engine_.clearReplicaStreak(replica);
     h.consecutive_bad = 0;
     h.state = activeCountLocked() < target_active_
                   ? ReplicaState::Active
@@ -862,7 +861,7 @@ Server::fireHedgesLocked(std::int64_t t)
         copy.is_hedge = true;
         st.hedged = true;
         ++st.live;
-        ++sh.delta.hedges_launched;
+        ++sh.metrics.hedges_launched;
         queued_.fetch_add(1); // hedge copies bypass max_queue
         sh.pool.enqueue(std::move(copy));
     }
@@ -936,11 +935,10 @@ Server::virtualServiceNs(const Batch &batch,
     double ps = 0.0;
     for (const auto &st : outcome.run.per_sample)
         ps += st.est_time_ps;
-    auto ns = static_cast<std::int64_t>(std::llround(
-        ps * cfg_.virtual_ns_per_ps * batch.fate.service_scale));
-    if (ns < 1)
-        ns = 1;
-    return ns + cfg_.batch_overhead_ns;
+    // One service nanosecond per modelled chip picosecond.
+    const auto ns = static_cast<std::int64_t>(
+        std::llround(ps * batch.fate.service_scale));
+    return std::max<std::int64_t>(ns, 1);
 }
 
 void
@@ -953,7 +951,6 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
     const std::int64_t service = complete_ns - batch.dispatch_ns;
     const bool ok = outcome.ok;
 
-    engine_.recordBatchOutcome(r, ok, service, ok ? n : 0);
     breakerOnOutcomeLocked(ok, batch.half_open_trial, complete_ns);
 
     std::uint64_t served_here = 0;
@@ -973,21 +970,21 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
                 continue; // a sibling copy already answered
             st.resolved = true;
             const bool was_hedged = st.hedged;
-            sh.delta.queue_ns.sample(batch.dispatch_ns -
-                                     req.submit_ns);
-            sh.delta.service_ns.sample(service);
-            sh.delta.total_ns.sample(complete_ns - req.submit_ns);
-            ++sh.delta.completed;
+            sh.metrics.queue_ns.sample(batch.dispatch_ns -
+                                       req.submit_ns);
+            sh.metrics.service_ns.sample(service);
+            sh.metrics.total_ns.sample(complete_ns - req.submit_ns);
+            ++sh.metrics.completed;
             if (complete_ns > req.deadline_ns)
-                ++sh.delta.deadline_missed;
+                ++sh.metrics.deadline_missed;
             if (was_hedged) {
                 if (req.is_hedge)
-                    ++sh.delta.hedges_won;
+                    ++sh.metrics.hedges_won;
                 else
-                    ++sh.delta.hedges_lost;
+                    ++sh.metrics.hedges_lost;
             }
-            sh.delta.last_event_ns =
-                std::max(sh.delta.last_event_ns, complete_ns);
+            sh.metrics.last_event_ns =
+                std::max(sh.metrics.last_event_ns, complete_ns);
             ++served_here;
             answered.push_back(i);
             Response resp;
@@ -1028,7 +1025,7 @@ Server::processOutcomeLocked(Batch &batch, Outcome &outcome,
                 const std::int64_t delay =
                     backoffNs(req.request_id, attempt);
                 ++st.live;
-                ++sh.delta.retries;
+                ++sh.metrics.retries;
                 retries_.push_back(
                     RetryEntry{complete_ns + delay, std::move(req)});
             } else if (req.deadline_ns <= complete_ns) {
@@ -1370,20 +1367,19 @@ Server::shutdown()
 ServerMetrics
 Server::metrics() const
 {
-    // Fold the shard deltas into the rollup in ascending shard
-    // order. Folding resets each delta, so back-to-back snapshots
-    // are byte-identical; every delta field commutes, so the result
-    // is independent of the shard count and of when previous folds
-    // happened.
+    // The shards' records first, in ascending shard order, then the
+    // scheduler's: the order a batch's outcome writes them in. Every
+    // folded field's rule commutes, so the snapshot is the same for
+    // any shard count.
+    ServerMetrics shards;
     for (const auto &sh : shards_) {
         std::lock_guard<std::mutex> slock(sh->mu);
-        if (sh->delta.empty())
-            continue;
-        std::lock_guard<std::mutex> mlock(metrics_mu_);
-        sh->delta.foldInto(metrics_);
+        shards.fold(sh->metrics);
     }
     std::lock_guard<std::mutex> mlock(metrics_mu_);
-    return metrics_;
+    ServerMetrics snap = metrics_;
+    snap.fold(shards);
+    return snap;
 }
 
 } // namespace sushi::serve

@@ -23,8 +23,8 @@
  * scheduler mutex. The pending queue is split over
  * ServerConfig::admission_shards independent shards (default: one
  * per replica), each owning its own mutex, a slab-allocated
- * RequestPool with per-priority FIFO lanes (request_pool.hh), and a
- * MetricsDelta accumulator (metrics.hh). submit() routes by
+ * RequestPool with per-priority FIFO lanes (request_pool.hh), and its
+ * own ServerMetrics record (metrics.hh). submit() routes by
  * request id (request_id % shards) and touches ONLY that shard:
  * admission control, typed rejections and the submitted/accepted
  * counters all happen under the shard lock, with the global queue
@@ -34,11 +34,12 @@
  * a single-shard operation. Batch formation k-way-merges the shard
  * lanes under all shard locks (taken in ascending index order) and
  * pops exactly max_batch entries in (priority desc, arrival asc)
- * order — O(batch), not O(queue log queue). Shard metric deltas are
- * folded into the ServerMetrics rollup in ascending shard order at
- * snapshot time; every delta field commutes (counters, min/max
- * watermarks, histogram merges), so the rollup — and therefore
- * virtual-mode replay — is byte-identical for ANY shard count.
+ * order — O(batch), not O(queue log queue). metrics() folds the shard
+ * records, in ascending shard order, into the scheduler's by each
+ * field's declared merge rule; every rule commutes (counters add,
+ * min/max watermarks, histogram merges), so the snapshot — and
+ * therefore virtual-mode replay — is byte-identical for ANY shard
+ * count.
  *
  * Lock order (strict): scheduler mutex mu_ -> shard mutexes in
  * ascending index (only batch formation holds more than one) ->
@@ -49,12 +50,12 @@
  *
  * Resilience layer (all policies default OFF; see resilience.hh):
  *
- *  - Replica health: batch outcomes feed per-replica accounts in the
- *    engine; crashes and consecutive-bad-batch streaks quarantine a
- *    replica (it leaves the scheduling rotation), hot spares are
- *    promoted to keep the effective pool size, and quarantined
- *    replicas are probed on an exponential-backoff schedule and
- *    readmitted on probe success.
+ *  - Replica health: batch outcomes feed the server's per-replica
+ *    health record; crashes and consecutive-bad-batch streaks
+ *    quarantine a replica (it leaves the scheduling rotation), hot
+ *    spares are promoted to keep the effective pool size, and
+ *    quarantined replicas are probed on an exponential-backoff
+ *    schedule and readmitted on probe success.
  *  - Retries: a failed dispatch re-queues the request after an
  *    exponential backoff with *keyed* jitter — the delay before
  *    attempt k of request r is a pure function of (seed, r, k) — up
@@ -85,8 +86,8 @@
  *    times (submitAt); runVirtual() jumps t to the next event time
  *    (nextEventNsLocked), steps, runs the newly formed batches over
  *    the worker pool and charges each its *modelled chip time*
- *    (est_time_ps scaled by virtual_ns_per_ps, then by the chaos
- *    service scale). Same seed + config => byte-identical
+ *    (one nanosecond per modelled est_time_ps picosecond, scaled by
+ *    the chaos service scale). Same seed + config => byte-identical
  *    ServerMetrics::toJson() for ANY worker-thread count AND any
  *    admission-shard count.
  *
@@ -166,7 +167,7 @@ struct ServerConfig
     /**
      * Independent admission shards of the front-end (0 = one per
      * replica in the pool). Each shard has its own lock, pending
-     * lanes and metrics delta; submit() contends only on the shard
+     * lanes and metrics record; submit() contends only on the shard
      * that owns the request id. Purely a throughput knob: virtual
      * replay and the metrics rollup are byte-identical for every
      * value.
@@ -174,13 +175,6 @@ struct ServerConfig
     int admission_shards = 0;
 
     ClockMode clock = ClockMode::Real;
-
-    /** Virtual mode: service nanoseconds charged per modelled chip
-     *  picosecond (host/IO surcharge over the raw die time). */
-    double virtual_ns_per_ps = 1.0;
-
-    /** Virtual mode: fixed per-batch dispatch overhead. */
-    std::int64_t batch_overhead_ns = 0;
 
     /** Virtual mode: cap on worker threads executing simultaneous
      *  batches (0 = pool size). Metrics are byte-identical for every
@@ -224,7 +218,7 @@ class Server
         return static_cast<int>(shards_.size());
     }
 
-    /** The engine (per-replica accounts live there). */
+    /** The engine (chips, NoC transports, failed-NPE gauges). */
     const engine::InferenceEngine &engine() const { return engine_; }
 
     /** Current time in the server's clock domain (ns). */
@@ -268,8 +262,8 @@ class Server
      *  the destructor calls it. */
     void shutdown();
 
-    /** Coherent snapshot of the serving metrics (shard deltas are
-     *  folded into the rollup, in ascending shard order, first). */
+    /** Coherent snapshot of the serving metrics: the shard records
+     *  folded, in ascending shard order, into the scheduler's. */
     ServerMetrics metrics() const;
 
     /** Current lifecycle state of replica @p r (std::out_of_range
@@ -293,7 +287,7 @@ class Server
     {
         mutable std::mutex mu;
         RequestPool pool;   ///< queued copies owned by this shard
-        MetricsDelta delta; ///< folded into metrics_ at snapshot
+        ServerMetrics metrics; ///< admission + per-request counts
     };
 
     struct Batch
@@ -403,7 +397,7 @@ class Server
         Response resp;
     };
 
-    /** Record the typed rejection in the shard delta and resolve
+    /** Record the typed rejection in the shard metrics and resolve
      *  the promise (or stash it on @p defer when non-null). Does
      *  NOT purge sibling copies. */
     void fulfillRejectLocked(Shard &sh, PendingReq &req,
@@ -507,7 +501,7 @@ class Server
     std::int64_t virtual_now_ = 0;
 
     mutable std::mutex metrics_mu_;
-    mutable ServerMetrics metrics_; ///< rollup (deltas fold here)
+    ServerMetrics metrics_; ///< scheduler-side counts and state
 
     std::chrono::steady_clock::time_point epoch_;
     std::vector<std::thread> workers_; ///< real mode only

@@ -531,7 +531,7 @@ TEST(ChaosNpe, InjectedDegradeSurfacesGaugeAndStaysCorrect)
     EXPECT_EQ(m.degradedReplicas(), 1u);
     EXPECT_NE(m.toJson().find("\"failed_npes\": 1"),
               std::string::npos);
-    EXPECT_EQ(server.engine().replicaAccount(0).failed_npes, 1u);
+    EXPECT_EQ(server.engine().failedNpeSlots(0), 1);
 }
 
 TEST(ChaosNpe, DegradingEveryNpeCrashesThenHealsReplica)

@@ -490,7 +490,8 @@ TEST(GatePins, SameTickPortTiesMatchRecordedOutputs)
             << "seed " << seed;
 }
 
-/** A 2x2 single-layer net with thresholds @p theta and its program. */
+/** A 2x2 single-layer net with thresholds {@p theta, 1} and its
+ *  program (none for theta <= 0). */
 struct SmallNet
 {
     snn::BinarySnn net;
@@ -512,7 +513,10 @@ smallNet(int theta)
     cfg.sc_per_npe = 5;
     s->compiled = compiler::compileNetwork(s->net, cfg);
     s->frames = {{1, 1}, {1, 0}};
-    s->prog = compiler::encodeLayerProgram(s->compiled, s->frames);
+    // A threshold <= 0 has no program: the encoder rejects its bias
+    // pulses.
+    if (theta >= 1)
+        s->prog = compiler::encodeLayerProgram(s->compiled, s->frames);
     return s;
 }
 

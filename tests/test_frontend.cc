@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the sharded serving front-end (PR 10): RequestPool slab
- * / lane invariants, MetricsDelta fold semantics, the extended
- * determinism property (ServerMetrics::toJson() byte-identical
- * across admission_shards x max_threads, with and without the
- * resilience/chaos policies engaged), real-clock conservation under
- * an 8-thread submit hammer (runs under TSan in CI), and the
- * closed-loop load-generator contract.
+ * / lane invariants, the ServerMetrics fold rules and a pin of every
+ * toJson() field, the extended determinism property
+ * (ServerMetrics::toJson() byte-identical across admission_shards x
+ * max_threads, with and without the resilience/chaos policies
+ * engaged), real-clock conservation under an 8-thread submit hammer
+ * (runs under TSan in CI), and the closed-loop load-generator
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -175,13 +176,13 @@ TEST(RequestPool, ForEachLiveVisitsExactlyLiveEntries)
 }
 
 // ---------------------------------------------------------------
-// MetricsDelta: commutative fold + reset-in-place semantics.
+// ServerMetrics::fold: the declared merge rules.
 // ---------------------------------------------------------------
 
-TEST(MetricsDelta, FoldIntoAddsAndResets)
+TEST(ServerMetrics, FoldAddsCountersAndMergesWatermarks)
 {
-    MetricsDelta d;
-    EXPECT_TRUE(d.empty());
+    ServerMetrics d;
+    const std::string empty = d.toJson();
     d.submitted = 3;
     d.accepted = 2;
     d.rejected_queue_full = 1;
@@ -190,13 +191,15 @@ TEST(MetricsDelta, FoldIntoAddsAndResets)
     d.last_event_ns = 900;
     d.queue_ns.sample(10);
     d.total_ns.sample(40);
-    EXPECT_FALSE(d.empty());
+    d.breaker = BreakerState::Open;
+    d.replicas.resize(2);
+    EXPECT_NE(d.toJson(), empty);
 
     ServerMetrics m;
     m.submitted = 5;
     m.first_submit_ns = 100;
     m.last_event_ns = 200;
-    d.foldInto(m);
+    m.fold(d);
 
     EXPECT_EQ(m.submitted, 8u);
     EXPECT_EQ(m.accepted, 2u);
@@ -206,31 +209,116 @@ TEST(MetricsDelta, FoldIntoAddsAndResets)
     EXPECT_EQ(m.last_event_ns, 900);   // max merge
     EXPECT_EQ(m.queue_ns.count(), 1u);
     EXPECT_EQ(m.total_ns.count(), 1u);
+    // Scheduler-held fields are not folded.
+    EXPECT_EQ(m.breaker, BreakerState::Closed);
+    EXPECT_TRUE(m.replicas.empty());
 
-    // The delta is reset in place: a second fold is a no-op.
-    EXPECT_TRUE(d.empty());
+    // The source is left as it was, and folding an empty record is
+    // a no-op.
+    EXPECT_EQ(d.submitted, 3u);
     const std::string before = m.toJson();
-    d.foldInto(m);
+    m.fold(ServerMetrics{});
     EXPECT_EQ(m.toJson(), before);
 }
 
-TEST(MetricsDelta, FirstSubmitMinIgnoresEmptySides)
+TEST(ServerMetrics, FoldFirstSubmitMinIgnoresEmptySides)
 {
-    // An empty delta (first_submit_ns == -1) must not clobber an
+    // An empty side (first_submit_ns == -1) must not clobber an
     // established watermark, and vice versa.
     ServerMetrics m;
     m.first_submit_ns = 77;
-    MetricsDelta d;
-    d.submitted = 1; // non-empty so the fold runs
-    d.foldInto(m);
+    ServerMetrics d;
+    d.submitted = 1;
+    m.fold(d);
     EXPECT_EQ(m.first_submit_ns, 77);
 
     ServerMetrics fresh;
-    MetricsDelta d2;
+    ServerMetrics d2;
     d2.submitted = 1;
     d2.first_submit_ns = 42;
-    d2.foldInto(fresh);
+    fresh.fold(d2);
     EXPECT_EQ(fresh.first_submit_ns, 42);
+}
+
+// ---------------------------------------------------------------
+// ServerMetrics::toJson(): every field pinned.
+// ---------------------------------------------------------------
+
+std::uint64_t
+fnv1a64(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(ServerMetrics, ToJsonEveryFieldPinned)
+{
+    // Length and FNV-1a 64 hash of toJson() over one snapshot in
+    // which every field holds its own value, recorded before the
+    // fields were declared in one table. The campaign pins cannot
+    // see a field the campaign never moves; this one can.
+    ServerMetrics m;
+    std::uint64_t v = 3;
+    for (std::uint64_t *counter :
+         {&m.deadline_missed, &m.submitted, &m.accepted, &m.completed,
+          &m.rejected_queue_full, &m.rejected_deadline,
+          &m.rejected_shutdown, &m.rejected_breaker,
+          &m.rejected_replica_failure, &m.rejected_invalid,
+          &m.batches, &m.flush_size, &m.flush_delay, &m.flush_drain,
+          &m.batch_failures, &m.retries, &m.hedges_launched,
+          &m.hedges_won, &m.hedges_lost, &m.hedges_cancelled,
+          &m.breaker_opens, &m.breaker_half_opens, &m.breaker_closes,
+          &m.quarantines, &m.probes, &m.probe_failures, &m.readmits,
+          &m.spares_promoted, &m.chaos_crashes, &m.chaos_stalls,
+          &m.chaos_slow_degrades, &m.chaos_faults,
+          &m.chaos_degrades}) {
+        *counter = v;
+        v = v * 7 + 1;
+    }
+    m.breaker = BreakerState::HalfOpen;
+    m.first_submit_ns = 1'250;
+    m.last_event_ns = 9'876'543;
+    for (const std::int64_t ns : {40, 700, 700, 65'000})
+        m.queue_ns.sample(ns);
+    for (const std::int64_t ns : {3'000, 5'500})
+        m.service_ns.sample(ns);
+    for (const std::int64_t ns : {9'000, 12'345, 1'000'000})
+        m.total_ns.sample(ns);
+    for (const std::int64_t n : {1, 4, 8, 8, 70})
+        m.batch_size.sample(n);
+    m.replicas.resize(3);
+    const ReplicaState states[] = {ReplicaState::Active,
+                                   ReplicaState::Quarantined,
+                                   ReplicaState::Spare};
+    for (std::size_t r = 0; r < m.replicas.size(); ++r) {
+        ReplicaMetrics &rep = m.replicas[r];
+        const auto k = static_cast<std::uint64_t>(r + 1);
+        rep.batches = 11 * k;
+        rep.samples = 13 * k;
+        rep.busy_ns = static_cast<std::int64_t>(1'000'003 * k);
+        rep.failures = 2 * k;
+        rep.quarantines = 3 * k;
+        rep.probes = 5 * k;
+        rep.readmissions = 7 * k;
+        rep.failed_npes = r == 1 ? 2 : 0;
+        rep.state = states[r];
+    }
+    m.merged.frames = 17;
+    m.merged.time_steps = 85;
+    m.merged.synaptic_ops = 123'456;
+    m.merged.failed_npes = 2;
+    m.merged.est_time_ps = 4'321.5;
+    m.merged.dynamic_energy_j = 7.25e-12;
+    m.merged.noc_cut_flits = {3, 5};
+
+    const std::string json = m.toJson();
+    EXPECT_EQ(json.size(), 3486u);
+    EXPECT_EQ(fnv1a64(json), 0x166984d919e58394ULL)
+        << std::hex << fnv1a64(json);
 }
 
 // ---------------------------------------------------------------

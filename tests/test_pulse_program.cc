@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "chip/gate_sim.hh"
 #include "chip/sushi_chip.hh"
 #include "common/rng.hh"
@@ -96,6 +98,72 @@ TEST(PulseEncoder, OpsRespectSafeSpacing)
     const Tick gap = sfq::safePulseSpacing();
     for (std::size_t i = 1; i < prog.ops.size(); ++i)
         EXPECT_GE(prog.ops[i].at - prog.ops[i - 1].at, gap);
+}
+
+/** A 2x2 mesh with K = 4, the shape the rejection cases share. */
+ChipConfig
+smallMesh()
+{
+    ChipConfig cfg;
+    cfg.n = 2;
+    cfg.sc_per_npe = 4;
+    return cfg;
+}
+
+TEST(PulseEncoder, RejectsNullNet)
+{
+    const CompiledNetwork cnet;
+    EXPECT_THROW(encodeLayerProgram(cnet, {{1, 0}}),
+                 std::invalid_argument);
+}
+
+TEST(PulseEncoder, RejectsMultiLayerNet)
+{
+    snn::BinaryLayer hidden;
+    hidden.weights = {{1, -1}, {1, 1}};
+    hidden.thresholds = {1, 1};
+    snn::BinaryLayer out;
+    out.weights = {{1, 1}};
+    out.thresholds = {1};
+    const auto net = snn::BinarySnn::fromLayers({hidden, out}, 2);
+    const auto compiled = compileNetwork(net, smallMesh());
+    EXPECT_THROW(encodeLayerProgram(compiled, {{1, 0}}),
+                 std::invalid_argument);
+}
+
+TEST(PulseEncoder, RejectsLayerWiderThanMesh)
+{
+    const auto wide_in = handNet({{1, -1, 1}, {1, 1, -1}}, {1, 1}, 2);
+    const auto compiled_in = compileNetwork(wide_in, smallMesh());
+    EXPECT_THROW(encodeLayerProgram(compiled_in, {{1, 0, 1}}),
+                 std::invalid_argument);
+    const auto wide_out = handNet({{1, -1}, {1, 1}, {-1, 1}},
+                                  {1, 1, 1}, 2);
+    const auto compiled_out = compileNetwork(wide_out, smallMesh());
+    EXPECT_THROW(encodeLayerProgram(compiled_out, {{1, 0}}),
+                 std::invalid_argument);
+}
+
+TEST(PulseEncoder, RejectsFrameOfWrongWidth)
+{
+    const auto net = handNet({{1, -1}, {1, 1}}, {1, 2}, 2);
+    const auto compiled = compileNetwork(net, smallMesh());
+    EXPECT_THROW(encodeLayerProgram(compiled, {{1, 0}, {1}}),
+                 std::invalid_argument);
+    EXPECT_THROW(encodeLayerProgram(compiled, {{1, 0, 1}}),
+                 std::invalid_argument);
+}
+
+TEST(PulseEncoder, RejectsBiasPulses)
+{
+    // A threshold <= 0 compiles to excitatory bias pulses, which the
+    // encoded protocol has no stream for: the program would disagree
+    // with stepLayer instead of failing.
+    const auto net = handNet({{1, -1}, {1, 1}}, {0, 1}, 2);
+    const auto compiled = compileNetwork(net, smallMesh());
+    ASSERT_GT(compiled.layers[0].bias_pulses[0], 0);
+    EXPECT_THROW(encodeLayerProgram(compiled, {{0, 0}, {1, 0}}),
+                 std::invalid_argument);
 }
 
 /** Open-loop program execution == behavioural chip, 1x1 and 2x2. */
