@@ -4,23 +4,31 @@
  * kernel behind SushiChip::stepLayerBatch.
  *
  * A batch of B activation vectors is packed once per layer step into
- * a word-major bitset over the layer's scheduled input order (word w
- * of vector b at bits[w * B + b]). The pack scans each row for its
- * non-zero inputs and places each through the layer's compile-time
- * position table; bucket totals then come from popcounts of each
- * bucket's window. The body is compiled once per KernelIsa (see
- * common/kernel_isa.hh); layerKernel() returns the wrapper this CPU
- * runs, and tests call each supported wrapper directly. There is no
- * other kernel: the Npe-object reference it must match lives in
- * tests/test_packed_snn.cc.
+ * a word-major bitset over the layer's kernel input order (word w of
+ * vector b at bits[w * B + b]; see CompiledLayer::position). In the
+ * natural order of an unbucketed layer each row's 64-input word of
+ * non-zero bits is stored as it is; otherwise the pack places each
+ * non-zero input through position. Bucket totals then come from
+ * popcounts of each bucket's window. The body is compiled once per
+ * KernelIsa (see common/kernel_isa.hh); layerKernel() returns the
+ * wrapper this CPU runs, and tests call each supported wrapper
+ * directly. There is no other kernel: the Npe-object reference it
+ * must match lives in tests/test_packed_snn.cc.
  *
- * The AVX-512 wrapper runs neuron lanes: per block of up to eight
- * vectors and group of eight neurons it loads each word of the
- * group's interleaved mask line once, meets it with a broadcast of
- * each vector's word in one vpopcntq, and runs the closed-form NPE
- * counters of the eight neurons side by side in zmm lanes. The
- * portable and popcnt wrappers run batch lanes: per neuron they
- * stream each mask word over a tile of vectors.
+ * The AVX-512 wrapper picks its body from the layer's shape. A wide
+ * layer (one with a compiler::ColumnTable) runs the column body: per
+ * vector it compresses the active positions into a list, sums their
+ * inhibitory neuron columns bucket by bucket in a Harley–Seal
+ * carry-save tree, turns the bit planes into per-neuron counts and
+ * runs the closed-form counters 16 neurons to a zmm register (8 when
+ * the compiler could not prove they fit 32 bits). A narrow layer runs
+ * neuron lanes: per block of up to eight vectors and group of eight
+ * neurons it loads each word of the group's interleaved mask line
+ * once, meets it with a broadcast of each vector's word in one
+ * vpopcntq, and runs the counters of the eight neurons side by side.
+ * The portable and popcnt wrappers run batch lanes over the mask
+ * table for every layer: per neuron they stream each mask word over a
+ * tile of vectors.
  */
 
 #ifndef SUSHI_CHIP_LAYER_KERNEL_HH
@@ -34,12 +42,12 @@
 
 namespace sushi::chip::detail {
 
-/** Pulses beyond the first at one scheduled position of a vector
+/** Pulses beyond the first at one kernel position of a vector
  *  (upstream wrap artefacts; rare). */
 struct ExtraPulses
 {
     std::uint32_t bucket; ///< index into schedule.buckets
-    std::uint32_t pos;    ///< scheduled position
+    std::uint32_t pos;    ///< kernel position
     std::uint64_t extra;  ///< pulses beyond the first
 };
 

@@ -1,6 +1,8 @@
 #include "chip/sushi_chip.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -22,30 +24,42 @@ namespace detail {
 
 namespace {
 
-/** Bit j set iff x[j] != 0, for the n <= 64 values at @p x. */
+/** Bit j set iff x[j] != 0, for the n <= 64 values at @p x; sets
+ *  @p multi iff some x[j] > 1. */
 std::uint64_t
-nonZeroBits(const std::uint16_t *x, std::size_t n)
+nonZeroBits(const std::uint16_t *x, std::size_t n, bool &multi)
 {
     std::uint64_t bits = 0;
     std::size_t j = 0;
+    std::uint16_t any = 0;
 #if defined(__x86_64__)
     // SSE2, 16 values per step: two compares against zero, narrowed
-    // to one byte per value, then one movemask.
+    // to one byte per value, then one movemask. The values are also
+    // OR-ed together: some value is > 1 iff their OR is.
     const __m128i zero = _mm_setzero_si128();
+    __m128i seen = zero;
     for (; j + 16 <= n; j += 16) {
         const __m128i lo = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(x + j));
         const __m128i hi = _mm_loadu_si128(
             reinterpret_cast<const __m128i *>(x + j + 8));
+        seen = _mm_or_si128(seen, _mm_or_si128(lo, hi));
         const __m128i is_zero = _mm_packs_epi16(
             _mm_cmpeq_epi16(lo, zero), _mm_cmpeq_epi16(hi, zero));
         const auto zeros =
             static_cast<unsigned>(_mm_movemask_epi8(is_zero));
         bits |= std::uint64_t{~zeros & 0xffffu} << j;
     }
+    const __m128i above_one = _mm_subs_epu16(seen, _mm_set1_epi16(1));
+    any = _mm_movemask_epi8(_mm_cmpeq_epi16(above_one, zero)) != 0xffff
+              ? 2
+              : 0;
 #endif
-    for (; j < n; ++j)
+    for (; j < n; ++j) {
         bits |= std::uint64_t{x[j] != 0} << j;
+        any |= x[j];
+    }
+    multi = any > 1;
     return bits;
 }
 
@@ -94,17 +108,26 @@ packLayerBatch(const compiler::CompiledLayer &layer,
         const std::uint16_t *act = in.row(b).data();
         const std::size_t first_extra = pack.extras.size();
         pack.extra_begin[b] = first_extra;
-        // Inputs are sparse (~12 % of a Poisson frame), so scan each
-        // row 64 values at a time and place only the non-zero ones.
+        // Scan each row 64 values at a time. In the natural order a
+        // word of non-zero bits is the packed word; otherwise inputs
+        // are sparse (~12 % of a Poisson frame), so place only the
+        // non-zero ones.
         for (std::size_t i0 = 0; i0 < width; i0 += 64) {
             const std::size_t n = std::min<std::size_t>(64, width - i0);
-            for (std::uint64_t nz = nonZeroBits(act + i0, n); nz != 0;
-                 nz &= nz - 1) {
+            bool multi;
+            std::uint64_t nz = nonZeroBits(act + i0, n, multi);
+            if (layer.natural_order) {
+                pack.bits[i0 / 64 * batch + b] = nz;
+                if (!multi)
+                    continue;
+            }
+            for (; nz != 0; nz &= nz - 1) {
                 const std::size_t i =
                     i0 + static_cast<std::size_t>(__builtin_ctzll(nz));
                 const std::uint32_t pos = position[i];
-                pack.bits[pos / 64 * batch + b] |= std::uint64_t{1}
-                                                   << (pos % 64);
+                if (!layer.natural_order)
+                    pack.bits[pos / 64 * batch + b] |= std::uint64_t{1}
+                                                       << (pos % 64);
                 if (act[i] > 1)
                     pack.extras.push_back(
                         {0, pos, std::uint64_t{act[i]} - 1});
@@ -170,21 +193,20 @@ constexpr std::size_t kLanes = 8;
 void
 addNeuronTallies(const LayerKernelArgs &args, LayerStepStats *tally)
 {
-    const compiler::CompiledLayer &layer = *args.layer;
+    const std::uint8_t *disabled = args.layer->disabled.data();
     std::uint64_t enabled = 0;
+    for (std::size_t o = 0; o < args.out_dim; ++o)
+        enabled += disabled[o] == 0 ? 1 : 0;
+    // Degraded mode: the neuron's home slot is o mod N; if that NPE
+    // failed, a healthy host NPE serves it in an extra pass. The
+    // counter arithmetic is slot-independent, so results stay
+    // bit-identical — only time/reload accounting changes.
     std::uint64_t remapped = 0;
-    for (std::size_t o = 0; o < args.out_dim; ++o) {
-        if (layer.disabled[o])
-            continue;
-        ++enabled;
-        // Degraded mode: the neuron's home slot is o mod N; if that
-        // NPE failed, a healthy host NPE serves it in an extra pass.
-        // The counter arithmetic is slot-independent, so results
-        // stay bit-identical — only time/reload accounting changes.
-        if (args.failed_slots != nullptr &&
-            args.failed_slots[o % args.slots])
-            ++remapped;
-    }
+    if (args.failed_slots != nullptr)
+        for (std::size_t o = 0; o < args.out_dim; ++o)
+            remapped += !disabled[o] && args.failed_slots[o % args.slots]
+                            ? 1
+                            : 0;
     const LayerBatchPack &pack = *args.pack;
     for (std::size_t b = 0; b < pack.batch; ++b) {
         tally[b].synaptic_ops += pack.pulses[b] * enabled;
@@ -203,7 +225,7 @@ addWord(std::uint64_t *count, const std::uint64_t *row, std::uint64_t m)
 }
 
 /**
- * Inhibitory input pulses of scheduled positions [begin, end) for
+ * Inhibitory input pulses of kernel positions [begin, end) for
  * the @p N vectors whose words start at @p bits (stride @p batch per
  * word): the neuron's mask word (stride kStride at @p nm) is loaded
  * once per word and streamed over the N vectors, whose counts stay
@@ -349,7 +371,7 @@ layerKernelBody(const LayerKernelArgs &args, LayerStepStats *tally)
 
 #if defined(__x86_64__)
 #define SUSHI_AVX512_TARGET                                             \
-    __attribute__((target("popcnt,avx512f,avx512vpopcntdq")))
+    __attribute__((target("popcnt,avx512f,avx512vpopcntdq,avx512bw")))
 
 /** Vectors one neuron-lane block evaluates side by side. */
 constexpr std::size_t kBlock = 8;
@@ -549,6 +571,516 @@ neuronLanes(const LayerKernelArgs &args, std::size_t b0,
         tally[b0 + j].multi_fires += laneSum(multi_fires[j]);
     }
 }
+
+/** Sixteen unsigned 32-bit lanes (see U64x8). */
+using U32x16 = std::uint32_t __attribute__((vector_size(64)));
+
+/** 128-bit lane @p q of @p x. The maskz forms of the intrinsics here
+ *  and below: GCC 12's plain forms seed an undefined operand it then
+ *  warns about. */
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline __m128i
+quarter(__m512i x, std::size_t q)
+{
+    switch (q) {
+    case 0: return _mm512_maskz_extracti32x4_epi32(0xf, x, 0);
+    case 1: return _mm512_maskz_extracti32x4_epi32(0xf, x, 1);
+    case 2: return _mm512_maskz_extracti32x4_epi32(0xf, x, 2);
+    default: return _mm512_maskz_extracti32x4_epi32(0xf, x, 3);
+    }
+}
+
+/**
+ * The counter lanes of the column body: 16 neurons of 32 bits or 8
+ * of 64 bits per zmm register. `Mask` holds one bit per lane; a
+ * 64-neuron word of a column holds kPerWord lane groups.
+ */
+struct Lanes32
+{
+    using Elem = std::uint32_t;
+    using Mask = __mmask16;
+    static constexpr std::size_t kLanes = 16;
+    static constexpr std::size_t kPerWord = 4;
+
+    SUSHI_AVX512_TARGET static __m512i
+    set1(std::uint64_t x)
+    {
+        return _mm512_set1_epi32(static_cast<int>(x));
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    add(__m512i a, __m512i b)
+    {
+        return _mm512_add_epi32(a, b);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    sub(__m512i a, __m512i b)
+    {
+        return _mm512_sub_epi32(a, b);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    shr(__m512i x, unsigned k)
+    {
+        return (__m512i)((U32x16)x >> k);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    maskAdd(__m512i a, Mask m, __m512i b)
+    {
+        return _mm512_mask_add_epi32(a, m, a, b);
+    }
+    /** Bits [o, o + 16) of the bitset at @p bits (o % 16 == 0). */
+    SUSHI_AVX512_TARGET static Mask
+    maskAt(const std::uint64_t *bits, std::size_t o)
+    {
+        std::uint16_t m;
+        std::memcpy(&m, reinterpret_cast<const char *>(bits) + o / 8, 2);
+        return m;
+    }
+    /** Lanes of group @p g of a 64-lane byte vector, widened. */
+    SUSHI_AVX512_TARGET static __m512i
+    widen(__m512i bytes, std::size_t g)
+    {
+        return _mm512_maskz_cvtepu8_epi32(0xffff, quarter(bytes, g));
+    }
+    SUSHI_AVX512_TARGET static Mask
+    aboveOne(Mask on, __m512i x)
+    {
+        return _mm512_mask_cmpgt_epu32_mask(on, x, _mm512_set1_epi32(1));
+    }
+    /** The sum of the @p on lanes of @p x, in 64 bits. */
+    SUSHI_AVX512_TARGET static std::uint64_t
+    sum(Mask on, __m512i x)
+    {
+        const __m512i y = _mm512_maskz_mov_epi32(on, x);
+        return laneSum(_mm512_add_epi64(
+            _mm512_maskz_cvtepu32_epi64(
+                0xff, _mm512_maskz_extracti64x4_epi64(0xf, y, 0)),
+            _mm512_maskz_cvtepu32_epi64(
+                0xff, _mm512_maskz_extracti64x4_epi64(0xf, y, 1))));
+    }
+    SUSHI_AVX512_TARGET static void
+    storeOutputs(std::uint16_t *out, Mask on, __m512i x)
+    {
+        _mm512_mask_cvtepi32_storeu_epi16(out, on, x);
+    }
+    static const Elem *
+    starts(const compiler::ColumnTable &t)
+    {
+        return t.start32.data();
+    }
+};
+
+/** The 64-bit counterpart of Lanes32. */
+struct Lanes64
+{
+    using Elem = std::uint64_t;
+    using Mask = __mmask8;
+    static constexpr std::size_t kLanes = 8;
+    static constexpr std::size_t kPerWord = 8;
+
+    SUSHI_AVX512_TARGET static __m512i
+    set1(std::uint64_t x)
+    {
+        return _mm512_set1_epi64(static_cast<long long>(x));
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    add(__m512i a, __m512i b)
+    {
+        return _mm512_add_epi64(a, b);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    sub(__m512i a, __m512i b)
+    {
+        return _mm512_sub_epi64(a, b);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    shr(__m512i x, unsigned k)
+    {
+        return shiftRight(x, k);
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    maskAdd(__m512i a, Mask m, __m512i b)
+    {
+        return _mm512_mask_add_epi64(a, m, a, b);
+    }
+    SUSHI_AVX512_TARGET static Mask
+    maskAt(const std::uint64_t *bits, std::size_t o)
+    {
+        return reinterpret_cast<const std::uint8_t *>(bits)[o / 8];
+    }
+    SUSHI_AVX512_TARGET static __m512i
+    widen(__m512i bytes, std::size_t g)
+    {
+        __m128i part = quarter(bytes, g / 2);
+        if (g % 2)
+            part = _mm_unpackhi_epi64(part, part);
+        return _mm512_maskz_cvtepu8_epi64(0xff, part);
+    }
+    SUSHI_AVX512_TARGET static Mask
+    aboveOne(Mask on, __m512i x)
+    {
+        return _mm512_mask_cmpgt_epu64_mask(on, x, _mm512_set1_epi64(1));
+    }
+    SUSHI_AVX512_TARGET static std::uint64_t
+    sum(Mask on, __m512i x)
+    {
+        return laneSum(_mm512_maskz_mov_epi64(on, x));
+    }
+    SUSHI_AVX512_TARGET static void
+    storeOutputs(std::uint16_t *out, Mask on, __m512i x)
+    {
+        _mm512_mask_cvtepi64_storeu_epi16(out, on, x);
+    }
+    static const Elem *
+    starts(const compiler::ColumnTable &t)
+    {
+        return t.start64.data();
+    }
+};
+
+/** Planes a column sum can need: one per bit of a count < 2^32. */
+constexpr std::size_t kMaxPlanes = 32;
+
+/** Row j holds 2^j in each of 64 bytes: plane j's weight in byte
+ *  lanes. */
+struct PlaneWeights
+{
+    alignas(64) std::uint8_t row[8][64];
+};
+constexpr PlaneWeights kPlaneWeights = [] {
+    PlaneWeights t{};
+    for (unsigned j = 0; j < 8; ++j)
+        for (auto &byte : t.row[j])
+            byte = static_cast<std::uint8_t>(1u << j);
+    return t;
+}();
+
+/** (h, l) = the carry and sum bits of a + b + c. */
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline void
+csa(__m512i &h, __m512i &l, __m512i a, __m512i b, __m512i c)
+{
+    h = _mm512_ternarylogic_epi64(a, b, c, 0xe8); // majority
+    l = _mm512_ternarylogic_epi64(a, b, c, 0x96); // a ^ b ^ c
+}
+
+/** Add @p x, weighted 2^L, into the bit planes: planes 0-3 in
+ *  @p low, the rest up to @p planes in @p plane. */
+template <std::size_t L>
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline void
+ripple(__m512i (&low)[4], std::uint64_t (*plane)[8], std::size_t planes,
+       __m512i x)
+{
+#pragma GCC unroll 4
+    for (std::size_t j = L; j < 4; ++j) {
+        const __m512i carry = _mm512_and_si512(low[j], x);
+        low[j] = _mm512_xor_si512(low[j], x);
+        x = carry;
+    }
+    for (std::size_t j = 4; j < planes; ++j) {
+        const __m512i p = _mm512_load_si512(plane[j]);
+        _mm512_store_si512(plane[j], _mm512_xor_si512(p, x));
+        x = _mm512_and_si512(p, x);
+    }
+}
+
+/** Fold the 2^M columns at byte offsets off[i] from @p base into
+ *  planes 0..M-1 and return the carry, weighted 2^M. */
+template <std::size_t M>
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline __m512i
+reduce(__m512i (&low)[4], const char *base, const std::uint32_t *off)
+{
+    __m512i a, b;
+    if constexpr (M == 1) {
+        a = _mm512_load_si512(base + off[0]);
+        b = _mm512_load_si512(base + off[1]);
+    } else {
+        a = reduce<M - 1>(low, base, off);
+        b = reduce<M - 1>(low, base, off + (std::size_t{1} << (M - 1)));
+    }
+    __m512i carry;
+    csa(carry, low[M - 1], low[M - 1], a, b);
+    return carry;
+}
+
+/**
+ * Sum the @p n columns at byte offsets off[i] from @p base (one
+ * chunk's lines) into bit planes: bit o of plane[j] is bit j of
+ * neuron o's count. The columns go 16 at a time through a Harley–Seal
+ * carry-save tree whose planes 0-3 stay in registers, the rest by 8,
+ * 4, 2 and 1. Returns the number of planes, the bit width of n.
+ */
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline std::size_t
+sumColumns(const char *base, const std::uint32_t *off, std::size_t n,
+           std::uint64_t (*plane)[8])
+{
+    const auto planes = static_cast<std::size_t>(std::bit_width(n));
+    for (std::size_t j = 4; j < planes; ++j)
+        _mm512_store_si512(plane[j], _mm512_setzero_si512());
+    __m512i low[4];
+    for (__m512i &p : low)
+        p = _mm512_setzero_si512();
+    std::size_t i = 0;
+    for (; i + 16 <= n; i += 16)
+        ripple<4>(low, plane, planes, reduce<4>(low, base, off + i));
+    if (n - i >= 8) {
+        ripple<3>(low, plane, planes, reduce<3>(low, base, off + i));
+        i += 8;
+    }
+    if (n - i >= 4) {
+        ripple<2>(low, plane, planes, reduce<2>(low, base, off + i));
+        i += 4;
+    }
+    if (n - i >= 2) {
+        ripple<1>(low, plane, planes, reduce<1>(low, base, off + i));
+        i += 2;
+    }
+    if (n - i == 1)
+        ripple<0>(low, plane, planes, _mm512_load_si512(base + off[i]));
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < 4; ++j)
+        _mm512_store_si512(plane[j], low[j]);
+    return planes;
+}
+
+/**
+ * The column offsets (ColumnTable::offset) of vector @p b's active
+ * positions, ascending, into @p off (room for words * 64 + 16
+ * entries): 16 at a time by vpcompressd. Returns their count.
+ */
+SUSHI_AVX512_TARGET std::size_t
+activeColumns(const LayerBatchPack &pack, std::size_t b,
+              std::uint32_t stride, std::uint32_t *off)
+{
+    const __m512i lane = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                          15),
+        _mm512_set1_epi32(static_cast<int>(stride)));
+    std::size_t n = 0;
+    for (std::size_t w = 0; w < pack.words; ++w) {
+        const std::uint64_t x = pack.bits[w * pack.batch + b];
+        if (x == 0)
+            continue;
+#pragma GCC unroll 4
+        for (unsigned q = 0; q < 4; ++q) {
+            const auto m = static_cast<__mmask16>(x >> (16 * q));
+            const __m512i cols = _mm512_add_epi32(
+                lane, _mm512_set1_epi32(static_cast<int>(
+                          (w * 64 + 16 * q) * stride)));
+            _mm512_storeu_si512(off + n, _mm512_maskz_compress_epi32(m, cols));
+            n += static_cast<std::size_t>(__builtin_popcount(m));
+        }
+    }
+    return n;
+}
+
+/** One bucket's pass over one 512-neuron chunk of a vector. */
+template <class L>
+struct ChunkPass
+{
+    using Elem = typename L::Elem;
+
+    /** The bucket's inhibitory counts as bit planes. */
+    const std::uint64_t (*plane)[8] = nullptr;
+    std::size_t planes = 0;
+    /** The bucket's total pulses. */
+    std::uint64_t total = 0;
+    /** The bucket's multi-pulse inputs and the chunk's column lines. */
+    const ExtraPulses *extras = nullptr;
+    std::size_t extra_count = 0;
+    const char *lines = nullptr;
+    std::uint32_t stride = 0;
+    /** The chunk's enabled bits, counter starts, counters between
+     *  buckets and outputs, over its 64-neuron words. */
+    const std::uint64_t *enabled = nullptr;
+    const Elem *start = nullptr;
+    Elem *value = nullptr;
+    Elem *spikes = nullptr;
+    std::uint16_t *out = nullptr;
+    std::size_t words = 0;
+};
+
+/**
+ * Run one bucket's counters over a chunk: per 64-neuron word, planes
+ * 0-7 become one byte per neuron by masked byte adds, then per lane
+ * group the higher planes and the extras are added and the
+ * closed-form recurrence of layerKernelBody runs. The first bucket
+ * starts from the table's starts; the last writes the outputs and
+ * counts multi-fires, the others keep the counters in value/spikes.
+ */
+template <class L, bool kFirst, bool kLast>
+SUSHI_AVX512_TARGET [[gnu::always_inline]] inline void
+runPass(const ChunkPass<L> &p, unsigned k, __m512i mask,
+        __m512i &multi_fires, std::uint64_t &underflow)
+{
+    using Mask = typename L::Mask;
+    const __m512i total = L::set1(p.total);
+    const __m512i one = L::set1(1);
+    const std::size_t byte_planes = std::min<std::size_t>(p.planes, 8);
+    for (std::size_t w = 0; w < p.words; ++w) {
+        __m512i bytes = _mm512_setzero_si512();
+        for (std::size_t j = 0; j < byte_planes; ++j)
+            bytes = _mm512_mask_add_epi8(
+                bytes, static_cast<__mmask64>(p.plane[j][w]), bytes,
+                _mm512_load_si512(kPlaneWeights.row[j]));
+#pragma GCC unroll 8
+        for (std::size_t q = 0; q < L::kPerWord; ++q) {
+            const std::size_t o = (w * L::kPerWord + q) * L::kLanes;
+            const Mask on = L::maskAt(p.enabled, o);
+            __m512i n = L::widen(bytes, q);
+            if (p.planes > 8)
+                for (std::size_t j = 8; j < p.planes; ++j)
+                    n = L::maskAdd(n, L::maskAt(p.plane[j], o),
+                                   L::set1(std::uint64_t{1} << j));
+            for (std::size_t x = 0; x < p.extra_count; ++x) {
+                const auto *col = reinterpret_cast<const std::uint64_t *>(
+                    p.lines + std::size_t{p.extras[x].pos} * p.stride);
+                n = L::maskAdd(n, L::maskAt(col, o),
+                               L::set1(p.extras[x].extra));
+            }
+            // v - n and mask - v, from the start when it is the first
+            // bucket: v is start mod 2^K.
+            __m512i from, below, sp;
+            if constexpr (kFirst) {
+                from = _mm512_load_si512(p.start + o);
+                // ~from & mask, as one vpternlogq (GCC 12's
+                // andnot intrinsic warns like the ones above).
+                below = _mm512_ternarylogic_epi64(from, mask, mask, 0x0c);
+                sp = L::shr(from, k);
+            } else {
+                from = _mm512_load_si512(p.value + o);
+                below = _mm512_xor_si512(from, mask);
+                sp = _mm512_load_si512(p.spikes + o);
+            }
+            // Inhibitory pass first within every bucket (Sec. 5.1),
+            // then the excitatory pass.
+            const __m512i borrows = L::shr(L::add(n, below), k);
+            const __m512i up =
+                L::add(_mm512_and_si512(L::sub(from, n), mask),
+                       L::sub(total, n));
+            sp = L::add(sp, L::add(borrows, L::shr(up, k)));
+            if (_mm512_test_epi64_mask(borrows, borrows) != 0)
+                underflow += L::sum(on, borrows);
+            if constexpr (kLast) {
+                multi_fires = L::maskAdd(multi_fires, L::aboveOne(on, sp), one);
+                L::storeOutputs(p.out + o, on, sp);
+            } else {
+                _mm512_store_si512(p.value + o, _mm512_and_si512(up, mask));
+                _mm512_store_si512(p.spikes + o, sp);
+            }
+        }
+    }
+}
+
+/** One bucket's active inputs in a vector's column list, and its
+ *  extras. */
+struct BucketSlice
+{
+    std::size_t bucket;
+    std::size_t begin, end;             ///< into the column list
+    std::size_t extra_begin, extra_end; ///< into pack.extras
+};
+
+/**
+ * The column body of the AVX-512 wrapper, for layers with a
+ * ColumnTable. Per vector it lists the active inputs' columns once;
+ * per 512-neuron chunk and bucket it sums those columns into bit
+ * planes (sumColumns) and runs the bucket's counters (runPass) in L's
+ * lanes. A bucket no input reached is skipped: it leaves every
+ * counter as it is. Work scales with the inputs that fired, not with
+ * in_dim. Lanes of disabled neurons and past out_dim are masked out
+ * of every store and tally.
+ */
+template <class L>
+SUSHI_AVX512_TARGET void
+columnBody(const LayerKernelArgs &args, LayerStepStats *tally)
+{
+    using Elem = typename L::Elem;
+    constexpr std::size_t kChunk = compiler::ColumnTable::kChunk;
+    const compiler::CompiledLayer &layer = *args.layer;
+    const compiler::ColumnTable &table = layer.columns;
+    const LayerBatchPack &pack = *args.pack;
+    const auto &buckets = layer.schedule.buckets;
+    const unsigned k = args.state_bits;
+    const __m512i mask = L::set1((std::uint64_t{1} << k) - 1);
+    const auto stride = static_cast<std::uint32_t>(table.stride());
+
+    thread_local std::vector<std::uint32_t> column_list;
+    thread_local std::vector<BucketSlice> slice_list;
+    column_list.resize(pack.words * 64 + 16);
+    std::uint32_t *const columns = column_list.data();
+    std::vector<BucketSlice> &slices = slice_list;
+    alignas(64) Elem value[kChunk];
+    alignas(64) Elem spikes[kChunk];
+    alignas(64) std::uint64_t plane[kMaxPlanes][8];
+
+    for (std::size_t b = 0; b < pack.batch; ++b) {
+        const std::size_t active = activeColumns(pack, b, stride, columns);
+        // Buckets are ascending ranges over positions, as are the
+        // column list and the vector's extras.
+        slices.clear();
+        std::size_t i = 0;
+        std::size_t e = pack.extra_begin[b];
+        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+            const auto begin =
+                static_cast<std::uint32_t>(buckets[bk].begin) * stride;
+            const auto end =
+                static_cast<std::uint32_t>(buckets[bk].end) * stride;
+            while (i < active && columns[i] < begin)
+                ++i;
+            BucketSlice s{bk, i, i, e, e};
+            while (i < active && columns[i] < end)
+                ++i;
+            s.end = i;
+            while (e < pack.extra_begin[b + 1] && pack.extras[e].bucket == bk)
+                ++e;
+            s.extra_end = e;
+            if (s.end > s.begin)
+                slices.push_back(s);
+        }
+
+        std::uint64_t underflow = 0;
+        __m512i multi_fires = _mm512_setzero_si512();
+        for (std::size_t c = 0; c < table.chunks; ++c) {
+            ChunkPass<L> p;
+            p.plane = plane;
+            p.lines = reinterpret_cast<const char *>(table.line(c, 0));
+            p.stride = stride;
+            p.enabled = table.enabled.data() + c * 8;
+            p.start = L::starts(table) + c * kChunk;
+            p.value = value;
+            p.spikes = spikes;
+            p.out = args.out + b * args.out_dim + c * kChunk;
+            p.words = (std::min(kChunk, args.out_dim - c * kChunk) + 63) / 64;
+            if (slices.empty()) {
+                // No input fired: the counters keep their starts.
+                runPass<L, true, true>(p, k, mask, multi_fires, underflow);
+                continue;
+            }
+            for (std::size_t si = 0; si < slices.size(); ++si) {
+                const BucketSlice &s = slices[si];
+                p.planes = sumColumns(p.lines, columns + s.begin,
+                                      s.end - s.begin, plane);
+                p.total = pack.bucket_pulses[s.bucket * pack.batch + b];
+                p.extras = pack.extras.data() + s.extra_begin;
+                p.extra_count = s.extra_end - s.extra_begin;
+                const bool first = si == 0;
+                const bool last = si + 1 == slices.size();
+                if (first && last)
+                    runPass<L, true, true>(p, k, mask, multi_fires, underflow);
+                else if (first)
+                    runPass<L, true, false>(p, k, mask, multi_fires,
+                                            underflow);
+                else if (last)
+                    runPass<L, false, true>(p, k, mask, multi_fires,
+                                            underflow);
+                else
+                    runPass<L, false, false>(p, k, mask, multi_fires,
+                                             underflow);
+            }
+        }
+        tally[b].underflow_spikes += underflow;
+        tally[b].multi_fires += L::sum(static_cast<typename L::Mask>(~0u),
+                                       multi_fires);
+    }
+}
 #endif
 
 } // namespace
@@ -569,17 +1101,24 @@ layerKernelPopcnt(const LayerKernelArgs &args, LayerStepStats *tally)
 SUSHI_AVX512_TARGET void
 layerKernelAvx512(const LayerKernelArgs &args, LayerStepStats *tally)
 {
+    const compiler::ColumnTable &columns = args.layer->columns;
     const std::size_t batch = args.pack->batch;
-    for (std::size_t b0 = 0; b0 < batch; b0 += kBlock) {
-        switch (std::min(kBlock, batch - b0)) {
-        case 1: neuronLanes<1>(args, b0, tally); break;
-        case 2: neuronLanes<2>(args, b0, tally); break;
-        case 3: neuronLanes<3>(args, b0, tally); break;
-        case 4: neuronLanes<4>(args, b0, tally); break;
-        case 5: neuronLanes<5>(args, b0, tally); break;
-        case 6: neuronLanes<6>(args, b0, tally); break;
-        case 7: neuronLanes<7>(args, b0, tally); break;
-        default: neuronLanes<8>(args, b0, tally); break;
+    if (columns.lanes32) {
+        columnBody<Lanes32>(args, tally);
+    } else if (!columns.empty()) {
+        columnBody<Lanes64>(args, tally);
+    } else {
+        for (std::size_t b0 = 0; b0 < batch; b0 += kBlock) {
+            switch (std::min(kBlock, batch - b0)) {
+            case 1: neuronLanes<1>(args, b0, tally); break;
+            case 2: neuronLanes<2>(args, b0, tally); break;
+            case 3: neuronLanes<3>(args, b0, tally); break;
+            case 4: neuronLanes<4>(args, b0, tally); break;
+            case 5: neuronLanes<5>(args, b0, tally); break;
+            case 6: neuronLanes<6>(args, b0, tally); break;
+            case 7: neuronLanes<7>(args, b0, tally); break;
+            default: neuronLanes<8>(args, b0, tally); break;
+            }
         }
     }
     // Clear the upper zmm state before leaving AVX-512 code: GCC

@@ -20,7 +20,8 @@ cpuSupports(KernelIsa isa)
         __builtin_cpu_init();
         return __builtin_cpu_supports("popcnt") &&
                __builtin_cpu_supports("avx512f") &&
-               __builtin_cpu_supports("avx512vpopcntdq");
+               __builtin_cpu_supports("avx512vpopcntdq") &&
+               __builtin_cpu_supports("avx512bw");
 #else
         return false;
 #endif

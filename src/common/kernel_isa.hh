@@ -8,9 +8,10 @@
  * or any other target, popcount in plain shifts and adds), `popcnt`
  * (x86-64 `target("popcnt")`, one instruction per 64-bit word) and
  * `avx512vpopcntdq` (x86-64 AVX-512F + VPOPCNTDQ, eight 64-bit words
- * per `vpopcntq`). The first two share one always-inlined body; the
- * AVX-512 wrapper specialises it (the XNOR dot) or has its own (the
- * chip layer kernel's neuron lanes). The build passes no ISA flag,
+ * per `vpopcntq`, plus AVX-512BW for the chip kernel's byte-mask
+ * adds). The first two share one always-inlined body; the AVX-512
+ * wrapper specialises it (the XNOR dot) or has its own (the chip
+ * layer kernel's neuron lanes and column body). The build passes no ISA flag,
  * so the wrapper is picked at run time: once per process, from
  * `__builtin_cpu_supports`, the widest the CPU runs. Every wrapper
  * computes bit-identical results; only speed differs.
@@ -28,7 +29,7 @@ enum class KernelIsa
 {
     Portable,      ///< shift-and-add popcount, runs anywhere
     Popcnt,        ///< x86-64 POPCNT instruction
-    Avx512Vpopcnt, ///< x86-64 AVX-512F + VPOPCNTDQ (`vpopcntq`)
+    Avx512Vpopcnt, ///< x86-64 AVX-512F + VPOPCNTDQ (`vpopcntq`) + BW
 };
 
 /** True if this CPU can run @p isa's wrappers. */

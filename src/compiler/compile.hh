@@ -60,8 +60,12 @@ struct CacheLineAllocator
     }
 };
 
+/** 64-byte-aligned vector. */
+template <class T>
+using AlignedVector = std::vector<T, CacheLineAllocator<T>>;
+
 /**
- * One bitmask per neuron over the scheduled input order, 64 inputs
+ * One bitmask per neuron over the kernel input order, 64 inputs
  * per word, interleaved eight neurons to a 64-byte line: word w of
  * neuron o sits at [((o / 8) * words + w) * 8 + o % 8]. One aligned
  * 64-byte load holds word w of eight neighbouring neurons (the
@@ -93,7 +97,7 @@ class MaskTable
                o % kLanes;
     }
 
-    /** Set scheduled position @p k of neuron @p o. */
+    /** Set kernel position @p k of neuron @p o. */
     void
     set(std::size_t o, std::size_t k)
     {
@@ -105,7 +109,58 @@ class MaskTable
 
   private:
     std::size_t words_ = 0;
-    std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> data_;
+    AlignedVector<std::uint64_t> data_;
+};
+
+/**
+ * The inhibitory neuron column of every kernel-order position of a
+ * wide layer: bit o of position p's column is set iff input p's
+ * synapse onto neuron o is inhibitory. A column is out_dim bits in
+ * 512-bit chunks, position after position: chunk c of position p is
+ * the 64-byte line at line(c, p), stride() bytes after position
+ * p - 1's. Next to the columns, chunked the same way: each neuron's
+ * counter start (preload + bias pulses) and an enabled bit (zero for
+ * disabled neurons and lanes past out_dim). The AVX-512 column body
+ * sums the columns of a vector's active positions; it reads nothing
+ * else of the layer but the buckets.
+ */
+struct ColumnTable
+{
+    /** Neurons per column chunk (one 64-byte line). */
+    static constexpr std::size_t kChunk = 512;
+    /** Layers with at least this many neurons get a table: the
+     *  column body's cost is mostly per active input, the neuron
+     *  lanes' per neuron, and at the flagship's input density they
+     *  break even near 192 (EXPERIMENTS.md). */
+    static constexpr std::size_t kMinNeurons = 192;
+
+    std::size_t chunks = 0;
+    AlignedVector<std::uint64_t> lines;
+    /** Enabled bit per neuron: [chunks x 8] words. */
+    AlignedVector<std::uint64_t> enabled;
+    /**
+     * The compiler proved that every counter quantity of the layer
+     * fits 32 bits: max(preload + bias) + in_dim * 65,535 + 2^K <
+     * 2^32. Then the starts are in start32, else in start64, both
+     * [chunks x kChunk] (zero where disabled or past out_dim).
+     */
+    bool lanes32 = false;
+    AlignedVector<std::uint32_t> start32;
+    AlignedVector<std::uint64_t> start64;
+
+    bool empty() const { return chunks == 0; }
+
+    /** Bytes from one position's column to the next. */
+    std::size_t stride() const { return chunks * 64; }
+
+    /** Chunk @p c of position @p p's column. */
+    const std::uint64_t *
+    line(std::size_t c, std::size_t p) const
+    {
+        return lines.data() + (p * chunks + c) * 8;
+    }
+
+    bool operator==(const ColumnTable &) const = default;
 };
 
 /** One compiled layer. */
@@ -129,21 +184,33 @@ struct CompiledLayer
     std::vector<std::uint8_t> disabled;
 
     /**
-     * Fast membrane kernels: bitmask of negative / positive synapses
-     * per neuron over the *scheduled* input order (see MaskTable).
+     * position[i]: input i's position in the *kernel order*: each
+     * bucket's inputs (schedule.order over the bucket's range) in
+     * ascending input index, bucket after bucket, so every bucket
+     * keeps its range. The order of pulses within a bucket's
+     * inhibitory or excitatory pass cannot change a count, so the
+     * kernels may read a bucket in any order; schedule.order itself
+     * stays the reload-accounting and gate-level order. An unbucketed
+     * layer's kernel order is the input order.
      */
-    MaskTable neg_masks;
-    MaskTable pos_masks;
-    /** position[i]: the scheduled position of input i, the inverse
-     *  of schedule.order. */
     std::vector<std::uint32_t> position;
+    /** position[i] == i for every input (the pack stores each row's
+     *  bits as they are). */
+    bool natural_order = false;
+    /** Bitmask of inhibitory synapses per neuron over the kernel
+     *  order (see MaskTable). */
+    MaskTable neg_masks;
+    /** The same masks by input column, for layers of at least
+     *  ColumnTable::kMinNeurons neurons; empty otherwise. */
+    ColumnTable columns;
 };
 
 /**
- * Rebuild @p out's tables that follow from schedule.order — position
- * and the mask tables — for @p layer. The compiler calls it once per
- * layer; code that edits schedule.order afterwards calls it again.
- * Bucket edits need no rebuild: nothing here depends on the buckets.
+ * Rebuild @p out's tables — position, natural_order, neg_masks and
+ * columns — from @p layer, out.schedule and the place pass's
+ * preload, bias_pulses, disabled and range. The compiler calls it
+ * once per layer; code that edits any of those afterwards (the order,
+ * the buckets, a neuron's start or enabled flag) calls it again.
  */
 void buildLayerTables(const snn::BinaryLayer &layer, CompiledLayer &out);
 

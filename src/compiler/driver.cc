@@ -33,25 +33,70 @@ buildLayerTables(const snn::BinaryLayer &layer, CompiledLayer &out)
 {
     const std::size_t in_dim = layer.inDim();
     const std::size_t n_out = layer.outDim();
-    const auto &order = out.schedule.order;
-    out.position.assign(in_dim, 0);
-    for (std::size_t k = 0; k < in_dim; ++k)
-        out.position[static_cast<std::size_t>(order[k])] =
-            static_cast<std::uint32_t>(k);
 
-    // Bitmask kernels over the scheduled order.
+    // Kernel order: each bucket's inputs ascending, in the bucket's
+    // own range; a position no bucket covers keeps its input.
+    std::vector<int> input(out.schedule.order);
+    for (const Block &bucket : out.schedule.buckets)
+        std::sort(input.begin() + bucket.begin, input.begin() + bucket.end);
+    out.position.assign(in_dim, 0);
+    out.natural_order = true;
+    for (std::size_t k = 0; k < in_dim; ++k) {
+        out.position[static_cast<std::size_t>(input[k])] =
+            static_cast<std::uint32_t>(k);
+        out.natural_order &= input[k] == static_cast<int>(k);
+    }
+
     const std::size_t words = (in_dim + 63) / 64;
     out.neg_masks = MaskTable(n_out, words);
-    out.pos_masks = MaskTable(n_out, words);
+    ColumnTable &cols = out.columns;
+    cols = ColumnTable{};
+    const std::size_t chunks =
+        (n_out + ColumnTable::kChunk - 1) / ColumnTable::kChunk;
+    // The kernel addresses columns by 32-bit byte offsets.
+    if (n_out >= ColumnTable::kMinNeurons &&
+        in_dim * chunks * 64 < (std::uint64_t{1} << 32)) {
+        cols.chunks = chunks;
+        cols.lines.assign(in_dim * chunks * 8, 0);
+    }
     for (std::size_t o = 0; o < n_out; ++o) {
         const auto &w = layer.weights[o];
+        const std::size_t c = o / ColumnTable::kChunk;
+        const std::size_t word = o % ColumnTable::kChunk / 64;
         for (std::size_t k = 0; k < in_dim; ++k) {
-            if (w[static_cast<std::size_t>(order[k])] < 0)
-                out.neg_masks.set(o, k);
-            else
-                out.pos_masks.set(o, k);
+            if (w[static_cast<std::size_t>(input[k])] >= 0)
+                continue;
+            out.neg_masks.set(o, k);
+            if (!cols.empty())
+                cols.lines[(k * chunks + c) * 8 + word] |=
+                    std::uint64_t{1} << (o % 64);
         }
     }
+    if (cols.empty())
+        return;
+
+    const std::size_t lanes = cols.chunks * ColumnTable::kChunk;
+    cols.enabled.assign(cols.chunks * 8, 0);
+    AlignedVector<std::uint64_t> start(lanes, 0);
+    std::uint64_t max_start = 0;
+    for (std::size_t o = 0; o < n_out; ++o) {
+        if (out.disabled[o])
+            continue;
+        cols.enabled[o / 64] |= std::uint64_t{1} << (o % 64);
+        start[o] = out.preload[o] +
+                   static_cast<std::uint64_t>(out.bias_pulses[o]);
+        max_start = std::max(max_start, start[o]);
+    }
+    // Every counter quantity is at most the start plus the layer's
+    // pulses (<= 65,535 per input) plus one wrap of 2^K.
+    cols.lanes32 =
+        max_start + in_dim * 65535 +
+            static_cast<std::uint64_t>(out.range.state_budget) <
+        (std::uint64_t{1} << 32);
+    if (cols.lanes32)
+        cols.start32.assign(start.begin(), start.end());
+    else
+        cols.start64 = std::move(start);
 }
 
 CompilerDriver::CompilerDriver(DriverOptions options)

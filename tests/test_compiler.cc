@@ -249,30 +249,79 @@ TEST(Compile, MasksPartitionInputs)
     auto bin = snn::BinarySnn::fromFloat(mlp);
     ChipConfig chip;
     chip.n = 4;
+    chip.sc_per_npe = 5; // tight: a bucketed schedule
     auto compiled = compileNetwork(bin, chip);
     const auto &l0 = compiled.layers[0];
+    const auto &weights = bin.layers()[0].weights;
+    ASSERT_GT(l0.schedule.buckets.size(), 1u);
+    ASSERT_EQ(l0.position.size(), 70u);
+    EXPECT_FALSE(l0.natural_order);
+    // The bit at an input's kernel position is set iff its synapse
+    // is inhibitory.
     constexpr std::size_t kLanes = MaskTable::kLanes;
     for (std::size_t o = 0; o < 9; ++o) {
         const std::uint64_t *neg = l0.neg_masks.lane(o);
-        const std::uint64_t *pos = l0.pos_masks.lane(o);
-        // Every input position is in exactly one of the two masks.
-        for (std::size_t w = 0; w < l0.neg_masks.words(); ++w) {
-            EXPECT_EQ(neg[w * kLanes] & pos[w * kLanes], 0u);
+        for (std::size_t i = 0; i < 70; ++i) {
+            const std::size_t k = l0.position[i];
+            EXPECT_EQ(neg[k / 64 * kLanes] >> (k % 64) & 1,
+                      weights[o][i] < 0 ? 1u : 0u)
+                << "neuron " << o << " input " << i;
         }
-        std::uint64_t bits = 0;
-        for (std::size_t w = 0; w < l0.neg_masks.words(); ++w) {
-            bits += static_cast<std::uint64_t>(
-                std::popcount(neg[w * kLanes]) +
-                std::popcount(pos[w * kLanes]));
-        }
-        EXPECT_EQ(bits, 70u);
     }
-    // position inverts the schedule.
-    ASSERT_EQ(l0.position.size(), 70u);
-    for (std::size_t k = 0; k < 70; ++k)
-        EXPECT_EQ(l0.position[static_cast<std::size_t>(
-                      l0.schedule.order[k])],
-                  k);
+    // Each bucket's inputs land on its own range, ascending.
+    for (const Block &bucket : l0.schedule.buckets) {
+        std::vector<int> inputs(
+            l0.schedule.order.begin() + bucket.begin,
+            l0.schedule.order.begin() + bucket.end);
+        std::sort(inputs.begin(), inputs.end());
+        for (std::size_t r = 0; r < inputs.size(); ++r)
+            EXPECT_EQ(l0.position[static_cast<std::size_t>(inputs[r])],
+                      static_cast<std::uint32_t>(bucket.begin) + r);
+    }
+}
+
+TEST(Compile, ColumnsOfWideLayersMatchMasks)
+{
+    snn::SnnConfig cfg;
+    cfg.input = 70;
+    cfg.hidden = 600; // two 512-neuron chunks, the last ragged
+    cfg.output = 3;
+    cfg.stateless = true;
+    snn::SnnMlp mlp(cfg, 29);
+    auto bin = snn::BinarySnn::fromFloat(mlp);
+    ChipConfig chip;
+    chip.n = 4;
+    auto compiled = compileNetwork(bin, chip);
+    const auto &l0 = compiled.layers[0];
+    EXPECT_TRUE(compiled.layers[1].columns.empty());
+    const ColumnTable &cols = l0.columns;
+    ASSERT_EQ(cols.chunks, 2u);
+    ASSERT_EQ(cols.lines.size(), 70u * 2 * 8);
+    EXPECT_EQ(cols.stride(), 128u);
+    EXPECT_TRUE(cols.lanes32);
+    constexpr std::size_t kLanes = MaskTable::kLanes;
+    for (std::size_t k = 0; k < 70; ++k) {
+        for (std::size_t o = 0; o < 2 * ColumnTable::kChunk; ++o) {
+            const std::uint64_t *line =
+                cols.line(o / ColumnTable::kChunk, k);
+            const auto bit =
+                line[o % ColumnTable::kChunk / 64] >> (o % 64) & 1;
+            // Past out_dim nothing is set.
+            const std::uint64_t want =
+                o < 600
+                    ? l0.neg_masks.lane(o)[k / 64 * kLanes] >> (k % 64) & 1
+                    : 0;
+            ASSERT_EQ(bit, want) << "position " << k << " neuron " << o;
+        }
+    }
+    for (std::size_t o = 0; o < 2 * ColumnTable::kChunk; ++o) {
+        const bool on = o < 600 && !l0.disabled[o];
+        EXPECT_EQ(cols.enabled[o / 64] >> (o % 64) & 1, on ? 1u : 0u);
+        EXPECT_EQ(cols.start32[o],
+                  on ? l0.preload[o] + static_cast<std::uint64_t>(
+                                           l0.bias_pulses[o])
+                     : 0u);
+    }
 }
 
 TEST(Validate, RejectsBadGeometry)
@@ -439,8 +488,9 @@ TEST(Driver, LegacyPresetMatchesCompileNetwork)
         EXPECT_EQ(a.layers[l].preload, b.layers[l].preload);
         EXPECT_EQ(a.layers[l].bias_pulses, b.layers[l].bias_pulses);
         EXPECT_EQ(a.layers[l].disabled, b.layers[l].disabled);
+        EXPECT_EQ(a.layers[l].position, b.layers[l].position);
         EXPECT_EQ(a.layers[l].neg_masks, b.layers[l].neg_masks);
-        EXPECT_EQ(a.layers[l].pos_masks, b.layers[l].pos_masks);
+        EXPECT_EQ(a.layers[l].columns, b.layers[l].columns);
     }
     EXPECT_EQ(a.totalReloads(), b.totalReloads());
     EXPECT_EQ(a.disabled_count, a.disabledNeurons());

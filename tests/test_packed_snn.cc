@@ -385,12 +385,15 @@ TEST(TrainerParity, ForwardWithToggleByteIdentical)
  * npe::Npe per neuron-step (behaviourally identical to the
  * time-multiplexed physical NPE after rst + write), fed input by
  * input in schedule order, inhibitory pass first within every
- * bucket. The chip's closed-form kernels must match it bit for bit,
- * tallies included. @p failed_slots holds the chip's per-slot failure
- * flags (SushiChip::failedNpes); @p out and @p tally start zeroed.
+ * bucket. Each synapse's polarity comes from @p blayer's weights, not
+ * from the compiled tables under test. The chip's closed-form kernels
+ * must match it bit for bit, tallies included. @p failed_slots holds
+ * the chip's per-slot failure flags (SushiChip::failedNpes); @p out
+ * and @p tally start zeroed.
  */
 void
 oracleLayerStep(const compiler::CompiledLayer &layer,
+                const snn::BinaryLayer &blayer,
                 const compiler::ChipConfig &cfg,
                 const std::vector<std::uint8_t> &failed_slots,
                 std::span<const std::uint16_t> act,
@@ -412,24 +415,18 @@ oracleLayerStep(const compiler::CompiledLayer &layer,
         std::uint64_t spikes = npe.addPulses(
             static_cast<std::uint64_t>(layer.bias_pulses[o]));
 
-        const std::uint64_t *neg_mask = layer.neg_masks.lane(o);
-        const std::uint64_t *pos_mask = layer.pos_masks.lane(o);
+        const auto &weights = blayer.weights[o];
         for (const compiler::Block &bucket : layer.schedule.buckets) {
             // Input by input: each one's pulses go to its synapse's
             // polarity.
             std::uint64_t neg = 0;
             std::uint64_t pos = 0;
             for (int k = bucket.begin; k < bucket.end; ++k) {
-                const std::uint64_t a =
-                    act[static_cast<std::size_t>(order[k])];
-                const auto w = static_cast<std::size_t>(k) / 64;
-                const unsigned bit = static_cast<unsigned>(k % 64);
-                if (neg_mask[w * compiler::MaskTable::kLanes] >> bit & 1)
-                    neg += a;
-                else if (pos_mask[w * compiler::MaskTable::kLanes] >>
-                             bit &
-                         1)
-                    pos += a;
+                const auto i = static_cast<std::size_t>(order[k]);
+                if (weights[i] < 0)
+                    neg += act[i];
+                else
+                    pos += act[i];
             }
             // Inhibitory pass first within every bucket (Sec. 5.1).
             if (neg) {
@@ -455,17 +452,17 @@ oracleLayerStep(const compiler::CompiledLayer &layer,
  *  vector into @p tallies. */
 void
 oracleLayerBatch(const compiler::CompiledLayer &layer,
+                 const snn::BinaryLayer &blayer,
                  const compiler::ChipConfig &cfg,
                  const std::vector<std::uint8_t> &failed_slots,
-                 const chip::PulseBatch &in, std::size_t out_dim,
-                 chip::PulseBatch &out,
+                 const chip::PulseBatch &in, chip::PulseBatch &out,
                  std::vector<chip::LayerStepStats> &tallies)
 {
-    out.reset(in.batch, out_dim);
+    out.reset(in.batch, blayer.outDim());
     tallies.assign(in.batch, chip::LayerStepStats{});
     for (std::size_t v = 0; v < in.batch; ++v)
-        oracleLayerStep(layer, cfg, failed_slots, in.row(v), out.row(v),
-                        tallies[v]);
+        oracleLayerStep(layer, blayer, cfg, failed_slots, in.row(v),
+                        out.row(v), tallies[v]);
 }
 
 void
@@ -544,9 +541,8 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
                                          " rep " + std::to_string(rep);
                 chip::PulseBatch want, got;
                 std::vector<chip::LayerStepStats> want_t, got_t(1);
-                oracleLayerBatch(compiled.layers[l], ccfg,
-                                 fast.failedNpes(), in, blayer.outDim(),
-                                 want, want_t);
+                oracleLayerBatch(compiled.layers[l], blayer, ccfg,
+                                 fast.failedNpes(), in, want, want_t);
                 batched.stepLayerBatch(compiled.layers[l], blayer, in,
                                        got, got_t.data());
                 ASSERT_EQ(got.pulses, want.pulses) << what;
@@ -641,7 +637,8 @@ TEST(KernelDispatch, SelectedIsaIsTheBestSupported)
     EXPECT_EQ(cpuSupports(KernelIsa::Avx512Vpopcnt),
               __builtin_cpu_supports("popcnt") &&
                   __builtin_cpu_supports("avx512f") &&
-                  __builtin_cpu_supports("avx512vpopcntdq"));
+                  __builtin_cpu_supports("avx512vpopcntdq") &&
+                  __builtin_cpu_supports("avx512bw"));
 #else
     EXPECT_FALSE(cpuSupports(KernelIsa::Avx512Vpopcnt));
 #endif
@@ -669,13 +666,14 @@ TEST(KernelDispatch, AndPopcountWrappersMatchBitCount)
 }
 
 /** Replace @p layer's buckets with a fresh in-order partition of
- *  [0, in_dim): 0 = one bucket, 1 = word-aligned single words,
- *  2 = short unaligned buckets (mostly inside one word), 3 = long
- *  unaligned multi-word buckets. */
+ *  [0, in_dim) and rebuild the tables that follow from them: 0 = one
+ *  bucket, 1 = word-aligned single words, 2 = short unaligned buckets
+ *  (mostly inside one word), 3 = long unaligned multi-word buckets. */
 void
-rebucket(compiler::CompiledLayer &layer, int in_dim, int shape,
-         Rng &rng)
+rebucket(compiler::CompiledLayer &layer, const snn::BinaryLayer &blayer,
+         int shape, Rng &rng)
 {
+    const auto in_dim = static_cast<int>(blayer.inDim());
     auto &buckets = layer.schedule.buckets;
     buckets.clear();
     for (int begin = 0; begin < in_dim;) {
@@ -690,6 +688,7 @@ rebucket(compiler::CompiledLayer &layer, int in_dim, int shape,
         buckets.push_back(compiler::Block{begin, end});
         begin = end;
     }
+    compiler::buildLayerTables(blayer, layer);
 }
 
 chip::PulseBatch
@@ -698,15 +697,101 @@ randomBatch(std::size_t batch, std::size_t width, Rng &rng)
     chip::PulseBatch in;
     in.reset(batch, width);
     for (std::size_t v = 0; v < batch; ++v) {
-        // Half the vectors carry multi-pulse entries (wrap
-        // artefacts from upstream), the rest are binary frames.
-        const bool multi = rng.chance(0.5);
+        // Binary frames of any density, all-active rows, and
+        // multi-pulse rows (wrap artefacts from upstream), some with
+        // inputs at the 65,535-pulse maximum.
+        const int kind = static_cast<int>(rng.below(4));
         const double density = rng.uniform();
         for (auto &p : in.row(v))
             p = static_cast<std::uint16_t>(
-                multi ? rng.below(4) : (rng.chance(density) ? 1 : 0));
+                kind == 0   ? (rng.chance(density) ? 1 : 0)
+                : kind == 1 ? 1
+                : kind == 2 ? rng.below(4)
+                : rng.chance(0.05) ? 65535 - rng.below(3)
+                                   : rng.below(3));
     }
     return in;
+}
+
+/** A one-layer net of random ±1 weights whose thresholds straddle
+ *  the 2^@p state_bits budget: most neurons fire at some input
+ *  count, some need bias pulses (theta <= 0), some are disabled. */
+snn::BinarySnn
+randomNet(std::size_t in_dim, std::size_t out_dim, int state_bits,
+          Rng &rng)
+{
+    snn::BinaryLayer layer;
+    layer.weights.assign(out_dim, std::vector<std::int8_t>(in_dim));
+    for (auto &row : layer.weights)
+        for (auto &w : row)
+            w = rng.chance(0.5) ? 1 : -1;
+    const std::uint64_t budget = std::uint64_t{1} << std::min(state_bits, 12);
+    for (std::size_t o = 0; o < out_dim; ++o)
+        layer.thresholds.push_back(
+            static_cast<int>(rng.below(budget + budget / 4 + 8)) - 8);
+    return snn::BinarySnn::fromLayers({layer}, 1);
+}
+
+/**
+ * Run @p layer over @p in on every path: a SushiChip's stepLayerBatch
+ * and every wrapper this CPU runs, called directly, against
+ * oracleLayerBatch; then the per-vector stepLayer composition. A
+ * non-negative @p failed_slot marks that NPE failed.
+ */
+void
+expectKernelsMatchOracle(const compiler::CompiledLayer &layer,
+                         const snn::BinaryLayer &blayer,
+                         const compiler::ChipConfig &ccfg,
+                         const chip::PulseBatch &in, int failed_slot,
+                         const std::string &what)
+{
+    const std::size_t batch = in.batch;
+    chip::SushiChip fast(ccfg), single(ccfg);
+    if (failed_slot >= 0) {
+        fast.markNpeFailed(failed_slot);
+        single.markNpeFailed(failed_slot);
+    }
+
+    chip::PulseBatch want, got;
+    std::vector<chip::LayerStepStats> want_t, got_t(batch);
+    oracleLayerBatch(layer, blayer, ccfg, fast.failedNpes(), in, want,
+                     want_t);
+    fast.stepLayerBatch(layer, blayer, in, got, got_t.data());
+    ASSERT_EQ(got.pulses, want.pulses) << what;
+    expectTalliesEq(got_t, want_t, what);
+
+    for (const KernelIsa isa : supportedIsas()) {
+        chip::detail::LayerBatchPack pack;
+        chip::detail::packLayerBatch(layer, in, pack);
+        std::vector<std::uint16_t> out(batch * blayer.outDim(), 0);
+        std::vector<chip::LayerStepStats> t(batch);
+        chip::detail::LayerKernelArgs args;
+        args.layer = &layer;
+        args.pack = &pack;
+        args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
+        args.failed_slots = fast.remapPlan().failed > 0
+                                ? fast.failedNpes().data()
+                                : nullptr;
+        args.slots = static_cast<std::size_t>(ccfg.n);
+        args.out = out.data();
+        args.out_dim = blayer.outDim();
+        layerKernelWrapper(isa)(args, t.data());
+        for (std::size_t v = 0; v < batch; ++v)
+            t[v].active_inputs = pack.active[v];
+        ASSERT_EQ(out, want.pulses) << kernelIsaName(isa) << what;
+        expectTalliesEq(t, want_t, kernelIsaName(isa) + what);
+    }
+
+    // The per-vector composition: B stepLayer calls give the same
+    // rows, and charge what the batch's tallies say.
+    for (std::size_t v = 0; v < batch; ++v) {
+        const chip::PulseVector act(in.row(v).begin(), in.row(v).end());
+        const auto row = single.stepLayer(layer, blayer, act);
+        ASSERT_TRUE(
+            std::equal(row.begin(), row.end(), want.row(v).begin()))
+            << what << v;
+    }
+    expectChargedTallies(single.stats(), want_t, what);
 }
 
 TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
@@ -715,87 +800,107 @@ TEST(ChipBatchKernel, WrappersAndBatchesMatchOracleAndPerVector)
     // remainder of the neuron-lane block of 8 vectors.
     const std::size_t kBatches[] = {1, 2, 3, 4, 5, 7, 8, 9, 40, 70};
     constexpr int kSizes = 10;
-    for (int c = 0; c < kSizes * 12; ++c) {
+    // Tiny counters force wrap-around carries and borrows; 30 is the
+    // widest counter validateChipConfig allows.
+    const int kStateBits[] = {3, 4, 5, 10, 30};
+    for (int c = 0; c < kSizes * 24; ++c) {
         Rng rng(31000 + static_cast<std::uint64_t>(c));
-        // Every (batch, in_dim tail class, bucket shape) triple once.
-        const std::size_t batch = kBatches[c % kSizes];
-        const std::size_t in_dim = sampleInDim((c / kSizes) % 3, rng);
-        const int shape = c / (kSizes * 3);
-        const auto net = tinyNet(in_dim, 4 + rng.below(30), 2, 1,
-                                 32000 + static_cast<std::uint64_t>(c));
+        // Every (batch, in_dim tail class, bucket shape, width) once.
+        const bool wide = c >= kSizes * 12;
+        // The column body runs vector by vector: wide layers skip
+        // the batch-lane tile sizes.
+        const std::size_t batch =
+            wide ? std::min<std::size_t>(kBatches[c % kSizes], 9)
+                 : kBatches[c % kSizes];
+        // Narrow layers run the neuron lanes; wide ones from
+        // ColumnTable::kMinNeurons up (ragged last 512-neuron chunk
+        // included) the column body. A wide layer of one bucket also
+        // takes in_dim past 256, so the bucket can hold more active
+        // inputs than 8 bit planes count.
+        const int shape = c / (kSizes * 3) % 4;
+        const std::size_t in_dim =
+            sampleInDim((c / kSizes) % 3, rng) +
+            (wide && shape == 0 ? 256 * (1 + rng.below(2)) : 0);
         compiler::ChipConfig ccfg;
         ccfg.n = rng.chance(0.5) ? 4 : 8;
-        // Tiny counters force wrap-around carries and borrows.
-        ccfg.sc_per_npe = rng.chance(0.25)
-                              ? 10
-                              : 3 + static_cast<int>(rng.below(3));
+        ccfg.sc_per_npe = kStateBits[rng.below(5)];
+        // Wide layers are random ±1 layers with a random schedule:
+        // building them from a float net and running the reorder
+        // pass would cost more than running them.
+        const auto net =
+            wide ? randomNet(in_dim, 65 + rng.below(1036),
+                             ccfg.sc_per_npe, rng)
+                 : tinyNet(in_dim, 4 + rng.below(30), 2, 1,
+                           32000 + static_cast<std::uint64_t>(c));
+        ccfg.bucketing.reorder = !wide;
+        ccfg.bucketing.bucketing = !wide;
         const auto compiled = compiler::compileNetwork(net, ccfg);
         compiler::CompiledLayer layer = compiled.layers[0];
         const snn::BinaryLayer &blayer = net.layers()[0];
-        rebucket(layer, static_cast<int>(in_dim), shape, rng);
+        if (wide) {
+            auto &order = layer.schedule.order;
+            for (std::size_t i = order.size(); i > 1; --i)
+                std::swap(order[i - 1], order[rng.below(i)]);
+        }
         for (auto &d : layer.disabled)
             if (rng.chance(0.15))
                 d = 1;
+        rebucket(layer, blayer, shape, rng);
+        ASSERT_EQ(layer.columns.empty(),
+                  blayer.outDim() < compiler::ColumnTable::kMinNeurons);
         const chip::PulseBatch in = randomBatch(batch, in_dim, rng);
-        const std::string what = "case " + std::to_string(c) + " v ";
+        const int failed =
+            rng.chance(0.4)
+                ? static_cast<int>(
+                      rng.below(static_cast<std::uint64_t>(ccfg.n)))
+                : -1;
+        expectKernelsMatchOracle(layer, blayer, ccfg, in, failed,
+                                 "case " + std::to_string(c) + " v ");
+    }
 
-        chip::SushiChip fast(ccfg), single(ccfg);
-        if (rng.chance(0.4)) {
-            const int slot = static_cast<int>(
-                rng.below(static_cast<std::uint64_t>(ccfg.n)));
-            fast.markNpeFailed(slot);
-            single.markNpeFailed(slot);
-        }
-
-        chip::PulseBatch want, got;
-        std::vector<chip::LayerStepStats> want_t, got_t(batch);
-        oracleLayerBatch(layer, ccfg, fast.failedNpes(), in,
-                         blayer.outDim(), want, want_t);
-        fast.stepLayerBatch(layer, blayer, in, got, got_t.data());
-        ASSERT_EQ(got.pulses, want.pulses) << what;
-        expectTalliesEq(got_t, want_t, what);
-
-        // Every wrapper this CPU runs, called directly.
-        for (const KernelIsa isa : supportedIsas()) {
-            chip::detail::LayerBatchPack pack;
-            chip::detail::packLayerBatch(layer, in, pack);
-            std::vector<std::uint16_t> out(batch * blayer.outDim(), 0);
-            std::vector<chip::LayerStepStats> t(batch);
-            chip::detail::LayerKernelArgs args;
-            args.layer = &layer;
-            args.pack = &pack;
-            args.state_bits = static_cast<unsigned>(ccfg.sc_per_npe);
-            args.failed_slots = fast.remapPlan().failed > 0
-                                    ? fast.failedNpes().data()
-                                    : nullptr;
-            args.slots = static_cast<std::size_t>(ccfg.n);
-            args.out = out.data();
-            args.out_dim = blayer.outDim();
-            layerKernelWrapper(isa)(args, t.data());
-            for (std::size_t v = 0; v < batch; ++v)
-                t[v].active_inputs = pack.active[v];
-            ASSERT_EQ(out, want.pulses) << kernelIsaName(isa) << what;
-            expectTalliesEq(t, want_t, kernelIsaName(isa) + what);
-        }
-
-        // The per-vector composition: B stepLayer calls give the same
-        // rows, and charge what the batch's tallies say.
-        for (std::size_t v = 0; v < batch; ++v) {
-            const chip::PulseVector act(in.row(v).begin(),
-                                        in.row(v).end());
-            const auto row = single.stepLayer(layer, blayer, act);
-            ASSERT_TRUE(std::equal(row.begin(), row.end(),
-                                   want.row(v).begin()))
-                << what << v;
-        }
-        expectChargedTallies(single.stats(), want_t,
-                             "case " + std::to_string(c));
+    // A wide layer on each side of the bound for 32-bit counter
+    // lanes, max(preload + bias) + in_dim * 65,535 + 2^K < 2^32: a
+    // neuron with threshold theta <= 0 starts at 2^K - theta.
+    // in_dim * 65,535 > 2^31 needs a wide input, so each side also
+    // runs single-bucket sums far past 8 bit planes.
+    constexpr std::size_t kInDim = 33000;
+    constexpr std::size_t kOutDim = 200;
+    constexpr int kK = 4;
+    for (const bool inside : {true, false}) {
+        Rng rng(39000 + (inside ? 1u : 0u));
+        snn::BinaryLayer blayer;
+        blayer.weights.assign(kOutDim, std::vector<std::int8_t>(kInDim));
+        for (auto &row : blayer.weights)
+            for (auto &w : row)
+                w = rng.chance(0.5) ? 1 : -1;
+        for (std::size_t o = 0; o < kOutDim; ++o)
+            blayer.thresholds.push_back(
+                static_cast<int>(rng.below(40)) - 20);
+        const std::int64_t edge = (std::int64_t{1} << 32) - 1 -
+                                  (std::int64_t{1} << (kK + 1)) -
+                                  std::int64_t{kInDim} * 65535;
+        blayer.thresholds[7] = static_cast<int>(-edge - (inside ? 0 : 1));
+        const auto net = snn::BinarySnn::fromLayers({blayer}, 1);
+        compiler::ChipConfig ccfg;
+        ccfg.n = 8;
+        ccfg.sc_per_npe = kK;
+        ccfg.bucketing.bucketing = false;
+        ccfg.bucketing.reorder = false;
+        const auto compiled = compiler::compileNetwork(net, ccfg);
+        const compiler::CompiledLayer &layer = compiled.layers[0];
+        ASSERT_FALSE(layer.columns.empty());
+        EXPECT_EQ(layer.columns.lanes32, inside);
+        const chip::PulseBatch in = randomBatch(4, kInDim, rng);
+        expectKernelsMatchOracle(layer, net.layers()[0], ccfg, in, 3,
+                                 inside ? "32-bit lanes v "
+                                        : "64-bit lanes v ");
     }
 }
 
 /** The dense pack the sparse packLayerBatch replaced: every input
- *  gathered through schedule.order, bucket by bucket. The oracle of
- *  SparsePackMatchesDensePack. */
+ *  gathered bucket by bucket in the kernel order (each bucket's
+ *  inputs under schedule.order, ascending), derived here from the
+ *  schedule alone. The oracle of SparsePackMatchesDensePack. */
 void
 densePack(const compiler::CompiledLayer &layer, const chip::PulseBatch &in,
           chip::detail::LayerBatchPack &pack)
@@ -810,15 +915,18 @@ densePack(const compiler::CompiledLayer &layer, const chip::PulseBatch &in,
     pack.active.assign(batch, 0);
     pack.extras.clear();
     pack.extra_begin.assign(batch + 1, 0);
-    const int *order = layer.schedule.order.data();
+    std::vector<int> order(layer.schedule.order);
+    for (const compiler::Block &bucket : buckets)
+        std::sort(order.begin() + bucket.begin, order.begin() + bucket.end);
     for (std::size_t b = 0; b < batch; ++b) {
         const std::uint16_t *act = in.row(b).data();
         pack.extra_begin[b] = pack.extras.size();
         for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
             std::uint64_t sum = 0;
             for (int k = buckets[bk].begin; k < buckets[bk].end; ++k) {
-                const std::uint16_t a =
-                    act[static_cast<std::size_t>(order[k])];
+                const auto i =
+                    static_cast<std::size_t>(order[static_cast<std::size_t>(k)]);
+                const std::uint16_t a = act[i];
                 if (a != 0) {
                     pack.bits[static_cast<std::size_t>(k) / 64 * batch +
                               b] |= std::uint64_t{1} << (k % 64);
@@ -852,7 +960,7 @@ TEST(ChipBatchKernel, SparsePackMatchesDensePack)
         ccfg.n = 4;
         const auto compiled = compiler::compileNetwork(net, ccfg);
         compiler::CompiledLayer layer = compiled.layers[0];
-        rebucket(layer, static_cast<int>(in_dim), c % 4, rng);
+        rebucket(layer, net.layers()[0], c % 4, rng);
         if (rng.chance(0.5)) {
             // Any permutation is a schedule the pack must invert,
             // once the compiler has rebuilt the tables it derives.
