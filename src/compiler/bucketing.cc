@@ -8,30 +8,32 @@ namespace sushi::compiler {
 namespace {
 
 /**
- * Sort key for reordering: the input's polarity signature across
- * output columns, summarised as (negative-synapse count, first few
- * signs). Inputs with similar signatures end up adjacent, so the
- * row-major deal across slices reuses crosspoint configurations.
+ * Sort keys for reordering, one per input: the input's polarity
+ * signature across output columns, summarised as (negative-synapse
+ * count, first few signs). Inputs with similar signatures end up
+ * adjacent, so the row-major deal across slices reuses crosspoint
+ * configurations. One row-major pass over the weights.
  */
-long
-signatureKey(const snn::BinaryLayer &layer, int input)
+std::vector<long>
+signatureKeys(const snn::BinaryLayer &layer)
 {
-    long neg = 0;
-    for (std::size_t o = 0; o < layer.outDim(); ++o)
-        neg += layer.weights[o][static_cast<std::size_t>(input)] < 0
-                   ? 1
-                   : 0;
-    long key = neg << 16;
+    const std::size_t in_dim = layer.inDim();
+    std::vector<long> neg(in_dim, 0), lead_bits(in_dim, 0);
     // Tie-break on the leading column signs for stability of the
     // grouping.
     const std::size_t lead = std::min<std::size_t>(16, layer.outDim());
-    for (std::size_t o = 0; o < lead; ++o) {
-        key = (key << 1) |
-              (layer.weights[o][static_cast<std::size_t>(input)] > 0
-                   ? 1
-                   : 0);
+    for (std::size_t o = 0; o < layer.outDim(); ++o) {
+        const auto &row = layer.weights[o];
+        for (std::size_t i = 0; i < in_dim; ++i)
+            neg[i] += row[i] < 0 ? 1 : 0;
+        if (o < lead)
+            for (std::size_t i = 0; i < in_dim; ++i)
+                lead_bits[i] = (lead_bits[i] << 1) | (row[i] > 0 ? 1 : 0);
     }
-    return key;
+    std::vector<long> keys(in_dim);
+    for (std::size_t i = 0; i < in_dim; ++i)
+        keys[i] = (neg[i] << (16 + lead)) | lead_bits[i];
+    return keys;
 }
 
 } // namespace
@@ -45,11 +47,12 @@ scheduleLayer(const snn::BinaryLayer &layer, const BucketingConfig &cfg)
     std::iota(sched.order.begin(), sched.order.end(), 0);
 
     if (cfg.reorder) {
+        const std::vector<long> keys = signatureKeys(layer);
         std::vector<int> sorted = sched.order;
         std::stable_sort(sorted.begin(), sorted.end(),
                          [&](int a, int b) {
-                             return signatureKey(layer, a) <
-                                    signatureKey(layer, b);
+                             return keys[static_cast<std::size_t>(a)] <
+                                    keys[static_cast<std::size_t>(b)];
                          });
         // Deal the sorted inputs row-major across slices: the
         // crosspoint at mesh row r then sees a contiguous sorted run

@@ -12,35 +12,6 @@ namespace sushi::snn {
 namespace {
 
 /**
- * The single binarization sign predicate: w >= 0 maps to +1 (so
- * -0.0f and +0.0f agree), NaN maps to -1 (the comparison is false).
- * binarizeLayer, binaryEffectiveWeights, and the packed kernels must
- * round identically or the differential fuzzer's packed-vs-scalar
- * parity breaks on sign-of-zero inputs.
- */
-inline bool
-binaryPositive(float w)
-{
-    return w >= 0.0f;
-}
-
-/** Row scaling factor alpha = mean(|w|), guarded so a degenerate row
- *  (all zeros, or any NaN poisoning the mean) falls back to 1.0
- *  instead of producing a NaN threshold. `!(alpha > 0)` is the NaN-
- *  proof spelling of `alpha <= 0`. */
-double
-rowAlpha(const float *row, std::size_t n)
-{
-    double alpha = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        alpha += std::fabs(row[i]);
-    alpha /= static_cast<double>(n);
-    if (!(alpha > 0.0))
-        alpha = 1.0;
-    return alpha;
-}
-
-/**
  * Integer firing threshold with deterministic rounding. The raw
  * ceil((theta - bias) / alpha) can be astronomically large (tiny
  * alpha, runaway trained bias) and casting that double to int is
@@ -62,6 +33,34 @@ clampedThreshold(double raw, std::size_t in_dim)
 }
 
 } // namespace
+
+std::vector<double>
+rowAlphas(const Tensor &w)
+{
+    // kRows rows advance together, each in its own accumulator and
+    // in ascending column order: every row's sum is the sequential
+    // one, and the rows' dependency chains overlap. A short last
+    // group repeats its final row.
+    constexpr std::size_t kRows = 8;
+    const std::size_t n = w.cols();
+    std::vector<double> alpha(w.rows());
+    for (std::size_t o0 = 0; o0 < w.rows(); o0 += kRows) {
+        const std::size_t m = std::min(kRows, w.rows() - o0);
+        const float *rows[kRows];
+        for (std::size_t r = 0; r < kRows; ++r)
+            rows[r] = w.row(o0 + std::min(r, m - 1));
+        double acc[kRows] = {};
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t r = 0; r < kRows; ++r)
+                acc[r] += std::fabs(rows[r][i]);
+        for (std::size_t r = 0; r < m; ++r) {
+            const double a = acc[r] / static_cast<double>(n);
+            // `a > 0` is false for NaN as well as for zero.
+            alpha[o0 + r] = a > 0.0 ? a : 1.0;
+        }
+    }
+    return alpha;
+}
 
 long
 BinaryLayer::positiveSynapses() const
@@ -91,9 +90,10 @@ binarizeLayer(const Tensor &w, const std::vector<float> &b,
     BinaryLayer layer;
     layer.weights.resize(w.rows());
     layer.thresholds.resize(w.rows());
+    const std::vector<double> alphas = rowAlphas(w);
     for (std::size_t o = 0; o < w.rows(); ++o) {
         const float *row = w.row(o);
-        const double alpha = rowAlpha(row, w.cols());
+        const double alpha = alphas[o];
 
         auto &bw = layer.weights[o];
         bw.resize(w.cols());
@@ -113,9 +113,10 @@ Tensor
 binaryEffectiveWeights(const Tensor &w)
 {
     Tensor eff(w.rows(), w.cols());
+    const std::vector<double> alphas = rowAlphas(w);
     for (std::size_t o = 0; o < w.rows(); ++o) {
         const float *row = w.row(o);
-        const double alpha = rowAlpha(row, w.cols());
+        const double alpha = alphas[o];
         float *erow = eff.row(o);
         for (std::size_t i = 0; i < w.cols(); ++i)
             erow[i] = binaryPositive(row[i])

@@ -120,6 +120,27 @@ class BinarySnn
     int t_steps_ = 0;
 };
 
+/**
+ * The single binarization sign predicate: w >= 0 maps to +1 (so
+ * -0.0f and +0.0f agree), NaN maps to -1 (the comparison is false).
+ * binarizeLayer, binaryEffectiveWeights and PackedLayer::fromFloat
+ * must round identically or the packed-vs-scalar parity breaks on
+ * sign-of-zero inputs.
+ */
+inline bool
+binaryPositive(float w)
+{
+    return w >= 0.0f;
+}
+
+/**
+ * Row scaling factors alpha_o = mean(|w_o|), one per row of @p w,
+ * each a double sum in ascending column order. A degenerate row (all
+ * zeros, or any NaN poisoning the mean) falls back to 1.0 instead of
+ * producing a NaN threshold.
+ */
+std::vector<double> rowAlphas(const Tensor &w);
+
 /** Binarize one float layer (sign weights, folded thresholds). */
 BinaryLayer binarizeLayer(const Tensor &w, const std::vector<float> &b,
                           float threshold);

@@ -40,15 +40,14 @@ struct SnnConfig
     bool stateless = false;
 };
 
-/** Per-step activations recorded for BPTT. */
+/** Per-step activations recorded for BPTT, [T][B x width] each (the
+ *  input frames are the caller's own). */
 struct ForwardTrace
 {
-    std::vector<Tensor> x;      ///< input frames [T][B x in]
     std::vector<Tensor> v1_pre; ///< hidden membrane before firing
     std::vector<Tensor> s1;     ///< hidden spikes
     std::vector<Tensor> v2_pre; ///< output membrane before firing
     std::vector<Tensor> s2;     ///< output spikes
-    Tensor counts;              ///< summed output spikes [B x out]
 };
 
 /** Two-layer fully-connected IF spiking network. */
@@ -71,20 +70,33 @@ class SnnMlp
      * Run the network over pre-encoded spike frames.
      * @param frames frames[t] is a [B x input] 0/1 matrix
      * @param trace  if non-null, filled with per-step activations
+     *               (its tensors are reused when the shapes match)
      * @return output spike counts [B x output]
+     * @throws std::invalid_argument unless there are t_steps frames,
+     *         each input wide, all with the same number of rows (so
+     *         also forwardWith, forwardBinary and predict)
      */
     Tensor forward(const std::vector<Tensor> &frames,
                    ForwardTrace *trace = nullptr) const;
 
     /**
-     * Forward pass with explicit weight tensors (used by the
-     * binarization-aware trainer, which substitutes the XNOR-Net
-     * effective weights alpha * sign(w) while keeping the float
-     * shadow weights in w1/w2).
+     * Forward pass with explicit weight tensors, e.g. the XNOR-Net
+     * effective weights alpha * sign(w) (binaryEffectiveWeights). The
+     * popcount path runs when both tensors have that structure.
      */
     Tensor forwardWith(const Tensor &eff_w1, const Tensor &eff_w2,
                        const std::vector<Tensor> &frames,
                        ForwardTrace *trace = nullptr) const;
+
+    /**
+     * The binarization-aware trainer's forward: forwardWith the
+     * XNOR-Net effective weights of w1 and w2, bit for bit, but with
+     * both layers packed straight from the float weights
+     * (PackedLayer::fromFloat). The dense effective weights are built
+     * only when the popcount path cannot run.
+     */
+    Tensor forwardBinary(const std::vector<Tensor> &frames,
+                         ForwardTrace *trace = nullptr) const;
 
     /** Argmax-of-counts prediction per batch row. */
     std::vector<int> predict(const std::vector<Tensor> &frames) const;
@@ -93,8 +105,15 @@ class SnnMlp
     SnnConfig cfg_;
 };
 
-/** Arctan surrogate-gradient derivative at @p v (centred at 0). */
-float surrogateGrad(float v, float alpha);
+/** Arctan surrogate-gradient derivative at @p v (centred at 0).
+ *  Inline, so the trainer's loops over it vectorise. */
+inline float
+surrogateGrad(float v, float alpha)
+{
+    const float half_pi_alpha = 1.5707963f * alpha;
+    const float z = half_pi_alpha * v;
+    return alpha / (2.0f * (1.0f + z * z));
+}
 
 } // namespace sushi::snn
 

@@ -90,7 +90,8 @@ void packRow(const std::vector<std::uint8_t> &frame,
 
 /**
  * Pack a [batch x bits] float tensor whose entries are exactly 0.0f
- * or 1.0f (spike frames).
+ * or 1.0f (spike frames; -0.0f counts as 0). Four entries per SSE
+ * compare + movemask on x86-64.
  * @return false (out unspecified) if any entry is neither — the
  *         caller must fall back to the dense float path.
  */
@@ -129,6 +130,18 @@ class PackedLayer
     static PackedLayer fromEffective(const Tensor &w,
                                      const std::vector<float> &bias);
 
+    /**
+     * Binarize float weights XNOR-Net style in one pass, without the
+     * dense effective weights: sign bit = binaryPositive(w) and
+     * alpha_o = float(rowAlphas(w)[o]). Equals
+     * fromEffective(binaryEffectiveWeights(w), bias) in signs, alpha,
+     * bias and packable(): packable() == false iff a row's float
+     * alpha is not > 0 (a mean |w| that rounds to zero), or the
+     * shapes disagree.
+     */
+    static PackedLayer fromFloat(const Tensor &w,
+                                 const std::vector<float> &bias);
+
     bool packable() const { return packable_; }
     std::size_t inDim() const { return in_dim_; }
     std::size_t outDim() const { return out_dim_; }
@@ -143,7 +156,7 @@ class PackedLayer
     /** Integer firing thresholds (fromSigned only). */
     const std::vector<int> &thresholds() const { return thresholds_; }
 
-    /** Per-row alpha / bias epilogue (fromEffective only). */
+    /** Per-row alpha / bias epilogue (fromEffective, fromFloat). */
     const std::vector<float> &alpha() const { return alpha_; }
     const std::vector<float> &bias() const { return bias_; }
 
@@ -177,8 +190,10 @@ void spikeForward(const PackedLayer &layer,
 /**
  * Float binary-dense forward for the binarization-aware trainer:
  * out(b, o) = bias_o + alpha_o * (B_o . x_b). Layer must come from
- * fromEffective; out must be [batch x outDim]. Same determinism
- * contract as spikeForward.
+ * fromEffective or fromFloat; out must be [batch x outDim]. The
+ * packed backend runs batch lanes: the activations word-major, each
+ * neuron's sign word against a whole vector of samples per popcount.
+ * Same determinism contract as spikeForward.
  */
 void effectiveForward(const PackedLayer &layer,
                       const PackedActivations &x, Tensor &out,

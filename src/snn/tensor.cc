@@ -3,8 +3,14 @@
 #include <cmath>
 #include <cstdint>
 
+#include "common/kernel_isa.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "snn/tensor_kernel.hh"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace sushi::snn {
 
@@ -129,33 +135,33 @@ struct ActiveColumns
 
     explicit ActiveColumns(const Tensor &x) : first(x.cols() + 1, 0)
     {
-        // Each row's non-zero inputs, listed without a branch per
-        // input, then counting-sorted into columns.
-        std::vector<std::uint32_t> listed(x.size());
-        std::vector<std::size_t> row_end(x.rows());
-        std::size_t n = 0;
+        // Count each column's non-zero inputs, then place them row by
+        // row; a row's non-zero inputs are listed first, without a
+        // branch per input.
         for (std::size_t b = 0; b < x.rows(); ++b) {
             const float *xb = x.row(b);
+            for (std::size_t i = 0; i < x.cols(); ++i)
+                first[i + 1] += xb[i] != 0.0f ? 1 : 0;
+        }
+        for (std::size_t i = 0; i < x.cols(); ++i)
+            first[i + 1] += first[i];
+        row.resize(first.back());
+        value.resize(first.back());
+        std::vector<std::size_t> next(first.begin(), first.end() - 1);
+        std::vector<std::uint32_t> listed(x.cols());
+        for (std::size_t b = 0; b < x.rows(); ++b) {
+            const float *xb = x.row(b);
+            std::size_t n = 0;
             for (std::size_t i = 0; i < x.cols(); ++i) {
                 listed[n] = static_cast<std::uint32_t>(i);
                 n += xb[i] != 0.0f ? 1 : 0;
             }
-            row_end[b] = n;
-        }
-        for (std::size_t k = 0; k < n; ++k)
-            ++first[listed[k] + 1];
-        for (std::size_t i = 0; i < x.cols(); ++i)
-            first[i + 1] += first[i];
-        row.resize(n);
-        value.resize(n);
-        std::vector<std::size_t> next(first.begin(), first.end() - 1);
-        std::size_t k = 0;
-        for (std::size_t b = 0; b < x.rows(); ++b)
-            for (; k < row_end[b]; ++k) {
+            for (std::size_t k = 0; k < n; ++k) {
                 const std::size_t i = listed[k];
                 row[next[i]] = static_cast<std::uint32_t>(b);
-                value[next[i]++] = x.at(b, i);
+                value[next[i]++] = xb[i];
             }
+        }
     }
 };
 
@@ -187,14 +193,19 @@ addColumns(const ActiveColumns &act, const Tensor &dout, Tensor &dw_t,
     }
 }
 
-/** Output columns per register block: four SSE vectors. */
+/** Output columns per portable register block: four SSE vectors. */
 constexpr std::size_t kColumnBlock = 16;
 
-} // namespace
-
+/**
+ * The body every wrapper shares: db, the active-input lists, then
+ * jobs over disjoint runs of kColumnBlock-column blocks of dw_t (at
+ * least 4 blocks each), which @p add_blocks(act, k0, k1) accumulates;
+ * the last out_dim % kColumnBlock columns run one at a time.
+ */
+template <class AddBlocks>
 void
-linearWeightGrad(const Tensor &x, const Tensor &dout, Tensor &dw_t,
-                 std::vector<float> &db)
+weightGradBody(const Tensor &x, const Tensor &dout, Tensor &dw_t,
+               std::vector<float> &db, AddBlocks &&add_blocks)
 {
     const std::size_t batch = x.rows();
     const std::size_t in_dim = x.cols();
@@ -213,23 +224,112 @@ linearWeightGrad(const Tensor &x, const Tensor &dout, Tensor &dw_t,
     for (std::size_t o = 0; o < out_dim; ++o)
         db[o] += dbsum[o];
 
-    // Jobs own disjoint column blocks of dw_t, at least 4 blocks
-    // each; the last out_dim % kColumnBlock columns run one at a
-    // time.
     const ActiveColumns act(x);
     const std::size_t blocks = out_dim / kColumnBlock;
     ParallelOptions opts;
     opts.grain = 4;
     parallelFor(
         blocks,
-        [&](std::size_t k0, std::size_t k1) {
-            for (std::size_t k = k0; k < k1; ++k)
-                addColumns<kColumnBlock>(act, dout, dw_t,
-                                         k * kColumnBlock);
-        },
+        [&](std::size_t k0, std::size_t k1) { add_blocks(act, k0, k1); },
         opts);
     for (std::size_t o = blocks * kColumnBlock; o < out_dim; ++o)
         addColumns<1>(act, dout, dw_t, o);
+}
+
+#if defined(__x86_64__)
+/** addColumns<64> in four zmm accumulators. A multiply then an add,
+ *  never an FMA: the library is built -ffp-contract=off, so the
+ *  products round exactly as the portable blocks' do. */
+__attribute__((target("avx512f"))) void
+addColumns64(const ActiveColumns &act, const Tensor &dout, Tensor &dw_t,
+             std::size_t o)
+{
+    for (std::size_t i = 0; i + 1 < act.first.size(); ++i) {
+        if (act.first[i] == act.first[i + 1])
+            continue;
+        float *dwi = dw_t.row(i) + o;
+        __m512 a0 = _mm512_loadu_ps(dwi);
+        __m512 a1 = _mm512_loadu_ps(dwi + 16);
+        __m512 a2 = _mm512_loadu_ps(dwi + 32);
+        __m512 a3 = _mm512_loadu_ps(dwi + 48);
+        for (std::size_t p = act.first[i]; p < act.first[i + 1]; ++p) {
+            const float *g = dout.row(act.row[p]) + o;
+            const __m512 xv = _mm512_set1_ps(act.value[p]);
+            a0 = _mm512_add_ps(a0, _mm512_mul_ps(_mm512_loadu_ps(g), xv));
+            a1 = _mm512_add_ps(
+                a1, _mm512_mul_ps(_mm512_loadu_ps(g + 16), xv));
+            a2 = _mm512_add_ps(
+                a2, _mm512_mul_ps(_mm512_loadu_ps(g + 32), xv));
+            a3 = _mm512_add_ps(
+                a3, _mm512_mul_ps(_mm512_loadu_ps(g + 48), xv));
+        }
+        _mm512_storeu_ps(dwi, a0);
+        _mm512_storeu_ps(dwi + 16, a1);
+        _mm512_storeu_ps(dwi + 32, a2);
+        _mm512_storeu_ps(dwi + 48, a3);
+    }
+}
+#endif
+
+} // namespace
+
+namespace detail {
+
+void
+linearWeightGradPortable(const Tensor &x, const Tensor &dout,
+                         Tensor &dw_t, std::vector<float> &db)
+{
+    weightGradBody(x, dout, dw_t, db,
+                   [&](const ActiveColumns &act, std::size_t k0,
+                       std::size_t k1) {
+                       for (std::size_t k = k0; k < k1; ++k)
+                           addColumns<kColumnBlock>(act, dout, dw_t,
+                                                    k * kColumnBlock);
+                   });
+}
+
+#if defined(__x86_64__)
+void
+linearWeightGradAvx512(const Tensor &x, const Tensor &dout, Tensor &dw_t,
+                       std::vector<float> &db)
+{
+    // A job's run of 16-column blocks goes four at a time, 64 columns
+    // per register block, and its last few 16 at a time.
+    weightGradBody(x, dout, dw_t, db,
+                   [&](const ActiveColumns &act, std::size_t k0,
+                       std::size_t k1) {
+                       std::size_t k = k0;
+                       for (; k + 4 <= k1; k += 4)
+                           addColumns64(act, dout, dw_t,
+                                        k * kColumnBlock);
+                       for (; k < k1; ++k)
+                           addColumns<kColumnBlock>(act, dout, dw_t,
+                                                    k * kColumnBlock);
+                   });
+}
+#endif
+
+WeightGradFn
+weightGrad()
+{
+#if defined(__x86_64__)
+    static const WeightGradFn fn =
+        selectedKernelIsa() == KernelIsa::Avx512Vpopcnt
+            ? linearWeightGradAvx512
+            : linearWeightGradPortable;
+    return fn;
+#else
+    return linearWeightGradPortable;
+#endif
+}
+
+} // namespace detail
+
+void
+linearWeightGrad(const Tensor &x, const Tensor &dout, Tensor &dw_t,
+                 std::vector<float> &db)
+{
+    detail::weightGrad()(x, dout, dw_t, db);
 }
 
 } // namespace sushi::snn

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "snn/binarize.hh"
@@ -57,32 +59,66 @@ Trainer::Trainer(SnnMlp &net, const TrainConfig &cfg)
       opt_w1_(net.w1.size(), cfg.lr),
       opt_b1_(net.b1.size(), cfg.lr),
       opt_w2_(net.w2.size(), cfg.lr),
-      opt_b2_(net.b2.size(), cfg.lr)
+      opt_b2_(net.b2.size(), cfg.lr),
+      gw1t_(net.config().input, net.config().hidden)
 {
+    if (cfg.batch == 0)
+        throw std::invalid_argument("training batch size 0");
 }
+
+namespace {
+
+/** dv = ds * surrogateGrad(v_pre - theta) + gv * (1 - s): the
+ *  membrane gradient through the fire and the detached reset. */
+void
+membraneGrad(const Tensor &ds, const Tensor &v_pre, const Tensor &s,
+             const Tensor &gv, float theta, float alpha, Tensor &dv)
+{
+    const float *dsp = ds.data(), *vp = v_pre.data(), *sp = s.data();
+    const float *gvp = gv.data();
+    float *dvp = dv.data();
+    const std::size_t n = dv.size();
+    for (std::size_t i = 0; i < n; ++i)
+        dvp[i] = dsp[i] * surrogateGrad(vp[i] - theta, alpha) +
+                 gvp[i] * (1.0f - sp[i]);
+}
+
+/** Throw std::invalid_argument unless there is one label per image. */
+void
+checkLabels(const Tensor &images, const std::vector<int> &labels)
+{
+    if (images.rows() != labels.size())
+        throw std::invalid_argument(
+            std::to_string(images.rows()) + " images but " +
+            std::to_string(labels.size()) + " labels");
+}
+
+} // namespace
 
 std::pair<double, std::size_t>
 Trainer::step(const std::vector<Tensor> &frames,
               const std::vector<int> &labels)
 {
     const SnnConfig &cfg = net_.config();
-    const std::size_t batch = frames[0].rows();
     const int t_steps = cfg.t_steps;
     const float theta = cfg.threshold;
-    sushi_assert(labels.size() == batch);
 
     // Binarization-aware forward: run with the XNOR-Net effective
-    // weights; gradients flow to the float shadow weights (STE).
-    Tensor eff_w1, eff_w2;
-    if (cfg_.binary_aware) {
-        eff_w1 = binaryEffectiveWeights(net_.w1);
-        eff_w2 = binaryEffectiveWeights(net_.w2);
-    }
-    const Tensor &fw1 = cfg_.binary_aware ? eff_w1 : net_.w1;
+    // weights; gradients flow to the float shadow weights (STE). The
+    // forward checks the frames before any weight changes.
+    const Tensor counts = cfg_.binary_aware
+                              ? net_.forwardBinary(frames, &trace_)
+                              : net_.forward(frames, &trace_);
+    const std::size_t batch = counts.rows();
+    if (labels.size() != batch)
+        throw std::invalid_argument(
+            std::to_string(batch) + " samples but " +
+            std::to_string(labels.size()) + " labels");
+    // The output layer's input gradient runs through the weights the
+    // forward used.
+    const Tensor eff_w2 =
+        cfg_.binary_aware ? binaryEffectiveWeights(net_.w2) : Tensor();
     const Tensor &fw2 = cfg_.binary_aware ? eff_w2 : net_.w2;
-
-    ForwardTrace trace;
-    const Tensor counts = net_.forwardWith(fw1, fw2, frames, &trace);
 
     // Rate-coded MSE loss: L = mean((counts/T - onehot)^2).
     const double denom =
@@ -114,7 +150,8 @@ Trainer::step(const std::vector<Tensor> &frames,
     // membrane gradient gv through v_pre[t] = v_after[t-1] + h[t],
     // v_after = v_pre * (1 - s) (s detached in the reset term).
     // Weight gradients accumulate transposed, [in x out].
-    Tensor gw1t(cfg.input, cfg.hidden), gw2t(cfg.hidden, cfg.output);
+    gw1t_.zero();
+    Tensor gw2t(cfg.hidden, cfg.output);
     std::vector<float> gb1(cfg.hidden, 0.0f), gb2(cfg.output, 0.0f);
     Tensor gv1(batch, cfg.hidden), gv2(batch, cfg.output);
     Tensor dv2(batch, cfg.output), dv1(batch, cfg.hidden);
@@ -122,16 +159,11 @@ Trainer::step(const std::vector<Tensor> &frames,
 
     for (int t = t_steps - 1; t >= 0; --t) {
         const auto ti = static_cast<std::size_t>(t);
-        const Tensor &v2p = trace.v2_pre[ti];
-        const Tensor &s2 = trace.s2[ti];
+        const Tensor &v2p = trace_.v2_pre[ti];
+        const Tensor &s2 = trace_.s2[ti];
         // dL/dv2_pre = dL/ds2 * surrogate + gv2 * (1 - s2).
-        for (std::size_t i = 0; i < dv2.size(); ++i) {
-            const float sg = surrogateGrad(
-                v2p.data()[i] - theta, cfg.surrogate_alpha);
-            dv2.data()[i] =
-                dcounts.data()[i] * sg +
-                gv2.data()[i] * (1.0f - s2.data()[i]);
-        }
+        membraneGrad(dcounts, v2p, s2, gv2, theta, cfg.surrogate_alpha,
+                     dv2);
         if (cfg.stateless)
             gv2.zero(); // no membrane carry between steps
         else
@@ -139,18 +171,12 @@ Trainer::step(const std::vector<Tensor> &frames,
 
         // Through the output linear layer into hidden spikes (the
         // effective weights are what the forward pass used).
-        linearWeightGrad(trace.s1[ti], dv2, gw2t, gb2);
+        linearWeightGrad(trace_.s1[ti], dv2, gw2t, gb2);
         linearInputGrad(fw2, dv2, ds1);
 
-        const Tensor &v1p = trace.v1_pre[ti];
-        const Tensor &s1 = trace.s1[ti];
-        for (std::size_t i = 0; i < dv1.size(); ++i) {
-            const float sg = surrogateGrad(
-                v1p.data()[i] - theta, cfg.surrogate_alpha);
-            dv1.data()[i] =
-                ds1.data()[i] * sg +
-                gv1.data()[i] * (1.0f - s1.data()[i]);
-        }
+        const Tensor &v1p = trace_.v1_pre[ti];
+        const Tensor &s1 = trace_.s1[ti];
+        membraneGrad(ds1, v1p, s1, gv1, theta, cfg.surrogate_alpha, dv1);
         if (cfg.stateless)
             gv1.zero();
         else
@@ -158,10 +184,10 @@ Trainer::step(const std::vector<Tensor> &frames,
 
         // Into the first linear layer; its input gradient is not
         // needed.
-        linearWeightGrad(trace.x[ti], dv1, gw1t, gb1);
+        linearWeightGrad(frames[ti], dv1, gw1t_, gb1);
     }
 
-    opt_w1_.step(net_.w1.data(), gw1t.data(), cfg.hidden, cfg.input);
+    opt_w1_.step(net_.w1.data(), gw1t_.data(), cfg.hidden, cfg.input);
     opt_b1_.step(net_.b1.data(), gb1.data(), gb1.size(), 1);
     opt_w2_.step(net_.w2.data(), gw2t.data(), cfg.output, cfg.hidden);
     opt_b2_.step(net_.b2.data(), gb2.data(), gb2.size(), 1);
@@ -172,7 +198,14 @@ Trainer::step(const std::vector<Tensor> &frames,
 TrainStats
 Trainer::fit(const Tensor &images, const std::vector<int> &labels)
 {
-    sushi_assert(images.rows() == labels.size());
+    checkLabels(images, labels);
+    if (images.rows() == 0)
+        throw std::invalid_argument("no training images");
+    if (images.cols() != net_.config().input)
+        throw std::invalid_argument(
+            "images are " + std::to_string(images.cols()) +
+            " wide, the network input " +
+            std::to_string(net_.config().input));
     const std::size_t n = images.rows();
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), 0);
@@ -226,7 +259,7 @@ double
 evaluate(const SnnMlp &net, const Tensor &images,
          const std::vector<int> &labels, std::uint64_t encoder_seed)
 {
-    sushi_assert(images.rows() == labels.size());
+    checkLabels(images, labels);
     PoissonEncoder encoder(encoder_seed);
     const std::size_t n = images.rows();
     const std::size_t batch = 256;

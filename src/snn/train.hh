@@ -67,10 +67,12 @@ struct TrainStats
     std::vector<double> epoch_train_acc;
 };
 
-/** Trains an SnnMlp in place. */
+/** Trains an SnnMlp in place. Every check below throws before any
+ *  weight or optimizer state changes. */
 class Trainer
 {
   public:
+    /** @throws std::invalid_argument if cfg.batch is 0 */
     Trainer(SnnMlp &net, const TrainConfig &cfg);
 
     /**
@@ -78,6 +80,8 @@ class Trainer
      * @param frames frames[t] is [B x input]
      * @param labels B class indices
      * @return (mse loss, correct predictions)
+     * @throws std::invalid_argument on frames SnnMlp::forward refuses
+     *         or a label count other than B
      */
     std::pair<double, std::size_t>
     step(const std::vector<Tensor> &frames,
@@ -87,6 +91,8 @@ class Trainer
      * Full training loop over an image set.
      * @param images [N x input] intensities in [0, 1]
      * @param labels N class indices
+     * @throws std::invalid_argument if N is 0, the images are not
+     *         input wide, or there are not N labels
      */
     TrainStats fit(const Tensor &images, const std::vector<int> &labels);
 
@@ -94,11 +100,17 @@ class Trainer
     SnnMlp &net_;
     TrainConfig cfg_;
     Adam opt_w1_, opt_b1_, opt_w2_, opt_b2_;
+    /** The large buffers every step rewrites, kept so that a step
+     *  does not fault in megabytes of fresh pages. */
+    ForwardTrace trace_;
+    Tensor gw1t_; ///< hidden-layer weight gradient, [input x hidden]
 };
 
 /**
  * Accuracy of @p net on an image set (Poisson-encoded with
  * @p encoder_seed, batched internally).
+ * @throws std::invalid_argument if there is not one label per image
+ *         or the images are not the network's input wide
  */
 double evaluate(const SnnMlp &net, const Tensor &images,
                 const std::vector<int> &labels,

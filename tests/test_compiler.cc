@@ -179,6 +179,79 @@ TEST(Bucketing, ReorderReducesReloads)
     EXPECT_LT(sorted_reloads, plain_reloads / 2);
 }
 
+/** The reorder key as the scheduler defined it before the keys were
+ *  precomputed: an O(out_dim) column walk per comparison. */
+long
+referenceSignatureKey(const snn::BinaryLayer &layer, int input)
+{
+    const auto i = static_cast<std::size_t>(input);
+    long neg = 0;
+    for (std::size_t o = 0; o < layer.outDim(); ++o)
+        neg += layer.weights[o][i] < 0 ? 1 : 0;
+    long key = neg << 16;
+    const std::size_t lead = std::min<std::size_t>(16, layer.outDim());
+    for (std::size_t o = 0; o < lead; ++o)
+        key = (key << 1) | (layer.weights[o][i] > 0 ? 1 : 0);
+    return key;
+}
+
+/** scheduleLayer's reordered order (bucketing off), recomputed with
+ *  the comparator calling referenceSignatureKey. */
+std::vector<int>
+referenceReorder(const snn::BinaryLayer &layer, int mesh_width)
+{
+    const int in_dim = static_cast<int>(layer.inDim());
+    std::vector<int> sorted(static_cast<std::size_t>(in_dim));
+    std::iota(sorted.begin(), sorted.end(), 0);
+    std::stable_sort(sorted.begin(), sorted.end(), [&](int a, int b) {
+        return referenceSignatureKey(layer, a) <
+               referenceSignatureKey(layer, b);
+    });
+    std::vector<int> order(sorted.size());
+    const int blocks = (in_dim + mesh_width - 1) / mesh_width;
+    std::size_t take = 0;
+    for (int r = 0; r < mesh_width; ++r)
+        for (int b = 0; b < blocks; ++b) {
+            const int pos = b * mesh_width + r;
+            if (pos < in_dim)
+                order[static_cast<std::size_t>(pos)] = sorted[take++];
+        }
+    return order;
+}
+
+TEST(Bucketing, ReorderMatchesComparatorReference)
+{
+    BucketingConfig cfg;
+    cfg.bucketing = false;
+    // Random layers, out_dim < 16 (fewer leading signs), a zero
+    // weight, and layers whose inputs all tie or tie in pairs.
+    std::vector<snn::BinaryLayer> layers = {
+        randomLayer(784, 800, 0.5, 1, 50, 101),
+        randomLayer(97, 40, 0.3, 1, 5, 102),
+        randomLayer(50, 7, 0.5, 1, 3, 103),
+        randomLayer(33, 1, 0.5, 1, 2, 104),
+        randomLayer(64, 15, 0.5, 1, 2, 105),
+        randomLayer(40, 10, 0.0, 1, 2, 106), // every key ties
+    };
+    snn::BinaryLayer pairs = randomLayer(60, 20, 0.5, 1, 3, 107);
+    for (auto &row : pairs.weights)
+        for (std::size_t i = 1; i < row.size(); i += 2)
+            row[i] = row[i - 1]; // inputs 2k and 2k + 1 tie
+    // A zero weight is neither negative nor positive: it breaks the
+    // tie of inputs 10 and 11 the other way round.
+    pairs.weights[3][10] = 1;
+    pairs.weights[3][11] = 0;
+    layers.push_back(pairs);
+    for (std::size_t k = 0; k < layers.size(); ++k) {
+        for (const int width : {16, 5}) {
+            cfg.mesh_width = width;
+            EXPECT_EQ(scheduleLayer(layers[k], cfg).order,
+                      referenceReorder(layers[k], width))
+                << "layer " << k << " mesh width " << width;
+        }
+    }
+}
+
 TEST(Bucketing, ReloadsCountFirstConfiguration)
 {
     // A single slice still needs its one-time configuration.

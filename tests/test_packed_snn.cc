@@ -212,6 +212,44 @@ TEST(PackedFuzz, EffectiveForwardDifferential)
     }
 }
 
+TEST(PackedFuzz, EffectiveForwardLanesEveryBatchRemainder)
+{
+    // The batch-lane forward pads the batch to whole lane vectors:
+    // every remainder, a batch of exactly 64 and one past it.
+    std::vector<std::size_t> batches;
+    for (std::size_t b = 1; b <= 17; ++b)
+        batches.push_back(b);
+    batches.push_back(64);
+    batches.push_back(65);
+    int c = 0;
+    for (const std::size_t batch : batches) {
+        Rng rng(8100 + batch);
+        const std::size_t in_dim = sampleInDim(c++, rng);
+        const std::size_t out_dim = 1 + rng.below(40);
+        snn::Tensor w(out_dim, in_dim), x(batch, in_dim);
+        std::vector<float> bias(out_dim);
+        for (std::size_t k = 0; k < w.size(); ++k)
+            w.data()[k] = static_cast<float>(rng.uniform(-1, 1));
+        for (auto &v : bias)
+            v = static_cast<float>(rng.uniform(-2, 2));
+        for (std::size_t k = 0; k < x.size(); ++k)
+            x.data()[k] = rng.chance(0.3) ? 1.0f : 0.0f;
+        const PackedLayer layer = PackedLayer::fromFloat(w, bias);
+        ASSERT_TRUE(layer.packable());
+        PackedActivations px;
+        ASSERT_TRUE(snn::packed::packFloatRows(x, px));
+        snn::Tensor fast(batch, out_dim), oracle(batch, out_dim);
+        snn::packed::effectiveForward(layer, px, fast, Backend::Packed,
+                                      static_cast<int>(batch % 3));
+        snn::packed::effectiveForward(layer, px, oracle, Backend::Scalar,
+                                      1);
+        ASSERT_EQ(std::memcmp(fast.data(), oracle.data(),
+                              fast.size() * sizeof(float)),
+                  0)
+            << "batch " << batch;
+    }
+}
+
 TEST(PackedLayer, RejectsNonBinaryInputs)
 {
     // A zero int8 weight is not packable.
@@ -238,6 +276,130 @@ TEST(PackedLayer, RejectsNonBinaryInputs)
     x.at(0, 1) = 0.5f;
     PackedActivations px;
     EXPECT_FALSE(snn::packed::packFloatRows(x, px));
+}
+
+/** The sign bits, alpha, bias and packable() of two layers agree;
+ *  signs and alpha only matter (and are only set) when packable. */
+void
+expectSameLayer(const PackedLayer &got, const PackedLayer &want)
+{
+    ASSERT_EQ(got.packable(), want.packable());
+    EXPECT_EQ(got.bias(), want.bias());
+    if (!want.packable())
+        return;
+    ASSERT_EQ(got.outDim(), want.outDim());
+    ASSERT_EQ(got.words(), want.words());
+    for (std::size_t o = 0; o < want.outDim(); ++o) {
+        EXPECT_TRUE(std::equal(got.signRow(o), got.signRow(o) + got.words(),
+                               want.signRow(o)))
+            << "row " << o;
+        EXPECT_EQ(std::memcmp(&got.alpha()[o], &want.alpha()[o],
+                              sizeof(float)),
+                  0)
+            << "row " << o;
+    }
+}
+
+TEST(PackedLayer, FromFloatEqualsFromEffectiveOfEffectiveWeights)
+{
+    const float kSpecial[] = {0.0f,
+                              -0.0f,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              1e-40f,
+                              -3e-39f};
+    int packable = 0, refused = 0;
+    for (const std::size_t in_dim : {1u, 63u, 64u, 65u, 784u}) {
+        for (int c = 0; c < 12; ++c) {
+            Rng rng(7000 + in_dim * 16 + static_cast<std::uint64_t>(c));
+            const std::size_t out_dim = 1 + rng.below(20);
+            snn::Tensor w(out_dim, in_dim);
+            std::vector<float> bias(out_dim);
+            for (std::size_t o = 0; o < out_dim; ++o) {
+                const int kind = static_cast<int>(rng.below(8));
+                for (std::size_t i = 0; i < in_dim; ++i) {
+                    float v = static_cast<float>(rng.uniform(-1, 1));
+                    if (kind == 0)
+                        v = 0.0f; // all-zero row: alpha falls back to 1
+                    else if (kind == 1 || rng.chance(0.1))
+                        v = kSpecial[rng.below(std::size(kSpecial))];
+                    w.at(o, i) = v;
+                }
+                bias[o] = static_cast<float>(rng.uniform(-2, 2));
+            }
+            // Every fourth layer has a row whose mean |w| rounds to
+            // float 0: neither builder packs it.
+            const bool zero_alpha = c % 4 == 3;
+            if (zero_alpha) {
+                const std::size_t o = rng.below(out_dim);
+                for (std::size_t i = 0; i < in_dim; ++i)
+                    w.at(o, i) = i == 0 && in_dim > 1
+                                     ? std::numeric_limits<float>::denorm_min()
+                                     : (i % 2 ? -0.0f : 0.0f);
+                if (in_dim == 1)
+                    w.at(o, 0) = 0.0f; // alpha 1: this layer can pack
+            }
+            SCOPED_TRACE(testing::Message()
+                         << "in " << in_dim << " case " << c);
+            const PackedLayer got = PackedLayer::fromFloat(w, bias);
+            expectSameLayer(got, PackedLayer::fromEffective(
+                                     snn::binaryEffectiveWeights(w), bias));
+            if (zero_alpha && in_dim > 1) {
+                EXPECT_FALSE(got.packable());
+            }
+            (got.packable() ? packable : refused)++;
+        }
+    }
+    EXPECT_GT(packable, 20);
+    EXPECT_GE(refused, 8);
+
+    // Shapes that do not agree refuse like fromEffective.
+    snn::Tensor w(2, 3);
+    expectSameLayer(PackedLayer::fromFloat(w, {0.0f}),
+                    PackedLayer::fromEffective(w, {0.0f}));
+    snn::Tensor empty(2, 0);
+    EXPECT_FALSE(PackedLayer::fromFloat(empty, {0.0f, 0.0f}).packable());
+}
+
+TEST(PackedLayer, PackFloatRowsEveryTail)
+{
+    const float kRefused[] = {0.5f, 2.0f, -1.0f,
+                              std::numeric_limits<float>::quiet_NaN()};
+    Rng rng(4242);
+    for (std::size_t bits = 0; bits <= 67; ++bits) {
+        SCOPED_TRACE(testing::Message() << "bits " << bits);
+        const std::size_t batch = 3;
+        snn::Tensor x(batch, bits);
+        std::vector<std::uint64_t> want(batch * snn::packed::laneWords(bits), 0);
+        std::vector<std::int32_t> active(batch, 0);
+        for (std::size_t b = 0; b < batch; ++b)
+            for (std::size_t i = 0; i < bits; ++i) {
+                const int kind = static_cast<int>(rng.below(3));
+                x.at(b, i) = kind == 0 ? 1.0f : kind == 1 ? -0.0f : 0.0f;
+                if (kind == 0) {
+                    want[b * snn::packed::laneWords(bits) + i / 64] |=
+                        std::uint64_t{1} << (i % 64);
+                    ++active[b];
+                }
+            }
+        PackedActivations px;
+        ASSERT_TRUE(snn::packed::packFloatRows(x, px));
+        EXPECT_EQ(px.batch, batch);
+        EXPECT_EQ(px.bits, bits);
+        EXPECT_EQ(px.lanes, want);
+        EXPECT_EQ(px.active, active);
+
+        // One bad entry anywhere, in the SIMD body or the scalar tail,
+        // refuses the whole tensor.
+        for (std::size_t i = 0; i < bits; ++i)
+            for (const float bad : kRefused) {
+                snn::Tensor y = x;
+                y.at(batch - 1, i) = bad;
+                ASSERT_FALSE(snn::packed::packFloatRows(y, px))
+                    << "entry " << i << " = " << bad;
+            }
+    }
 }
 
 /** BinarySnn::stepForward's reference: every neuron's membrane
@@ -642,6 +804,44 @@ TEST(KernelDispatch, SelectedIsaIsTheBestSupported)
 #else
     EXPECT_FALSE(cpuSupports(KernelIsa::Avx512Vpopcnt));
 #endif
+}
+
+snn::packed::detail::AndPopcountLanesFn
+andPopcountLanesWrapper(KernelIsa isa)
+{
+#if defined(__x86_64__)
+    if (isa == KernelIsa::Popcnt)
+        return snn::packed::detail::andPopcountLanesPopcnt;
+    if (isa == KernelIsa::Avx512Vpopcnt)
+        return snn::packed::detail::andPopcountLanesAvx512;
+#endif
+    (void)isa;
+    return snn::packed::detail::andPopcountLanesPortable;
+}
+
+TEST(KernelDispatch, AndPopcountLanesWrappersMatchBitCount)
+{
+    using snn::packed::detail::kLanes;
+    for (const KernelIsa isa : supportedIsas()) {
+        const auto fn = andPopcountLanesWrapper(isa);
+        for (int c = 0; c < 120; ++c) {
+            Rng rng(1900 + static_cast<std::uint64_t>(c));
+            const std::size_t words = rng.below(20);
+            const std::size_t lanes = kLanes * (1 + rng.below(9));
+            std::vector<std::uint64_t> sign(words), xt(words * lanes);
+            for (auto &v : sign)
+                v = c % 3 == 0 ? ~std::uint64_t{0} : rng.next();
+            for (auto &v : xt)
+                v = rng.next();
+            std::vector<std::int32_t> got(lanes, -7), want(lanes, 0);
+            for (std::size_t b = 0; b < lanes; ++b)
+                for (std::size_t w = 0; w < words; ++w)
+                    for (int i = 0; i < 64; ++i)
+                        want[b] += (xt[w * lanes + b] & sign[w]) >> i & 1;
+            fn(sign.data(), xt.data(), words, lanes, got.data());
+            ASSERT_EQ(got, want) << kernelIsaName(isa) << " case " << c;
+        }
+    }
 }
 
 TEST(KernelDispatch, AndPopcountWrappersMatchBitCount)

@@ -9,12 +9,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
+#include "common/kernel_isa.hh"
 #include "snn/binarize.hh"
 #include "snn/encoder.hh"
 #include "snn/network.hh"
+#include "snn/tensor_kernel.hh"
 #include "snn/train.hh"
 
 namespace sushi::snn {
@@ -156,67 +160,97 @@ sameBytes(const float *a, const float *b, std::size_t n)
     return std::memcmp(a, b, n * sizeof(float)) == 0;
 }
 
+/** Every linearWeightGrad wrapper this CPU runs (the popcnt ISA
+ *  runs the portable one), then the public entry point. */
+std::vector<std::pair<const char *, detail::WeightGradFn>>
+weightGradWrappers()
+{
+    std::vector<std::pair<const char *, detail::WeightGradFn>> fns = {
+        {"portable", detail::linearWeightGradPortable}};
+#if defined(__x86_64__)
+    if (cpuSupports(KernelIsa::Avx512Vpopcnt))
+        fns.emplace_back("avx512", detail::linearWeightGradAvx512);
+#endif
+    fns.emplace_back("linearWeightGrad", linearWeightGrad);
+    return fns;
+}
+
 TEST(TensorTest, SparseBackwardMatchesDenseBitForBit)
 {
     Rng rng(61);
     int cases = 0;
     for (const std::size_t batch : {1u, 7u, 64u}) {
         for (const std::size_t in_dim : {1u, 63u, 64u, 784u}) {
-            // 800 outputs split the weight gradient over workers.
-            const std::size_t out_dim = in_dim == 784 ? 800 : 37;
-            for (const bool binary : {true, false}) {
-                SCOPED_TRACE(testing::Message()
-                             << "batch " << batch << " in " << in_dim
-                             << (binary ? " 0/1" : " real"));
-                Tensor x(batch, in_dim), w(out_dim, in_dim);
-                Tensor dout(batch, out_dim);
-                for (std::size_t b = 0; b < batch; ++b) {
-                    // Every third row of a multi-row batch is all
-                    // zero.
-                    if (batch > 1 && b % 3 == 1)
-                        continue;
-                    for (std::size_t i = 0; i < in_dim; ++i) {
-                        if (rng.uniform() < 0.6)
+            // Widths around every register block: 64-column blocks,
+            // 16-column blocks and single columns; 800 outputs split
+            // the weight gradient over workers.
+            for (const std::size_t out_dim :
+                 {1u, 10u, 15u, 16u, 63u, 64u, 65u, 800u}) {
+                for (const bool binary : {true, false}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << "batch " << batch << " in " << in_dim
+                                 << " out " << out_dim
+                                 << (binary ? " 0/1" : " real"));
+                    Tensor x(batch, in_dim), w(out_dim, in_dim);
+                    Tensor dout(batch, out_dim);
+                    for (std::size_t b = 0; b < batch; ++b) {
+                        // Every third row of a multi-row batch is all
+                        // zero.
+                        if (batch > 1 && b % 3 == 1)
                             continue;
-                        x.at(b, i) =
-                            binary ? 1.0f
-                                   : static_cast<float>(
-                                         rng.uniform(-2, 2));
+                        for (std::size_t i = 0; i < in_dim; ++i) {
+                            if (rng.uniform() < 0.6)
+                                continue;
+                            x.at(b, i) =
+                                binary ? 1.0f
+                                       : static_cast<float>(
+                                             rng.uniform(-2, 2));
+                        }
                     }
+                    for (std::size_t k = 0; k < w.size(); ++k)
+                        w.data()[k] =
+                            static_cast<float>(rng.uniform(-1, 1));
+                    // Negative, positive and exactly zero upstream
+                    // terms.
+                    for (std::size_t k = 0; k < dout.size(); ++k)
+                        dout.data()[k] =
+                            rng.uniform() < 0.25
+                                ? 0.0f
+                                : static_cast<float>(rng.uniform(-1, 1));
+                    // A non-zero starting gradient (no -0 entries).
+                    Tensor dw(out_dim, in_dim);
+                    std::vector<float> db(out_dim);
+                    for (std::size_t k = 0; k < dw.size(); ++k)
+                        dw.data()[k] =
+                            static_cast<float>(rng.uniform(-1e-3, 1e-3));
+                    for (auto &v : db)
+                        v = static_cast<float>(rng.uniform(-1e-3, 1e-3));
+
+                    const Tensor dw_t0 = transposed(dw);
+                    const std::vector<float> db0 = db;
+                    Tensor dx(batch, in_dim), dx_ref(batch, in_dim);
+                    denseBackward(x, w, dout, dw, db, dx_ref);
+                    linearInputGrad(w, dout, dx);
+                    EXPECT_TRUE(
+                        sameBytes(dx.data(), dx_ref.data(), dx.size()));
+                    for (const auto &[name, fn] : weightGradWrappers()) {
+                        Tensor dw_t = dw_t0;
+                        std::vector<float> db_new = db0;
+                        fn(x, dout, dw_t, db_new);
+                        const Tensor back = transposed(dw_t);
+                        EXPECT_TRUE(
+                            sameBytes(back.data(), dw.data(), dw.size()))
+                            << name;
+                        EXPECT_TRUE(
+                            sameBytes(db_new.data(), db.data(), out_dim))
+                            << name;
+                    }
+                    ++cases;
                 }
-                for (std::size_t k = 0; k < w.size(); ++k)
-                    w.data()[k] = static_cast<float>(rng.uniform(-1, 1));
-                // Negative, positive and exactly zero upstream terms.
-                for (std::size_t k = 0; k < dout.size(); ++k)
-                    dout.data()[k] =
-                        rng.uniform() < 0.25
-                            ? 0.0f
-                            : static_cast<float>(rng.uniform(-1, 1));
-                // A non-zero starting gradient (no -0 entries).
-                Tensor dw(out_dim, in_dim);
-                std::vector<float> db(out_dim);
-                for (std::size_t k = 0; k < dw.size(); ++k)
-                    dw.data()[k] =
-                        static_cast<float>(rng.uniform(-1e-3, 1e-3));
-                for (auto &v : db)
-                    v = static_cast<float>(rng.uniform(-1e-3, 1e-3));
-
-                Tensor dw_t = transposed(dw), dx(batch, in_dim);
-                std::vector<float> db_new = db;
-                Tensor dx_ref(batch, in_dim);
-                denseBackward(x, w, dout, dw, db, dx_ref);
-                linearWeightGrad(x, dout, dw_t, db_new);
-                linearInputGrad(w, dout, dx);
-
-                const Tensor back = transposed(dw_t);
-                EXPECT_TRUE(sameBytes(back.data(), dw.data(), dw.size()));
-                EXPECT_TRUE(sameBytes(db_new.data(), db.data(), out_dim));
-                EXPECT_TRUE(sameBytes(dx.data(), dx_ref.data(), dx.size()));
-                ++cases;
             }
         }
     }
-    EXPECT_EQ(cases, 24);
+    EXPECT_EQ(cases, 192);
 }
 
 TEST(TensorTest, WeightGradAccumulatesAcrossCallsLikeDense)
@@ -361,10 +395,25 @@ TEST(Training, LossDecreasesOnToyTask)
     EXPECT_GT(evaluate(net, images, labels), 0.85);
 }
 
+/** Hidden row of w1 that alphaRoundsToZero() degrades. */
+constexpr std::size_t kZeroAlphaRow = 5;
+
+/** Make row kZeroAlphaRow of @p w all zero but one denormal: its mean
+ *  |w| is positive in double but rounds to float 0, so the layer does
+ *  not pack and the forward takes the dense float path. */
+void
+alphaRoundsToZero(Tensor &w)
+{
+    for (std::size_t d = 0; d < w.cols(); ++d)
+        w.at(kZeroAlphaRow, d) = 0.0f;
+    w.at(kZeroAlphaRow, 7) = std::numeric_limits<float>::denorm_min();
+}
+
 /** FNV-1a 64 over the bytes of w1, b1, w2 and b2 after a small
- *  binary-aware Trainer::fit. */
+ *  binary-aware Trainer::fit, optionally from weights whose first
+ *  step runs dense (alphaRoundsToZero). */
 std::uint64_t
-fitWeightsHash(bool stateless)
+fitWeightsHash(bool stateless, bool zero_alpha_row = false)
 {
     // 90 samples at batch 16 leave a ragged last batch of 10; 100
     // inputs leave a ragged 64-bit word in the packed forward.
@@ -387,6 +436,15 @@ fitWeightsHash(bool stateless)
     cfg.t_steps = 4;
     cfg.stateless = stateless;
     SnnMlp net(cfg, 43);
+    if (zero_alpha_row) {
+        alphaRoundsToZero(net.w1);
+        // Both builders of the packed layer refuse the row.
+        EXPECT_FALSE(packed::PackedLayer::fromFloat(net.w1, net.b1)
+                         .packable());
+        EXPECT_FALSE(packed::PackedLayer::fromEffective(
+                         binaryEffectiveWeights(net.w1), net.b1)
+                         .packable());
+    }
     TrainConfig tc;
     tc.epochs = 2;
     tc.batch = 16;
@@ -415,6 +473,95 @@ TEST(Training, FitWeightsPinned)
         << std::hex << fitWeightsHash(true);
     EXPECT_EQ(fitWeightsHash(false), 0xfdd1eff57ca2f444ULL)
         << std::hex << fitWeightsHash(false);
+}
+
+TEST(Training, FitThroughDensePathPinned)
+{
+    // Recorded before the trainer packed its layers straight from the
+    // float weights: a row whose alpha rounds to 0 still runs the
+    // first step through the dense effective weights.
+    EXPECT_EQ(fitWeightsHash(true, true), 0x6f67b21587665c40ULL)
+        << std::hex << fitWeightsHash(true, true);
+    EXPECT_EQ(fitWeightsHash(false, true), 0xe28e76681bcd858fULL)
+        << std::hex << fitWeightsHash(false, true);
+}
+
+/** Bytes of every parameter of @p net. */
+std::vector<float>
+parameters(const SnnMlp &net)
+{
+    std::vector<float> all(net.w1.data(), net.w1.data() + net.w1.size());
+    all.insert(all.end(), net.b1.begin(), net.b1.end());
+    all.insert(all.end(), net.w2.data(), net.w2.data() + net.w2.size());
+    all.insert(all.end(), net.b2.begin(), net.b2.end());
+    return all;
+}
+
+TEST(Training, BadInputThrowsBeforeAnyChange)
+{
+    SnnConfig cfg;
+    cfg.input = 12;
+    cfg.hidden = 6;
+    cfg.output = 3;
+    cfg.t_steps = 2;
+    cfg.stateless = true;
+    const std::size_t n = 10;
+    Tensor images(n, cfg.input), wide(n, cfg.input + 1);
+    std::vector<int> labels(n);
+    Rng rng(71);
+    for (std::size_t i = 0; i < n; ++i) {
+        labels[i] = static_cast<int>(rng.below(3));
+        for (std::size_t d = 0; d < cfg.input; ++d)
+            images.at(i, d) = static_cast<float>(rng.uniform());
+    }
+    const std::vector<int> short_labels(labels.begin(), labels.end() - 1);
+    TrainConfig tc;
+    tc.epochs = 2;
+    tc.batch = 4;
+
+    // Each bad call throws naming both sizes, then the same trainer
+    // trains exactly as a fresh one: weights and Adam state untouched.
+    SnnMlp net(cfg, 5), fresh(cfg, 5);
+    Trainer trainer(net, tc);
+    const std::vector<float> before = parameters(net);
+    const auto throwsNaming = [&](auto &&call, const std::string &a,
+                                  const std::string &b) {
+        try {
+            call();
+            ADD_FAILURE() << "no throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(a), std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find(b), std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(parameters(net), before);
+    };
+    throwsNaming([&] { trainer.fit(images, short_labels); }, "10", "9");
+    throwsNaming([&] { trainer.fit(wide, labels); }, "13", "12");
+    throwsNaming([&] { (void)evaluate(net, images, short_labels); }, "10",
+                 "9");
+    throwsNaming([&] { (void)evaluate(net, wide, labels); }, "13", "12");
+    const std::vector<Tensor> narrow(2, Tensor(4, cfg.input - 1));
+    const std::vector<Tensor> one_step(1, Tensor(4, cfg.input));
+    throwsNaming([&] { trainer.step(narrow, {0, 1, 2, 0}); }, "11", "12");
+    throwsNaming([&] { trainer.step(one_step, {0, 1, 2, 0}); }, "1", "2");
+    throwsNaming([&] { (void)net.predict(narrow); }, "11", "12");
+    throwsNaming(
+        [&] {
+            trainer.step(std::vector<Tensor>(2, Tensor(4, cfg.input)),
+                         {0, 1, 2});
+        },
+        "4", "3");
+    EXPECT_THROW(trainer.fit(Tensor(0, cfg.input), {}),
+                 std::invalid_argument);
+    TrainConfig no_batch = tc;
+    no_batch.batch = 0;
+    EXPECT_THROW(Trainer(net, no_batch), std::invalid_argument);
+
+    trainer.fit(images, labels);
+    Trainer(fresh, tc).fit(images, labels);
+    EXPECT_EQ(parameters(net), parameters(fresh));
 }
 
 TEST(Binarize, SignsAndThresholds)
