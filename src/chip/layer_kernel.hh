@@ -5,15 +5,17 @@
  *
  * A batch of B activation vectors is packed once per layer step into
  * a word-major bitset over the layer's kernel input order (word w of
- * vector b at bits[w * B + b]; see CompiledLayer::position). In the
- * natural order of an unbucketed layer each row's 64-input word of
- * non-zero bits is stored as it is; otherwise the pack places each
- * non-zero input through position. Bucket totals then come from
- * popcounts of each bucket's window. The body is compiled once per
- * KernelIsa (see common/kernel_isa.hh); layerKernel() returns the
- * wrapper this CPU runs, and tests call each supported wrapper
- * directly. There is no other kernel: the Npe-object reference it
- * must match lives in tests/test_packed_snn.cc.
+ * vector b at bits[w * B + b]; see CompiledLayer::position), from
+ * PulseBatch rows (hidden layers) or, for layer 0, from the words of
+ * packed SpikeFrames. In the natural order of an unbucketed layer
+ * each 64-input word of non-zero bits is stored as it is; otherwise
+ * the pack places each non-zero input through position. Bucket
+ * totals then come from popcounts of each bucket's window. The body
+ * is compiled once per KernelIsa (see common/kernel_isa.hh);
+ * layerKernel() returns the wrapper this CPU runs, and tests call
+ * each supported wrapper directly. There is no other kernel: the
+ * Npe-object reference it must match lives in
+ * tests/test_packed_snn.cc.
  *
  * The AVX-512 wrapper picks its body from the layer's shape. A wide
  * layer (one with a compiler::ColumnTable) runs the column body: per
@@ -36,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chip/sushi_chip.hh"
@@ -73,6 +76,13 @@ struct LayerBatchPack
 /** Pack @p in for @p layer's schedule (in.width == in_dim). */
 void packLayerBatch(const compiler::CompiledLayer &layer,
                     const PulseBatch &in, LayerBatchPack &pack);
+
+/** Pack every frame of @p samples, sample after sample, for @p
+ *  layer's schedule (each sample's width() == in_dim). The natural
+ *  order stores each frame's words as they are. */
+void packLayerFrames(const compiler::CompiledLayer &layer,
+                     std::span<const SpikeFrames *const> samples,
+                     LayerBatchPack &pack);
 
 /** Everything a kernel call reads and writes besides its tallies. */
 struct LayerKernelArgs

@@ -85,6 +85,75 @@ windowCount(const std::uint64_t *bits, std::size_t batch,
     return n + PortablePopcount::count(bits[wl * batch] & tail);
 }
 
+/** Size @p pack for @p batch vectors of @p width inputs and
+ *  @p buckets buckets, every bit and tally zero. */
+void
+resetPack(LayerBatchPack &pack, std::size_t batch, std::size_t width,
+          std::size_t buckets)
+{
+    pack.batch = batch;
+    pack.words = (width + 63) / 64;
+    pack.bits.assign(pack.words * batch, 0);
+    pack.bucket_pulses.assign(buckets * batch, 0);
+    pack.pulses.assign(batch, 0);
+    pack.active.assign(batch, 0);
+    pack.extras.clear();
+    pack.extra_begin.assign(batch + 1, 0);
+}
+
+/** Set kernel position @p pos of vector @p b. */
+void
+placeBit(LayerBatchPack &pack, std::size_t b, std::uint32_t pos)
+{
+    pack.bits[pos / 64 * pack.batch + b] |= std::uint64_t{1} << (pos % 64);
+}
+
+/**
+ * Vector @p b's bucket tallies, once its bits are placed and its
+ * extras appended (from @p first_extra on, in any order). Bucket
+ * membership follows from positions: each bucket's window popcount,
+ * then the extras, in position order, walked across the buckets. A
+ * position no bucket covers is never counted.
+ */
+void
+tallyBuckets(const compiler::CompiledLayer &layer, LayerBatchPack &pack,
+             std::size_t b, std::size_t first_extra)
+{
+    const auto &buckets = layer.schedule.buckets;
+    const std::size_t batch = pack.batch;
+    pack.extra_begin[b] = first_extra;
+    std::sort(pack.extras.begin() +
+                  static_cast<std::ptrdiff_t>(first_extra),
+              pack.extras.end(),
+              [](const ExtraPulses &x, const ExtraPulses &y) {
+                  return x.pos < y.pos;
+              });
+    std::size_t e = first_extra;
+    std::size_t kept = first_extra;
+    std::uint64_t active = 0;
+    std::uint64_t pulses = 0;
+    for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
+        const auto begin = static_cast<std::uint32_t>(buckets[bk].begin);
+        const auto end = static_cast<std::uint32_t>(buckets[bk].end);
+        const std::uint64_t n =
+            windowCount(pack.bits.data() + b, batch, begin, end);
+        std::uint64_t sum = n;
+        for (; e < pack.extras.size() && pack.extras[e].pos < end; ++e) {
+            if (pack.extras[e].pos < begin)
+                continue;
+            pack.extras[e].bucket = static_cast<std::uint32_t>(bk);
+            sum += pack.extras[e].extra;
+            pack.extras[kept++] = pack.extras[e];
+        }
+        pack.bucket_pulses[bk * batch + b] = sum;
+        active += n;
+        pulses += sum;
+    }
+    pack.extras.resize(kept);
+    pack.pulses[b] = pulses;
+    pack.active[b] = active;
+}
+
 } // namespace
 
 void
@@ -93,21 +162,12 @@ packLayerBatch(const compiler::CompiledLayer &layer,
 {
     const std::size_t batch = in.batch;
     const std::size_t width = in.width;
-    const auto &buckets = layer.schedule.buckets;
     const std::uint32_t *position = layer.position.data();
-    pack.batch = batch;
-    pack.words = (width + 63) / 64;
-    pack.bits.assign(pack.words * batch, 0);
-    pack.bucket_pulses.assign(buckets.size() * batch, 0);
-    pack.pulses.assign(batch, 0);
-    pack.active.assign(batch, 0);
-    pack.extras.clear();
-    pack.extra_begin.assign(batch + 1, 0);
+    resetPack(pack, batch, width, layer.schedule.buckets.size());
 
     for (std::size_t b = 0; b < batch; ++b) {
         const std::uint16_t *act = in.row(b).data();
         const std::size_t first_extra = pack.extras.size();
-        pack.extra_begin[b] = first_extra;
         // Scan each row 64 values at a time. In the natural order a
         // word of non-zero bits is the packed word; otherwise inputs
         // are sparse (~12 % of a Poisson frame), so place only the
@@ -126,52 +186,47 @@ packLayerBatch(const compiler::CompiledLayer &layer,
                     i0 + static_cast<std::size_t>(__builtin_ctzll(nz));
                 const std::uint32_t pos = position[i];
                 if (!layer.natural_order)
-                    pack.bits[pos / 64 * batch + b] |= std::uint64_t{1}
-                                                       << (pos % 64);
+                    placeBit(pack, b, pos);
                 if (act[i] > 1)
                     pack.extras.push_back(
                         {0, pos, std::uint64_t{act[i]} - 1});
             }
         }
-
-        // Bucket membership follows from positions: each bucket's
-        // window popcount, then the extras, in position order, walked
-        // across the buckets. A position no bucket covers is never
-        // counted.
-        std::sort(pack.extras.begin() +
-                      static_cast<std::ptrdiff_t>(first_extra),
-                  pack.extras.end(),
-                  [](const ExtraPulses &x, const ExtraPulses &y) {
-                      return x.pos < y.pos;
-                  });
-        std::size_t e = first_extra;
-        std::size_t kept = first_extra;
-        std::uint64_t active = 0;
-        std::uint64_t pulses = 0;
-        for (std::size_t bk = 0; bk < buckets.size(); ++bk) {
-            const auto begin =
-                static_cast<std::uint32_t>(buckets[bk].begin);
-            const auto end = static_cast<std::uint32_t>(buckets[bk].end);
-            const std::uint64_t n =
-                windowCount(pack.bits.data() + b, batch, begin, end);
-            std::uint64_t sum = n;
-            for (; e < pack.extras.size() && pack.extras[e].pos < end;
-                 ++e) {
-                if (pack.extras[e].pos < begin)
-                    continue;
-                pack.extras[e].bucket = static_cast<std::uint32_t>(bk);
-                sum += pack.extras[e].extra;
-                pack.extras[kept++] = pack.extras[e];
-            }
-            pack.bucket_pulses[bk * batch + b] = sum;
-            active += n;
-            pulses += sum;
-        }
-        pack.extras.resize(kept);
-        pack.pulses[b] = pulses;
-        pack.active[b] = active;
+        tallyBuckets(layer, pack, b, first_extra);
     }
     pack.extra_begin[batch] = pack.extras.size();
+}
+
+void
+packLayerFrames(const compiler::CompiledLayer &layer,
+                std::span<const SpikeFrames *const> samples,
+                LayerBatchPack &pack)
+{
+    std::size_t batch = 0;
+    for (const SpikeFrames *s : samples)
+        batch += s->frames();
+    const std::size_t words = (layer.position.size() + 63) / 64;
+    const std::uint32_t *position = layer.position.data();
+    resetPack(pack, batch, layer.position.size(),
+              layer.schedule.buckets.size());
+    // Binary frames carry no extras: extra_begin stays all zero.
+    std::size_t b = 0;
+    for (const SpikeFrames *s : samples) {
+        for (std::size_t t = 0; t < s->frames(); ++t, ++b) {
+            const std::uint64_t *src = s->frame(t);
+            for (std::size_t w = 0; w < words; ++w) {
+                if (layer.natural_order) {
+                    pack.bits[w * batch + b] = src[w];
+                    continue;
+                }
+                for (std::uint64_t nz = src[w]; nz != 0; nz &= nz - 1)
+                    placeBit(pack, b,
+                             position[w * 64 + static_cast<std::size_t>(
+                                                   __builtin_ctzll(nz))]);
+            }
+            tallyBuckets(layer, pack, b, 0);
+        }
+    }
 }
 
 namespace {
@@ -1207,14 +1262,98 @@ PulseBatch::reset(std::size_t vectors, std::size_t row_width)
     pulses.assign(vectors * row_width, 0);
 }
 
-void
-PulseBatch::setRow(std::size_t v, std::span<const std::uint8_t> frame)
+bool
+SpikeFrames::assign(std::span<const std::vector<std::uint8_t>> frames,
+                    std::size_t width)
 {
-    if (frame.size() != width)
+    width_ = width;
+    words_ = (width + 63) / 64;
+    bits_.resize(frames.size() * words_);
+    active_.resize(frames.size());
+    // Every byte OR-ed together: a value outside {0, 1} sets a bit
+    // above bit 0. Until that is ruled out, a frame's byte sum stands
+    // in for its set-bit count.
+    std::uint8_t seen = 0;
+#if defined(__x86_64__)
+    const __m128i zero = _mm_setzero_si128();
+    __m128i seen16 = zero;
+#endif
+    for (std::size_t t = 0; t < frames.size(); ++t) {
+        if (frames[t].size() != width) {
+            *this = SpikeFrames{};
+            return false;
+        }
+        std::uint64_t *out = bits_.data() + t * words_;
+        std::uint64_t n = 0;
+#if defined(__x86_64__)
+        __m128i sums = zero; // byte sums, per 8-byte half
+#endif
+        for (std::size_t w = 0; w < words_; ++w) {
+            const std::uint8_t *x = frames[t].data() + w * 64;
+            const std::size_t len = std::min<std::size_t>(64, width - w * 64);
+            std::uint64_t word = 0;
+            std::size_t j = 0;
+#if defined(__x86_64__)
+            // SSE2, 16 bytes per step: each byte's low bit shifted to
+            // its top bit, then one movemask. A whole word's four steps
+            // are independent, so they are written out.
+            const auto step = [&](std::size_t at) {
+                const __m128i v = _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(x + at));
+                seen16 = _mm_or_si128(seen16, v);
+                sums = _mm_add_epi64(sums, _mm_sad_epu8(v, zero));
+                return std::uint64_t{static_cast<std::uint16_t>(
+                           _mm_movemask_epi8(_mm_slli_epi64(v, 7)))}
+                       << at;
+            };
+            if (len == 64) {
+                word = (step(0) | step(16)) | (step(32) | step(48));
+                j = 64;
+            }
+            for (; j + 16 <= len; j += 16)
+                word |= step(j);
+#endif
+            for (; j < len; ++j) {
+                seen |= x[j];
+                n += x[j];
+                word |= std::uint64_t{x[j] & 1u} << j;
+            }
+            out[w] = word;
+        }
+#if defined(__x86_64__)
+        n += static_cast<std::uint64_t>(
+            _mm_cvtsi128_si64(sums) +
+            _mm_cvtsi128_si64(_mm_unpackhi_epi64(sums, sums)));
+#endif
+        active_[t] = static_cast<std::uint32_t>(n);
+    }
+#if defined(__x86_64__)
+    const __m128i high = _mm_and_si128(seen16, _mm_set1_epi8(-2));
+    if (_mm_movemask_epi8(_mm_cmpeq_epi8(high, zero)) != 0xffff)
+        seen |= 2;
+#endif
+    if (seen > 1) {
+        *this = SpikeFrames{};
+        return false;
+    }
+    return true;
+}
+
+SpikeFrames
+packFrames(std::span<const std::vector<std::uint8_t>> frames,
+           std::size_t width)
+{
+    for (std::size_t t = 0; t < frames.size(); ++t)
+        if (frames[t].size() != width)
+            throw std::invalid_argument(
+                "frame " + std::to_string(t) + " is " +
+                std::to_string(frames[t].size()) +
+                " wide, not the input width " + std::to_string(width));
+    SpikeFrames out;
+    if (!out.assign(frames, width))
         throw std::invalid_argument(
-            "activation width " + std::to_string(frame.size()) +
-            " != layer input width " + std::to_string(width));
-    std::copy(frame.begin(), frame.end(), row(v).begin());
+            "a frame holds a value outside {0, 1}");
+    return out;
 }
 
 SushiChip::SushiChip(const compiler::ChipConfig &cfg)
@@ -1278,11 +1417,18 @@ SushiChip::stepLayerBatch(const compiler::CompiledLayer &layer,
             "activation width " + std::to_string(in.width) +
             " != layer input width " + std::to_string(in_dim));
     sushi_assert(&in != &out);
-    out.reset(in.batch, out_dim);
-    std::fill(tallies, tallies + in.batch, LayerStepStats{});
-
     detail::packLayerBatch(layer, in, *pack_);
-    for (std::size_t b = 0; b < in.batch; ++b)
+    runPackedLayer(layer, out_dim, in.batch, out, tallies);
+}
+
+void
+SushiChip::runPackedLayer(const compiler::CompiledLayer &layer,
+                          std::size_t out_dim, std::size_t batch,
+                          PulseBatch &out, LayerStepStats *tallies)
+{
+    out.reset(batch, out_dim);
+    std::fill(tallies, tallies + batch, LayerStepStats{});
+    for (std::size_t b = 0; b < batch; ++b)
         tallies[b].active_inputs = pack_->active[b];
     detail::LayerKernelArgs args;
     args.layer = &layer;
@@ -1369,16 +1515,53 @@ SushiChip::stepNetworkBatch(const compiler::CompiledNetwork &net,
     sushi_assert(net.net != nullptr);
     sushi_assert(net.layers.size() == net.net->layers().size());
     sushi_assert(!net.layers.empty());
+    out.steps.resize(net.layers.size() * in.batch);
+    stepLayersFrom(net, 0, in, out);
+}
+
+void
+SushiChip::stepNetworkBatch(const compiler::CompiledNetwork &net,
+                            std::span<const SpikeFrames *const> samples,
+                            NetworkBatch &out)
+{
+    sushi_assert(net.net != nullptr);
+    sushi_assert(net.layers.size() == net.net->layers().size());
+    sushi_assert(!net.layers.empty());
+    const snn::BinaryLayer &first = net.net->layers().front();
+    std::size_t batch = 0;
+    for (const SpikeFrames *s : samples) {
+        if (s->width() != first.inDim())
+            throw std::invalid_argument(
+                "frame width " + std::to_string(s->width()) +
+                " != layer input width " +
+                std::to_string(first.inDim()));
+        batch += s->frames();
+    }
     const std::size_t layers = net.layers.size();
-    out.steps.resize(layers * in.batch);
+    out.steps.resize(layers * batch);
+    detail::packLayerFrames(net.layers[0], samples, *pack_);
+    PulseBatch &dst = layers == 1 ? out.out : hidden_[0];
+    runPackedLayer(net.layers[0], first.outDim(), batch, dst,
+                   out.steps.data());
+    if (layers > 1)
+        stepLayersFrom(net, 1, dst, out);
+}
+
+void
+SushiChip::stepLayersFrom(const compiler::CompiledNetwork &net,
+                          std::size_t first, const PulseBatch &src,
+                          NetworkBatch &out)
+{
     // Hidden activations ping-pong through chip buffers; the last
     // layer writes the caller's batch.
-    const PulseBatch *src = &in;
-    for (std::size_t l = 0; l < layers; ++l) {
+    const std::size_t layers = net.layers.size();
+    const std::size_t batch = src.batch;
+    const PulseBatch *in = &src;
+    for (std::size_t l = first; l < layers; ++l) {
         PulseBatch &dst = l + 1 == layers ? out.out : hidden_[l % 2];
-        stepLayerBatch(net.layers[l], net.net->layers()[l], *src, dst,
-                       out.steps.data() + l * in.batch);
-        src = &dst;
+        stepLayerBatch(net.layers[l], net.net->layers()[l], *in, dst,
+                       out.steps.data() + l * batch);
+        in = &dst;
     }
 }
 
@@ -1439,10 +1622,9 @@ SushiChip::inferCounts(
     const std::size_t out_dim = layers.back().outDim();
     // All T frames run as one batch: the counter is fresh per
     // neuron-step, so time steps are independent vectors.
-    single_in_.reset(frames.size(), layers.front().inDim());
-    for (std::size_t t = 0; t < frames.size(); ++t)
-        single_in_.setRow(t, frames[t]);
-    stepNetworkBatch(net, single_in_, single_run_);
+    const SpikeFrames packed = packFrames(frames, layers.front().inDim());
+    const SpikeFrames *const sample = &packed;
+    stepNetworkBatch(net, {&sample, 1}, single_run_);
 
     std::vector<int> counts(out_dim, 0);
     beginFrame();

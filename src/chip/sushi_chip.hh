@@ -165,7 +165,9 @@ using PulseVector = std::vector<std::uint16_t>;
 /**
  * Pulse counts of a batch of independent activation vectors (one per
  * (sample, time step)), vector-major: entry i of vector v sits at
- * pulses[v * width + i].
+ * pulses[v * width + i]. The inter-layer form: a hidden or output
+ * entry can carry more than one pulse (wrap artefacts). Binary input
+ * frames travel as SpikeFrames instead.
  */
 struct PulseBatch
 {
@@ -184,11 +186,52 @@ struct PulseBatch
     {
         return {pulses.data() + v * width, width};
     }
-
-    /** Copy a binary frame into vector @p v; throws
-     *  std::invalid_argument unless frame.size() == width. */
-    void setRow(std::size_t v, std::span<const std::uint8_t> frame);
 };
+
+/**
+ * One sample's binary input frames packed to bits, in one block:
+ * frame t is words() 64-bit words, input i at bit i % 64 of word
+ * i / 64, the bits past width() zero, and active(t) is its set-bit
+ * count. A served request's input takes this form once, at
+ * admission; layer 0's pack takes the words as they are (natural
+ * order) or places their set bits through CompiledLayer::position,
+ * and the NoC ingress counts its packet entries from active().
+ */
+class SpikeFrames
+{
+  public:
+    /**
+     * Pack @p frames, each @p width values of 0 or 1. Returns false,
+     * leaving this empty, on a frame of another width or a value
+     * outside {0, 1}.
+     */
+    bool assign(std::span<const std::vector<std::uint8_t>> frames,
+                std::size_t width);
+
+    std::size_t frames() const { return active_.size(); }
+    std::size_t width() const { return width_; }
+    std::size_t words() const { return words_; }
+
+    /** The words of frame @p t. */
+    const std::uint64_t *frame(std::size_t t) const
+    {
+        return bits_.data() + t * words_;
+    }
+
+    /** Inputs that spike in frame @p t. */
+    std::uint32_t active(std::size_t t) const { return active_[t]; }
+
+  private:
+    std::size_t width_ = 0;
+    std::size_t words_ = 0;
+    std::vector<std::uint64_t> bits_;   ///< [frames x words]
+    std::vector<std::uint32_t> active_; ///< per frame
+};
+
+/** SpikeFrames::assign that throws std::invalid_argument, naming the
+ *  frame, where assign refuses. */
+SpikeFrames packFrames(std::span<const std::vector<std::uint8_t>> frames,
+                       std::size_t width);
 
 /**
  * Tallies of one vector's layer step (SushiChip::stepLayerBatch).
@@ -265,7 +308,8 @@ class SushiChip
      * multi-chip engine can chain several chips per time step with
      * the same arithmetic.
      * @return output pulse counts summed over time steps
-     * Throws std::invalid_argument on a frame of the wrong width.
+     * Throws std::invalid_argument on a frame of the wrong width or a
+     * value outside {0, 1} (the frames are packed once, packFrames).
      */
     std::vector<int>
     inferCounts(const compiler::CompiledNetwork &net,
@@ -297,6 +341,16 @@ class SushiChip
      */
     void stepNetworkBatch(const compiler::CompiledNetwork &net,
                           const PulseBatch &in, NetworkBatch &out);
+
+    /**
+     * The same over packed binary inputs: the vectors are every frame
+     * of @p samples, sample after sample, and layer 0 packs their
+     * words directly. Throws std::invalid_argument unless every
+     * sample is as wide as layer 0's input.
+     */
+    void stepNetworkBatch(const compiler::CompiledNetwork &net,
+                          std::span<const SpikeFrames *const> samples,
+                          NetworkBatch &out);
 
     /**
      * Charge vector @p v of a stepNetworkBatch run to stats(),
@@ -361,6 +415,18 @@ class SushiChip
     /// @}
 
   private:
+    /** Run the kernel of @p layer over the @p batch vectors in
+     *  pack_ into @p out and @p tallies. */
+    void runPackedLayer(const compiler::CompiledLayer &layer,
+                        std::size_t out_dim, std::size_t batch,
+                        PulseBatch &out, LayerStepStats *tallies);
+
+    /** Layers [first, end) of @p net over @p src (layer first's
+     *  input) into @p out (stepNetworkBatch). */
+    void stepLayersFrom(const compiler::CompiledNetwork &net,
+                        std::size_t first, const PulseBatch &src,
+                        NetworkBatch &out);
+
     /** Fold one vector's layer step into stats(). */
     void chargeLayer(const compiler::CompiledLayer &layer,
                      const LayerStepStats &tally);
@@ -374,7 +440,7 @@ class SushiChip
     /// @name Buffers reused across calls (a chip is not reentrant).
     /// @{
     std::unique_ptr<detail::LayerBatchPack> pack_;
-    PulseBatch single_in_;    ///< stepLayer/stepNetwork/inferCounts in
+    PulseBatch single_in_;    ///< stepLayer/stepNetwork input
     PulseBatch hidden_[2];    ///< inter-layer activations
     NetworkBatch single_run_; ///< their outputs and tallies
     /// @}

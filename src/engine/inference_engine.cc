@@ -62,6 +62,21 @@ foldTransport(chip::InferenceStats &delta,
 #undef SUSHI_STAT_FOLD
 }
 
+/** True iff @p layer's buckets tile its inputs: then its pack's
+ *  active count of a vector is the vector's non-zero entries, what
+ *  noc::packetOf counts. */
+bool
+bucketsTileInputs(const compiler::CompiledLayer &layer)
+{
+    std::size_t next = 0;
+    for (const compiler::Block &bucket : layer.schedule.buckets) {
+        if (static_cast<std::size_t>(bucket.begin) != next)
+            return false;
+        next = static_cast<std::size_t>(bucket.end);
+    }
+    return next == layer.position.size();
+}
+
 } // namespace
 
 double
@@ -107,6 +122,11 @@ InferenceEngine::InferenceEngine(
         for (int r = 0; r < replicas; ++r)
             noc_.push_back(
                 std::make_unique<noc::NocTransport>(*plan, cfg_.noc));
+        // A cut's packet entries are taken from the next stage's
+        // first-layer tallies (runOnReplica), which count exactly
+        // the cut row's non-zero entries: compiled buckets tile.
+        for (int s = 1; s < stages_; ++s)
+            sushi_assert(bucketsTileInputs(model_->stageNet(s).layers[0]));
     }
 }
 
@@ -178,7 +198,7 @@ InferenceEngine::npeSlots() const
 
 ReplicaRun
 InferenceEngine::runOnReplica(int replica,
-                              const Sample *const *samples,
+                              const chip::SpikeFrames *const *samples,
                               std::size_t count)
 {
     checkReplica(replica);
@@ -193,25 +213,17 @@ InferenceEngine::runOnReplica(int replica,
 
     // Every (sample, time step) frame of the batch is an independent
     // vector (the chip counter is fresh per neuron-step), so each
-    // stage chip runs the whole batch at once, stage after stage.
-    std::vector<std::size_t> first(count + 1, 0);
-    for (std::size_t i = 0; i < count; ++i)
-        first[i + 1] = first[i] + samples[i]->size();
-    const auto &layers = model_->network().layers();
-    chip::PulseBatch frames;
-    frames.reset(first[count], layers.front().inDim());
-    for (std::size_t i = 0; i < count; ++i)
-        for (std::size_t t = 0; t < samples[i]->size(); ++t)
-            frames.setRow(first[i] + t, (*samples[i])[t]);
+    // stage chip runs the whole batch at once, stage after stage;
+    // stage 0 packs the samples' words for its first layer.
     std::vector<chip::NetworkBatch> stage_out(
         static_cast<std::size_t>(stages_));
-    const chip::PulseBatch *stage_in = &frames;
-    for (int s = 0; s < stages_; ++s) {
-        auto &run = stage_out[static_cast<std::size_t>(s)];
-        chipAt(replica, s).stepNetworkBatch(model_->stageNet(s),
-                                            *stage_in, run);
-        stage_in = &run.out;
-    }
+    chipAt(replica, 0).stepNetworkBatch(model_->stageNet(0),
+                                        {samples, count}, stage_out[0]);
+    for (int s = 1; s < stages_; ++s)
+        chipAt(replica, s).stepNetworkBatch(
+            model_->stageNet(s),
+            stage_out[static_cast<std::size_t>(s - 1)].out,
+            stage_out[static_cast<std::size_t>(s)]);
     const chip::PulseBatch &final_out = stage_out.back().out;
 
     // Charge the stage chips sample by sample in the serial order —
@@ -220,7 +232,8 @@ InferenceEngine::runOnReplica(int replica,
     // merges the stage chips' records (frames/time_steps max,
     // worst-chip utilisation, energy recomputed from the summed
     // synaptic work); a 1-stage plan is the identity merge.
-    const std::size_t out_dim = layers.back().outDim();
+    const std::size_t out_dim =
+        model_->network().layers().back().outDim();
     // NoC transport of this replica group (nullptr = ideal
     // transport). It never touches the activations, so spike results
     // are bit-identical either way; it only charges modelled fabric
@@ -228,6 +241,7 @@ InferenceEngine::runOnReplica(int replica,
     noc::NocTransport *nt =
         noc_.empty() ? nullptr
                      : noc_[static_cast<std::size_t>(replica)].get();
+    std::size_t v = 0; // vector of (sample i, time step t)
     for (std::size_t i = 0; i < count; ++i) {
         for (int s = 0; s < stages_; ++s) {
             chipAt(replica, s).resetStats();
@@ -236,18 +250,19 @@ InferenceEngine::runOnReplica(int replica,
         if (nt != nullptr)
             nt->beginSample();
         std::vector<int> counts(out_dim, 0);
-        for (std::size_t v = first[i]; v < first[i + 1]; ++v) {
+        for (std::size_t t = 0; t < samples[i]->frames(); ++t, ++v) {
             if (nt != nullptr) {
                 nt->beginStep();
-                nt->hostIngress(frames.row(v));
+                nt->hostIngress(samples[i]->active(t));
             }
             for (int s = 0; s < stages_; ++s) {
-                const chip::NetworkBatch &run =
-                    stage_out[static_cast<std::size_t>(s)];
+                const auto su = static_cast<std::size_t>(s);
+                const chip::NetworkBatch &run = stage_out[su];
                 chipAt(replica, s).chargeStep(model_->stageNet(s), run,
                                               v);
                 if (nt != nullptr && s < stages_ - 1)
-                    nt->transferCut(s, run.out.row(v));
+                    nt->transferCut(
+                        s, stage_out[su + 1].steps[v].active_inputs);
             }
             const auto act = final_out.row(v);
             for (std::size_t o = 0; o < out_dim; ++o)
@@ -282,6 +297,24 @@ InferenceEngine::runOnReplica(int replica,
         out.per_sample[i] = delta;
     }
     return out;
+}
+
+ReplicaRun
+InferenceEngine::runOnReplica(int replica,
+                              const Sample *const *samples,
+                              std::size_t count)
+{
+    checkReplica(replica);
+    const std::size_t width = model_->network().layers().front().inDim();
+    std::vector<chip::SpikeFrames> packed;
+    packed.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        packed.push_back(chip::packFrames(*samples[i], width));
+    std::vector<const chip::SpikeFrames *> ptrs;
+    ptrs.reserve(count);
+    for (const chip::SpikeFrames &f : packed)
+        ptrs.push_back(&f);
+    return runOnReplica(replica, ptrs.data(), count);
 }
 
 ReplicaRun

@@ -43,7 +43,12 @@
 
 namespace sushi::engine {
 
-/** One inference request: binary input frames, one per time step. */
+/**
+ * One inference request as the caller builds it: binary input
+ * frames, one byte per input per time step. Every entry point packs
+ * it once into chip::SpikeFrames (T x ceil(in/64) words in one block)
+ * and runs that; serving admission does so on the submitting thread.
+ */
 using Sample = std::vector<std::vector<std::uint8_t>>;
 
 /** Engine knobs. */
@@ -192,11 +197,20 @@ class InferenceEngine
      * one SushiChip::stepNetworkBatch; stats are then charged per
      * sample from a reset chip in the serial (time step, stage,
      * layer) order, so every result and stats delta is bit-identical
-     * to running that sample alone through a fresh SushiChip.
-     * Throws std::invalid_argument on a frame of the wrong width.
+     * to running that sample alone through a fresh SushiChip. Stage
+     * 0's first layer packs the samples' words directly, and the NoC
+     * ingress counts each frame's entries from its active().
+     * Throws std::invalid_argument on samples of the wrong width.
      * Thread-safe for concurrent calls on *distinct* replicas; a
      * replica is not reentrant.
      */
+    ReplicaRun runOnReplica(int replica,
+                            const chip::SpikeFrames *const *samples,
+                            std::size_t count);
+
+    /** The same over byte samples, each packed once (chip::packFrames:
+     *  throws std::invalid_argument on a frame of the wrong width or
+     *  a value outside {0, 1}). */
     ReplicaRun runOnReplica(int replica, const Sample *const *samples,
                             std::size_t count);
 

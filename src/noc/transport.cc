@@ -65,30 +65,43 @@ NocTransport::beginStep()
 
 void
 NocTransport::sendPacket(const std::vector<int> &route,
-                         std::span<const std::uint16_t> act,
-                         std::uint64_t *cut_counter)
+                         std::uint64_t entries, std::uint64_t *cut_counter)
 {
-    const PacketSize size = packetOf(act, format_);
-    fabric_.send(route, size.flits);
+    const std::uint64_t flits = format_.flitsFor(entries);
+    fabric_.send(route, flits);
     if (cut_counter != nullptr)
-        *cut_counter += size.flits;
+        *cut_counter += flits;
 }
 
 void
 NocTransport::hostIngress(std::span<const std::uint16_t> act)
 {
     if (cfg_.model_host_ports)
-        sendPacket(ingress_route_, act, nullptr);
+        sendPacket(ingress_route_, packetOf(act, format_).entries,
+                   nullptr);
+}
+
+void
+NocTransport::hostIngress(std::uint64_t entries)
+{
+    if (cfg_.model_host_ports)
+        sendPacket(ingress_route_, entries, nullptr);
 }
 
 void
 NocTransport::transferCut(int cut, std::span<const std::uint16_t> act)
 {
+    transferCut(cut, packetOf(act, format_).entries);
+}
+
+void
+NocTransport::transferCut(int cut, std::uint64_t entries)
+{
     if (cut < 0 || cut >= cuts())
         throw NocError("cut " + std::to_string(cut) +
                        " outside the plan's " +
                        std::to_string(cuts()) + " cuts");
-    sendPacket(routes_[static_cast<std::size_t>(cut)], act,
+    sendPacket(routes_[static_cast<std::size_t>(cut)], entries,
                &cut_flits_[static_cast<std::size_t>(cut)]);
 }
 
@@ -96,7 +109,8 @@ void
 NocTransport::hostEgress(std::span<const std::uint16_t> act)
 {
     if (cfg_.model_host_ports)
-        sendPacket(egress_route_, act, nullptr);
+        sendPacket(egress_route_, packetOf(act, format_).entries,
+                   nullptr);
 }
 
 void

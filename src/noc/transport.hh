@@ -74,8 +74,13 @@ class NocTransport
     void beginStep();
     /** Host input frame into stage 0's NIC. */
     void hostIngress(std::span<const std::uint16_t> act);
+    /** The same, for a frame of @p entries active wires (the packet
+     *  entries packetOf would count). */
+    void hostIngress(std::uint64_t entries);
     /** Activations crossing plan cut @p cut (stage cut -> cut+1). */
     void transferCut(int cut, std::span<const std::uint16_t> act);
+    /** The same, for @p entries non-zero wires. */
+    void transferCut(int cut, std::uint64_t entries);
     /** Final-stage outputs back to the host NIC. */
     void hostEgress(std::span<const std::uint16_t> act);
     void endStep();
@@ -84,8 +89,7 @@ class NocTransport
     /// @}
 
   private:
-    void sendPacket(const std::vector<int> &route,
-                    std::span<const std::uint16_t> act,
+    void sendPacket(const std::vector<int> &route, std::uint64_t entries,
                     std::uint64_t *cut_counter);
 
     NocConfig cfg_;

@@ -3,9 +3,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 #include <thread>
 
-#include "common/logging.hh"
 #include "common/rng.hh"
 
 namespace sushi::serve {
@@ -36,12 +36,21 @@ makeArrival(const LoadGenConfig &cfg, Rng &rng, double t)
     return a;
 }
 
+/** Throw std::invalid_argument, naming @p what, unless @p ok. */
+void
+require(bool ok, const char *what)
+{
+    if (!ok)
+        throw std::invalid_argument(what);
+}
+
 void
 checkCommon(const LoadGenConfig &cfg)
 {
-    sushi_assert(cfg.rate_rps > 0.0);
-    sushi_assert(cfg.sample_pool >= 1);
-    sushi_assert(cfg.priorities >= 1);
+    require(cfg.rate_rps > 0.0, "LoadGenConfig::rate_rps must be > 0");
+    require(cfg.sample_pool >= 1,
+            "LoadGenConfig::sample_pool must be >= 1");
+    require(cfg.priorities >= 1, "LoadGenConfig::priorities must be >= 1");
 }
 
 } // namespace
@@ -66,7 +75,9 @@ std::vector<GeneratedArrival>
 burstyArrivals(const LoadGenConfig &cfg)
 {
     checkCommon(cfg);
-    sushi_assert(cfg.burst_on_ns > 0 && cfg.burst_off_ns > 0);
+    require(cfg.burst_on_ns > 0, "LoadGenConfig::burst_on_ns must be > 0");
+    require(cfg.burst_off_ns > 0,
+            "LoadGenConfig::burst_off_ns must be > 0");
     const double on_rate = cfg.burst_rate_rps > 0.0
                                ? cfg.burst_rate_rps
                                : 4.0 * cfg.rate_rps;
@@ -112,9 +123,10 @@ std::vector<GeneratedArrival>
 diurnalArrivals(const LoadGenConfig &cfg)
 {
     checkCommon(cfg);
-    sushi_assert(cfg.diurnal_period_ns > 0);
-    sushi_assert(cfg.diurnal_amplitude >= 0.0 &&
-                 cfg.diurnal_amplitude <= 1.0);
+    require(cfg.diurnal_period_ns > 0,
+            "LoadGenConfig::diurnal_period_ns must be > 0");
+    require(cfg.diurnal_amplitude >= 0.0 && cfg.diurnal_amplitude <= 1.0,
+            "LoadGenConfig::diurnal_amplitude must be in [0, 1]");
     Rng rng(cfg.seed);
     std::vector<GeneratedArrival> out;
     out.reserve(cfg.requests);
@@ -146,12 +158,17 @@ runClosedLoop(Server &server,
               const std::vector<engine::Sample> &samples,
               const ClosedLoopConfig &cfg)
 {
-    sushi_assert(server.config().clock == ClockMode::Real);
-    sushi_assert(cfg.concurrency >= 1);
-    sushi_assert(cfg.priorities >= 1);
-    sushi_assert(!samples.empty());
-    sushi_assert(cfg.sample_pool >= 1 &&
-                 cfg.sample_pool <= samples.size());
+    require(server.config().clock == ClockMode::Real,
+            "runClosedLoop needs a ClockMode::Real server");
+    require(cfg.concurrency >= 1,
+            "ClosedLoopConfig::concurrency must be >= 1");
+    require(cfg.priorities >= 1,
+            "ClosedLoopConfig::priorities must be >= 1");
+    require(!samples.empty(), "runClosedLoop needs samples");
+    require(cfg.sample_pool >= 1,
+            "ClosedLoopConfig::sample_pool must be >= 1");
+    require(cfg.sample_pool <= samples.size(),
+            "ClosedLoopConfig::sample_pool exceeds the samples given");
 
     const auto slots = static_cast<std::size_t>(cfg.concurrency);
     std::vector<std::uint64_t> served(slots, 0);

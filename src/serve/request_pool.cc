@@ -29,7 +29,7 @@ RequestPool::freeSlot(std::uint32_t s)
     sushi_assert(slots_[s].live);
     slots_[s].live = false;
     // Release the shared_ptrs now; the slot shell is recycled.
-    slots_[s].req.sample.reset();
+    slots_[s].req.frames.reset();
     slots_[s].req.state.reset();
     slots_[s].next_free = free_head_;
     free_head_ = s;

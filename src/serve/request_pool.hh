@@ -69,7 +69,10 @@ struct PendingReq
     std::int64_t queued_ns = 0; ///< this copy's enqueue instant
     std::int64_t deadline_ns = kNoDeadline;
     bool is_hedge = false;
-    std::shared_ptr<const engine::Sample> sample;
+    /** The request's input, packed once at submit and shared by
+     *  every copy; null when it was malformed (rejected
+     *  InvalidRequest at admission). */
+    std::shared_ptr<const chip::SpikeFrames> frames;
     std::shared_ptr<ReqState> state;
 };
 

@@ -163,8 +163,13 @@ Server::makeRequest(engine::Sample &&sample,
     req.submit_ns = t;
     req.queued_ns = t;
     req.deadline_ns = opts.deadline_ns;
-    req.sample =
-        std::make_shared<const engine::Sample>(std::move(sample));
+    const snn::BinarySnn &net = model_->network();
+    if (sample.size() == static_cast<std::size_t>(net.tSteps())) {
+        auto frames = std::make_shared<chip::SpikeFrames>();
+        if (frames->assign(sample, net.layers().front().inDim()))
+            req.frames = std::move(frames);
+    }
+    sample = engine::Sample{}; // freed before any lock is taken
     req.state = std::make_shared<ReqState>();
     return req;
 }
@@ -243,27 +248,6 @@ Server::submitAtLocked(std::int64_t arrival_ns,
 }
 
 bool
-Server::validShape(const engine::Sample &sample) const
-{
-    const snn::BinarySnn &net = model_->network();
-    const std::size_t width = net.layers().front().inDim();
-    if (sample.size() != static_cast<std::size_t>(net.tSteps()))
-        return false;
-    for (const auto &frame : sample) {
-        if (frame.size() != width)
-            return false;
-        // OR-reduce rather than test each value: it vectorises, and
-        // every request passes through here.
-        std::uint8_t bits = 0;
-        for (const std::uint8_t v : frame)
-            bits |= v;
-        if (bits > 1)
-            return false;
-    }
-    return true;
-}
-
-bool
 Server::tryReserveQueueSlot()
 {
     // fetch_add-then-check keeps the bound exact under concurrent
@@ -279,7 +263,7 @@ bool
 Server::admitOrRejectLocked(Shard &sh, PendingReq &req, std::int64_t t)
 {
     Reject reason = Reject::None;
-    if (!validShape(*req.sample))
+    if (req.frames == nullptr)
         reason = Reject::InvalidRequest;
     else if (req.deadline_ns <= t)
         reason = Reject::DeadlineExceeded;
@@ -881,7 +865,7 @@ Server::scheduleHedgeLocked(const Batch &batch)
         HedgeTimer h;
         h.fire_ns = batch.dispatch_ns + cfg_.hedge.delay_ns;
         h.attempt = req.state->failures;
-        h.proto = req; // shares sample and state
+        h.proto = req; // shares frames and state
         hedges_.push_back(std::move(h));
     }
 }
@@ -896,10 +880,10 @@ Server::executeBatch(Batch &batch)
         out.ok = false;
         return out;
     }
-    std::vector<const engine::Sample *> ptrs;
+    std::vector<const chip::SpikeFrames *> ptrs;
     ptrs.reserve(batch.reqs.size());
     for (const PendingReq &req : batch.reqs)
-        ptrs.push_back(req.sample.get());
+        ptrs.push_back(req.frames.get());
     try {
         out.run = engine_.runOnReplica(batch.replica, ptrs.data(),
                                        ptrs.size());

@@ -226,9 +226,11 @@ class Server
 
     /**
      * Submit one request; never blocks. The future always resolves —
-     * with a result, or with a typed rejection. In virtual mode this
-     * is submitAt(now()); in real mode the fast path locks only the
-     * owning admission shard.
+     * with a result, or with a typed rejection. @p sample is packed
+     * into chip::SpikeFrames once, here, on the calling thread, and
+     * its bytes are freed; a malformed one resolves InvalidRequest.
+     * In virtual mode this is submitAt(now()); in real mode the fast
+     * path locks only the owning admission shard.
      */
     std::future<Response> submit(engine::Sample sample,
                                  const RequestOptions &opts = {});
@@ -370,12 +372,13 @@ class Server
     std::future<Response> submitAtLocked(std::int64_t arrival_ns,
                                          engine::Sample sample,
                                          const RequestOptions &opts);
+    /** A fresh request whose frames are @p sample packed, or null
+     *  unless it has the model's tSteps() frames, each as wide as its
+     *  input layer and holding only 0/1 spikes. @p sample is freed
+     *  here, on the submitting thread. */
     PendingReq makeRequest(engine::Sample &&sample,
                            const RequestOptions &opts,
                            std::int64_t t);
-    /** The sample has the model's tSteps() frames, each as wide as
-     *  its input layer and holding only 0/1 spikes. */
-    bool validShape(const engine::Sample &sample) const;
     /** Claim one queue slot against max_queue (exact global bound;
      *  no lock needed — the depth counter is atomic). */
     bool tryReserveQueueSlot();

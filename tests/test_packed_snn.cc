@@ -1146,6 +1146,82 @@ densePack(const compiler::CompiledLayer &layer, const chip::PulseBatch &in,
     pack.extra_begin[batch] = pack.extras.size();
 }
 
+void
+expectPacksEqual(const chip::detail::LayerBatchPack &got,
+                 const chip::detail::LayerBatchPack &want,
+                 const std::string &what)
+{
+    ASSERT_EQ(got.batch, want.batch) << what;
+    ASSERT_EQ(got.words, want.words) << what;
+    ASSERT_EQ(got.bits, want.bits) << what;
+    ASSERT_EQ(got.bucket_pulses, want.bucket_pulses) << what;
+    ASSERT_EQ(got.pulses, want.pulses) << what;
+    ASSERT_EQ(got.active, want.active) << what;
+    ASSERT_EQ(got.extra_begin, want.extra_begin) << what;
+    ASSERT_EQ(got.extras.size(), want.extras.size()) << what;
+    for (std::size_t e = 0; e < want.extras.size(); ++e) {
+        EXPECT_EQ(got.extras[e].bucket, want.extras[e].bucket)
+            << what << " extra " << e;
+        EXPECT_EQ(got.extras[e].pos, want.extras[e].pos)
+            << what << " extra " << e;
+        EXPECT_EQ(got.extras[e].extra, want.extras[e].extra)
+            << what << " extra " << e;
+    }
+}
+
+TEST(SpikeFrames, PackRoundTripsWithZeroTailsAndCounts)
+{
+    for (const std::size_t width : {1, 63, 64, 65, 127, 128, 129, 784}) {
+        Rng rng(4100 + width);
+        const int t_steps = 1 + static_cast<int>(rng.below(6));
+        auto frames = randomFrames(width, t_steps, rng.uniform(), width);
+        frames[0].assign(width, 1); // an all-active frame
+        chip::SpikeFrames packed;
+        ASSERT_TRUE(packed.assign(frames, width)) << width;
+        ASSERT_EQ(packed.frames(), frames.size());
+        ASSERT_EQ(packed.width(), width);
+        ASSERT_EQ(packed.words(), (width + 63) / 64);
+        for (std::size_t t = 0; t < frames.size(); ++t) {
+            const std::uint64_t *w = packed.frame(t);
+            std::uint32_t ones = 0;
+            std::uint32_t pop = 0;
+            for (std::size_t i = 0; i < packed.words() * 64; ++i) {
+                const unsigned bit = (w[i / 64] >> (i % 64)) & 1u;
+                pop += bit;
+                if (i < width) {
+                    EXPECT_EQ(bit, frames[t][i])
+                        << width << " t " << t << " i " << i;
+                    ones += frames[t][i];
+                } else {
+                    EXPECT_EQ(bit, 0u)
+                        << "tail bit " << i << " of width " << width;
+                }
+            }
+            EXPECT_EQ(packed.active(t), ones) << width << " t " << t;
+            EXPECT_EQ(packed.active(t), pop) << width << " t " << t;
+        }
+
+        // Refusals leave the frames empty; packFrames throws.
+        for (const std::size_t at : {std::size_t{0}, width - 1}) {
+            for (const std::uint8_t v : {2, 255}) {
+                auto bad = frames;
+                bad.back()[at] = v;
+                EXPECT_FALSE(packed.assign(bad, width));
+                EXPECT_EQ(packed.frames(), 0u);
+                EXPECT_THROW(chip::packFrames(bad, width),
+                             std::invalid_argument);
+            }
+        }
+        auto ragged = frames;
+        ragged.back().push_back(0);
+        EXPECT_FALSE(packed.assign(ragged, width));
+        EXPECT_THROW(chip::packFrames(ragged, width),
+                     std::invalid_argument);
+        EXPECT_TRUE(packed.assign({}, width));
+        EXPECT_EQ(packed.frames(), 0u);
+    }
+}
+
 TEST(ChipBatchKernel, SparsePackMatchesDensePack)
 {
     // One pack reused across cases, as a chip reuses its own.
@@ -1187,22 +1263,31 @@ TEST(ChipBatchKernel, SparsePackMatchesDensePack)
         densePack(layer, in, want);
         chip::detail::packLayerBatch(layer, in, got);
         const std::string what = "case " + std::to_string(c);
-        ASSERT_EQ(got.batch, want.batch) << what;
-        ASSERT_EQ(got.words, want.words) << what;
-        ASSERT_EQ(got.bits, want.bits) << what;
-        ASSERT_EQ(got.bucket_pulses, want.bucket_pulses) << what;
-        ASSERT_EQ(got.pulses, want.pulses) << what;
-        ASSERT_EQ(got.active, want.active) << what;
-        ASSERT_EQ(got.extra_begin, want.extra_begin) << what;
-        ASSERT_EQ(got.extras.size(), want.extras.size()) << what;
-        for (std::size_t e = 0; e < want.extras.size(); ++e) {
-            EXPECT_EQ(got.extras[e].bucket, want.extras[e].bucket)
-                << what << " extra " << e;
-            EXPECT_EQ(got.extras[e].pos, want.extras[e].pos)
-                << what << " extra " << e;
-            EXPECT_EQ(got.extras[e].extra, want.extras[e].extra)
-                << what << " extra " << e;
+        expectPacksEqual(got, want, what);
+
+        // The words input: the same rows made binary, packed as
+        // SpikeFrames of 1-3 frames each, against the dense pack of
+        // the binary rows.
+        chip::PulseBatch bin = in;
+        std::vector<engine::Sample> bytes;
+        for (std::size_t v = 0; v < batch; ++v) {
+            if (bytes.empty() || bytes.back().size() == 3 ||
+                rng.chance(0.4))
+                bytes.emplace_back();
+            auto row = bin.row(v);
+            for (auto &p : row)
+                p = p != 0 ? 1 : 0;
+            bytes.back().emplace_back(row.begin(), row.end());
         }
+        std::vector<chip::SpikeFrames> frames;
+        for (const auto &sample : bytes)
+            frames.push_back(chip::packFrames(sample, in_dim));
+        std::vector<const chip::SpikeFrames *> samples;
+        for (const auto &f : frames)
+            samples.push_back(&f);
+        densePack(layer, bin, want);
+        chip::detail::packLayerFrames(layer, samples, got);
+        expectPacksEqual(got, want, what + " (words)");
     }
 }
 
@@ -1405,6 +1490,117 @@ TEST(EngineBatching, RunOnReplicaMatchesSerialPerSample)
         bad[2][1].push_back(0);
         EXPECT_THROW(eng.runOnReplica(0, bad), std::invalid_argument);
     }
+}
+
+TEST(EngineBatching, PackedFramesRunEqualsByteRun)
+{
+    // The byte entry packs each sample once and runs the packed one:
+    // results and stats must be the same either way, on the 1-chip,
+    // the 2-chip NoC and a degraded plan.
+    const BatchingCase bc = batchingCase();
+    const std::size_t width = bc.one->network().layers()[0].inDim();
+    std::vector<chip::SpikeFrames> frames;
+    for (const auto &sample : bc.samples)
+        frames.push_back(chip::packFrames(sample, width));
+    std::vector<const chip::SpikeFrames *> ptrs;
+    for (const auto &f : frames)
+        ptrs.push_back(&f);
+    for (int plan = 0; plan < 3; ++plan) {
+        engine::EngineConfig cfg;
+        cfg.replicas = 1;
+        cfg.noc.enabled = true;
+        cfg.noc.link_bandwidth_flits = 2;
+        engine::InferenceEngine bytes(plan == 1 ? bc.two : bc.one, cfg);
+        engine::InferenceEngine packed(plan == 1 ? bc.two : bc.one, cfg);
+        if (plan == 2) {
+            bytes.markReplicaDegraded(0, 1);
+            packed.markReplicaDegraded(0, 1);
+        }
+        const auto want = bytes.runOnReplica(0, bc.samples);
+        const auto got = packed.runOnReplica(0, ptrs.data(), ptrs.size());
+        ASSERT_EQ(got.results.size(), want.results.size());
+        for (std::size_t i = 0; i < want.results.size(); ++i) {
+            EXPECT_EQ(got.results[i].counts, want.results[i].counts)
+                << "plan " << plan << " sample " << i;
+            EXPECT_EQ(got.results[i].prediction,
+                      want.results[i].prediction);
+            EXPECT_EQ(engine::statsJson(got.per_sample[i]),
+                      engine::statsJson(want.per_sample[i]))
+                << "plan " << plan << " sample " << i;
+        }
+    }
+
+    // A sample of another width is a typed error on the packed entry.
+    const chip::SpikeFrames narrow =
+        chip::packFrames(randomFrames(width - 1, 2, 0.5, 3), width - 1);
+    const chip::SpikeFrames *bad[] = {ptrs[0], &narrow};
+    engine::InferenceEngine eng(bc.one, {});
+    EXPECT_THROW(eng.runOnReplica(0, bad, 2), std::invalid_argument);
+}
+
+TEST(EngineBatching, NocEntryCountsEqualPacketOfOnEveryPlanShape)
+{
+    // The transport takes a frame's ingress entries from its packed
+    // popcount and a cut's from the next stage's first-layer tally.
+    // Both must equal noc::packetOf over the rows (serialReplica):
+    // bucketed and reordered plans, natural order and not, healthy
+    // and degraded.
+    compiler::ChipConfig ccfg;
+    ccfg.n = 4;
+    ccfg.sc_per_npe = 4;
+    const auto net = tinyNet(40, 24, 12, 4, 19);
+    auto samples = randomSamples(6, 40, 4, 88);
+    samples[2][1].assign(40, 1); // an all-active frame
+    samples[4][0].assign(40, 0); // a silent one
+    int non_natural = 0;
+    for (const int bucket : {4, 7, 64}) {
+        for (const bool reorder : {false, true}) {
+            ccfg.bucketing.bucket_size = bucket;
+            ccfg.bucketing.reorder = reorder;
+            const auto two = engine::CompiledModel::compile(
+                net, ccfg, splittingOptions(net, ccfg));
+            ASSERT_EQ(two->stageCount(), 2);
+            non_natural +=
+                two->stageNet(1).layers[0].natural_order ? 0 : 1;
+            for (const bool degraded : {false, true}) {
+                engine::EngineConfig cfg;
+                cfg.replicas = 1;
+                cfg.noc.enabled = true;
+                cfg.noc.link_bandwidth_flits = 1 + bucket % 3;
+                engine::InferenceEngine eng(two, cfg);
+                if (degraded)
+                    eng.markReplicaDegraded(0, 2);
+                const auto run = eng.runOnReplica(0, samples);
+                std::vector<std::vector<int>> counts;
+                const auto want =
+                    serialReplica(*two, cfg.noc, samples, counts);
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    const std::string what =
+                        "bucket " + std::to_string(bucket) +
+                        " reorder " + std::to_string(reorder) +
+                        " degraded " + std::to_string(degraded) +
+                        " sample " + std::to_string(i);
+                    // serialReplica runs healthy chips: degraded
+                    // mode moves the chip's charges, not its spikes.
+                    const auto &got = run.per_sample[i];
+                    EXPECT_EQ(got.noc_cut_flits, want[i].noc_cut_flits)
+                        << what;
+                    EXPECT_EQ(got.noc_flits, want[i].noc_flits) << what;
+                    EXPECT_EQ(got.noc_flit_hops, want[i].noc_flit_hops)
+                        << what;
+                    EXPECT_EQ(got.noc_latency_cycles,
+                              want[i].noc_latency_cycles)
+                        << what;
+                    if (!degraded) {
+                        EXPECT_EQ(engine::statsJson(got),
+                                  engine::statsJson(want[i]))
+                            << what;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(non_natural, 0);
 }
 
 TEST(EngineBatching, MergedStatsMatchRecordedSerialRun)

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <stdexcept>
 #include <string>
@@ -335,6 +337,114 @@ TEST(ServeAdmission, RejectsWrongFrameCountAndNonBinaryValues)
     check(real, futs);
 }
 
+/** A 70-wide model: a frame is one full word and a 6-input tail
+ *  word, so a value can sit in either. */
+std::shared_ptr<const engine::CompiledModel>
+tailWordModel()
+{
+    static std::shared_ptr<const engine::CompiledModel> model = [] {
+        compiler::ChipConfig chip;
+        chip.n = 8;
+        chip.sc_per_npe = 10;
+        return engine::CompiledModel::compile(tinyNet(70, 12, 4, 3, 31),
+                                              chip);
+    }();
+    return model;
+}
+
+TEST(ServeAdmission, SeededShapeFuzzRejectsEachMalformedRequestAlone)
+{
+    // ~200 seeded requests per clock: valid samples mixed with every
+    // malformed shape admission must refuse — 0, T - 1 and T + 1
+    // frames; a frame in - 1, in + 1 or 0 wide; the value 2 or 255 at
+    // the first, the last and a tail-word input. Every future
+    // resolves; each malformed one alone as InvalidRequest, each
+    // valid one with a lone chip's inferCounts.
+    const auto model = tailWordModel();
+    const std::size_t in = 70;
+    const int t_steps = 3;
+    Rng rng(8080);
+    std::vector<engine::Sample> samples;
+    std::vector<bool> valid;
+    for (int i = 0; i < 200; ++i) {
+        engine::Sample s = randomSamples(
+            1, in, t_steps, 9000 + static_cast<std::uint64_t>(i))[0];
+        const auto frame = static_cast<std::size_t>(rng.below(3));
+        bool ok = false;
+        switch (rng.below(12)) {
+        case 0: s.clear(); break;
+        case 1: s.pop_back(); break;
+        case 2: s.push_back(s.front()); break;
+        case 3: s[frame].pop_back(); break;
+        case 4: s[frame].push_back(0); break;
+        case 5: s[frame].clear(); break;
+        case 6:
+        case 7: {
+            // 2 or 255 at the first, the last or a tail-word input.
+            const std::size_t at[] = {0, in - 1, 64 + rng.below(in - 65)};
+            s[frame][at[rng.below(3)]] = rng.chance(0.5) ? 2 : 255;
+            break;
+        }
+        default: ok = true; break;
+        }
+        samples.push_back(std::move(s));
+        valid.push_back(ok);
+    }
+    std::vector<std::vector<int>> want(samples.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (!valid[i])
+            continue;
+        chip::SushiChip lone(model->chip());
+        want[i] = lone.inferCounts(model->compiled(), samples[i]);
+    }
+    const auto n_valid = static_cast<std::size_t>(
+        std::count(valid.begin(), valid.end(), true));
+    ASSERT_GT(n_valid, 50u);
+    ASSERT_GT(samples.size() - n_valid, 50u);
+
+    const auto check = [&](Server &server,
+                           std::vector<std::future<Response>> &futs) {
+        ASSERT_EQ(futs.size(), samples.size());
+        for (std::size_t i = 0; i < futs.size(); ++i) {
+            ASSERT_EQ(futs[i].wait_for(std::chrono::seconds(60)),
+                      std::future_status::ready)
+                << "request " << i;
+            const Response r = futs[i].get();
+            if (valid[i]) {
+                ASSERT_TRUE(r.ok()) << "request " << i;
+                EXPECT_EQ(r.result.counts, want[i]) << "request " << i;
+            } else {
+                EXPECT_EQ(r.rejected, Reject::InvalidRequest)
+                    << "request " << i;
+            }
+        }
+        const ServerMetrics m = server.metrics();
+        EXPECT_EQ(m.submitted, samples.size());
+        EXPECT_EQ(m.completed, n_valid);
+        EXPECT_EQ(m.rejected_invalid, samples.size() - n_valid);
+        EXPECT_EQ(m.rejected_replica_failure, 0u);
+        expectEveryRequestAccounted(m);
+    };
+
+    Server virt(model, virtualConfig(2, 4, /*max_delay=*/50'000));
+    std::vector<std::future<Response>> futs;
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        futs.push_back(virt.submitAt(
+            static_cast<std::int64_t>(i) * 20'000, samples[i]));
+    virt.runVirtual();
+    check(virt, futs);
+
+    ServerConfig cfg;
+    cfg.engine.replicas = 2;
+    cfg.clock = ClockMode::Real;
+    Server real(model, cfg);
+    futs.clear();
+    for (const auto &s : samples)
+        futs.push_back(real.submit(s));
+    check(real, futs);
+    real.drain();
+}
+
 TEST(ServePriority, HigherPriorityDispatchesFirst)
 {
     const auto samples = randomSamples(4, 16, 3, 6);
@@ -584,6 +694,177 @@ TEST(ServeLoadGen, SchedulesAreSeedDeterministic)
     EXPECT_TRUE(differs);
 }
 
+
+/** The invalid_argument message @p f throws ("" if it returns). */
+template <class F>
+std::string
+invalidArgument(F &&f)
+{
+    try {
+        f();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** The message of every arrival generator on @p lg, which must be
+ *  the same for all three ("" if they generate). */
+std::string
+generatorError(const LoadGenConfig &lg)
+{
+    const std::string poisson =
+        invalidArgument([&] { poissonArrivals(lg); });
+    EXPECT_EQ(invalidArgument([&] { burstyArrivals(lg); }), poisson);
+    EXPECT_EQ(invalidArgument([&] { diurnalArrivals(lg); }), poisson);
+    return poisson;
+}
+
+bool
+names(const std::string &what, const char *field)
+{
+    return what.find(field) != std::string::npos;
+}
+
+TEST(ServeLoadGen, RateMustBePositive)
+{
+    LoadGenConfig lg;
+    EXPECT_EQ(generatorError(lg), "");
+    for (const double rate : {0.0, -5.0, std::nan("")}) {
+        lg.rate_rps = rate;
+        EXPECT_TRUE(names(generatorError(lg), "rate_rps")) << rate;
+    }
+}
+
+TEST(ServeLoadGen, SamplePoolMustBeNonEmpty)
+{
+    LoadGenConfig lg;
+    lg.sample_pool = 0;
+    EXPECT_TRUE(names(generatorError(lg), "sample_pool"));
+}
+
+TEST(ServeLoadGen, PrioritiesMustBeAtLeastOne)
+{
+    LoadGenConfig lg;
+    for (const int p : {0, -3}) {
+        lg.priorities = p;
+        EXPECT_TRUE(names(generatorError(lg), "priorities")) << p;
+    }
+}
+
+TEST(ServeLoadGen, BurstPhasesMustBePositive)
+{
+    LoadGenConfig lg;
+    lg.burst_on_ns = 0;
+    EXPECT_TRUE(names(invalidArgument([&] { burstyArrivals(lg); }),
+                      "burst_on_ns"));
+    lg.burst_on_ns = 1000;
+    lg.burst_off_ns = -1;
+    EXPECT_TRUE(names(invalidArgument([&] { burstyArrivals(lg); }),
+                      "burst_off_ns"));
+    // Only the bursty generator reads them.
+    EXPECT_EQ(invalidArgument([&] { poissonArrivals(lg); }), "");
+}
+
+TEST(ServeLoadGen, DiurnalPeriodMustBePositive)
+{
+    LoadGenConfig lg;
+    lg.diurnal_period_ns = 0;
+    EXPECT_TRUE(names(invalidArgument([&] { diurnalArrivals(lg); }),
+                      "diurnal_period_ns"));
+    EXPECT_EQ(invalidArgument([&] { poissonArrivals(lg); }), "");
+}
+
+TEST(ServeLoadGen, DiurnalAmplitudeMustBeInUnitRange)
+{
+    LoadGenConfig lg;
+    for (const double amp : {-0.1, 1.5, std::nan("")}) {
+        lg.diurnal_amplitude = amp;
+        EXPECT_TRUE(names(invalidArgument([&] { diurnalArrivals(lg); }),
+                          "diurnal_amplitude"))
+            << amp;
+    }
+    lg.diurnal_amplitude = 1.0;
+    EXPECT_EQ(invalidArgument([&] { diurnalArrivals(lg); }), "");
+}
+
+/** The message runClosedLoop throws on @p server with @p samples and
+ *  @p loop; a refusal must come before any submit. */
+std::string
+closedLoopError(Server &server, const std::vector<engine::Sample> &samples,
+                const ClosedLoopConfig &loop)
+{
+    const std::string what =
+        invalidArgument([&] { runClosedLoop(server, samples, loop); });
+    if (!what.empty()) {
+        EXPECT_EQ(server.metrics().submitted, 0u) << what;
+    }
+    return what;
+}
+
+ServerConfig
+realConfig()
+{
+    ServerConfig cfg;
+    cfg.engine.replicas = 1;
+    cfg.clock = ClockMode::Real;
+    return cfg;
+}
+
+TEST(ServeLoadGen, ClosedLoopConcurrencyMustBeAtLeastOne)
+{
+    Server server(smallModel(), realConfig());
+    const auto samples = randomSamples(2, 16, 3, 51);
+    ClosedLoopConfig loop;
+    loop.requests = 4;
+    for (const int c : {0, -2}) {
+        loop.concurrency = c;
+        EXPECT_TRUE(names(closedLoopError(server, samples, loop),
+                          "concurrency"))
+            << c;
+    }
+}
+
+TEST(ServeLoadGen, ClosedLoopPrioritiesMustBeAtLeastOne)
+{
+    Server server(smallModel(), realConfig());
+    const auto samples = randomSamples(2, 16, 3, 52);
+    ClosedLoopConfig loop;
+    loop.priorities = 0;
+    EXPECT_TRUE(
+        names(closedLoopError(server, samples, loop), "priorities"));
+}
+
+TEST(ServeLoadGen, ClosedLoopNeedsARealClockServer)
+{
+    Server server(smallModel(), virtualConfig(1, 4, 1000));
+    const auto samples = randomSamples(2, 16, 3, 53);
+    EXPECT_TRUE(
+        names(closedLoopError(server, samples, {}), "ClockMode::Real"));
+}
+
+TEST(ServeLoadGen, ClosedLoopNeedsSamples)
+{
+    Server server(smallModel(), realConfig());
+    EXPECT_TRUE(names(closedLoopError(server, {}, {}), "samples"));
+}
+
+TEST(ServeLoadGen, ClosedLoopPoolMustFitTheSamples)
+{
+    Server server(smallModel(), realConfig());
+    const auto samples = randomSamples(2, 16, 3, 54);
+    ClosedLoopConfig loop;
+    loop.requests = 4;
+    loop.sample_pool = 3;
+    EXPECT_TRUE(
+        names(closedLoopError(server, samples, loop), "sample_pool"));
+    loop.sample_pool = 0;
+    EXPECT_TRUE(
+        names(closedLoopError(server, samples, loop), "sample_pool"));
+    loop.sample_pool = 2;
+    const ClosedLoopReport report = runClosedLoop(server, samples, loop);
+    EXPECT_EQ(report.served, 4u);
+}
 
 // ---------------------------------------------------------------
 // Config validation and API misuse: typed exceptions, never aborts.
