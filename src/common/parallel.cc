@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace sushi {
 
 namespace {
@@ -24,6 +28,22 @@ parallelWorkers()
         return hw == 0 ? 1u : hw;
     }();
     return workers;
+}
+
+unsigned
+usableCpus()
+{
+#if defined(__linux__)
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+        const int n = CPU_COUNT(&set);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1u : hw;
 }
 
 WorkerPool::WorkerPool(unsigned workers)

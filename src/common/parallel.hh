@@ -110,6 +110,11 @@ void parallelFor(std::size_t n,
  *  environment variable when set, else hardware concurrency. */
 unsigned parallelWorkers();
 
+/** CPUs this process may run on: its sched_getaffinity mask where
+ *  the platform has one, else hardware concurrency (at least 1).
+ *  Unlike parallelWorkers(), SUSHI_WORKERS does not change it. */
+unsigned usableCpus();
+
 } // namespace sushi
 
 #endif // SUSHI_COMMON_PARALLEL_HH

@@ -1,8 +1,8 @@
 #include "data/synth_digits.hh"
 
 #include <cmath>
-
-#include "common/logging.hh"
+#include <stdexcept>
+#include <string>
 
 namespace sushi::data {
 
@@ -95,7 +95,9 @@ drawDigit(Canvas &c, int digit, float th)
         strokePolyline(c, {{18, 11.5f}, {17, 22.5f}}, th);
         break;
       default:
-        sushi_panic("bad digit %d", digit);
+        throw std::out_of_range("digitGlyph: digit " +
+                                std::to_string(digit) +
+                                " is outside 0-9");
     }
 }
 

@@ -22,7 +22,8 @@ namespace sushi::data {
  */
 Dataset synthDigits(std::size_t n, std::uint64_t seed);
 
-/** Render one clean digit glyph (no jitter/noise), for tests. */
+/** Render one clean digit glyph (no jitter/noise), for tests.
+ *  Throws std::out_of_range for a digit outside 0-9. */
 std::vector<float> digitGlyph(int digit);
 
 } // namespace sushi::data

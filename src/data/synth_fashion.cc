@@ -1,5 +1,8 @@
 #include "data/synth_fashion.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/logging.hh"
 
 namespace sushi::data {
@@ -121,7 +124,10 @@ const char *kNames[] = {
 const char *
 fashionClassName(int label)
 {
-    sushi_assert(label >= 0 && label < kNumClasses);
+    if (label < 0 || label >= kNumClasses)
+        throw std::out_of_range("fashionClassName: label " +
+                                std::to_string(label) +
+                                " is outside 0-9");
     return kNames[label];
 }
 

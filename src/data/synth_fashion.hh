@@ -23,7 +23,8 @@ namespace sushi::data {
 /** Generate @p n labelled clothing images. */
 Dataset synthFashion(std::size_t n, std::uint64_t seed);
 
-/** Class names matching Fashion-MNIST's labels. */
+/** Class names matching Fashion-MNIST's labels; throws
+ *  std::out_of_range for a label outside 0-9. */
 const char *fashionClassName(int label);
 
 } // namespace sushi::data

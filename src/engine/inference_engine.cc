@@ -95,11 +95,16 @@ InferenceEngine::InferenceEngine(
 {
     if (model_ == nullptr)
         throw std::invalid_argument("InferenceEngine needs a model");
-    int replicas = cfg_.replicas;
-    if (replicas <= 0)
-        replicas = static_cast<int>(parallelWorkers());
+    if (cfg_.replicas < 0)
+        throw std::invalid_argument(
+            "EngineConfig.replicas must be >= 0 (0 selects "
+            "parallelWorkers())");
     if (cfg_.shard_block == 0)
-        cfg_.shard_block = 1;
+        throw std::invalid_argument(
+            "EngineConfig.shard_block must be >= 1");
+    int replicas = cfg_.replicas;
+    if (replicas == 0)
+        replicas = static_cast<int>(parallelWorkers());
     cfg_.replicas = replicas;
     // One chip per plan stage per replica group: the whole pipeline
     // of a multi-chip plan is pinned to its group.

@@ -57,8 +57,8 @@ struct EngineConfig
     /** Chip replicas in the pool; 0 selects parallelWorkers(). */
     int replicas = 0;
 
-    /** Samples per round-robin shard block: sample i goes to active
-     *  replica (i / shard_block) mod active_count. */
+    /** Samples per round-robin shard block (>= 1): sample i goes to
+     *  active replica (i / shard_block) mod active_count. */
     std::size_t shard_block = 8;
 
     /** Cap on worker threads driving the replicas (0 = pool size).
@@ -138,7 +138,8 @@ struct EngineRun
 class InferenceEngine
 {
   public:
-    /** Throws std::invalid_argument on a null @p model. */
+    /** Throws std::invalid_argument on a null @p model, and naming
+     *  the field for EngineConfig::replicas < 0 or shard_block 0. */
     explicit InferenceEngine(
         std::shared_ptr<const CompiledModel> model,
         const EngineConfig &cfg = {});

@@ -92,11 +92,15 @@
  *    admission-shard count.
  *
  *  - ClockMode::Real — wall-clock serving. One thread per replica
- *    steps at steady_clock nanoseconds since construction, executes
- *    only the batches formed for its own replica, and otherwise
- *    sleeps until that same next event time (at most 1 s; admits
- *    and newly formed batches notify). Any thread may form any free
- *    replica's batch. Throughput is whatever the host delivers; no
+ *    steps at steady_clock nanoseconds since construction, forms its
+ *    own replica's batch first, and executes only the batches formed
+ *    for its own replica. Otherwise it waits for its next event time
+ *    (at most 1 s): when the process may run on more CPUs than there
+ *    are replicas and the server is not draining, it first spins off
+ *    mu_ on the queue depth for up to 50 us and steps again; only
+ *    after a spin that ran out does it sleep (admits and newly formed
+ *    batches notify sleepers). Any thread may form any free replica's
+ *    batch. Throughput is whatever the host delivers; no
  *    byte-determinism is promised (chaos service-time scaling is
  *    virtual-only; crashes/faults/degrades apply in both modes).
  *
@@ -461,9 +465,10 @@ class Server
      *  breaker advance, completions in (complete_ns, replica) order,
      *  hedge fires, probes in replica order, deadline shedding,
      *  retries, timed arrivals, then a batch on each eligible free
-     *  replica in ascending order (left executing in running_).
-     *  True iff it formed a batch. */
-    bool stepLocked(std::int64_t t);
+     *  replica (left executing in running_), starting at @p self and
+     *  wrapping around — ascending order when @p self is -1, as
+     *  virtual mode passes. True iff it formed a batch. */
+    bool stepLocked(std::int64_t t, int self);
     /** Earliest instant at which stepLocked has something to do
      *  (@p now when a batch can flush at once; INT64_MAX if never). */
     std::int64_t nextEventNsLocked(std::int64_t now) const;
@@ -477,6 +482,9 @@ class Server
     engine::InferenceEngine engine_;
     ChaosEngine chaos_;
     int target_active_ = 0; ///< active-pool size the server defends
+    /** Real mode: idle workers spin before parking (the process may
+     *  run on more CPUs than there are replicas). */
+    bool spin_ = false;
 
     /** Admission shards (fixed at construction; unique_ptr keeps
      *  the mutexes pinned). */

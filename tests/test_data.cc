@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "data/synth_digits.hh"
 #include "data/synth_fashion.hh"
@@ -101,6 +102,18 @@ TEST(SynthFashion, ShapesAndNames)
     EXPECT_GE(seen.size(), 8u);
     EXPECT_STREQ(data::fashionClassName(0), "t-shirt");
     EXPECT_STREQ(data::fashionClassName(9), "ankle-boot");
+}
+
+TEST(SynthDigits, GlyphOutsideZeroToNineThrows)
+{
+    EXPECT_THROW(data::digitGlyph(-1), std::out_of_range);
+    EXPECT_THROW(data::digitGlyph(10), std::out_of_range);
+}
+
+TEST(SynthFashion, ClassNameOutsideZeroToNineThrows)
+{
+    EXPECT_THROW(data::fashionClassName(-1), std::out_of_range);
+    EXPECT_THROW(data::fashionClassName(10), std::out_of_range);
 }
 
 TEST(SynthFashion, ImagesHaveInk)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "chip/sushi_chip.hh"
 #include "common/parallel.hh"
@@ -398,6 +399,42 @@ TEST(Engine, NullModelThrows)
 {
     EXPECT_THROW(InferenceEngine(nullptr, EngineConfig{}),
                  std::invalid_argument);
+}
+
+/** The what() of the invalid_argument an engine built with @p cfg
+ *  throws ("" if it constructs). */
+std::string
+engineError(const EngineConfig &cfg)
+{
+    auto model = CompiledModel::compile(tinyNet(10, 5, 3, 2, 96),
+                                        smallChip());
+    try {
+        InferenceEngine eng(model, cfg);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Engine, NegativeReplicasThrowsNamingTheField)
+{
+    EngineConfig cfg;
+    cfg.replicas = -1;
+    EXPECT_NE(engineError(cfg).find("EngineConfig.replicas"),
+              std::string::npos);
+    cfg.replicas = 0; // parallelWorkers()
+    EXPECT_EQ(engineError(cfg), "");
+}
+
+TEST(Engine, ZeroShardBlockThrowsNamingTheField)
+{
+    EngineConfig cfg;
+    cfg.replicas = 1;
+    cfg.shard_block = 0;
+    EXPECT_NE(engineError(cfg).find("EngineConfig.shard_block"),
+              std::string::npos);
+    cfg.shard_block = 1;
+    EXPECT_EQ(engineError(cfg), "");
 }
 
 TEST(Engine, EncodeSamplesIsPerSampleDeterministic)

@@ -15,12 +15,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <future>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "chip/sushi_chip.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "serve/load_gen.hh"
 #include "serve/server.hh"
@@ -643,6 +645,93 @@ TEST(ServeRealMode, PartialBatchFlushesWithoutDrain)
     EXPECT_GE(server.metrics().flush_delay, 1u);
 }
 
+// An idle worker that spins instead of parking is not a sleeper, so
+// when another thread forms its replica's batch, that thread's notify
+// finds no one, and the queue depth it polls may be back where it
+// was. A worker that missed its batch sleeps until its next event, up
+// to 1 s away; this loop waits on its oldest future, so such a batch
+// stalls the whole loop and shows as a long service time.
+TEST(ServeRealMode, ClosedLoopStrandsNoBatch)
+{
+    if (usableCpus() <= 2)
+        GTEST_SKIP() << "workers of a 2-replica server spin only on "
+                        "more than 2 CPUs";
+    const auto samples = randomSamples(64, 16, 3, 21);
+    chip::SushiChip chip(smallModel()->chip());
+    std::vector<std::vector<int>> expected;
+    for (const auto &s : samples) {
+        chip.resetStats();
+        expected.push_back(
+            chip.inferCounts(smallModel()->compiled(), s));
+    }
+    constexpr std::size_t kRequests = 2'000;
+    constexpr std::size_t kInFlight = 16;
+    for (const std::size_t max_batch : {4u, 8u}) {
+        SCOPED_TRACE("max_batch " + std::to_string(max_batch));
+        ServerConfig cfg;
+        cfg.engine.replicas = 2;
+        cfg.max_batch = max_batch;
+        cfg.clock = ClockMode::Real;
+        Server server(smallModel(), cfg);
+
+        std::deque<std::pair<std::size_t, std::future<Response>>>
+            inflight;
+        std::size_t sent = 0;
+        const auto submitNext = [&] {
+            const std::size_t i = sent++ % samples.size();
+            inflight.emplace_back(i, server.submit(samples[i]));
+        };
+        while (sent < kInFlight)
+            submitNext();
+        std::int64_t worst_service_ns = 0;
+        while (!inflight.empty()) {
+            auto [i, fut] = std::move(inflight.front());
+            inflight.pop_front();
+            ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+                      std::future_status::ready);
+            const Response r = fut.get();
+            ASSERT_TRUE(r.ok());
+            EXPECT_EQ(r.result.counts, expected[i]);
+            worst_service_ns = std::max(worst_service_ns, r.serviceNs());
+            if (sent < kRequests)
+                submitNext();
+        }
+        const ServerMetrics m = server.metrics();
+        EXPECT_EQ(m.submitted, kRequests);
+        EXPECT_EQ(m.completed, m.submitted);
+        EXPECT_LE(worst_service_ns, 250'000'000)
+            << "a formed batch waited for its worker's next event";
+    }
+}
+
+// A drain or shutdown that begins while an idle worker spins off mu_
+// notifies no sleeper either; the worker must see it under mu_ before
+// it parks, or the join waits for the worker's next event, 1 s away.
+TEST(ServeRealMode, ShutdownStrandsNoSpinningWorker)
+{
+    if (usableCpus() <= 2)
+        GTEST_SKIP() << "workers of a 2-replica server spin only on "
+                        "more than 2 CPUs";
+    using Clock = std::chrono::steady_clock;
+    ServerConfig cfg;
+    cfg.engine.replicas = 2;
+    cfg.clock = ClockMode::Real;
+    Rng rng(29);
+    Clock::duration worst{};
+    for (int i = 0; i < 200; ++i) {
+        Server server(smallModel(), cfg);
+        // Land the shutdown anywhere in the workers' first spins.
+        const auto until =
+            Clock::now() + std::chrono::microseconds(rng.range(0, 120));
+        while (Clock::now() < until) {
+        }
+        const auto t0 = Clock::now();
+        server.shutdown();
+        worst = std::max(worst, Clock::now() - t0);
+    }
+    EXPECT_LE(worst, std::chrono::milliseconds(250));
+}
+
 TEST(ServeMetrics, SnapshotJsonRoundsTrip)
 {
     const auto samples = randomSamples(5, 16, 3, 14);
@@ -889,6 +978,10 @@ TEST(ServeConfig, InvalidFieldsThrowNamingTheField)
     EXPECT_EQ(constructError(base), "");
 
     ServerConfig cfg = base;
+    cfg.engine.replicas = -1;
+    EXPECT_NE(constructError(cfg).find("engine.replicas"),
+              std::string::npos);
+    cfg = base;
     cfg.max_batch = 0;
     EXPECT_NE(constructError(cfg).find("max_batch"), std::string::npos);
     cfg = base;
