@@ -1,10 +1,10 @@
 /**
  * @file
- * Front-door submit throughput of the sharded admission path
- * (PR 10): a closed-loop multi-threaded hammer drives submit()
- * against a server whose queue is pinned at the admission bound, so
- * every timed call is PURE front-end work — shard lock, shed scan,
- * bound check, typed rejection — with no batch execution behind it.
+ * Front-door submit throughput of the sharded admission path: a
+ * closed-loop multi-threaded hammer drives submit() against a server
+ * whose queue is pinned at the admission bound, so every timed call
+ * is PURE front-end work — shard lock, shed scan, bound check, typed
+ * rejection — with no batch execution behind it.
  *
  * The sweep compares the sharded default (admission_shards = 0, one
  * shard per replica) against the single-lock S=1 baseline under an
@@ -17,10 +17,9 @@
  * whole queue, and uncontended shard locks skip the futex round
  * trips the single hot lock pays for.
  *
- * The bench also replays a virtual-clock mixed workload (priorities,
- * deadlines, queue pressure) at several shard counts and requires
- * the ServerMetrics JSON to be byte-identical — the determinism
- * half of the PR 10 contract, enforced alongside the speed half.
+ * The determinism half of the sharded front-end's contract (metrics
+ * byte-identical across shard counts) is a ctest:
+ * ServeFrontend.MetricsByteIdenticalWithResilienceAndChaos.
  *
  * Environment:
  *   SUSHI_JSON_OUT  output path (default BENCH_frontend.json)
@@ -36,7 +35,6 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
-#include "serve/load_gen.hh"
 #include "serve/server.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
@@ -143,44 +141,6 @@ best(const std::vector<double> &values)
     return b;
 }
 
-/** Virtual-clock mixed workload at a given shard count; returns the
- *  metrics JSON for the byte-identity check. */
-std::string
-replayJson(const std::shared_ptr<const engine::CompiledModel> &model,
-           int shards, const std::vector<engine::Sample> &samples)
-{
-    serve::ServerConfig cfg;
-    cfg.engine.replicas = 3;
-    cfg.max_batch = 4;
-    cfg.max_delay_ns = 40'000;
-    cfg.max_queue = 24;
-    cfg.admission_shards = shards;
-    cfg.max_threads = 2;
-    cfg.clock = serve::ClockMode::Virtual;
-    cfg.retry.max_retries = 2;
-    cfg.hedge.priority_floor = 2;
-    cfg.hedge.delay_ns = 30'000;
-    cfg.chaos.seed = 21;
-    cfg.chaos.crash_rate = 0.05;
-    cfg.chaos.fault_rate = 0.04;
-    cfg.chaos.crash_hold_ns = 2'000'000;
-
-    serve::LoadGenConfig lg;
-    lg.rate_rps = 150'000.0;
-    lg.requests = 400;
-    lg.sample_pool = samples.size();
-    lg.seed = 1234;
-    lg.deadline_ns = 600'000;
-    lg.priorities = 3;
-
-    serve::Server server(model, cfg);
-    for (const auto &a : serve::poissonArrivals(lg))
-        server.submitAt(a.arrival_ns, samples[a.sample_index],
-                        a.opts);
-    server.runVirtual();
-    return server.metrics().toJson();
-}
-
 } // namespace
 
 int
@@ -226,16 +186,6 @@ main()
                 kSpeedupFloor,
                 speedup >= kSpeedupFloor ? "pass" : "FAIL");
 
-    // --- Determinism half of the contract -------------------------
-    const std::string reference = replayJson(model, 1, samples);
-    bool identical = true;
-    for (int shards : {2, 3, 8})
-        identical &=
-            replayJson(model, shards, samples) == reference;
-    std::printf("virtual replay byte-identical across shard "
-                "counts: %s\n",
-                identical ? "yes" : "NO");
-
     JsonWriter w;
     w.field("threads", threads);
     w.field("per_thread_submits", std::uint64_t{per_thread});
@@ -246,7 +196,6 @@ main()
     w.field("speedup", speedup);
     w.field("speedup_floor", kSpeedupFloor);
     w.field("speedup_ok", speedup >= kSpeedupFloor);
-    w.field("replay_byte_identical", identical);
     w.beginArray("single_lock_trials_rps");
     for (double rps : s1_trials) {
         w.beginObject();
@@ -274,5 +223,5 @@ main()
     }
     std::printf("JSON written to %s\n", path.c_str());
 
-    return speedup >= kSpeedupFloor && identical ? 0 : 1;
+    return speedup >= kSpeedupFloor ? 0 : 1;
 }

@@ -17,15 +17,6 @@ MultiChipPlan::maxJjUtilisation() const
     return u;
 }
 
-double
-MultiChipPlan::maxAreaUtilisation() const
-{
-    double u = 0.0;
-    for (const auto &s : stages)
-        u = std::max(u, s->net.budget.areaUtilisation());
-    return u;
-}
-
 long
 MultiChipPlan::crossChipWires() const
 {

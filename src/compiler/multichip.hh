@@ -82,15 +82,14 @@ struct MultiChipPlan
 
     int numChips() const { return static_cast<int>(stages.size()); }
 
-    /** Worst per-chip utilisation across stages. */
+    /** Worst per-chip JJ utilisation across stages. */
     double maxJjUtilisation() const;
-    double maxAreaUtilisation() const;
 
     /** Total activation wires crossing chip boundaries. */
     long crossChipWires() const;
 
     /** Total worst-case pulses per time step across all cuts (the
-     *  compiler's own traffic estimate the NoC benches cross-check
+     *  compiler's own traffic estimate the NoC tests cross-check
      *  observed flit counts against). */
     long cutTrafficPerStep() const;
 };

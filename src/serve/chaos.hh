@@ -20,7 +20,7 @@
  *
  * Scripted events complement the random rates: a ChaosScript entry
  * fires at a fixed virtual instant on a fixed replica, which is how
- * tests and bench_chaos_availability stage the "one of four replicas
+ * the ChaosAvailability tests stage the "one of four replicas
  * crashes mid-run" scenario. Crashes gate probes immediately;
  * latched effects (stall, slow-degrade, NPE failure) apply at the
  * replica's next dispatch.

@@ -8,7 +8,8 @@
  * cancellation, the circuit-breaker state machine, injected NPE
  * degradation surfacing in ServerMetrics, ModelCache pinning,
  * engine health mutation under concurrency, real-clock chaos drain,
- * and the bursty / diurnal load-generator traces.
+ * availability under a scripted 1-of-4 crash, and the bursty /
+ * diurnal load-generator traces.
  */
 
 #include <gtest/gtest.h>
@@ -23,46 +24,18 @@
 #include <vector>
 
 #include "chip/sushi_chip.hh"
-#include "common/rng.hh"
 #include "engine/compiled_model.hh"
 #include "serve/load_gen.hh"
 #include "serve/server.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi::serve {
 namespace {
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<engine::Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<engine::Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
+using namespace testutil;
 
 std::shared_ptr<const engine::CompiledModel>
 smallModel()
@@ -212,17 +185,6 @@ runFrontendResilience(unsigned max_threads, int admission_shards)
     return server.metrics().toJson();
 }
 
-std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 TEST(ServeReplay, CampaignJsonPinned)
 {
     // Length and FNV-1a 64 hash of ServerMetrics::toJson(), recorded
@@ -345,6 +307,79 @@ TEST(ChaosHealth, ScriptedCrashQuarantineSpareReadmit)
         EXPECT_NE(server.replicaState(r), ReplicaState::Quarantined)
             << "replica " << r;
     EXPECT_EQ(m.completed, 160u);
+}
+
+// ---------------------------------------------------------------
+// Availability on the digits workload: 800 Poisson arrivals (seed
+// 4242) at 60 % of capacity while one of four replicas crashes a
+// quarter of the way in and stays down for an eighth of the span.
+// ---------------------------------------------------------------
+
+ServerMetrics
+playScriptedCrash()
+{
+    const DigitsWorkload w = digitsWorkload(48);
+    // One full batch per replica on an idle pool gives the batch
+    // service time; the rate and every threshold scale off it.
+    Server probe(w.model, virtualConfig(4, 8, 200'000, 256));
+    for (std::size_t i = 0; i < 4 * 8; ++i)
+        probe.submitAt(0, w.samples[i]);
+    probe.runVirtual();
+    const double service_ns = probe.metrics().service_ns.mean();
+    const double offered_rps = 0.6 * 4 * 8 * 1e9 / service_ns;
+    const auto span_ns =
+        static_cast<std::int64_t>(800 * 1e9 / offered_rps);
+
+    LoadGenConfig lg;
+    lg.rate_rps = offered_rps;
+    lg.requests = 800;
+    lg.sample_pool = w.samples.size();
+    lg.seed = 4242;
+    lg.deadline_ns = static_cast<std::int64_t>(service_ns * 24);
+    lg.priorities = 2; // priority 1 is hedge-eligible
+
+    ServerConfig cfg = virtualConfig(
+        4, 8, static_cast<std::int64_t>(service_ns / 2), 256);
+    cfg.hot_spares = 1;
+    cfg.retry.max_retries = 3;
+    cfg.retry.backoff_ns = static_cast<std::int64_t>(service_ns / 4);
+    cfg.hedge.priority_floor = 1;
+    cfg.hedge.delay_ns = static_cast<std::int64_t>(service_ns * 2);
+    cfg.breaker.failure_threshold = 16;
+    cfg.health.quarantine_after = 2;
+    cfg.health.probe_delay_ns = static_cast<std::int64_t>(service_ns);
+    cfg.chaos.seed = 7;
+    cfg.chaos.crash_hold_ns = span_ns / 8;
+    cfg.chaos.script.push_back(
+        {span_ns / 4, 0, ChaosKind::Crash, 0});
+    cfg.resilience_seed = 11;
+
+    Server server(w.model, cfg);
+    for (const GeneratedArrival &a : poissonArrivals(lg))
+        server.submitAt(a.arrival_ns, w.samples[a.sample_index],
+                        a.opts);
+    server.runVirtual();
+    return server.metrics();
+}
+
+TEST(ChaosAvailability, ScriptedCrashKeepsAvailabilityAndReadmits)
+{
+    const ServerMetrics m = playScriptedCrash();
+    // The crash happened and cost work, so the floor is not met by
+    // a campaign that never fired.
+    EXPECT_GE(m.chaos_crashes, 1u);
+    EXPECT_GT(m.retries, 0u);
+    EXPECT_GE(m.availability(), 0.99);
+    EXPECT_GE(m.readmits, 1u);
+}
+
+TEST(ChaosAvailability, ScriptedCrashReplaysByteIdenticallyAndIsPinned)
+{
+    const std::string json = playScriptedCrash().toJson();
+    EXPECT_EQ(playScriptedCrash().toJson(), json);
+    EXPECT_EQ(json.size(), 3998u);
+    EXPECT_EQ(fnv1a64(json), 0xa873a78ba9b84ba2ULL)
+        << std::hex << fnv1a64(json);
 }
 
 TEST(ChaosRetry, BudgetExhaustionRejectsReplicaFailure)

@@ -18,23 +18,12 @@
 #include "compiler/budget.hh"
 #include "snn/encoder.hh"
 
+#include "test_util.hh"
+
 namespace sushi::chip {
 namespace {
 
-/** Tiny trained-ish binary network via the float path. */
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
+using namespace testutil;
 
 std::vector<std::vector<std::uint8_t>>
 randomFrames(std::size_t dim, int t_steps, double density,

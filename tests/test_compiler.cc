@@ -10,33 +10,16 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/rng.hh"
 #include "compiler/compile.hh"
 #include "compiler/driver.hh"
 #include "sfq/cell_params.hh"
 
+#include "test_util.hh"
+
 namespace sushi::compiler {
 namespace {
 
-snn::BinaryLayer
-randomLayer(int in_dim, int out_dim, double neg_fraction,
-            int theta_lo, int theta_hi, std::uint64_t seed)
-{
-    Rng rng(seed);
-    snn::BinaryLayer layer;
-    layer.weights.resize(static_cast<std::size_t>(out_dim));
-    layer.thresholds.resize(static_cast<std::size_t>(out_dim));
-    for (int o = 0; o < out_dim; ++o) {
-        auto &row = layer.weights[static_cast<std::size_t>(o)];
-        row.resize(static_cast<std::size_t>(in_dim));
-        for (int i = 0; i < in_dim; ++i)
-            row[static_cast<std::size_t>(i)] =
-                rng.chance(neg_fraction) ? -1 : 1;
-        layer.thresholds[static_cast<std::size_t>(o)] =
-            static_cast<int>(rng.range(theta_lo, theta_hi));
-    }
-    return layer;
-}
+using namespace testutil;
 
 TEST(BitSlice, ExactFit)
 {
@@ -622,6 +605,34 @@ TEST(Driver, ScoredSelectionNeverLosesFit)
                   legacy.layers[0].switch_reloads)
             << "seed " << seed;
     }
+}
+
+TEST(Driver, Table2FlagshipFitsOversizedSplits)
+{
+    // Under the default 16x16 budget the paper's 784-800-10 model
+    // fills most of one chip, and a 784-800-800-800-10 chain, whose
+    // every layer fits a chip alone, splits across chips.
+    ChipConfig chip;
+    chip.n = 16;
+    chip.sc_per_npe = 10;
+    const CompilerDriver driver(DriverOptions::costAware());
+
+    const auto flagship_net = tinyNet(784, 800, 10, 5, 7);
+    const MultiChipPlan flagship =
+        driver.compilePlan(flagship_net, chip);
+    EXPECT_EQ(flagship.numChips(), 1);
+    EXPECT_GT(flagship.maxJjUtilisation(), 0.90);
+    EXPECT_LE(flagship.maxJjUtilisation(), 1.0);
+
+    const auto oversized_net = snn::BinarySnn::fromLayers(
+        {randomLayer(784, 800, 32, 11), randomLayer(800, 800, 32, 12),
+         randomLayer(800, 800, 32, 13), randomLayer(800, 10, 32, 14)},
+        5);
+    const MultiChipPlan oversized =
+        driver.compilePlan(oversized_net, chip);
+    EXPECT_GE(oversized.numChips(), 2);
+    EXPECT_GT(oversized.crossChipWires(), 0);
+    EXPECT_LE(oversized.maxJjUtilisation(), 1.0);
 }
 
 TEST(MultiChipSplit, ExactCapBoundary)

@@ -4,7 +4,8 @@
  * cache behaviour, shard-plan determinism (byte-identical merged
  * stats across thread counts), equivalence with single-chip
  * sequential inference, degraded-replica draining, replica reuse
- * across batches, and typed errors for out-of-range arguments.
+ * across batches, modelled throughput scaling with the replica
+ * count, and typed errors for out-of-range arguments.
  */
 
 #include <gtest/gtest.h>
@@ -19,39 +20,12 @@
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi::engine {
 namespace {
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
+using namespace testutil;
 
 compiler::ChipConfig
 smallChip()
@@ -201,15 +175,49 @@ TEST(Engine, MergedStatsByteIdenticalAcrossReplicaCounts)
     auto samples = randomSamples(17, 24, 3, 7);
 
     std::string digest;
-    for (int replicas : {1, 2, 3, 8}) {
+    std::vector<SampleResult> reference;
+    for (int replicas : {1, 2, 3, 4, 8}) {
         EngineConfig ecfg;
         ecfg.replicas = replicas;
         InferenceEngine eng(model, ecfg);
-        const std::string json = statsJson(eng.run(samples).merged);
-        if (digest.empty())
+        const auto run = eng.run(samples);
+        const std::string json = statsJson(run.merged);
+        if (digest.empty()) {
             digest = json;
+            reference = run.samples;
+        }
         EXPECT_EQ(json, digest) << "replicas " << replicas;
+        ASSERT_EQ(run.samples.size(), reference.size());
+        for (std::size_t i = 0; i < reference.size(); ++i)
+            EXPECT_EQ(run.samples[i].counts, reference[i].counts)
+                << "replicas " << replicas << " sample " << i;
     }
+}
+
+TEST(Engine, ModelledThroughputScalesWithReplicas)
+{
+    // Replicas are independent chips, so the modelled makespan (the
+    // slowest replica's chip time) shrinks with the replica count
+    // while every sample's counts and the merged stats stay put.
+    const auto [model, samples] = digitsWorkload(256);
+
+    EngineConfig one;
+    one.replicas = 1;
+    EngineConfig eight;
+    eight.replicas = 8;
+    const auto base = InferenceEngine(model, one).run(samples);
+    const auto wide = InferenceEngine(model, eight).run(samples);
+    EXPECT_GE(base.modeledMakespanPs() / wide.modeledMakespanPs(),
+              3.0);
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        EXPECT_EQ(wide.samples[i].counts, base.samples[i].counts)
+            << i;
+
+    const std::string json = statsJson(wide.merged);
+    EXPECT_EQ(json, statsJson(base.merged));
+    EXPECT_EQ(json.size(), 710u);
+    EXPECT_EQ(fnv1a64(json), 0xb161eee20c993809ULL)
+        << std::hex << fnv1a64(json);
 }
 
 TEST(Engine, ShardPlanCoversEverySampleOnce)

@@ -17,46 +17,18 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hh"
 #include "serve/load_gen.hh"
 #include "serve/request_pool.hh"
 #include "serve/server.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi::serve {
 namespace {
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<engine::Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<engine::Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
+using namespace testutil;
 
 std::shared_ptr<const engine::CompiledModel>
 smallModel()
@@ -244,17 +216,6 @@ TEST(ServerMetrics, FoldFirstSubmitMinIgnoresEmptySides)
 // ServerMetrics::toJson(): every field pinned.
 // ---------------------------------------------------------------
 
-std::uint64_t
-fnv1a64(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 TEST(ServerMetrics, ToJsonEveryFieldPinned)
 {
     // Length and FNV-1a 64 hash of toJson() over one snapshot in
@@ -386,7 +347,7 @@ TEST(ServeFrontend, MetricsByteIdenticalWithResilienceAndChaos)
 {
     const std::string reference = runMatrixPoint(1, 1, true);
     EXPECT_FALSE(reference.empty());
-    for (int shards : {1, 2, 8})
+    for (int shards : {1, 2, 3, 8})
         for (unsigned threads : {1u, 2u, 8u}) {
             SCOPED_TRACE("shards=" + std::to_string(shards) +
                          " threads=" + std::to_string(threads));

@@ -10,65 +10,18 @@
 #include <gtest/gtest.h>
 
 #include "chip/sushi_chip.hh"
-#include "common/rng.hh"
 #include "compiler/driver.hh"
 #include "engine/inference_engine.hh"
 #include "sfq/cell_params.hh"
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi::engine {
 namespace {
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
-
-snn::BinaryLayer
-randomLayer(int in_dim, int out_dim, std::uint64_t seed)
-{
-    Rng rng(seed);
-    snn::BinaryLayer layer;
-    layer.weights.resize(static_cast<std::size_t>(out_dim));
-    layer.thresholds.resize(static_cast<std::size_t>(out_dim));
-    for (int o = 0; o < out_dim; ++o) {
-        auto &row = layer.weights[static_cast<std::size_t>(o)];
-        row.resize(static_cast<std::size_t>(in_dim));
-        for (int i = 0; i < in_dim; ++i)
-            row[static_cast<std::size_t>(i)] =
-                rng.chance(0.5) ? -1 : 1;
-        layer.thresholds[static_cast<std::size_t>(o)] =
-            static_cast<int>(rng.range(1, 8));
-    }
-    return layer;
-}
+using namespace testutil;
 
 compiler::ChipConfig
 smallChip()
@@ -251,8 +204,8 @@ TEST(MultiChipPlan, CutsAndWireListsAreDeterministicallyOrdered)
     // heaviest-traffic-first contraction visits boundaries out of
     // chain order — the published plan must still come out sorted.
     const auto net = snn::BinarySnn::fromLayers(
-        {randomLayer(20, 12, 3), randomLayer(12, 18, 4),
-         randomLayer(18, 10, 5), randomLayer(10, 6, 6)},
+        {randomLayer(20, 12, 8, 3), randomLayer(12, 18, 8, 4),
+         randomLayer(18, 10, 8, 5), randomLayer(10, 6, 8, 6)},
         3);
     const auto chip = smallChip();
     auto model = CompiledModel::compile(net, chip,

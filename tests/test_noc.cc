@@ -6,7 +6,8 @@
  * traffic-aware placement pass, and the engine integration contract —
  * NoC-transport spike results bit-identical to the ideal transport,
  * NoC metrics byte-deterministic across thread counts, and the
- * transport block surfaced through statsJson / ServerMetrics.
+ * transport block surfaced through statsJson / ServerMetrics — and
+ * the scaling sweep over link bandwidth and mesh shape.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/rng.hh"
 #include "compiler/driver.hh"
 #include "engine/inference_engine.hh"
 #include "noc/fabric.hh"
@@ -27,8 +27,12 @@
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi {
 namespace {
+
+using namespace testutil;
 
 using engine::CompiledModel;
 using engine::EngineConfig;
@@ -257,56 +261,6 @@ TEST(NocPlacement, ExplicitDimensionsRespectedOrRejected)
 
 // --- Engine integration -----------------------------------------
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-snn::BinaryLayer
-randomLayer(int in_dim, int out_dim, std::uint64_t seed)
-{
-    Rng rng(seed);
-    snn::BinaryLayer layer;
-    layer.weights.resize(static_cast<std::size_t>(out_dim));
-    layer.thresholds.resize(static_cast<std::size_t>(out_dim));
-    for (int o = 0; o < out_dim; ++o) {
-        auto &row = layer.weights[static_cast<std::size_t>(o)];
-        row.resize(static_cast<std::size_t>(in_dim));
-        for (int i = 0; i < in_dim; ++i)
-            row[static_cast<std::size_t>(i)] =
-                rng.chance(0.5) ? -1 : 1;
-        layer.thresholds[static_cast<std::size_t>(o)] =
-            static_cast<int>(rng.range(1, 8));
-    }
-    return layer;
-}
-
-std::vector<Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
-
 compiler::ChipConfig
 smallChip()
 {
@@ -348,8 +302,8 @@ std::shared_ptr<const CompiledModel>
 fourStageModel()
 {
     const auto net = snn::BinarySnn::fromLayers(
-        {randomLayer(20, 12, 3), randomLayer(12, 18, 4),
-         randomLayer(18, 10, 5), randomLayer(10, 6, 6)},
+        {randomLayer(20, 12, 8, 3), randomLayer(12, 18, 8, 4),
+         randomLayer(18, 10, 8, 5), randomLayer(10, 6, 8, 6)},
         3);
     return CompiledModel::compile(net, smallChip(),
                                   splittingOptions(net, smallChip()));
@@ -486,6 +440,120 @@ TEST(NocEngine, ServerMetricsSurfaceTheTransportBlock)
     EXPECT_NE(json.find("\"noc_flits\": 42"), std::string::npos);
     EXPECT_NE(json.find("\"noc_cut_flits\": [40, 2]"),
               std::string::npos);
+}
+
+// --- Scaling over link bandwidth and mesh shape ------------------
+
+/** Four dense layers, one 8x8 chip stage each: three cuts of 96
+ *  wires, worst-case packets of 49 flits at the default format. */
+std::shared_ptr<const CompiledModel>
+scalingPipeline()
+{
+    compiler::ChipConfig chip;
+    chip.n = 8;
+    chip.sc_per_npe = 10;
+    const auto net = snn::BinarySnn::fromLayers(
+        {randomLayer(64, 96, 16, 21), randomLayer(96, 96, 16, 22),
+         randomLayer(96, 96, 16, 23), randomLayer(96, 12, 16, 24)},
+        4);
+    return CompiledModel::compile(net, chip,
+                                  splittingOptions(net, chip));
+}
+
+/** One replica over the NoC at @p bandwidth flits/cycle on a
+ *  @p width x @p height mesh (0 x 0: auto-sized); bandwidth 0 runs
+ *  the ideal transport instead. */
+EngineRun
+runScaling(const std::shared_ptr<const CompiledModel> &model,
+           int bandwidth, int width = 0, int height = 0)
+{
+    EngineConfig cfg;
+    cfg.replicas = 1;
+    cfg.noc.enabled = bandwidth > 0;
+    cfg.noc.link_bandwidth_flits = bandwidth;
+    cfg.noc.mesh_width = width;
+    cfg.noc.mesh_height = height;
+    return InferenceEngine(model, cfg).run(randomSamples(6, 64, 4, 97));
+}
+
+/** Modelled frames per second. */
+double
+throughputFps(const EngineRun &run)
+{
+    return static_cast<double>(run.merged.frames) /
+           (run.merged.est_time_ps * 1e-12);
+}
+
+const std::vector<int> kBandwidths = {64, 32, 16, 8, 4, 2, 1};
+
+TEST(NocScaling, BitIdenticalAtEveryBandwidthAndMesh)
+{
+    const auto model = scalingPipeline();
+    const int stages = model->stageCount();
+    ASSERT_EQ(stages, 4);
+    const EngineRun ideal = runScaling(model, 0);
+    const auto expectIdentical = [&](const EngineRun &run) {
+        ASSERT_EQ(run.samples.size(), ideal.samples.size());
+        for (std::size_t i = 0; i < ideal.samples.size(); ++i) {
+            EXPECT_EQ(run.samples[i].counts, ideal.samples[i].counts);
+            EXPECT_EQ(run.samples[i].prediction,
+                      ideal.samples[i].prediction);
+        }
+    };
+    for (const int bw : kBandwidths) {
+        SCOPED_TRACE("bandwidth " + std::to_string(bw));
+        expectIdentical(runScaling(model, bw));
+    }
+    for (const auto &[w, h] : std::vector<std::pair<int, int>>{
+             {0, 0}, {1, stages}, {stages, stages}}) {
+        SCOPED_TRACE("mesh " + std::to_string(w) + "x" +
+                     std::to_string(h));
+        expectIdentical(runScaling(model, 8, w, h));
+    }
+}
+
+TEST(NocScaling, ThroughputMonotoneInBandwidthStrictBelowDemand)
+{
+    // The heaviest per-step link demand is a function of the packet
+    // schedule, not of bandwidth. Halving the bandwidth never raises
+    // throughput, and lowers it once the larger bandwidth of the
+    // pair already sits below the demand.
+    const auto model = scalingPipeline();
+    std::vector<EngineRun> runs;
+    for (const int bw : kBandwidths)
+        runs.push_back(runScaling(model, bw));
+    const std::uint64_t demand =
+        runs.front().merged.noc_max_step_link_flits;
+    ASSERT_GT(demand, 1u);
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+        SCOPED_TRACE("bandwidth " + std::to_string(kBandwidths[i]));
+        const double hi = throughputFps(runs[i - 1]);
+        const double lo = throughputFps(runs[i]);
+        EXPECT_LE(lo, hi);
+        if (static_cast<std::uint64_t>(kBandwidths[i - 1]) < demand) {
+            EXPECT_LT(lo, hi);
+        }
+        EXPECT_EQ(runs[i].merged.noc_max_step_link_flits, demand);
+    }
+}
+
+TEST(NocScaling, CutFlitsWithinPlanEstimate)
+{
+    // Observed cut flits never exceed worst-case serialization of
+    // the plan's own wires, at the default NoC configuration.
+    const auto model = scalingPipeline();
+    const EngineRun run =
+        runScaling(model, noc::NocConfig{}.link_bandwidth_flits);
+    const noc::PacketFormat fmt = noc::NocConfig{}.packetFormat();
+    std::uint64_t cap = 0;
+    for (const auto &cut : model->plan()->cuts)
+        cap += fmt.worstCaseFlits(cut.wires);
+    cap *= run.merged.time_steps;
+    std::uint64_t seen = 0;
+    for (const std::uint64_t f : run.merged.noc_cut_flits)
+        seen += f;
+    EXPECT_GT(seen, 0u);
+    EXPECT_LE(seen, cap);
 }
 
 } // namespace

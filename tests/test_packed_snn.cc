@@ -60,26 +60,16 @@
 #include "snn/packed.hh"
 #include "snn/packed_kernel.hh"
 
+#include "test_util.hh"
+
 namespace sushi {
 namespace {
+
+using namespace testutil;
 
 using snn::packed::Backend;
 using snn::packed::PackedActivations;
 using snn::packed::PackedLayer;
-
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
 
 std::vector<std::vector<std::uint8_t>>
 randomFrames(std::size_t dim, int t_steps, double density,
@@ -722,23 +712,6 @@ TEST(ChipParity, StepLayerFastVsOracleFuzz)
                              "trial " + std::to_string(trial));
         EXPECT_EQ(batched.stats().synaptic_ops, 0u);
     }
-}
-
-std::vector<engine::Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<engine::Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
 }
 
 // ---------------------------------------------------------------

@@ -6,8 +6,9 @@
  * priority ordering under contention, drain/shutdown semantics, the
  * virtual-clock determinism property (same seed + config ==>
  * byte-identical ServerMetrics JSON across worker-thread counts and
- * repeated runs), and request-level bit-equivalence with a lone
- * SushiChip.
+ * repeated runs), request-level bit-equivalence with a lone
+ * SushiChip, and the open-loop latency sweep (shedding past
+ * saturation, the p99 bound, a pinned replay).
  */
 
 #include <gtest/gtest.h>
@@ -29,39 +30,12 @@
 #include "snn/binarize.hh"
 #include "snn/network.hh"
 
+#include "test_util.hh"
+
 namespace sushi::serve {
 namespace {
 
-snn::BinarySnn
-tinyNet(std::size_t input, std::size_t hidden, std::size_t output,
-        int t_steps, std::uint64_t seed)
-{
-    snn::SnnConfig cfg;
-    cfg.input = input;
-    cfg.hidden = hidden;
-    cfg.output = output;
-    cfg.t_steps = t_steps;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, seed);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<engine::Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<engine::Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
+using namespace testutil;
 
 std::shared_ptr<const engine::CompiledModel>
 smallModel()
@@ -554,6 +528,99 @@ TEST(ServeDeterminism, MetricsByteIdenticalAcrossThreadCounts)
     EXPECT_GT(m.completed, 0u);
     EXPECT_GT(m.batches, 0u);
     EXPECT_GT(m.rejected_queue_full + m.rejected_deadline, 0u);
+}
+
+// ---------------------------------------------------------------
+// Open-loop latency vs offered load on the digits workload: 500
+// Poisson arrivals (seed 4242) at multiples of the saturation rate.
+// ---------------------------------------------------------------
+
+constexpr std::size_t kSweepQueue = 128;
+
+struct LatencySweep
+{
+    DigitsWorkload w;
+    ServerMetrics calibration;
+    double batch_service_ns = 0.0;
+    double capacity_rps = 0.0;
+};
+
+/** Calibrates saturation: one full batch per replica on an idle
+ *  4-replica pool gives the mean batch service time. */
+LatencySweep
+latencySweep()
+{
+    LatencySweep s;
+    s.w = digitsWorkload(48);
+    Server probe(s.w.model, virtualConfig(4, 8, 200'000));
+    for (std::size_t i = 0; i < 4 * 8; ++i)
+        probe.submitAt(0, s.w.samples[i]);
+    probe.runVirtual();
+    s.calibration = probe.metrics();
+    s.batch_service_ns = s.calibration.service_ns.mean();
+    s.capacity_rps = 4 * 8 * 1e9 / s.batch_service_ns;
+    return s;
+}
+
+/** Plays @p load x saturation through a fresh server that waits up
+ *  to half a batch service to coalesce; the deadline (24 batch
+ *  services) is loose enough that the queue bound does the
+ *  shedding. */
+ServerMetrics
+playLoad(const LatencySweep &s, double load)
+{
+    LoadGenConfig lg;
+    lg.rate_rps = s.capacity_rps * load;
+    lg.requests = 500;
+    lg.sample_pool = s.w.samples.size();
+    lg.seed = 4242;
+    lg.deadline_ns =
+        static_cast<std::int64_t>(s.batch_service_ns * 24);
+    Server server(s.w.model,
+                  virtualConfig(4, 8,
+                                static_cast<std::int64_t>(
+                                    s.batch_service_ns / 2),
+                                kSweepQueue));
+    for (const auto &a : poissonArrivals(lg))
+        server.submitAt(a.arrival_ns, s.w.samples[a.sample_index],
+                        a.opts);
+    server.runVirtual();
+    return server.metrics();
+}
+
+TEST(ServeLatency, QueueBoundShedsPastSaturationAndBoundsP99)
+{
+    const LatencySweep s = latencySweep();
+    EXPECT_EQ(s.calibration.completed, 32u);
+    EXPECT_EQ(s.calibration.batches, 4u);
+    ASSERT_GT(s.batch_service_ns, 0.0);
+
+    // An admitted request waits at most the queued backlog (the
+    // queue bound over all replicas' batches), the delay knob and
+    // its own batch; 2x slack.
+    const double worst_wait_ns =
+        (kSweepQueue / 32.0 + 1.0) * s.batch_service_ns +
+        s.batch_service_ns / 2;
+    std::vector<ServerMetrics> points;
+    for (const double load : {0.5, 0.8, 1.1, 1.5, 2.5}) {
+        points.push_back(playLoad(s, load));
+        EXPECT_LE(points.back().total_ns.percentile(0.99),
+                  2.0 * worst_wait_ns)
+            << "load " << load;
+    }
+    // The shedding comes from the load: none at half saturation.
+    EXPECT_EQ(points.front().rejected_queue_full, 0u);
+    EXPECT_GT(points.back().rejected_queue_full, 0u);
+}
+
+TEST(ServeLatency, TopRateReplaysByteIdenticallyAndIsPinned)
+{
+    const LatencySweep s = latencySweep();
+    const std::string json = playLoad(s, 2.5).toJson();
+    EXPECT_EQ(playLoad(s, 2.5).toJson(), json);
+    EXPECT_EQ(json.size(), 3648u);
+    EXPECT_EQ(fnv1a64(json), 0x79b80c671868eb2fULL)
+        << std::hex << fnv1a64(json);
 }
 
 TEST(ServeDrain, VirtualDrainFlushesQueuedAndRejectsLater)
