@@ -33,49 +33,17 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hh"
 #include "common/stats.hh"
 #include "serve/server.hh"
-#include "snn/binarize.hh"
-#include "snn/network.hh"
 
 #include "bench_util.hh"
+#include "test_util.hh"
 
 using namespace sushi;
 
 namespace {
 
 constexpr double kSpeedupFloor = 3.0;
-
-snn::BinarySnn
-tinyNet()
-{
-    snn::SnnConfig cfg;
-    cfg.input = 16;
-    cfg.hidden = 8;
-    cfg.output = 4;
-    cfg.t_steps = 3;
-    cfg.stateless = true;
-    snn::SnnMlp mlp(cfg, 7);
-    return snn::BinarySnn::fromFloat(mlp);
-}
-
-std::vector<engine::Sample>
-randomSamples(std::size_t n, std::size_t dim, int t_steps,
-              std::uint64_t seed)
-{
-    Rng rng(seed);
-    std::vector<engine::Sample> samples(n);
-    for (auto &s : samples) {
-        for (int t = 0; t < t_steps; ++t) {
-            std::vector<std::uint8_t> f(dim);
-            for (auto &v : f)
-                v = rng.chance(0.4) ? 1 : 0;
-            s.push_back(std::move(f));
-        }
-    }
-    return samples;
-}
 
 /**
  * One hammer run: fill the queue to the admission bound (the batcher
@@ -154,8 +122,9 @@ main()
     compiler::ChipConfig chip;
     chip.n = 8;
     chip.sc_per_npe = 10;
-    auto model = engine::CompiledModel::compile(tinyNet(), chip);
-    const auto samples = randomSamples(8, 16, 3, 5);
+    auto model = engine::CompiledModel::compile(
+        testutil::tinyNet(16, 8, 4, 3, 7), chip);
+    const auto samples = testutil::randomSamples(8, 16, 3, 5);
 
     std::printf("=== Sharded front-end submit throughput ===\n");
     std::printf("%d submit threads x %zu calls, queue pinned at the "

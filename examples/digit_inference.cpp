@@ -5,7 +5,7 @@
  * way a production deployment would run it.
  *
  *   train (binarization-aware, stateless)  ->  XNOR binarize  ->
- *   bit-slice compile ONCE (shared compiled-model cache)  ->
+ *   bit-slice compile ONCE (one shared compiled model)  ->
  *   shard the test set across SushiChip replicas  ->  merge
  *   deterministic per-sample results and statistics.
  *
@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "data/synth_digits.hh"
 #include "engine/inference_engine.hh"
@@ -40,14 +41,13 @@ main()
     tc.epochs = 2;
     snn::Trainer(mlp, tc).fit(train.images, train.labels);
 
-    // Binarize and compile onto the 16x16-mesh chip — once, through
-    // the shared cache; every replica runs the same immutable
-    // artifact.
+    // Binarize and compile onto the 16x16-mesh chip — once; every
+    // replica runs the same immutable artifact.
     auto bin = snn::BinarySnn::fromFloat(mlp);
     compiler::ChipConfig chip_cfg;
     chip_cfg.n = 16;
     chip_cfg.sc_per_npe = 10;
-    auto model = engine::ModelCache::shared().get(bin, chip_cfg);
+    auto model = engine::CompiledModel::compile(std::move(bin), chip_cfg);
     const auto &compiled = model->compiled();
     std::printf("compiled: %d input slices x %d output groups "
                 "(layer 0), %ld reload events per step\n",

@@ -1,89 +1,13 @@
 #include "engine/compiled_model.hh"
 
-#include <bit>
-#include <iterator>
-
 #include "common/logging.hh"
 
 namespace sushi::engine {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void
-fnv(std::uint64_t &h, std::uint64_t v)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (8 * byte)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-} // namespace
-
-std::uint64_t
-CompiledModel::fingerprintOf(const snn::BinarySnn &net,
-                             const compiler::ChipConfig &chip)
-{
-    std::uint64_t h = kFnvOffset;
-    fnv(h, static_cast<std::uint64_t>(net.tSteps()));
-    for (const auto &layer : net.layers()) {
-        fnv(h, layer.outDim());
-        fnv(h, layer.inDim());
-        for (const auto &row : layer.weights) {
-            // Pack the +-1 weights eight-per-byte-pair into words.
-            std::uint64_t word = 0;
-            int bits = 0;
-            for (std::int8_t w : row) {
-                word = (word << 1) | (w > 0 ? 1u : 0u);
-                if (++bits == 64) {
-                    fnv(h, word);
-                    word = 0;
-                    bits = 0;
-                }
-            }
-            if (bits) {
-                fnv(h, word);
-                fnv(h, static_cast<std::uint64_t>(bits));
-            }
-        }
-        for (int theta : layer.thresholds)
-            fnv(h, static_cast<std::uint64_t>(
-                       static_cast<std::int64_t>(theta)));
-    }
-    fnv(h, static_cast<std::uint64_t>(chip.n));
-    fnv(h, static_cast<std::uint64_t>(chip.sc_per_npe));
-    fnv(h, chip.bucketing.bucketing ? 1 : 0);
-    fnv(h, chip.bucketing.reorder ? 1 : 0);
-    fnv(h, static_cast<std::uint64_t>(chip.bucketing.bucket_size));
-    fnv(h, static_cast<std::uint64_t>(chip.bucketing.state_bits));
-    fnv(h, static_cast<std::uint64_t>(chip.bucketing.mesh_width));
-    return h;
-}
-
-std::uint64_t
-CompiledModel::fingerprintOf(const snn::BinarySnn &net,
-                             const compiler::ChipConfig &chip,
-                             const compiler::DriverOptions &options)
-{
-    std::uint64_t h = fingerprintOf(net, chip);
-    fnv(h, options.enforce_budget ? 1 : 0);
-    fnv(h, options.score_schedules ? 1 : 0);
-    fnv(h, options.allow_multichip ? 1 : 0);
-    fnv(h, static_cast<std::uint64_t>(options.max_chips));
-    fnv(h, static_cast<std::uint64_t>(options.budget.jj_cap));
-    fnv(h, std::bit_cast<std::uint64_t>(
-               options.budget.area_cap_mm2));
-    return h;
-}
-
 CompiledModel::CompiledModel(Key, snn::BinarySnn net,
                              const compiler::ChipConfig &chip)
     : net_(std::move(net)),
-      compiled_(compiler::compileNetwork(net_, chip)),
-      fingerprint_(fingerprintOf(net_, chip))
+      compiled_(compiler::compileNetwork(net_, chip))
 {
 }
 
@@ -92,8 +16,7 @@ CompiledModel::CompiledModel(Key, snn::BinarySnn net,
                              const compiler::DriverOptions &options)
     : net_(std::move(net)),
       plan_(compiler::CompilerDriver(options).compilePlan(net_,
-                                                          chip)),
-      fingerprint_(fingerprintOf(net_, chip, options))
+                                                          chip))
 {
 }
 
@@ -142,149 +65,6 @@ CompiledModel::compile(snn::BinarySnn net,
 {
     return std::make_shared<CompiledModel>(Key{}, std::move(net),
                                            chip, options);
-}
-
-std::shared_ptr<const CompiledModel>
-ModelCache::get(const snn::BinarySnn &net,
-                const compiler::ChipConfig &chip)
-{
-    const std::uint64_t key = CompiledModel::fingerprintOf(net, chip);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            ++hits_;
-            lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-            return it->second.model;
-        }
-    }
-    // Compile outside the lock: misses on distinct models may
-    // proceed concurrently. A racing duplicate compile of the same
-    // model is wasted work, not an error — first insert wins.
-    auto model = CompiledModel::compile(net, chip);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        // A racer inserted while we compiled; keep its artifact.
-        lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-        return it->second.model;
-    }
-    lru_.push_front(key);
-    map_.emplace(key, Entry{model, lru_.begin()});
-    // The walk may evict the entry we just inserted (when every
-    // older entry is pinned), so return the local handle rather
-    // than reading back through the map.
-    evictOverCapacityLocked();
-    return model;
-}
-
-void
-ModelCache::evictOverCapacityLocked()
-{
-    if (capacity_ == 0 || map_.size() <= capacity_)
-        return;
-    // Walk from least- to most-recently-used, skipping entries whose
-    // model is pinned by an in-flight replica batch. Skipped entries
-    // stay resident (the cache transiently exceeds capacity); the
-    // walk is retried on the next insert / setCapacity call.
-    std::size_t over = map_.size() - capacity_;
-    for (auto it = std::prev(lru_.end()); over > 0;) {
-        const bool at_front = it == lru_.begin();
-        const auto toward_front =
-            at_front ? lru_.end() : std::prev(it);
-        auto entry = map_.find(*it);
-        if (entry->second.model->pinCount() > 0) {
-            ++evictions_deferred_;
-        } else {
-            ++evictions_;
-            map_.erase(entry);
-            lru_.erase(it);
-            --over;
-        }
-        if (at_front)
-            break;
-        it = toward_front;
-    }
-}
-
-std::size_t
-ModelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-std::uint64_t
-ModelCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-}
-
-std::uint64_t
-ModelCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-}
-
-std::uint64_t
-ModelCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_;
-}
-
-std::uint64_t
-ModelCache::evictionsDeferred() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return evictions_deferred_;
-}
-
-std::size_t
-ModelCache::pinned() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::size_t n = 0;
-    for (const auto &[key, entry] : map_)
-        n += entry.model->pinCount() > 0 ? 1 : 0;
-    return n;
-}
-
-std::size_t
-ModelCache::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-}
-
-void
-ModelCache::setCapacity(std::size_t cap)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    capacity_ = cap;
-    evictOverCapacityLocked();
-}
-
-void
-ModelCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    lru_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
-    evictions_deferred_ = 0;
-}
-
-ModelCache &
-ModelCache::shared()
-{
-    static ModelCache cache;
-    return cache;
 }
 
 } // namespace sushi::engine

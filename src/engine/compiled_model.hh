@@ -1,6 +1,6 @@
 /**
  * @file
- * The shared compiled-model artifact and its process-wide cache.
+ * The shared compiled-model artifact.
  *
  * Compiling a binarized SSNN (bit-slicing, bucketing, scheduling,
  * preload computation) is pure and deterministic in the network and
@@ -22,13 +22,8 @@
 #ifndef SUSHI_ENGINE_COMPILED_MODEL_HH
 #define SUSHI_ENGINE_COMPILED_MODEL_HH
 
-#include <atomic>
-#include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
 
 #include "compiler/compile.hh"
 #include "compiler/driver.hh"
@@ -78,62 +73,6 @@ class CompiledModel
         return plan_ ? &*plan_ : nullptr;
     }
 
-    /** Content fingerprint of (network, chip config); the cache key. */
-    std::uint64_t fingerprint() const { return fingerprint_; }
-
-    /**
-     * Fingerprint without compiling (cache lookups). FNV-1a over the
-     * binarized weights, thresholds, step count and chip geometry.
-     */
-    static std::uint64_t
-    fingerprintOf(const snn::BinarySnn &net,
-                  const compiler::ChipConfig &chip);
-
-    /** Fingerprint salted with the driver preset (plan compiles). */
-    static std::uint64_t
-    fingerprintOf(const snn::BinarySnn &net,
-                  const compiler::ChipConfig &chip,
-                  const compiler::DriverOptions &options);
-
-    /**
-     * RAII execution pin. While any Pin on a model is alive the
-     * ModelCache will not evict that model's entry: the engine pins
-     * the model around every replica batch, so a cache thrashed by
-     * many cold models never drops the artifact a batch is running
-     * on (which would force an immediate recompile on the next
-     * request). Pinning is advisory for correctness — shared_ptr
-     * ownership already keeps the artifact alive — but it turns an
-     * eviction-recompile storm into a deferred eviction.
-     */
-    class Pin
-    {
-      public:
-        explicit Pin(const CompiledModel *model) : model_(model)
-        {
-            if (model_ != nullptr)
-                model_->pins_.fetch_add(
-                    1, std::memory_order_relaxed);
-        }
-        ~Pin()
-        {
-            if (model_ != nullptr)
-                model_->pins_.fetch_sub(
-                    1, std::memory_order_relaxed);
-        }
-        Pin(const Pin &) = delete;
-        Pin &operator=(const Pin &) = delete;
-
-      private:
-        const CompiledModel *model_;
-    };
-
-    /** Live execution pins (replica batches referencing this model
-     *  right now). */
-    int pinCount() const
-    {
-        return pins_.load(std::memory_order_relaxed);
-    }
-
   private:
     struct Key
     {
@@ -152,81 +91,6 @@ class CompiledModel
     compiler::CompiledNetwork compiled_;
     /** Driver-preset plan (set by the options overload). */
     std::optional<compiler::MultiChipPlan> plan_;
-    std::uint64_t fingerprint_;
-    mutable std::atomic<int> pins_{0};
-};
-
-/**
- * Process-wide compile cache, keyed by content fingerprint.
- * Thread-safe; a hit returns the already-compiled shared artifact.
- *
- * The cache is bounded: once more than capacity() distinct models
- * have been inserted, the least-recently-used artifact is evicted
- * (long multi-model campaigns no longer grow it without limit).
- * Eviction only drops the cache's reference — holders of the
- * shared_ptr keep their artifact alive; refetching an evicted model
- * recompiles it.
- *
- * Eviction never races in-flight work: entries whose model carries
- * live execution pins (CompiledModel::Pin, taken by the engine for
- * the duration of every replica batch) are skipped — the deferral is
- * counted in evictionsDeferred() and retried on the next insert or
- * setCapacity() call, so the cache may transiently exceed its
- * capacity while every over-quota entry is pinned.
- */
-class ModelCache
-{
-  public:
-    /** Default artifact capacity of a new cache. */
-    static constexpr std::size_t kDefaultCapacity = 32;
-
-    /** Return the cached artifact for (net, chip), compiling on a
-     *  miss. */
-    std::shared_ptr<const CompiledModel>
-    get(const snn::BinarySnn &net, const compiler::ChipConfig &chip);
-
-    std::size_t size() const;
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-
-    /** Artifacts evicted by the LRU bound since construction. */
-    std::uint64_t evictions() const;
-
-    /** Evictions skipped because the entry was pinned by in-flight
-     *  work at the time (each skip counts once per attempt). */
-    std::uint64_t evictionsDeferred() const;
-
-    /** Entries currently pinned by in-flight batches (gauge). */
-    std::size_t pinned() const;
-
-    /** Maximum artifacts kept (0 = unbounded). */
-    std::size_t capacity() const;
-
-    /** Change the bound; evicts LRU artifacts down to @p cap. */
-    void setCapacity(std::size_t cap);
-
-    void clear();
-
-    /** The process-wide instance. */
-    static ModelCache &shared();
-
-  private:
-    struct Entry
-    {
-        std::shared_ptr<const CompiledModel> model;
-        std::list<std::uint64_t>::iterator lru_pos;
-    };
-
-    void evictOverCapacityLocked();
-
-    mutable std::mutex mu_;
-    std::unordered_map<std::uint64_t, Entry> map_;
-    std::list<std::uint64_t> lru_; ///< front = most recently used
-    std::size_t capacity_ = kDefaultCapacity;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
-    std::uint64_t evictions_deferred_ = 0;
 };
 
 } // namespace sushi::engine

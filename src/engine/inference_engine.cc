@@ -207,9 +207,8 @@ InferenceEngine::runOnReplica(int replica,
                               std::size_t count)
 {
     checkReplica(replica);
-    // Pin the model against ModelCache eviction and hold the replica
-    // lock so degrade/heal mutations land on batch boundaries.
-    CompiledModel::Pin pin(model_.get());
+    // Hold the replica lock so degrade/heal mutations land on batch
+    // boundaries.
     std::lock_guard<std::mutex> lock(
         *chip_mu_[static_cast<std::size_t>(replica)]);
     ReplicaRun out;

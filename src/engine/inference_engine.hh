@@ -151,9 +151,6 @@ class InferenceEngine
         return static_cast<int>(chips_.size()) / stages_;
     }
 
-    /** Chips per replica group (the plan's stage count). */
-    int stagesPerReplica() const { return stages_; }
-
     /** True when multi-chip cut traffic rides the modelled NoC
      *  fabric instead of the ideal transport. */
     bool nocEnabled() const { return !noc_.empty(); }

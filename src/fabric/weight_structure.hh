@@ -44,9 +44,6 @@ class WeightStructure
     /** @param w_max largest configurable strength (>= 1). */
     explicit WeightStructure(int w_max);
 
-    /** Largest configurable strength. */
-    int wMax() const { return w_max_; }
-
     /**
      * Configure the strength (0 disables the synapse entirely, as if
      * the series NDRO switch were left clear). Counts a reload if the
@@ -84,8 +81,6 @@ class WeightStructureGate
   public:
     WeightStructureGate(sfq::Netlist &net, std::string_view name,
                         int w_max);
-
-    int wMax() const { return w_max_; }
 
     /** The pulse input port (the series switch NDRO). */
     sfq::Component &inPort();

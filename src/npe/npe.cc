@@ -1,5 +1,8 @@
 #include "npe/npe.hh"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/logging.hh"
 
 namespace sushi::npe {
@@ -40,9 +43,19 @@ Npe::rst()
 void
 Npe::write(std::uint64_t value)
 {
-    sushi_assert(value < numStates());
+    if (value >= numStates())
+        throw std::out_of_range("Npe::write: value " + std::to_string(value) +
+                                " does not fit " + std::to_string(numSc()) +
+                                " SCs");
+    const auto writes = [value](std::size_t i) {
+        return ((value >> i) & 1) != 0;
+    };
     for (std::size_t i = 0; i < scs_.size(); ++i)
-        if (value & (std::uint64_t{1} << i))
+        if (writes(i) && scs_[i].state())
+            throw std::logic_error("Npe::write: SC " + std::to_string(i) +
+                                   " holds a 1: write must follow rst");
+    for (std::size_t i = 0; i < scs_.size(); ++i)
+        if (writes(i))
             scs_[i].write();
 }
 

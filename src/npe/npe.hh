@@ -71,8 +71,11 @@ class Npe
     std::uint64_t rst();
 
     /**
-     * Pre-load the counter (per-SC writes). Must follow rst: panics
-     * if any SC already holds a 1.
+     * Pre-load the counter (per-SC writes). Throws std::out_of_range
+     * if @p value >= numStates(). Must follow rst: throws
+     * std::logic_error if an SC that @p value writes already holds a
+     * 1. Every SC is checked before any is written, so a refused
+     * write changes nothing.
      */
     void write(std::uint64_t value);
 

@@ -1,5 +1,7 @@
 #include "npe/state_controller.hh"
 
+#include <stdexcept>
+
 #include "common/logging.hh"
 #include "sfq/constraints.hh"
 
@@ -32,7 +34,8 @@ void
 StateController::write()
 {
     if (state_)
-        sushi_panic("SC write while state is 1: write must follow rst");
+        throw std::logic_error(
+            "SC write while state is 1: write must follow rst");
     state_ = true;
 }
 

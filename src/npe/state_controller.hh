@@ -64,8 +64,9 @@ class StateController
      */
     bool rst();
 
-    /** Write: flip 0 -> 1. Panics if the state is not 0 (the "write
-     *  must follow rst" rule was violated). */
+    /** Write: flip 0 -> 1. Throws std::logic_error, changing
+     *  nothing, if the state is not 0 (the "write must follow rst"
+     *  rule was violated). */
     void write();
 
     bool state() const { return state_; }

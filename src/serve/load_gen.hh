@@ -1,8 +1,6 @@
 /**
  * @file
- * Seeded open-loop arrival-process generator for the serving layer,
- * plus a closed-loop driver for real-clock throughput measurement
- * (PR 10).
+ * Seeded open-loop arrival-process generator for the serving layer.
  *
  * Produces deterministic arrival schedules that tests and the serve
  * benches feed into a virtual-clock Server via submitAt(). Equal
@@ -10,25 +8,12 @@
  * serve determinism contract — the other half is the Server's
  * virtual event loop.
  *
- * Three arrival processes:
+ * Two arrival processes:
  *  - poissonArrivals  — homogeneous Poisson (exponential gaps).
  *  - burstyArrivals   — on/off Markov-modulated Poisson: the source
  *    alternates between exponentially-distributed ON bursts (at
  *    burst_rate_rps) and OFF silences; the retry/hedge/breaker paths
  *    see realistic clumped load instead of a smooth stream.
- *  - diurnalArrivals  — inhomogeneous Poisson with a sinusoidal rate
- *    profile (a compressed "daily" cycle), generated by thinning:
- *    candidates are drawn at the peak rate and accepted with
- *    probability rate(t)/peak, so the schedule is exact and still a
- *    pure function of (config, seed).
- *
- * Closed-loop mode (real clock only): runClosedLoop() keeps a fixed
- * number of in-flight requests per driver thread — each slot submits
- * its next request the moment the previous one resolves, so offered
- * load tracks served throughput instead of a fixed schedule. The
- * per-request draws (sample index, priority) are keyed by
- * (seed, slot, iteration), so WHAT each slot submits is
- * seed-deterministic even though WHEN is wall-clock dependent.
  */
 
 #ifndef SUSHI_SERVE_LOAD_GEN_HH
@@ -74,16 +59,6 @@ struct LoadGenConfig
     /** Mean OFF-phase duration (exponentially distributed). */
     std::int64_t burst_off_ns = 6'000'000;
     /// @}
-
-    /// @name Diurnal-sinusoid trace knobs — diurnalArrivals.
-    /// @{
-    /** Period of one compressed "day". */
-    std::int64_t diurnal_period_ns = 50'000'000;
-
-    /** Rate swing: rate(t) = rate_rps * (1 + amp * sin(2*pi*t/T)),
-     *  clamped at 0. Must be in [0, 1]. */
-    double diurnal_amplitude = 0.8;
-    /// @}
 };
 
 /** One generated request arrival. */
@@ -106,66 +81,6 @@ poissonArrivals(const LoadGenConfig &cfg);
  *  arrival_ns. Throws on burst_on_ns or burst_off_ns <= 0. */
 std::vector<GeneratedArrival>
 burstyArrivals(const LoadGenConfig &cfg);
-
-/** Deterministic inhomogeneous-Poisson schedule with a sinusoidal
- *  rate profile, generated by thinning. Sorted by arrival_ns. Throws
- *  on diurnal_period_ns <= 0 or diurnal_amplitude outside [0, 1]. */
-std::vector<GeneratedArrival>
-diurnalArrivals(const LoadGenConfig &cfg);
-
-/** Closed-loop driver knobs. */
-struct ClosedLoopConfig
-{
-    /** Concurrent driver threads (closed-loop "users"); each keeps
-     *  exactly one request in flight. */
-    int concurrency = 8;
-
-    /** Total requests to submit across all threads. */
-    std::size_t requests = 1000;
-
-    /** Size of the sample pool indices are drawn from. */
-    std::size_t sample_pool = 1;
-
-    /** Seed of the keyed per-slot draws. */
-    std::uint64_t seed = 1;
-
-    /** Relative deadline added at submit time (kNoDeadline = none). */
-    std::int64_t deadline_ns = kNoDeadline;
-
-    /** Priorities are drawn uniformly from [0, priorities). */
-    int priorities = 1;
-};
-
-/** What a closed-loop run observed (summed over driver threads). */
-struct ClosedLoopReport
-{
-    std::uint64_t submitted = 0;
-    std::uint64_t served = 0;   ///< futures that resolved ok()
-    std::uint64_t rejected = 0; ///< typed rejections of any cause
-    double wall_seconds = 0.0;  ///< submit-to-last-resolve wall time
-
-    double throughputRps() const
-    {
-        return wall_seconds > 0.0
-                   ? static_cast<double>(submitted) / wall_seconds
-                   : 0.0;
-    }
-};
-
-/**
- * Drive @p server (ClockMode::Real) closed-loop: cfg.concurrency
- * threads each submit one request from @p samples, block on its
- * future, and immediately submit the next — cfg.requests total.
- * Returns the summed outcome counts and the wall time of the whole
- * run. Request contents are a pure function of (seed, slot,
- * iteration) via keyed draws. Throws std::invalid_argument, before
- * any submit, on a virtual-clock server, empty @p samples,
- * concurrency or priorities < 1, or a sample_pool of 0 or larger
- * than @p samples.
- */
-ClosedLoopReport runClosedLoop(Server &server,
-                               const std::vector<engine::Sample> &samples,
-                               const ClosedLoopConfig &cfg);
 
 } // namespace sushi::serve
 

@@ -118,9 +118,6 @@ class Tffl : public Cell
     Tffl(Simulator &sim, std::string_view name);
 
     bool state() const { return sim_.core().stateBit(id_); }
-
-    /** Force the internal state (used when initialising a design). */
-    void setState(bool s) { sim_.core().setStateBit(id_, s); }
 };
 
 /** Toggle flip-flop, R variant: emits a pulse on the 1 -> 0 flip. */
@@ -130,7 +127,6 @@ class Tffr : public Cell
     Tffr(Simulator &sim, std::string_view name);
 
     bool state() const { return sim_.core().stateBit(id_); }
-    void setState(bool s) { sim_.core().setStateBit(id_, s); }
 };
 
 /**

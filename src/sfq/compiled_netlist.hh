@@ -186,10 +186,6 @@ class CompiledNetlist
     {
         return state_[checkId(id)] != 0;
     }
-    void setStateBit(std::int32_t id, bool v)
-    {
-        state_[checkId(id)] = v ? 1 : 0;
-    }
 
     /** Recorded pulse trace of a probe cell (PulseSink / SFQDC). */
     const std::vector<Tick> &

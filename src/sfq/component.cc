@@ -81,11 +81,4 @@ PulseSource::pulseAt(Tick when)
     sim_.schedulePulse(when, id_, 0);
 }
 
-void
-PulseSource::pulseTrain(const std::vector<Tick> &times)
-{
-    for (Tick t : times)
-        pulseAt(t);
-}
-
 } // namespace sushi::sfq

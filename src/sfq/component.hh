@@ -54,9 +54,8 @@ class Component
     /** Dense id of this cell in the compiled core. */
     std::int32_t cellId() const { return id_; }
 
-    /** Number of input / output ports. */
+    /** Number of input ports. */
     int numInputs() const { return num_inputs_; }
-    int numOutputs() const { return num_outputs_; }
 
     /**
      * Connect output @p out_port to @p dst input @p dst_port.
@@ -125,9 +124,6 @@ class PulseSource : public Component
 
     /** Schedule an output pulse at absolute time @p when. */
     void pulseAt(Tick when);
-
-    /** Schedule pulses at each time in @p times. */
-    void pulseTrain(const std::vector<Tick> &times);
 };
 
 } // namespace sushi::sfq

@@ -34,23 +34,6 @@ Tensor::heInit(Rng &rng, std::size_t fan_in)
 }
 
 void
-Tensor::axpy(float alpha, const Tensor &other)
-{
-    sushi_assert(rows_ == other.rows_ && cols_ == other.cols_);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] += alpha * other.data_[i];
-}
-
-double
-Tensor::normSq() const
-{
-    double s = 0.0;
-    for (float v : data_)
-        s += static_cast<double>(v) * v;
-    return s;
-}
-
-void
 linearForward(const Tensor &x, const Tensor &w,
               const std::vector<float> &bias, Tensor &out)
 {

@@ -55,12 +55,6 @@ class Tensor
     /** Fill with He-style Gaussian init, std = sqrt(2 / fan_in). */
     void heInit(Rng &rng, std::size_t fan_in);
 
-    /** this += alpha * other (same shape). */
-    void axpy(float alpha, const Tensor &other);
-
-    /** Frobenius-norm squared. */
-    double normSq() const;
-
   private:
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;

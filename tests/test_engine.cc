@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the batched multi-chip inference engine: compiled-model
- * cache behaviour, shard-plan determinism (byte-identical merged
+ * Tests for the batched multi-chip inference engine: the compiled
+ * artifact's ownership of its network, shard-plan determinism (byte-identical merged
  * stats across thread counts), equivalence with single-chip
  * sequential inference, degraded-replica draining, replica reuse
  * across batches, modelled throughput scaling with the replica
@@ -36,88 +36,15 @@ smallChip()
     return cfg;
 }
 
-TEST(CompiledModel, FingerprintSeparatesModelsAndChips)
+TEST(CompiledModel, ArtifactPointsIntoItsOwnNetwork)
 {
-    auto a = tinyNet(12, 6, 3, 3, 1);
-    auto b = tinyNet(12, 6, 3, 3, 2);
-    const auto chip_a = smallChip();
-    compiler::ChipConfig chip_b = chip_a;
-    chip_b.n = 4;
-    EXPECT_EQ(CompiledModel::fingerprintOf(a, chip_a),
-              CompiledModel::fingerprintOf(a, chip_a));
-    EXPECT_NE(CompiledModel::fingerprintOf(a, chip_a),
-              CompiledModel::fingerprintOf(b, chip_a));
-    EXPECT_NE(CompiledModel::fingerprintOf(a, chip_a),
-              CompiledModel::fingerprintOf(a, chip_b));
-}
-
-TEST(ModelCache, CompilesOnceAndShares)
-{
-    ModelCache cache;
-    auto net = tinyNet(16, 8, 4, 3, 11);
-    const auto chip = smallChip();
-    auto first = cache.get(net, chip);
-    auto second = cache.get(net, chip);
-    EXPECT_EQ(first.get(), second.get()); // same artifact
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-    EXPECT_EQ(cache.hits(), 1u);
-
-    // A different chip geometry is a different artifact.
-    compiler::ChipConfig other = chip;
-    other.n = 4;
-    auto third = cache.get(net, other);
-    EXPECT_NE(first.get(), third.get());
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(ModelCache, ArtifactPointsIntoItsOwnNetwork)
-{
-    ModelCache cache;
-    auto model = cache.get(tinyNet(10, 5, 3, 2, 21), smallChip());
+    auto model =
+        CompiledModel::compile(tinyNet(10, 5, 3, 2, 21), smallChip());
     // CompiledNetwork::net must reference the artifact's own copy,
     // not the (destroyed) temporary it was compiled from.
     EXPECT_EQ(model->compiled().net, &model->network());
     EXPECT_EQ(model->compiled().layers.size(),
               model->network().layers().size());
-}
-
-TEST(ModelCache, LruEvictionAndRefetchRecompiles)
-{
-    ModelCache cache;
-    EXPECT_EQ(cache.capacity(), ModelCache::kDefaultCapacity);
-    cache.setCapacity(2);
-    const auto chip = smallChip();
-    auto net_a = tinyNet(12, 6, 3, 2, 101);
-    auto net_b = tinyNet(12, 6, 3, 2, 102);
-    auto net_c = tinyNet(12, 6, 3, 2, 103);
-
-    auto a = cache.get(net_a, chip);
-    auto b = cache.get(net_b, chip);
-    auto a_again = cache.get(net_a, chip); // hit: A becomes MRU
-    EXPECT_EQ(a.get(), a_again.get());
-
-    // Inserting C evicts the LRU artifact — B, not A.
-    auto c = cache.get(net_c, chip);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.get(net_a, chip).get(), a.get()); // still cached
-
-    // Eviction dropped only the cache's reference: our handle to B
-    // stays valid, but refetching recompiles a fresh artifact.
-    EXPECT_EQ(b->compiled().net, &b->network());
-    auto b_refetched = cache.get(net_b, chip);
-    EXPECT_NE(b_refetched.get(), b.get());
-    EXPECT_EQ(b_refetched->fingerprint(), b->fingerprint());
-    EXPECT_EQ(cache.evictions(), 2u); // refetching B evicted C
-    EXPECT_EQ(cache.hits(), 2u);
-    EXPECT_EQ(cache.misses(), 4u); // A, B, C, B-again
-
-    // Shrinking the bound evicts down immediately, keeping the MRU.
-    cache.setCapacity(1);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.get(net_b, chip).get(), b_refetched.get());
-    EXPECT_EQ(cache.capacity(), 1u);
 }
 
 TEST(Engine, MatchesSingleChipSequential)

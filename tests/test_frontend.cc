@@ -5,9 +5,8 @@
  * toJson() field, the extended determinism property
  * (ServerMetrics::toJson() byte-identical across admission_shards x
  * max_threads, with and without the resilience/chaos policies
- * engaged), real-clock conservation under an 8-thread submit hammer
- * (runs under TSan in CI), and the closed-loop load-generator
- * contract.
+ * engaged), and real-clock conservation under an 8-thread submit
+ * hammer (runs under TSan in CI).
  */
 
 #include <gtest/gtest.h>
@@ -442,45 +441,6 @@ TEST(ServeFrontend, RealModeEightThreadSubmitConservation)
     // No deadlines were set, so every accepted request completed.
     EXPECT_EQ(m.accepted, m.completed);
     EXPECT_GT(m.completed, 0u);
-}
-
-// ---------------------------------------------------------------
-// Closed-loop load generator.
-// ---------------------------------------------------------------
-
-TEST(ServeFrontend, ClosedLoopConservesAndMatchesMetrics)
-{
-    ServerConfig cfg;
-    cfg.engine.replicas = 2;
-    cfg.max_batch = 4;
-    cfg.max_delay_ns = 50'000;
-    cfg.clock = ClockMode::Real;
-    Server server(smallModel(), cfg);
-
-    ClosedLoopConfig loop;
-    loop.concurrency = 8;
-    loop.requests = 320;
-    loop.sample_pool = 4;
-    loop.seed = 7;
-    loop.priorities = 2;
-
-    const auto samples = randomSamples(4, 16, 3, 13);
-    const ClosedLoopReport report =
-        runClosedLoop(server, samples, loop);
-    server.drain();
-
-    EXPECT_EQ(report.submitted, 320u);
-    EXPECT_EQ(report.served + report.rejected, report.submitted);
-    EXPECT_GT(report.wall_seconds, 0.0);
-
-    const ServerMetrics m = server.metrics();
-    EXPECT_EQ(m.submitted, report.submitted);
-    EXPECT_EQ(m.completed, report.served);
-    const std::uint64_t all_rejections =
-        m.rejected_queue_full + m.rejected_deadline +
-        m.rejected_shutdown + m.rejected_breaker +
-        m.rejected_replica_failure;
-    EXPECT_EQ(all_rejections, report.rejected);
 }
 
 } // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hh"
 #include "npe/neuron_fsm.hh"
 #include "npe/npe.hh"
@@ -81,6 +83,21 @@ TEST(NpeBehavioural, RstReadsValueAndClears)
         npe.in();
     EXPECT_EQ(npe.rst(), 11u);
     EXPECT_EQ(npe.value(), 0u);
+}
+
+TEST(NpeBehavioural, RefusedWriteThrowsAndChangesNothing)
+{
+    Npe npe(4);
+    npe.rst();
+    npe.write(0b0101);
+    // SC1 is free but SC2 holds a 1: no SC may be written.
+    EXPECT_THROW(npe.write(0b0110), std::logic_error);
+    EXPECT_EQ(npe.value(), 0b0101u);
+    EXPECT_THROW(npe.write(npe.numStates()), std::out_of_range);
+    EXPECT_EQ(npe.value(), 0b0101u);
+    npe.rst();
+    npe.write(npe.numStates() - 1);
+    EXPECT_EQ(npe.value(), npe.numStates() - 1);
 }
 
 TEST(NpeBehavioural, MixedPolarityAccumulation)

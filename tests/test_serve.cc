@@ -865,14 +865,13 @@ invalidArgument(F &&f)
 }
 
 /** The message of every arrival generator on @p lg, which must be
- *  the same for all three ("" if they generate). */
+ *  the same for both ("" if they generate). */
 std::string
 generatorError(const LoadGenConfig &lg)
 {
     const std::string poisson =
         invalidArgument([&] { poissonArrivals(lg); });
     EXPECT_EQ(invalidArgument([&] { burstyArrivals(lg); }), poisson);
-    EXPECT_EQ(invalidArgument([&] { diurnalArrivals(lg); }), poisson);
     return poisson;
 }
 
@@ -920,106 +919,6 @@ TEST(ServeLoadGen, BurstPhasesMustBePositive)
                       "burst_off_ns"));
     // Only the bursty generator reads them.
     EXPECT_EQ(invalidArgument([&] { poissonArrivals(lg); }), "");
-}
-
-TEST(ServeLoadGen, DiurnalPeriodMustBePositive)
-{
-    LoadGenConfig lg;
-    lg.diurnal_period_ns = 0;
-    EXPECT_TRUE(names(invalidArgument([&] { diurnalArrivals(lg); }),
-                      "diurnal_period_ns"));
-    EXPECT_EQ(invalidArgument([&] { poissonArrivals(lg); }), "");
-}
-
-TEST(ServeLoadGen, DiurnalAmplitudeMustBeInUnitRange)
-{
-    LoadGenConfig lg;
-    for (const double amp : {-0.1, 1.5, std::nan("")}) {
-        lg.diurnal_amplitude = amp;
-        EXPECT_TRUE(names(invalidArgument([&] { diurnalArrivals(lg); }),
-                          "diurnal_amplitude"))
-            << amp;
-    }
-    lg.diurnal_amplitude = 1.0;
-    EXPECT_EQ(invalidArgument([&] { diurnalArrivals(lg); }), "");
-}
-
-/** The message runClosedLoop throws on @p server with @p samples and
- *  @p loop; a refusal must come before any submit. */
-std::string
-closedLoopError(Server &server, const std::vector<engine::Sample> &samples,
-                const ClosedLoopConfig &loop)
-{
-    const std::string what =
-        invalidArgument([&] { runClosedLoop(server, samples, loop); });
-    if (!what.empty()) {
-        EXPECT_EQ(server.metrics().submitted, 0u) << what;
-    }
-    return what;
-}
-
-ServerConfig
-realConfig()
-{
-    ServerConfig cfg;
-    cfg.engine.replicas = 1;
-    cfg.clock = ClockMode::Real;
-    return cfg;
-}
-
-TEST(ServeLoadGen, ClosedLoopConcurrencyMustBeAtLeastOne)
-{
-    Server server(smallModel(), realConfig());
-    const auto samples = randomSamples(2, 16, 3, 51);
-    ClosedLoopConfig loop;
-    loop.requests = 4;
-    for (const int c : {0, -2}) {
-        loop.concurrency = c;
-        EXPECT_TRUE(names(closedLoopError(server, samples, loop),
-                          "concurrency"))
-            << c;
-    }
-}
-
-TEST(ServeLoadGen, ClosedLoopPrioritiesMustBeAtLeastOne)
-{
-    Server server(smallModel(), realConfig());
-    const auto samples = randomSamples(2, 16, 3, 52);
-    ClosedLoopConfig loop;
-    loop.priorities = 0;
-    EXPECT_TRUE(
-        names(closedLoopError(server, samples, loop), "priorities"));
-}
-
-TEST(ServeLoadGen, ClosedLoopNeedsARealClockServer)
-{
-    Server server(smallModel(), virtualConfig(1, 4, 1000));
-    const auto samples = randomSamples(2, 16, 3, 53);
-    EXPECT_TRUE(
-        names(closedLoopError(server, samples, {}), "ClockMode::Real"));
-}
-
-TEST(ServeLoadGen, ClosedLoopNeedsSamples)
-{
-    Server server(smallModel(), realConfig());
-    EXPECT_TRUE(names(closedLoopError(server, {}, {}), "samples"));
-}
-
-TEST(ServeLoadGen, ClosedLoopPoolMustFitTheSamples)
-{
-    Server server(smallModel(), realConfig());
-    const auto samples = randomSamples(2, 16, 3, 54);
-    ClosedLoopConfig loop;
-    loop.requests = 4;
-    loop.sample_pool = 3;
-    EXPECT_TRUE(
-        names(closedLoopError(server, samples, loop), "sample_pool"));
-    loop.sample_pool = 0;
-    EXPECT_TRUE(
-        names(closedLoopError(server, samples, loop), "sample_pool"));
-    loop.sample_pool = 2;
-    const ClosedLoopReport report = runClosedLoop(server, samples, loop);
-    EXPECT_EQ(report.served, 4u);
 }
 
 // ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 /**
  * @file
- * Seeded fixtures shared by the test binaries: small binarized nets,
- * random binary layers and input samples, the synth-digits engine
- * workload, and the FNV-1a hash the byte-identity pins record. A
- * binary that calls digitsWorkload() links sushi_engine and
+ * Seeded fixtures shared by the test binaries and
+ * bench_frontend_throughput: small binarized nets, random binary
+ * layers and input samples, the synth-digits engine workload, and the
+ * FNV-1a hash the byte-identity pins record. The header includes no
+ * gtest. A binary that calls digitsWorkload() links sushi_engine and
  * sushi_data.
  */
 
